@@ -14,12 +14,12 @@
 //     concurrency high-water mark (not tenants-ever-admitted), and the
 //     process RSS delta across the thousand-tenant run stays bounded by
 //     the high-water mark's footprint, not the admitted count's;
-//   - the whole day is bit-for-bit deterministic across engine thread
-//     counts: the serial and --sim-threads=3 replays must produce
-//     byte-identical deterministic reports.
+//   - the whole day is bit-for-bit deterministic across sweep workers:
+//     the --jobs=1 and --jobs=4 replays must produce byte-identical
+//     deterministic reports.
 //
-// CANVAS_QUICK=1 (or --quick) shrinks the day for CI smoke; CANVAS_JOBS
-// and CANVAS_CLUSTER_JSON work like the other bench env knobs.
+// CANVAS_QUICK=1 (or --quick) shrinks the day for CI smoke;
+// CANVAS_CLUSTER_JSON works like the other bench env knobs.
 #include <sys/resource.h>
 
 #include <cstdio>
@@ -115,12 +115,14 @@ int main(int argc, char** argv) {
 
   PrintBanner("Cluster day: tenant churn at scale");
 
-  orchestrator::SweepOptions opts;
-  opts.jobs = JobsFromEnv();
-  orchestrator::SweepEngine engine(opts);
+  auto run_day = [&](unsigned jobs) {
+    orchestrator::SweepOptions opts;
+    opts.jobs = jobs;
+    return orchestrator::SweepEngine(opts).RunChurn(Scenario(quick, seed));
+  };
 
   std::uint64_t rss_before = PeakRssBytes();
-  orchestrator::ChurnSweepResult day = engine.RunChurn(Scenario(quick, seed));
+  orchestrator::ChurnSweepResult day = run_day(1);
   std::uint64_t rss_after = PeakRssBytes();
   bool all_ok = day.all_ok;
 
@@ -172,12 +174,10 @@ int main(int argc, char** argv) {
               (unsigned long long)peak_high_water,
               kRssCheckMeaningful ? "" : " [RSS bound waived: sanitizer]");
 
-  // Headline 3: bit-for-bit determinism across engine thread counts.
-  orchestrator::ChurnScenarioSpec par_sc = Scenario(quick, seed);
-  par_sc.sim_threads = 3;
-  orchestrator::ChurnSweepResult par = engine.RunChurn(par_sc);
-  bool deterministic = par.all_ok && Aggregate(day) == Aggregate(par);
-  std::printf("determinism: serial vs sim-threads=3 reports %s\n",
+  // Headline 3: bit-for-bit determinism across sweep worker counts.
+  orchestrator::ChurnSweepResult wide = run_day(4);
+  bool deterministic = wide.all_ok && Aggregate(day) == Aggregate(wide);
+  std::printf("determinism: jobs=1 vs jobs=4 reports %s\n",
               deterministic ? "byte-identical" : "DIVERGED");
   all_ok = all_ok && drained && bounded && rss_ok && deterministic;
 

@@ -17,13 +17,12 @@
 //     BOTH axes of the showdown: lower p99 fault-stall latency AND fewer
 //     demand (major) faults — read-sets declared ahead of dispatch turn
 //     depth-chained dependent faults into batched, overlapped fetches;
-//   - the whole grid is bit-for-bit deterministic across engine thread
-//     counts: the serial and --sim-threads=3 replays must produce
-//     byte-identical deterministic reports (the cooperative channel obeys
-//     the same conservative-window rules as demand traffic).
+//   - the whole grid is bit-for-bit deterministic across sweep workers:
+//     the --jobs=1 and --jobs=4 replays must produce byte-identical
+//     deterministic reports.
 //
 // CANVAS_QUICK=1 (or --quick) shrinks the workload for CI smoke;
-// CANVAS_JOBS and CANVAS_OBJECT_JSON work like the other bench env knobs.
+// CANVAS_OBJECT_JSON works like the other bench env knobs.
 #include <sys/resource.h>
 
 #include <cstdio>
@@ -81,11 +80,13 @@ int main(int argc, char** argv) {
 
   PrintBanner("Pointer-chasing showdown: page-demand vs cooperative-object");
 
-  orchestrator::SweepOptions opts;
-  opts.jobs = JobsFromEnv();
-  orchestrator::SweepEngine engine(opts);
+  auto run_grid = [&](unsigned jobs) {
+    orchestrator::SweepOptions opts;
+    opts.jobs = jobs;
+    return orchestrator::SweepEngine(opts).Run(Scenario(quick, seed));
+  };
 
-  orchestrator::SweepResult grid = engine.Run(Scenario(quick, seed).Expand());
+  orchestrator::SweepResult grid = run_grid(1);
   bool all_ok = grid.all_ok;
 
   // Expansion order pairs each page run (even index) with the object run
@@ -127,12 +128,10 @@ int main(int argc, char** argv) {
               "grid point\n",
               fewer ? "undercuts" : "DOES NOT UNDERCUT");
 
-  // Headline 2: bit-for-bit determinism across engine thread counts.
-  orchestrator::ScenarioSpec par_sc = Scenario(quick, seed);
-  par_sc.sim_threads = 3;
-  orchestrator::SweepResult par = engine.Run(par_sc.Expand());
-  bool deterministic = par.all_ok && Aggregate(grid) == Aggregate(par);
-  std::printf("determinism: serial vs sim-threads=3 reports %s\n",
+  // Headline 2: bit-for-bit determinism across sweep worker counts.
+  orchestrator::SweepResult wide = run_grid(4);
+  bool deterministic = wide.all_ok && Aggregate(grid) == Aggregate(wide);
+  std::printf("determinism: jobs=1 vs jobs=4 reports %s\n",
               deterministic ? "byte-identical" : "DIVERGED");
   all_ok = all_ok && faster && fewer && deterministic;
 

@@ -244,14 +244,16 @@ int main(int argc, char** argv) {
 
   const PolicyResult& ff = rows[0];
   const PolicyResult& p2c = rows[2];
-  bool p2c_beats_first_fit = p2c.peak_imbalance < ff.peak_imbalance;
-  bool all_ok = p2c_beats_first_fit;
+  bool p2c_imbalance_below_first_fit =
+      p2c.peak_imbalance < ff.peak_imbalance;
+  bool all_ok = p2c_imbalance_below_first_fit;
   for (const PolicyResult& r : rows)
     all_ok = all_ok && r.deterministic && r.audit_ok && r.stale_reads == 0 &&
              r.harvest_events > 0;
   std::printf("p2c imbalance %.3f vs first-fit %.3f -> %s\n",
               p2c.peak_imbalance, ff.peak_imbalance,
-              p2c_beats_first_fit ? "p2c beats first-fit" : "NO IMPROVEMENT");
+              p2c_imbalance_below_first_fit ? "p2c imbalance below first-fit"
+                                            : "NO IMPROVEMENT");
 
   PrintBanner("Tiered topology: blackout failover target (disk vs local tier)");
 
@@ -314,8 +316,8 @@ int main(int argc, char** argv) {
   std::fprintf(f, "  \"scale\": %.3f,\n", scale);
   std::fprintf(f, "  \"seed\": %llu,\n", (unsigned long long)seed);
   std::fprintf(f, "  \"servers\": 4,\n");
-  std::fprintf(f, "  \"p2c_beats_first_fit\": %s,\n",
-               p2c_beats_first_fit ? "true" : "false");
+  std::fprintf(f, "  \"p2c_imbalance_below_first_fit\": %s,\n",
+               p2c_imbalance_below_first_fit ? "true" : "false");
   std::fprintf(f, "  \"tier_beats_disk\": %s,\n",
                tier_beats_disk ? "true" : "false");
   std::fprintf(f, "  \"policies\": [\n");

@@ -1,8 +1,8 @@
 // Simulator throughput harness.
 //
 // Measures what every figure reproduction ultimately pays for: events/sec
-// through the DES engine. Three sections, all written to
-// BENCH_simulator.json (path overridable via CANVAS_BENCH_JSON):
+// through the DES engine. All sections are written to BENCH_simulator.json
+// (path overridable via CANVAS_BENCH_JSON):
 //
 //  1. micro: an identical self-rescheduling event churn run through (a) a
 //     faithful replica of the seed engine (std::function callbacks in a
@@ -11,12 +11,10 @@
 //  2. scenarios: representative runs of fig02 (Linux 5.5 co-run), fig10
 //     (Canvas full co-run) and fig13 (Memcached alloc scaling) measured in
 //     wall-clock seconds and simulated events/sec.
-//  3. parallel: the multi-core engine (DESIGN.md §12) — events/sec per
-//     worker-thread count on an 8-LP churn with ring cross-traffic, plus a
-//     serial-vs-sim_threads=4 comparison of the fig10/pool4 system run.
-//     `cpus_available` records the host core count; `advisory` marks
-//     single-core hosts where the scaling numbers are not meaningful.
-//  4. peak_rss_bytes: max resident set over the whole harness run.
+//  3. fault_overhead / trace_overhead: cost of the fault and tracing hooks
+//     on a healthy fig10 run.
+//  4. hardware_concurrency (the host CPU count the timings came from) and
+//     peak_rss_bytes (max resident set over the whole harness run).
 //
 // Honours CANVAS_SCALE / CANVAS_SEED like every other bench binary.
 #include <sys/resource.h>
@@ -35,7 +33,6 @@
 #include "bench_util.h"
 #include "fault/fault_plan.h"
 #include "orchestrator/sweep.h"
-#include "sim/parallel.h"
 #include "sim/simulator.h"
 
 namespace canvas::bench {
@@ -132,80 +129,6 @@ struct ScenarioResult {
   std::vector<double> finish_sec;
 };
 
-// ---------------------------------------------------------------------------
-// Parallel engine (DESIGN.md §12): events/sec scaling of one simulation
-// run across worker threads, on a churn workload with genuine multi-LP
-// parallelism (8 LPs, local chains + ring cross-traffic), plus the pooled
-// full-system comparison (serial vs sim_threads=4 on fig10/pool4).
-// ---------------------------------------------------------------------------
-class ParallelChurn {
- public:
-  static constexpr unsigned kLps = 8;
-
-  explicit ParallelChurn(unsigned threads) : par_(threads) {
-    for (unsigned i = 0; i < kLps; ++i)
-      par_.AddLp("churn-" + std::to_string(i));
-    for (unsigned i = 0; i < kLps; ++i)
-      next_[i] = par_.Connect(i, (i + 1) % kLps, /*lookahead=*/1024);
-  }
-
-  double EventsPerSec(std::uint64_t events_per_lp, unsigned chains_per_lp) {
-    for (unsigned i = 0; i < kLps; ++i) {
-      remaining_[i] = events_per_lp;
-      for (unsigned c = 0; c < chains_per_lp; ++c)
-        Kick(i, c + 1, c % 7);
-    }
-    auto t0 = Clock::now();
-    par_.Run();
-    double secs = SecondsSince(t0);
-    return double(par_.total_executed()) / secs;
-  }
-
- private:
-  void Kick(unsigned lp, std::uint64_t delay, std::uint64_t salt) {
-    par_.lp(lp).Schedule(delay, [this, lp, delay, salt] {
-      if (remaining_[lp] == 0) return;
-      --remaining_[lp];
-      std::uint64_t next =
-          ((delay * 6364136223846793005ull + salt) & 1023) + 1;
-      // Every 64th event crosses to the neighbouring LP (comfortably past
-      // the 1024ns lookahead) so the conservative sync machinery is part
-      // of what is measured, not idle.
-      if ((remaining_[lp] & 63) == 0) {
-        const unsigned dst = (lp + 1) % kLps;
-        par_.Send(next_[lp], par_.lp(lp).Now() + 2048, cross_seq_[lp]++,
-                  [this, dst] {
-                    std::uint64_t d = (cross_seq_[dst] & 255) + 1;
-                    Kick(dst, d, d);
-                  });
-      }
-      Kick(lp, next, salt + 1);
-    });
-  }
-
-  sim::ParallelSimulator par_;
-  sim::ParallelSimulator::ChannelId next_[kLps] = {};
-  std::uint64_t remaining_[kLps] = {};   // each owned by its LP's worker
-  std::uint64_t cross_seq_[kLps] = {};
-};
-
-struct EngineScalingPoint {
-  unsigned threads = 1;
-  double events_per_sec = 0;
-  double speedup_vs_1 = 1.0;
-};
-
-struct ParallelSection {
-  unsigned cpus_available = 1;
-  bool advisory = false;  ///< true when cores < 2: scaling not meaningful
-  std::vector<EngineScalingPoint> engine_scaling;
-  // fig10 co-run on pool4, serial engine vs sim_threads=4.
-  double pool4_serial_eps = 0;
-  double pool4_parallel_eps = 0;
-  double pool4_speedup = 0;
-  bool pool4_byte_identical = false;
-};
-
 ScenarioResult RunScenario(const std::string& name, core::SystemConfig cfg,
                            std::vector<core::AppSpec> apps) {
   auto t0 = Clock::now();
@@ -225,43 +148,6 @@ std::uint64_t PeakRssBytes() {
   struct rusage ru;
   getrusage(RUSAGE_SELF, &ru);
   return std::uint64_t(ru.ru_maxrss) * 1024;  // Linux reports KiB
-}
-
-ParallelSection MeasureParallel(double scale, bool quick) {
-  ParallelSection p;
-  p.cpus_available = std::max(1u, std::thread::hardware_concurrency());
-  p.advisory = p.cpus_available < 2;
-
-  const std::uint64_t per_lp = quick ? 60'000 : 400'000;
-  const unsigned chains = 256;
-  double base = 0;
-  for (unsigned threads : {1u, 2u, 4u}) {
-    ParallelChurn churn(threads);
-    EngineScalingPoint pt;
-    pt.threads = threads;
-    pt.events_per_sec = churn.EventsPerSec(per_lp, chains);
-    if (threads == 1) base = pt.events_per_sec;
-    pt.speedup_vs_1 = base > 0 ? pt.events_per_sec / base : 0;
-    p.engine_scaling.push_back(pt);
-  }
-
-  auto pooled = [&](unsigned sim_threads) {
-    auto cfg = core::SystemConfig::CanvasFull();
-    cfg.remote = remote::PoolConfig::FromName("pool4");
-    cfg.sim_threads = sim_threads;
-    return RunScenario("fig10_pool4", std::move(cfg),
-                       ManagedPlusNatives("spark-lr", scale, 0.25));
-  };
-  ScenarioResult serial = pooled(1);
-  ScenarioResult par4 = pooled(4);
-  p.pool4_serial_eps = serial.events_per_sec;
-  p.pool4_parallel_eps = par4.events_per_sec;
-  p.pool4_speedup =
-      serial.events_per_sec > 0 ? par4.events_per_sec / serial.events_per_sec
-                                : 0;
-  p.pool4_byte_identical = serial.sim_events == par4.sim_events &&
-                           serial.finish_sec == par4.finish_sec;
-  return p;
 }
 
 /// Fault-subsystem overhead on a healthy run: fig10 with no fault plan vs
@@ -337,8 +223,7 @@ TraceOverhead MeasureTraceOverhead(double scale, int reps) {
 void WriteJson(const std::string& path, std::uint64_t micro_events,
                double legacy_eps, double fast_eps,
                const std::vector<ScenarioResult>& scenarios,
-               const FaultOverhead& fault, const TraceOverhead& trace,
-               const ParallelSection& par) {
+               const FaultOverhead& fault, const TraceOverhead& trace) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (!f) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
@@ -384,29 +269,8 @@ void WriteJson(const std::string& path, std::uint64_t micro_events,
   std::fprintf(f, "    \"trace_overhead_pct\": %.2f\n",
                trace.enabled_overhead_pct);
   std::fprintf(f, "  },\n");
-  std::fprintf(f, "  \"parallel\": {\n");
-  std::fprintf(f, "    \"cpus_available\": %u,\n", par.cpus_available);
-  std::fprintf(f, "    \"advisory\": %s,\n", par.advisory ? "true" : "false");
-  std::fprintf(f, "    \"engine_scaling\": [\n");
-  for (std::size_t i = 0; i < par.engine_scaling.size(); ++i) {
-    const EngineScalingPoint& pt = par.engine_scaling[i];
-    std::fprintf(f,
-                 "      {\"threads\": %u, \"events_per_sec\": %.0f, "
-                 "\"speedup_vs_1\": %.3f}%s\n",
-                 pt.threads, pt.events_per_sec, pt.speedup_vs_1,
-                 i + 1 < par.engine_scaling.size() ? "," : "");
-  }
-  std::fprintf(f, "    ],\n");
-  std::fprintf(f, "    \"pool4_system\": {\n");
-  std::fprintf(f, "      \"serial_events_per_sec\": %.0f,\n",
-               par.pool4_serial_eps);
-  std::fprintf(f, "      \"parallel4_events_per_sec\": %.0f,\n",
-               par.pool4_parallel_eps);
-  std::fprintf(f, "      \"speedup\": %.3f,\n", par.pool4_speedup);
-  std::fprintf(f, "      \"byte_identical\": %s\n",
-               par.pool4_byte_identical ? "true" : "false");
-  std::fprintf(f, "    }\n");
-  std::fprintf(f, "  },\n");
+  std::fprintf(f, "  \"hardware_concurrency\": %u,\n",
+               std::thread::hardware_concurrency());
   std::fprintf(f, "  \"peak_rss_bytes\": %llu\n",
                (unsigned long long)PeakRssBytes());
   std::fprintf(f, "}\n");
@@ -493,23 +357,10 @@ int main(int argc, char** argv) {
               trace_reps, trace.disabled_overhead_pct,
               trace.enabled_overhead_pct);
 
-  // --- parallel engine scaling (DESIGN.md §12) ---
-  ParallelSection par = MeasureParallel(scale, quick);
-  std::printf("parallel engine (%u cpu%s available%s):\n",
-              par.cpus_available, par.cpus_available == 1 ? "" : "s",
-              par.advisory ? "; scaling advisory-only on this host" : "");
-  for (const EngineScalingPoint& pt : par.engine_scaling)
-    std::printf("  %u thread%s %14.0f events/sec  (%.2fx vs 1)\n", pt.threads,
-                pt.threads == 1 ? " " : "s", pt.events_per_sec,
-                pt.speedup_vs_1);
-  std::printf("  fig10/pool4 system run: serial %.0f ev/s, 4 threads %.0f "
-              "ev/s (%.2fx), byte-identical: %s\n",
-              par.pool4_serial_eps, par.pool4_parallel_eps, par.pool4_speedup,
-              par.pool4_byte_identical ? "yes" : "NO");
-
+  std::printf("host CPUs: %u\n", std::thread::hardware_concurrency());
   std::printf("peak RSS: %s\n", FormatBytes(double(PeakRssBytes())).c_str());
 
   WriteJson(json_path, micro_events, legacy_eps, fast_eps, scenarios, fault,
-            trace, par);
+            trace);
   return 0;
 }

@@ -47,9 +47,6 @@
 //   --no-adaptive    disable adaptive swap-entry allocation
 //   --no-horizontal  disable timeliness-based prefetch dropping
 //   --prefetcher=P   none | readahead | leap | two-tier (override preset)
-//   --sim-threads=N  parallel DES engine threads per run (default 1 =
-//                    serial; needs a multi-server topology, results are
-//                    byte-identical either way)
 //   --fault-plan=F   inject faults from a plan file (one directive per
 //                    line, times in microseconds: `blackout START END
 //                    [SERVER]`, `latency START END EXTRA_US [in|out|both]
@@ -72,9 +69,6 @@
 //   --seeds=N1,N2    seed axis (overrides --seed)
 //   --jobs=N         worker threads (default: hardware concurrency)
 //   --max-live=N     cap concurrently live swap systems (default: jobs)
-//   --thread-budget=N  total thread budget shared by --jobs and
-//                    --sim-threads: concurrent runs are clamped to
-//                    budget / sim-threads so the two never oversubscribe
 //   --cancel-on-failure   stop dispatching after the first failed run
 //   --progress       progress line on stderr
 //   --out=PATH       write the sweep JSON there instead of stdout
@@ -93,7 +87,7 @@
 //   --qos-curve=F    per-window supply curve CSV (`time_ms,scale` rows,
 //                    serving/supply_curve.h) scaling every tenant's SLO
 //                    bounds each control tick
-//   (plus the sweep execution options: --jobs, --thread-budget, --out, ...)
+//   (plus the sweep execution options: --jobs, --max-live, --out, ...)
 //
 // The pre-subcommand flat form (`canvasctl --system=... app ...`) was
 // deprecated for several releases and is now rejected with a migration
@@ -160,11 +154,9 @@ struct Options {
   Axis<std::uint64_t> seeds = {7};
   std::string format = "table";
   orchestrator::FeatureOverrides overrides;
-  unsigned sim_threads = 1;  // parallel DES engine threads per run
   // sweep execution
   unsigned jobs = 0;  // 0 = hardware concurrency
   unsigned max_live = 0;
-  unsigned thread_budget = 0;  // 0 = unbounded
   bool cancel_on_failure = false;
   bool progress = false;
   std::string out;
@@ -209,14 +201,14 @@ int Usage(FILE* to, int code) {
       "         --ratio=R --scale=S\n"
       "         --seed=N --format=table|csv|json --no-adaptive\n"
       "         --no-horizontal --prefetcher=none|readahead|leap|two-tier\n"
-      "         --sim-threads=N --fault-plan=FILE\n"
+      "         --fault-plan=FILE\n"
       "axes:    every plural flag (--systems= --topologies= --tiers=\n"
       "         --granularities= --arrivals= --harvests= --seeds=\n"
       "         --ratios= --scales=) is\n"
       "         repeatable and takes comma lists; values per axis in\n"
       "         `canvasctl list-axes`. Singular forms are deprecated\n"
       "         aliases.\n"
-      "sweep:   --jobs=N --max-live=N --thread-budget=N\n"
+      "sweep:   --jobs=N --max-live=N\n"
       "         --cancel-on-failure --progress --out=F\n"
       "serve:   tenant mods are `be` (best-effort) and `load` (arrival\n"
       "         axis target), joined with '+': e.g. frontend:150000:load\n"
@@ -330,9 +322,6 @@ bool ParseCommon(const std::string& arg, Options& opt) {
       std::exit(2);
     }
     opt.overrides.prefetcher = *kind;
-  } else if (arg.rfind("--sim-threads=", 0) == 0) {
-    opt.sim_threads =
-        std::max(1u, unsigned(std::atoi(value("--sim-threads=").c_str())));
   } else if (arg.rfind("--fault-plan=", 0) == 0) {
     opt.fault_plan_path = value("--fault-plan=");
   } else if (arg == "--no-adaptive") {
@@ -367,9 +356,6 @@ bool ParseSweepOnly(const std::string& arg, Options& opt) {
     opt.jobs = unsigned(std::atoi(value("--jobs=").c_str()));
   } else if (arg.rfind("--max-live=", 0) == 0) {
     opt.max_live = unsigned(std::atoi(value("--max-live=").c_str()));
-  } else if (arg.rfind("--thread-budget=", 0) == 0) {
-    opt.thread_budget =
-        unsigned(std::atoi(value("--thread-budget=").c_str()));
   } else if (arg == "--cancel-on-failure") {
     opt.cancel_on_failure = true;
   } else if (arg == "--progress") {
@@ -624,7 +610,6 @@ int RunOne(const Options& opt) {
   // An explicit --harvest overrides the topology preset's own schedule.
   if (opt.harvests.set)
     cfg.remote.harvest = ResolveHarvest(opt.harvests.front());
-  cfg.sim_threads = opt.sim_threads;
   if (auto plan = ResolvePlan(opt)) cfg.fault_plan = std::move(plan);
   core::ExperimentSpec spec;
   spec.config = cfg;
@@ -687,7 +672,6 @@ int RunSweep(const Options& opt) {
   scenario.ratios = opt.ratios;
   scenario.scales = opt.scales;
   scenario.seeds = opt.seeds;
-  scenario.sim_threads = opt.sim_threads;
   for (auto& [name, cores] : opt.apps) {
     core::AppBuild b;
     b.name = name;
@@ -703,7 +687,6 @@ int RunSweep(const Options& opt) {
   orchestrator::SweepOptions sweep_opts;
   sweep_opts.jobs = opt.jobs;
   sweep_opts.max_live = opt.max_live;
-  sweep_opts.thread_budget = opt.thread_budget;
   sweep_opts.cancel_on_failure = opt.cancel_on_failure;
   sweep_opts.progress = opt.progress;
   orchestrator::SweepEngine engine(sweep_opts);
@@ -742,7 +725,6 @@ int RunServe(const Options& opt) {
   scenario.overrides = opt.overrides;
   scenario.arrivals = opt.arrivals;
   scenario.seeds = opt.seeds;
-  scenario.sim_threads = opt.sim_threads;
   scenario.qos_enabled = opt.qos;
   if (!opt.qos_curve_path.empty()) {
     std::string err;
@@ -794,7 +776,6 @@ int RunServe(const Options& opt) {
   orchestrator::SweepOptions sweep_opts;
   sweep_opts.jobs = opt.jobs;
   sweep_opts.max_live = opt.max_live;
-  sweep_opts.thread_budget = opt.thread_budget;
   sweep_opts.cancel_on_failure = opt.cancel_on_failure;
   sweep_opts.progress = opt.progress;
   orchestrator::SweepEngine engine(sweep_opts);
@@ -829,7 +810,6 @@ int RunChurnCmd(const Options& opt) {
   scenario.tiers = opt.tiers;
   scenario.harvests = opt.harvests;
   scenario.seeds = opt.seeds;
-  scenario.sim_threads = opt.sim_threads;
   scenario.churn = opt.churn;
   scenario.churn.horizon = SimDuration(opt.horizon_sec * 1e9);
   for (const std::string& s : scenario.systems) ResolveSystem(s, {});
@@ -840,7 +820,6 @@ int RunChurnCmd(const Options& opt) {
   orchestrator::SweepOptions sweep_opts;
   sweep_opts.jobs = opt.jobs;
   sweep_opts.max_live = opt.max_live;
-  sweep_opts.thread_budget = opt.thread_budget;
   sweep_opts.cancel_on_failure = opt.cancel_on_failure;
   sweep_opts.progress = opt.progress;
   orchestrator::SweepEngine engine(sweep_opts);

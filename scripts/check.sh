@@ -37,34 +37,29 @@ if [ -z "${CANVAS_SANITIZE:-}" ] && [ "${CANVAS_NO_ASAN_FAULT:-0}" != "1" ]; the
   cmake --build "$SAN_BUILD" -j"$JOBS" \
     --target fault_injection_test fault_property_test trace_test \
              orchestrator_test remote_test serving_test workload_test \
-             parallel_test tier_test churn_test object_test
+             tier_test churn_test object_test
   ctest --test-dir "$SAN_BUILD" \
     -L 'fault|trace|orchestrator|remote|serving|tier|churn|object' \
     --output-on-failure -j"$JOBS"
 fi
 
 # TSan pass over the threaded suites: the SweepEngine races whole runs
-# across worker threads (label `orchestrator`), the parallel DES engine
-# (DESIGN.md §12) races LPs inside one run over SPSC rings and watermark
-# atomics (labels `sim` / `parallel` / `determinism`, which also pull in
-# the serial-vs-parallel byte-identity differentials), and the serving
-# suite (label `serving`) adds the open-loop QoS differentials plus
-# multi-job serving sweeps, the tier suite (label `tier`) adds the
-# tiered serial-vs-parallel byte-identity differentials, and the churn
-# suite (label `churn`) races churn sweeps across jobs and engine
-# threads with byte-identity differentials, and the object suite
-# (label `object`) replays cooperative chase runs at 1/2/8 engine
-# threads with byte-identity differentials. TSan cannot be combined
-# with ASan — separate build. CANVAS_NO_TSAN=1 skips it.
+# across worker threads (label `orchestrator`), and the serving, tier,
+# churn and object suites (labels `serving` / `tier` / `churn` /
+# `object`) race their sweeps at --jobs=1 vs a wider pool with
+# byte-identity differentials on the deterministic report; the `sim` /
+# `determinism` labels pull in the event-order and repeat-run checks.
+# TSan cannot be combined with ASan — separate build. CANVAS_NO_TSAN=1
+# skips it.
 if [ -z "${CANVAS_SANITIZE:-}" ] && [ "${CANVAS_NO_TSAN:-0}" != "1" ]; then
   TSAN_BUILD="${TSAN_BUILD_DIR:-$ROOT/build-tsan}"
   cmake -B "$TSAN_BUILD" -S "$ROOT" -DCANVAS_SANITIZE=thread
   cmake --build "$TSAN_BUILD" -j"$JOBS" \
-    --target orchestrator_test parallel_test sim_test determinism_test \
+    --target orchestrator_test sim_test determinism_test \
              fault_injection_test trace_test remote_test serving_test \
              workload_test tier_test churn_test object_test
   ctest --test-dir "$TSAN_BUILD" \
-    -L 'orchestrator|sim|parallel|determinism|serving|tier|churn|object' \
+    -L 'orchestrator|sim|determinism|serving|tier|churn|object' \
     --output-on-failure -j"$JOBS"
 fi
 
@@ -80,9 +75,10 @@ CANVAS_SWEEP_JSON="${CANVAS_SWEEP_JSON:-$BUILD/BENCH_sweep.json}" \
 
 # Remote memory-server pool benchmark: placement policies under harvest
 # churn plus the tiered-topology blackout comparison, with hard checks
-# (deterministic reports, slab-table audit, zero stale reads, p2c beating
-# first-fit on placement imbalance, tier failover latency strictly below
-# failover-to-disk).
+# (deterministic reports, slab-table audit, zero stale reads,
+# p2c_imbalance_below_first_fit — p2c's peak placement imbalance below
+# first-fit's, not a makespan claim — and tier failover latency strictly
+# below failover-to-disk).
 CANVAS_REMOTE_JSON="${CANVAS_REMOTE_JSON:-$BUILD/BENCH_remote.json}" \
   "$BUILD/bench/remote_pool" "${HARNESS_ARGS[@]:-}"
 
@@ -98,7 +94,7 @@ CANVAS_SERVING_JSON="${CANVAS_SERVING_JSON:-$BUILD/BENCH_serving.json}" \
 # diurnal schedule over {steady, closed-loop} harvests, with hard checks
 # (every tenant retired and reaped, registry slots + RSS bounded by the
 # concurrency high-water mark rather than the admitted count, and
-# byte-identical reports across engine thread counts).
+# byte-identical reports at --jobs=1 vs --jobs=4).
 CANVAS_CLUSTER_JSON="${CANVAS_CLUSTER_JSON:-$BUILD/BENCH_cluster.json}" \
   "$BUILD/bench/cluster_day" "${HARNESS_ARGS[@]:-}"
 
@@ -106,7 +102,7 @@ CANVAS_CLUSTER_JSON="${CANVAS_CLUSTER_JSON:-$BUILD/BENCH_cluster.json}" \
 # behaviour-structured pointer-chasing workload across {pool4,
 # pool4-harvest} x {none, cxl}, with hard checks (cooperative-object
 # beats page-demand on BOTH p99 fault-stall latency and demand-fault
-# count on every grid point, and serial vs sim-threads=3 reports stay
+# count on every grid point, and --jobs=1 vs --jobs=4 reports stay
 # byte-identical).
 CANVAS_OBJECT_JSON="${CANVAS_OBJECT_JSON:-$BUILD/BENCH_object.json}" \
   "$BUILD/bench/object_granularity" "${HARNESS_ARGS[@]:-}"

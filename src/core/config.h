@@ -118,13 +118,7 @@ struct SystemConfig {
   };
   ObjectConfig objects;
 
-  // --- parallel DES engine (DESIGN.md §12) ---
-  /// Worker threads for one simulation run. 1 (default) = the serial
-  /// engine, byte-identical to pre-parallel builds. With >1 and a
-  /// multi-server remote topology, each memory server runs as its own
-  /// logical process; reports stay byte-identical at any thread count.
-  /// Silently falls back to serial when the run is ineligible (no pool,
-  /// fault plan set, or tracing enabled — see SwapSystem).
+  /// Unread; kept only for perfbench/, and goes in the next benchmark change.
   unsigned sim_threads = 1;
 
   // --- tracing & telemetry (DESIGN.md §9) ---

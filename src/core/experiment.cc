@@ -31,19 +31,9 @@ std::vector<AppSpec> BuildApps(const std::vector<AppBuild>& builds) {
 
 Experiment::Experiment(SystemConfig cfg, std::vector<AppSpec> apps,
                        SimTime deadline)
-    : deadline_(deadline) {
-  const unsigned sim_threads = cfg.sim_threads;
-  system_ = std::make_unique<SwapSystem>(sim_, std::move(cfg),
-                                         std::move(apps));
-  if (sim_threads > 1) {
-    // Offer the run to the parallel engine; SwapSystem declines (no-op) when
-    // the scenario is ineligible, in which case we drop the engine and run
-    // serially — same bytes out either way.
-    par_ = std::make_unique<sim::ParallelSimulator>(sim_threads);
-    system_->EnableParallelServers(*par_);
-    if (!system_->parallel_active()) par_.reset();
-  }
-}
+    : deadline_(deadline),
+      system_(std::make_unique<SwapSystem>(sim_, std::move(cfg),
+                                           std::move(apps))) {}
 
 Experiment::Experiment(const ExperimentSpec& spec)
     : Experiment(spec.config, BuildApps(spec.apps), spec.deadline) {}
@@ -56,13 +46,9 @@ bool Experiment::Run() {
   constexpr SimTime kSlice = 20 * kMillisecond;
   while (sim_.Now() < deadline_) {
     SimTime next = std::min(deadline_, sim_.Now() + kSlice);
-    // The parallel engine drives the root LP (sim_) plus the server LPs to
-    // the same slice boundary, so AllFinished() is evaluated at identical
-    // instants in both engines and runs stop after identical event counts.
-    bool drained = par_ ? par_->RunUntil(next) : sim_.RunUntil(next);
+    bool drained = sim_.RunUntil(next);
     if (system_->AllFinished() || drained) break;
   }
-  if (par_) par_->Shutdown();
   return system_->AllFinished();
 }
 

@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "core/swap_system.h"
-#include "sim/parallel.h"
 
 namespace canvas::core {
 
@@ -67,11 +66,9 @@ class Experiment {
   const SwapSystem& system() const { return *system_; }
   SwapSystem& system() { return *system_; }
 
-  /// True when this run executes on the parallel DES engine (requested via
-  /// SystemConfig::sim_threads > 1 AND the scenario is eligible — see
-  /// SwapSystem::EnableParallelServers). Reports are byte-identical either
-  /// way; this only tells you which engine produced them.
-  bool parallel() const { return par_ != nullptr; }
+  /// Always false; kept only for perfbench/, and goes in the next benchmark
+  /// change.
+  bool parallel() const { return false; }
 
   /// Makespan of app `i` (0 if it did not finish before the deadline).
   SimTime FinishTime(std::size_t i) const {
@@ -87,9 +84,6 @@ class Experiment {
   sim::Simulator sim_;
   SimTime deadline_;
   std::unique_ptr<SwapSystem> system_;
-  /// Parallel engine hosting sim_ as the root LP plus one LP per memory
-  /// server; null for serial runs (the default) and ineligible scenarios.
-  std::unique_ptr<sim::ParallelSimulator> par_;
 };
 
 /// Slowdown of `t` relative to baseline `base` (>= 1 means slower).

@@ -325,17 +325,6 @@ std::size_t SwapSystem::AddApp(AppSpec spec) {
 
 SwapSystem::~SwapSystem() = default;
 
-void SwapSystem::EnableParallelServers(sim::ParallelSimulator& par) {
-  // Eligibility gate (see header): the bridge reproduces only the healthy
-  // pooled path. A fault injector consumes RNG draws conditionally on the
-  // service fold's outcome and the trace sampler reads server-LP-owned
-  // counters mid-run, so either one forces the serial engine (which is
-  // byte-identical anyway — this is a perf fast path, not a semantic one).
-  if (!pool_ || injector_ || tracer_.enabled()) return;
-  bridge_ = std::make_unique<rdma::ServerBridge>(par, sim_, *nic_, *pool_);
-  nic_->AttachBridge(bridge_.get());
-}
-
 void SwapSystem::Start() {
   started_ = true;
   if (injector_) injector_->Start();

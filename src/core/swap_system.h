@@ -34,7 +34,6 @@
 #include "prefetch/readahead.h"
 #include "prefetch/two_tier.h"
 #include "rdma/nic.h"
-#include "rdma/server_bridge.h"
 #include "sched/fastswap.h"
 #include "sched/fifo.h"
 #include "sched/two_dim.h"
@@ -126,19 +125,6 @@ class SwapSystem {
   }
   const CgroupRegistry& cgroups() const { return cgroups_; }
 
-  /// Opt this run into the parallel DES engine (DESIGN.md §12): builds the
-  /// per-server LP topology on `par` and routes pooled dispatches through
-  /// the cross-LP bridge. Only takes effect on the eligible fast path — a
-  /// multi-server pool, no fault injector (its RNG draws are consumed
-  /// conditionally on the service fold), and tracing off (the sampler reads
-  /// server-LP-owned state). Otherwise a no-op: the caller should then
-  /// drive the plain serial simulator, which is byte-identical anyway.
-  /// Call after construction and before Start(); toggling the tracer on
-  /// mid-run is unsupported while a bridge is active.
-  void EnableParallelServers(sim::ParallelSimulator& par);
-  /// True when EnableParallelServers attached a bridge.
-  bool parallel_active() const { return bridge_ != nullptr; }
-
   /// True when the object subsystem is live for at least one tenant this
   /// run (SystemConfig::objects.enabled AND a workload shipped a registry).
   /// Gates the report's object section so registry-off outputs keep the
@@ -176,8 +162,7 @@ class SwapSystem {
   /// Remote memory-server pool (DESIGN.md §11); null unless
   /// SystemConfig::remote names a multi-server topology.
   const remote::ServerPool* pool() const { return pool_.get(); }
-  /// Mutable pool access (QoS plane: SLO-driven slab rebalancing). Callers
-  /// must stick to root-LP-owned state — see remote/server.h field notes.
+  /// Mutable pool access (QoS plane: SLO-driven slab rebalancing).
   remote::ServerPool* mutable_pool() { return pool_.get(); }
   /// The WFQ scheduler when the configured kind has one (QoS plane: runtime
   /// weight boosts); null for FIFO/Fastswap-style schedulers.
@@ -406,7 +391,7 @@ class SwapSystem {
   /// becomes the copy of record. Pure data-state change — no new events —
   /// so tier-disabled runs are untouched.
   void MaybePromoteToTier(AppState& app, PageId page, mem::Page& p);
-  /// Proactive cold-page demotion scan (root-LP periodic tick): above the
+  /// Proactive cold-page demotion scan (periodic tick): above the
   /// occupancy watermark, write the coldest tier residents back to the
   /// remote pool through the normal scheduler path.
   void TierPolicyTick();
@@ -475,7 +460,6 @@ class SwapSystem {
   std::unique_ptr<fault::DiskBackend> disk_;
   std::unique_ptr<tier::TierBackend> tier_;
   std::unique_ptr<remote::ServerPool> pool_;
-  std::unique_ptr<rdma::ServerBridge> bridge_;
   /// Partitions indexed by their pool partition id (registration order).
   std::vector<swapalloc::SwapPartition*> pool_partitions_;
 

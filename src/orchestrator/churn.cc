@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cstdio>
 #include <exception>
-#include <memory>
 #include <stdexcept>
 
 #include "core/report.h"
@@ -85,7 +84,6 @@ std::vector<ChurnRunSpec> ChurnScenarioSpec::Expand() const {
             r.config.remote = pool;
             r.config.remote.harvest = harvest;
             r.config.tier = tier_cfg;
-            r.config.sim_threads = sim_threads ? sim_threads : 1;
             r.churn = churn;
             // The seed axis re-samples the whole arrival timeline.
             r.churn.seed = seed;
@@ -116,14 +114,7 @@ ChurnResult RunChurn(const ChurnRunSpec& spec) {
     if (templates.empty()) templates.emplace_back();
 
     sim::Simulator sim;
-    const unsigned sim_threads = std::max(1u, spec.config.sim_threads);
     core::SwapSystem system(sim, spec.config, {});
-    std::unique_ptr<sim::ParallelSimulator> par;
-    if (sim_threads > 1) {
-      par = std::make_unique<sim::ParallelSimulator>(sim_threads);
-      system.EnableParallelServers(*par);
-      if (!system.parallel_active()) par.reset();
-    }
 
     // Keeps pool harvest/control ticks and the trace sampler alive across
     // gaps where every current tenant drained but arrivals are still due.
@@ -133,9 +124,6 @@ ChurnResult RunChurn(const ChurnRunSpec& spec) {
     });
 
     std::vector<std::size_t> slot(sched.tenants.size(), kNoSlot);
-    // All churn events run on the root LP (the simulator owning the swap
-    // system), so the parallel engine sees them as ordinary root events —
-    // replay order is the schedule order regardless of thread count.
     for (const workload::ChurnEvent& ev : sched.events) {
       sim.ScheduleAt(ev.at, [&, ev] {
         --remaining;
@@ -167,13 +155,12 @@ ChurnResult RunChurn(const ChurnRunSpec& spec) {
     constexpr SimTime kSlice = 20 * kMillisecond;
     while (sim.Now() < spec.deadline) {
       SimTime next = std::min(spec.deadline, sim.Now() + kSlice);
-      bool drained = par ? par->RunUntil(next) : sim.RunUntil(next);
+      bool drained = sim.RunUntil(next);
       if ((remaining == 0 && system.AllFinished() &&
            system.pending_retirements() == 0) ||
           drained)
         break;
     }
-    if (par) par->Shutdown();
 
     bool done = remaining == 0 && system.AllFinished() &&
                 system.pending_retirements() == 0;
@@ -216,7 +203,6 @@ ChurnResult RunChurn(const ChurnRunSpec& spec) {
         r.error = "pool audit failed: " + audit_err;
       }
     }
-    r.parallel = par != nullptr;
   } catch (const std::exception& ex) {
     r.status = ChurnResult::Status::kError;
     r.error = ex.what();
@@ -278,8 +264,7 @@ void ChurnSweepResult::WriteJson(std::ostream& os,
     for (std::size_t i = 0; i < runs.size(); ++i) {
       const ChurnResult& r = runs[i];
       os << "      {\"index\": " << r.index << ", \"wall_sec\": "
-         << r.wall_sec << ", \"peak_rss_bytes\": " << r.peak_rss_bytes
-         << ", \"parallel\": " << (r.parallel ? "true" : "false") << "}"
+         << r.wall_sec << ", \"peak_rss_bytes\": " << r.peak_rss_bytes << "}"
          << (i + 1 < runs.size() ? ",\n" : "\n");
     }
     os << "    ]\n  }";

@@ -2,9 +2,8 @@
 // workload::ChurnSchedule against one SwapSystem — arrival -> AddApp,
 // departure -> RetireApp — on the DES clock, then snapshots a deterministic
 // result. The schedule is pure data sampled before the run starts, so the
-// whole simulation is bit-for-bit identical at any --jobs / --sim-threads
-// count; wall clock and RSS live in a separate timing payload like the
-// other sweep surfaces.
+// whole simulation is bit-for-bit identical at any --jobs count; wall clock
+// and RSS live in a separate timing payload like the other sweep surfaces.
 #pragma once
 
 #include <ostream>
@@ -105,7 +104,6 @@ struct ChurnResult {
   // --- timing payload (never byte-stable) ---
   double wall_sec = 0;
   std::uint64_t peak_rss_bytes = 0;
-  bool parallel = false;
 
   bool executed() const {
     return status == Status::kOk || status == Status::kDeadline;
@@ -128,7 +126,7 @@ struct ChurnSweepResult {
   double wall_sec = 0;
   unsigned jobs = 1;
 
-  /// include_timing=false -> byte-identical across jobs / thread counts.
+  /// include_timing=false -> byte-identical across jobs counts.
   void WriteJson(std::ostream& os, bool include_timing = true) const;
 };
 

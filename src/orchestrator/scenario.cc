@@ -96,7 +96,6 @@ std::vector<serving::ServingSpec> ServingScenarioSpec::Expand() const {
               s.config.remote = pool;
               s.config.tier = tier_cfg;
               s.config.objects.enabled = *objects_on;
-              s.config.sim_threads = sim_threads ? sim_threads : 1;
               s.tenants = tenants;
               // The arrival axis retargets the load tenants (all tenants
               // when none is marked); the template's rates/windows are
@@ -149,7 +148,6 @@ std::vector<RunSpec> ScenarioSpec::Expand() const {
                 r.exp.config.remote = pool;
                 r.exp.config.tier = tier_cfg;
                 r.exp.config.objects.enabled = *objects_on;
-                r.exp.config.sim_threads = sim_threads ? sim_threads : 1;
                 r.exp.deadline = deadline;
                 r.exp.apps = apps;
                 for (core::AppBuild& b : r.exp.apps) {

@@ -69,11 +69,6 @@ struct AxisSpec {
   std::vector<std::string> granularities = {"page"};
   std::vector<std::uint64_t> seeds = {7};
   SimTime deadline = 600 * kSecond;
-  /// Worker threads per single run (SystemConfig::sim_threads, DESIGN.md
-  /// §12). 1 = serial engine. Stamped onto every expanded run; results are
-  /// byte-identical either way, so this is not a sweep axis — it never
-  /// appears in run labels.
-  unsigned sim_threads = 1;
 };
 
 /// The declarative experiment surface. Axes combine as a full grid in

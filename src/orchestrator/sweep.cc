@@ -98,15 +98,6 @@ SweepResult SweepEngine::Run(std::vector<RunSpec> specs) {
   unsigned jobs = opts_.jobs ? opts_.jobs
                              : std::max(1u, std::thread::hardware_concurrency());
   jobs = std::min<unsigned>(jobs, std::max<std::size_t>(specs.size(), 1));
-  if (opts_.thread_budget) {
-    // Compose run-level engine threads with sweep-level jobs under one
-    // total budget: a run may spin up to sim_threads workers, so the
-    // number of concurrent runs is clamped to budget / sim_threads.
-    unsigned per_run = 1;
-    for (const RunSpec& s : specs)
-      per_run = std::max(per_run, std::max(1u, s.exp.config.sim_threads));
-    jobs = std::max(1u, std::min(jobs, opts_.thread_budget / per_run));
-  }
   unsigned max_live = opts_.max_live ? std::min(opts_.max_live, jobs) : jobs;
   result.jobs = jobs;
 
@@ -184,13 +175,6 @@ ServingSweepResult SweepEngine::RunServing(
   unsigned jobs = opts_.jobs ? opts_.jobs
                              : std::max(1u, std::thread::hardware_concurrency());
   jobs = std::min<unsigned>(jobs, std::max<std::size_t>(specs.size(), 1));
-  if (opts_.thread_budget) {
-    // Same jobs x sim_threads composition as the experiment sweep.
-    unsigned per_run = 1;
-    for (const serving::ServingSpec& s : specs)
-      per_run = std::max(per_run, std::max(1u, s.config.sim_threads));
-    jobs = std::max(1u, std::min(jobs, opts_.thread_budget / per_run));
-  }
   unsigned max_live = opts_.max_live ? std::min(opts_.max_live, jobs) : jobs;
   result.jobs = jobs;
 
@@ -266,13 +250,6 @@ ChurnSweepResult SweepEngine::RunChurn(std::vector<ChurnRunSpec> specs) {
   unsigned jobs = opts_.jobs ? opts_.jobs
                              : std::max(1u, std::thread::hardware_concurrency());
   jobs = std::min<unsigned>(jobs, std::max<std::size_t>(specs.size(), 1));
-  if (opts_.thread_budget) {
-    // Same jobs x sim_threads composition as the experiment sweep.
-    unsigned per_run = 1;
-    for (const ChurnRunSpec& s : specs)
-      per_run = std::max(per_run, std::max(1u, s.config.sim_threads));
-    jobs = std::max(1u, std::min(jobs, opts_.thread_budget / per_run));
-  }
   unsigned max_live = opts_.max_live ? std::min(opts_.max_live, jobs) : jobs;
   result.jobs = jobs;
 

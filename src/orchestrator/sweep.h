@@ -33,13 +33,6 @@ struct SweepOptions {
   unsigned jobs = 1;
   /// Cap on concurrently live swap systems (memory bound). 0 = jobs.
   unsigned max_live = 0;
-  /// Engine threads each run may use (max over the specs'
-  /// config.sim_threads; recomputed per sweep). Composes with `jobs` under
-  /// `thread_budget`: the effective job count is clamped to
-  /// max(1, budget / sim_threads) so sweep-level and run-level parallelism
-  /// never oversubscribe the budget together.
-  /// 0 = no budget (jobs used as-is).
-  unsigned thread_budget = 0;
   /// Stop dispatching new runs after the first failed run (deadline miss
   /// or exception); undispatched runs report Status::kCancelled.
   bool cancel_on_failure = false;
@@ -112,7 +105,7 @@ struct ServingSweepResult {
   double wall_sec = 0;
   unsigned jobs = 1;
 
-  /// include_timing=false -> byte-identical across jobs / thread counts.
+  /// include_timing=false -> byte-identical across jobs counts.
   void WriteJson(std::ostream& os, bool include_timing = true) const {
     serving::WriteServingJson(os, runs, include_timing);
   }
@@ -131,15 +124,15 @@ class SweepEngine {
     return Run(scenario.Expand());
   }
 
-  /// Serving counterpart of Run: same worker pool, live cap and
-  /// thread-budget composition, over serving::RunServing.
+  /// Serving counterpart of Run: same worker pool and live cap, over
+  /// serving::RunServing.
   ServingSweepResult RunServing(std::vector<serving::ServingSpec> specs);
   ServingSweepResult RunServing(const ServingScenarioSpec& scenario) {
     return RunServing(scenario.Expand());
   }
 
-  /// Churn counterpart (DESIGN.md §15): same worker pool, live cap and
-  /// thread-budget composition, over RunChurn.
+  /// Churn counterpart (DESIGN.md §15): same worker pool and live cap, over
+  /// RunChurn.
   ChurnSweepResult RunChurn(std::vector<ChurnRunSpec> specs);
   ChurnSweepResult RunChurn(const ChurnScenarioSpec& scenario) {
     return RunChurn(scenario.Expand());

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <utility>
 
-#include "rdma/server_bridge.h"
 #include "remote/pool.h"
 
 namespace canvas::rdma {
@@ -130,20 +129,6 @@ void Nic::Pump(Direction dir) {
   auto ser = SimDuration(double(req->bytes) / bw * double(kSecond));
   lane.busy_until = now + ser;
   SimTime completion = lane.busy_until + cfg_.base_latency + extra_lat;
-  if (bridge_ && req->server >= 0) {
-    // Parallel engine: the server fold runs on the server's LP; the
-    // completion comes back at the rank the serial ScheduleAt below would
-    // have used. Only the healthy path reaches here (no injector, so the
-    // outcome is always kOk), and root-side accounting stays in dispatch
-    // order exactly as below.
-    if (tracer_)
-      tracer_->Span(trace::kRdmaPid, std::uint32_t(dir), trace::Name::kWire,
-                    now, lane.busy_until, std::uint64_t(req->cgroup));
-    AccountDispatch(dir, *req, now);
-    bridge_->DispatchAsync(std::move(req), dir, lane.busy_until, completion);
-    Pump(dir);
-    return;
-  }
   if (pool_ && req->server >= 0)
     // Fold in the destination server: link serialization behind other
     // transfers to the same server, fixed processing latency, and
@@ -178,7 +163,11 @@ void Nic::Pump(Direction dir) {
 
   // Account bandwidth at serialization time (failed attempts still burn
   // wire time — that is the cost the retry path pays).
-  AccountDispatch(dir, *req, now);
+  dir_series_[std::size_t(dir)].Add(now, double(req->bytes));
+  auto key = std::make_pair(req->cgroup, dir);
+  auto [it, inserted] = cg_series_.try_emplace(key, cfg_.series_bucket);
+  it->second.Add(now, double(req->bytes));
+  cg_bytes_[key] += double(req->bytes);
 
   sim_.ScheduleAt(event_at, [this, outcome, owned = std::move(req)]() mutable {
     // Balance the server's inflight depth at the attempt's terminal event
@@ -199,27 +188,6 @@ void Nic::Pump(Direction dir) {
   // Immediately try to fill the lane again (schedules a wake-up at
   // busy_until via the branch above).
   Pump(dir);
-}
-
-void Nic::AccountDispatch(Direction dir, const Request& req, SimTime now) {
-  dir_series_[std::size_t(dir)].Add(now, double(req.bytes));
-  auto key = std::make_pair(req.cgroup, dir);
-  auto [it, inserted] = cg_series_.try_emplace(key, cfg_.series_bucket);
-  it->second.Add(now, double(req.bytes));
-  cg_bytes_[key] += double(req.bytes);
-}
-
-void Nic::CompleteFromBridge(RequestPtr owned) {
-  // Mirrors the serial terminal event for the kOk outcome: EndService first
-  // (as a forward-channel message, so the server sees Begin/End in the
-  // serial global order), then completion bookkeeping.
-  bridge_->NotifyEndService(owned->server);
-  owned->completed = sim_.Now();
-  owned->status = RequestStatus::kOk;
-  latency_[std::size_t(owned->op)].Add(
-      double(owned->completed - owned->created));
-  ++completed_[std::size_t(owned->op)];
-  if (owned->on_complete) owned->on_complete(*owned);
 }
 
 void Nic::HandleAttemptFailure(RequestPtr req, RequestStatus status) {

@@ -38,8 +38,6 @@ class ServerPool;
 
 namespace canvas::rdma {
 
-class ServerBridge;
-
 /// Interface the dispatch scheduler exposes to the NIC.
 class RequestSource {
  public:
@@ -122,20 +120,6 @@ class Nic {
   /// single-server fast path is byte-identical to pre-pool builds.
   void AttachPool(remote::ServerPool* pool) { pool_ = pool; }
 
-  /// Attach the parallel-engine server bridge (nullptr detaches). With a
-  /// bridge, pooled dispatches run the server service fold on the server's
-  /// LP instead of inline, and completions come back as cross-LP events at
-  /// the exact (when, seq) rank the serial path would have used — see
-  /// rdma/server_bridge.h. Only valid on the healthy fast path (no fault
-  /// injector); SwapSystem gates attachment accordingly.
-  void AttachBridge(ServerBridge* bridge) { bridge_ = bridge; }
-
-  /// Terminal handler for a bridge completion, executing on the root LP at
-  /// the reserved rank: mirrors the serial OK-outcome terminal event
-  /// byte-for-byte (EndService ordering included, via the bridge's forward
-  /// channel).
-  void CompleteFromBridge(RequestPtr owned);
-
   /// Notify the NIC that the source may have new work in `dir`.
   void Kick(Direction dir);
 
@@ -193,9 +177,6 @@ class Nic {
   /// Record the failed attempt on `req` and either schedule a retry or
   /// hand the request to its issuer via on_error (on_drop fallback).
   void HandleAttemptFailure(RequestPtr req, RequestStatus status);
-  /// Per-dispatch bandwidth accounting (total + per-cgroup series), shared
-  /// by the inline and bridge dispatch paths.
-  void AccountDispatch(Direction dir, const Request& req, SimTime now);
 
   sim::Simulator& sim_;
   Config cfg_;
@@ -203,7 +184,6 @@ class Nic {
   fault::FaultInjector* injector_ = nullptr;
   trace::Tracer* tracer_ = nullptr;
   remote::ServerPool* pool_ = nullptr;
-  ServerBridge* bridge_ = nullptr;
   std::array<Lane, 2> lanes_;
   std::array<std::deque<RequestPtr>, 2> retry_q_;
   std::array<LatencyRecorder, 3> latency_;

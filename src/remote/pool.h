@@ -193,8 +193,8 @@ class ServerPool {
   void ReturnCapacity(ServerId id, std::uint64_t slabs);
   /// Closed-loop supply/demand controller (DESIGN.md §15): periodic tick
   /// that EWMA-smooths Occupancy() and moves `control_step_slabs` of
-  /// capacity per action to steer it into the configured band. Root-LP
-  /// only; consumes no RNG.
+  /// capacity per action to steer it into the configured band. Consumes no
+  /// RNG.
   void ScheduleControlTick();
   void ControlTick();
 

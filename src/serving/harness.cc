@@ -97,7 +97,6 @@ ServingResult RunServing(const ServingSpec& spec) {
     bool finished = e.Run();
     r.status = finished ? ServingResult::Status::kOk
                         : ServingResult::Status::kDeadline;
-    r.parallel = e.parallel();
 
     const core::SwapSystem& sys = e.system();
     r.tenants.reserve(spec.tenants.size());

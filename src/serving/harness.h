@@ -5,15 +5,15 @@
 // open-loop Zipfian key-value service with its own arrival process, SLO and
 // cgroup limits), and a QoS configuration. RunServing materializes the
 // tenants as AppWorkloads of OpenLoopZipfStream threads, runs them through
-// the standard core::Experiment path (so the serial/parallel engine choice,
-// fault plans and topologies all apply unchanged), attaches the QosPlane,
+// the standard core::Experiment path (so fault plans and topologies apply
+// unchanged), attaches the QosPlane,
 // and snapshots a deterministic per-tenant result: offered/shed/served
 // request counts, cumulative fault-latency percentiles, windowed SLO
 // violation rates, and the QoS actions taken.
 //
 // Like RunSpec/SweepResult, everything here is a plain value: a serving
 // sweep report is a pure function of its ServingSpecs, byte-identical
-// across sweep jobs counts and engine thread counts.
+// across sweep jobs counts.
 #pragma once
 
 #include <cstdint>
@@ -56,7 +56,7 @@ struct TenantSpec {
 struct ServingSpec {
   std::string label;
   std::size_t index = 0;
-  core::SystemConfig config;  ///< includes topology, sim_threads, fault_plan
+  core::SystemConfig config;  ///< includes topology and fault_plan
   std::vector<TenantSpec> tenants;
   QosConfig qos;
   bool qos_enabled = true;
@@ -109,9 +109,8 @@ struct ServingResult {
   std::uint64_t pool_evictions_to_disk = 0;
   std::uint64_t pool_harvest_events = 0;
   std::uint64_t sim_events = 0;
-  /// Whether the run used the parallel DES engine. Deliberately NOT part of
-  /// the JSON report: the report must be byte-identical across engine
-  /// choices, and this field is exactly what differs.
+  /// Always false; kept only for perfbench/, and goes in the next benchmark
+  /// change.
   bool parallel = false;
 
   // --- timing payload (never byte-stable) ---
@@ -128,7 +127,7 @@ const char* ServingStatusName(ServingResult::Status s);
 ServingResult RunServing(const ServingSpec& spec);
 
 /// Aggregated serving report. With include_timing=false the output is a
-/// pure function of the specs (byte-identical across jobs/thread counts).
+/// pure function of the specs (byte-identical across jobs counts).
 void WriteServingJson(std::ostream& os,
                       const std::vector<ServingResult>& results,
                       bool include_timing = true);

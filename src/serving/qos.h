@@ -19,11 +19,9 @@
 // After `heal_windows` consecutive clean windows the escalation unwinds one
 // step per tick (weights decay toward base, shed fractions release).
 //
-// Determinism: the controller runs on the root LP and reads only
-// root-LP-owned state — per-app fault histograms, slab tables, LoadControl
-// blocks. It never touches server-LP-owned ServerState fields (inflight /
-// busy_until / requests_served / bytes), so serving runs stay byte-identical
-// between the serial and parallel DES engines (tests/parallel_test.cc).
+// Determinism: the controller is an ordinary event on the run's DES clock
+// and RebalanceTenant draws no placement RNG, so serving runs replay
+// byte-identically.
 #pragma once
 
 #include <cstdint>

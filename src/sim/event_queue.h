@@ -43,15 +43,6 @@ class EventQueue {
     std::uint32_t node;
   };
 
-  /// Rank of the earliest pending event, without unlinking it. The parallel
-  /// engine merges each LP's local queue against cross-LP staging heaps by
-  /// explicit (when, seq) comparison, so the head's insertion seq must be
-  /// observable (Pop itself never needs it: local FIFO order == seq order).
-  struct Head {
-    SimTime when;
-    std::uint64_t seq;
-  };
-
   EventQueue() {
     for (unsigned l = 0; l < kLevels; ++l)
       for (unsigned s = 0; s < kSlots; ++s) head_[l][s] = tail_[l][s] = kNil;
@@ -69,7 +60,6 @@ class EventQueue {
     nd.cb = std::move(cb);
     ++count_;
     const std::uint64_t seq = next_seq_++;
-    nd.seq = seq;
     if (when < cur_) {
       // Only possible after RunUntil stopped at a deadline earlier than the
       // next event (cursor already advanced) and the caller scheduled new
@@ -92,30 +82,6 @@ class EventQueue {
     if (head_[0][b0] == kNil) AdvanceToNext();
     return cur_;
   }
-
-  /// Rank of the earliest (when, seq) event without unlinking it. Mirrors
-  /// Pop's selection exactly (backlog first, then the wheel head). Advances
-  /// the wheel cursor like MinTime(), hence non-const. Only valid on
-  /// !empty().
-  Head Peek() {
-    assert(count_ > 0);
-    if (bi_ < backlog_.size()) {
-      const Node& nd = NodeAt(backlog_[bi_].node);
-      return {nd.when, nd.seq};
-    }
-    (void)MinTime();
-    const unsigned b0 = unsigned(cur_) & kSlotMask;
-    const Node& nd = NodeAt(head_[0][b0]);
-    return {nd.when, nd.seq};
-  }
-
-  /// Reserve the next insertion seq without pushing an event. Used by the
-  /// parallel engine to tag a cross-LP send with the rank its completion
-  /// event would have received from a local ScheduleAt at the same point in
-  /// execution — the key to byte-identical event order across thread counts.
-  /// Local pushes stay monotone past the reserved hole, so wheel FIFO order
-  /// still equals seq order.
-  std::uint64_t TakeSeq() { return next_seq_++; }
 
   /// Unlink the earliest (when, seq) event. Only valid on !empty().
   Popped Pop() {
@@ -161,7 +127,6 @@ class EventQueue {
 
   struct Node {
     SimTime when = 0;
-    std::uint64_t seq = 0;  // insertion seq, for Peek()-based cross-LP merge
     std::uint32_t next = kNil;
     InlineCallback cb;
   };

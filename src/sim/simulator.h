@@ -14,9 +14,7 @@
 // current instant in one pass before touching the clock again.
 #pragma once
 
-#include <cassert>
 #include <cstdint>
-#include <optional>
 
 #include "common/types.h"
 #include "sim/event_queue.h"
@@ -56,40 +54,6 @@ class Simulator {
   /// Number of events executed so far (for tests and runaway detection).
   std::uint64_t events_executed() const { return executed_; }
   bool empty() const { return queue_.empty(); }
-
-  // --- parallel-engine hooks (see sim/parallel.h) -------------------------
-  //
-  // A ParallelSimulator runs one Simulator per logical process and merges
-  // each LP's local queue against cross-LP staging heaps by explicit
-  // (when, seq) rank. These hooks expose just enough of the queue to do
-  // that merge without disturbing the serial hot path.
-
-  /// Rank of the earliest pending local event, or nullopt when empty.
-  std::optional<EventQueue::Head> PeekHead() {
-    if (queue_.empty()) return std::nullopt;
-    return queue_.Peek();
-  }
-
-  /// Reserve the next insertion seq without scheduling anything. A cross-LP
-  /// completion tagged with a reserved seq lands at exactly the rank a local
-  /// ScheduleAt would have given it at this point in execution.
-  std::uint64_t ReserveSeq() { return queue_.TakeSeq(); }
-
-  /// Execute a cross-LP event delivered at `when`: advance the clock, count
-  /// it, and invoke the callback — the cross-LP twin of Step().
-  void RunCross(SimTime when, Callback& cb) {
-    assert(when >= now_ && "cross event delivered into the past");
-    now_ = when;
-    ++executed_;
-    cb();
-  }
-
-  /// Park the clock at `deadline` after a bounded run that did not drain,
-  /// mirroring RunUntil's final `now_ = deadline`. Used by the parallel
-  /// engine so slice boundaries behave identically to the serial engine.
-  void SettleAt(SimTime deadline) {
-    if (now_ < deadline) now_ = deadline;
-  }
 
  private:
   /// Execute every event scheduled at MinTime() in one pass, without

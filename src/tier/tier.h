@@ -54,7 +54,7 @@ struct TierConfig {
   double quota_frac = 0.5;
 
   // --- TierPolicy knobs (promotion / demotion engine) ---
-  /// Period of the demotion scan (root-LP tick).
+  /// Period of the demotion scan.
   SimDuration policy_period = 1 * kMillisecond;
   /// A tier-resident page whose group saw no fault for this long is cold
   /// (Memtrade-style cold-page detection over page-group summaries).

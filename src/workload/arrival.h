@@ -16,8 +16,8 @@
 // LoadControl is the one-way valve the QoS plane (src/serving) turns:
 // admission deferral and probabilistic shedding, plus the offered/shed/
 // served counters the serving report aggregates. Both sides run on the
-// root LP, so every control read/write is at a deterministic point in
-// virtual time.
+// same DES clock, so every control read/write is at a deterministic point
+// in virtual time.
 #pragma once
 
 #include <memory>
@@ -85,7 +85,7 @@ class ArrivalProcess {
 };
 
 /// Control block shared between a tenant's open-loop streams and the QoS
-/// plane. Plain struct, no locking: everything runs on the root LP.
+/// plane. Plain struct, no locking: one run is one thread.
 struct LoadControl {
   // --- knobs (written by the QoS plane) ---
   /// Requests arriving before this instant are deferred to it.

@@ -5,7 +5,7 @@
 // ChurnSchedule *before* the simulation starts: tenant ids, templates,
 // arrival instants and lifetimes are drawn sequentially from seeded
 // generators, so the schedule — and therefore the simulation it drives — is
-// bit-for-bit identical at any --jobs / --sim-threads count. The driver
+// bit-for-bit identical at any --jobs count. The driver
 // (src/orchestrator/churn.*) simply replays the schedule on the DES clock:
 // arrival -> SwapSystem::AddApp, departure -> SwapSystem::RetireApp.
 //

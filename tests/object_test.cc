@@ -12,10 +12,8 @@
 //
 // Plus the end-to-end guarantees on the behaviour-structured `chase` app:
 // cooperative runs actually engage the machinery (behaviours complete,
-// object pins balance by run end), and the registry-on report is
-// bit-for-bit identical across engine thread counts (1/2/8) on a pooled
-// topology — the cooperative channel obeys the same conservative-window
-// rules as demand traffic.
+// object pins balance by run end), and a registry-on sweep on a pooled
+// topology reports the same bytes at --jobs=1 and --jobs=4.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -26,8 +24,8 @@
 
 #include "common/rng.h"
 #include "core/experiment.h"
-#include "core/report.h"
 #include "object/registry.h"
+#include "orchestrator/sweep.h"
 #include "runtime/runtime_info.h"
 #include "workload/apps.h"
 
@@ -225,28 +223,18 @@ core::AppSpec ChaseSpec(double scale, std::uint64_t seed) {
   return core::AppSpec{std::move(w), std::move(cg)};
 }
 
-std::string ChaseReport(unsigned sim_threads, core::AppMetrics* out = nullptr) {
+TEST(ObjectRun, CooperativeChaseEngagesAndBalancesPins) {
   core::SystemConfig cfg = core::SystemConfig::CanvasFull();
   cfg.remote = remote::PoolConfig::FromName("pool4");
   cfg.objects.enabled = true;
-  cfg.sim_threads = sim_threads;
   core::Experiment e(cfg, [] {
     std::vector<core::AppSpec> apps;
     apps.push_back(ChaseSpec(0.05, 7));
     return apps;
   }());
-  EXPECT_TRUE(e.Run());
+  ASSERT_TRUE(e.Run());
   e.simulator().RunUntil(e.simulator().Now() + 200 * kMillisecond);
-  if (out) *out = e.system().metrics(0);
-  std::ostringstream os;
-  core::WriteCsv(os, e.system(), "run", /*header=*/true);
-  core::WriteJson(os, e.system(), "run");
-  return os.str();
-}
-
-TEST(ObjectRun, CooperativeChaseEngagesAndBalancesPins) {
-  core::AppMetrics m;
-  ChaseReport(1, &m);
+  const core::AppMetrics& m = e.system().metrics(0);
   EXPECT_GT(m.behaviours_declared, 0u);
   EXPECT_GT(m.behaviours_completed, 0u);
   EXPECT_GT(m.object_fetches + m.object_fetch_hits, 0u);
@@ -255,10 +243,27 @@ TEST(ObjectRun, CooperativeChaseEngagesAndBalancesPins) {
   EXPECT_GT(m.object_pins, 0u);
 }
 
-TEST(ObjectRun, RegistryOnReportsAreByteIdenticalAcrossEngineThreads) {
-  std::string serial = ChaseReport(1);
-  EXPECT_EQ(serial, ChaseReport(2)) << "sim_threads=2 diverged";
-  EXPECT_EQ(serial, ChaseReport(8)) << "sim_threads=8 diverged";
+TEST(ObjectRun, RegistryOnSweepIsByteIdenticalAcrossJobs) {
+  orchestrator::ScenarioSpec sc;
+  sc.topologies = {"pool4"};
+  sc.granularities = {"object"};
+  sc.scales = {0.05};
+  sc.seeds = {7, 8, 9, 10};
+  sc.apps = {core::AppBuild{"chase"}};
+
+  auto report = [&](unsigned jobs) {
+    orchestrator::SweepOptions opts;
+    opts.jobs = jobs;
+    orchestrator::SweepResult r = orchestrator::SweepEngine(opts).Run(sc);
+    EXPECT_TRUE(r.all_ok) << "jobs=" << jobs;
+    std::ostringstream os;
+    r.WriteJson(os, /*include_timing=*/false);
+    return os.str();
+  };
+  const std::string serial = report(1);
+  // Schema v5: the object counters are part of what must match.
+  EXPECT_NE(serial.find("\"object_fetches\""), std::string::npos);
+  EXPECT_EQ(serial, report(4));
 }
 
 }  // namespace

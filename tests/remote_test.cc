@@ -354,9 +354,14 @@ TEST(RemoteSystem, TransparentSingleServerMatchesNoPoolBitForBit) {
 
 TEST(RemoteSystem, PooledRunsAreDeterministic) {
   // Same seed, same topology => byte-identical full report including the
-  // per-server section. Runs under the `determinism` ctest label.
-  ExperimentSpec spec = PooledSpec("pool4-harvest");
-  EXPECT_EQ(RunToJson(spec, "det"), RunToJson(spec, "det"));
+  // per-server section. Runs under the `determinism` ctest label. The
+  // Linux baseline covers the shared-FIFO dispatch order over a pool.
+  ExperimentSpec linux_pool2 = PooledSpec("pool2");
+  linux_pool2.config = *SystemConfig::FromName("linux");
+  linux_pool2.config.remote = remote::PoolConfig::FromName("pool2");
+  for (const ExperimentSpec& spec : {PooledSpec("pool4-harvest"), linux_pool2})
+    EXPECT_EQ(RunToJson(spec, "det"), RunToJson(spec, "det"))
+        << spec.config.name;
 }
 
 TEST(RemoteSystem, HarvestChurnKeepsEveryInvariant) {

@@ -7,7 +7,8 @@
 //   - SupplyCurve: CSV parsing and step lookup, plus the end-to-end
 //     guarantees that a constant-1.0 curve is byte-identical to no curve
 //     and a loosened curve suppresses QoS escalation;
-//   - RunServing end-to-end: deterministic repeats, QoS escalation under a
+//   - RunServing end-to-end: deterministic repeats (plain, harvested pool
+//     with every QoS lever engaged, fault plan), QoS escalation under a
 //     violated SLO (weight boosts on the victim, shedding on best-effort
 //     co-tenants), and the observe-only qos_enabled=false mode;
 //   - the serving sweep surface: ServingScenarioSpec expansion (labels,
@@ -15,11 +16,13 @@
 //     byte-identity of the deterministic report.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "fault/fault_plan.h"
 #include "orchestrator/sweep.h"
 #include "serving/harness.h"
 #include "serving/slo.h"
@@ -193,12 +196,29 @@ std::string DeterministicJson(const ServingResult& r) {
 }
 
 TEST(ServingRun, RepeatRunsAreByteIdentical) {
-  ServingSpec spec = TwoTenantSpec();
-  ServingResult a = serving::RunServing(spec);
-  ServingResult b = serving::RunServing(spec);
-  ASSERT_EQ(a.status, ServingResult::Status::kOk);
-  EXPECT_EQ(DeterministicJson(a), DeterministicJson(b));
-  EXPECT_EQ(a.sim_events, b.sim_events);
+  // Plain; harvest-driven migrations interleaved with QoS-driven
+  // RebalanceTenant (an impossible SLO keeps every lever engaged); and a
+  // fault plan.
+  ServingSpec harvest = TwoTenantSpec();
+  harvest.label = "harvest";
+  harvest.config.remote = remote::PoolConfig::FromName("pool4-harvest");
+  harvest.tenants[0].slo.p99_ns = 1;
+  harvest.tenants[0].slo.min_window_samples = 8;
+  ServingSpec faulted = TwoTenantSpec();
+  faulted.label = "faulted";
+  auto plan = fault::FaultPlan::Parse(
+      "latency 2000 4000 80 both\n"
+      "bandwidth 5000 8000 0.5 both\n");
+  ASSERT_TRUE(plan.has_value());
+  faulted.config.fault_plan = std::make_shared<const fault::FaultPlan>(*plan);
+
+  for (const ServingSpec& spec : {TwoTenantSpec(), harvest, faulted}) {
+    ServingResult a = serving::RunServing(spec);
+    ServingResult b = serving::RunServing(spec);
+    ASSERT_EQ(a.status, ServingResult::Status::kOk) << spec.label;
+    EXPECT_EQ(DeterministicJson(a), DeterministicJson(b)) << spec.label;
+    EXPECT_EQ(a.sim_events, b.sim_events) << spec.label;
+  }
 }
 
 TEST(ServingRun, OpenLoopCountersBalance) {

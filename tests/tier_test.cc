@@ -5,8 +5,8 @@
 // consistently across mem::Page, swapalloc::EntryMeta and the tier's
 // resident index), per-cgroup quotas never exceeded, and the
 // content_version oracle holding across promotion / demotion / blackout
-// failover. Plus the serial-vs-parallel byte-identity differential on
-// tiered pooled configs.
+// failover. Plus the --jobs byte-identity differential on tiered pooled
+// sweeps.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -17,6 +17,7 @@
 #include "core/experiment.h"
 #include "core/report.h"
 #include "fault/fault_plan.h"
+#include "orchestrator/sweep.h"
 #include "tier/tier.h"
 #include "workload/apps.h"
 
@@ -285,37 +286,28 @@ TEST(TierProperty, OracleHoldsAcrossPromotionDemotionFailover) {
         << e.system().app_name(i);
 }
 
-// --- serial-vs-parallel differential ----------------------------------------
+// --- jobs differential -------------------------------------------------------
 
-TEST(TierParallelDifferential, TieredPool4ByteIdenticalAt1_2_8Threads) {
-  // The tier is root-LP-owned state, so tiered pooled runs stay eligible
-  // for the parallel DES engine and must be byte-identical to serial.
-  SystemConfig base = SystemConfig::CanvasFull();
-  base.remote = remote::PoolConfig::FromName("pool4");
-  base.tier = tier::TierConfig::FromName("cxl");
+TEST(TierSweep, TieredPool4ByteIdenticalAcrossJobs) {
+  // Tiered pooled runs racing on sweep worker threads share no state: the
+  // deterministic sweep report is the same at --jobs=1 and --jobs=4.
+  orchestrator::ScenarioSpec sc;
+  sc.topologies = {"pool4"};
+  sc.tiers = {"cxl"};
+  sc.scales = {0.05};
+  sc.seeds = {7, 8, 9, 10};
+  sc.apps = {AppBuild{"memcached"}, AppBuild{"snappy"}};
 
-  auto run = [&](unsigned threads) {
-    SystemConfig cfg = base;
-    cfg.sim_threads = threads;
-    Experiment e(cfg, Corun(0.05, 7));
-    EXPECT_TRUE(e.Run());
-    struct {
-      bool parallel;
-      std::string json;
-    } r{e.parallel(), std::string()};
+  auto report = [&](unsigned jobs) {
+    orchestrator::SweepOptions opts;
+    opts.jobs = jobs;
+    orchestrator::SweepResult r = orchestrator::SweepEngine(opts).Run(sc);
+    EXPECT_TRUE(r.all_ok) << "jobs=" << jobs;
     std::ostringstream os;
-    WriteJson(os, e.system(), "differential");
-    r.json = os.str();
-    return r;
+    r.WriteJson(os, /*include_timing=*/false);
+    return os.str();
   };
-
-  auto serial = run(1);
-  EXPECT_FALSE(serial.parallel);
-  for (unsigned threads : {2u, 8u}) {
-    auto par = run(threads);
-    EXPECT_TRUE(par.parallel) << threads;
-    EXPECT_EQ(par.json, serial.json) << threads;
-  }
+  EXPECT_EQ(report(1), report(4));
 }
 
 }  // namespace
