@@ -20,8 +20,6 @@
 //
 // CANVAS_QUICK=1 (or --quick) shrinks the day for CI smoke;
 // CANVAS_CLUSTER_JSON works like the other bench env knobs.
-#include <sys/resource.h>
-
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -31,6 +29,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "common/run.h"
 #include "orchestrator/sweep.h"
 #include "workload/churn.h"
 
@@ -38,12 +37,6 @@ using namespace canvas;
 using namespace canvas::bench;
 
 namespace {
-
-std::uint64_t PeakRssBytes() {
-  struct rusage ru;
-  getrusage(RUSAGE_SELF, &ru);
-  return std::uint64_t(ru.ru_maxrss) * 1024;
-}
 
 // Sanitizer shadow memory dwarfs the real working set, so the physical-RSS
 // headline only binds in plain builds; the structural slot bound always does.
@@ -118,7 +111,7 @@ int main(int argc, char** argv) {
   auto run_day = [&](unsigned jobs) {
     orchestrator::SweepOptions opts;
     opts.jobs = jobs;
-    return orchestrator::SweepEngine(opts).RunChurn(Scenario(quick, seed));
+    return orchestrator::SweepEngine(opts).Run(Scenario(quick, seed));
   };
 
   std::uint64_t rss_before = PeakRssBytes();

@@ -23,8 +23,6 @@
 //
 // CANVAS_QUICK=1 (or --quick) shrinks the workload for CI smoke;
 // CANVAS_OBJECT_JSON works like the other bench env knobs.
-#include <sys/resource.h>
-
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -34,18 +32,13 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "common/run.h"
 #include "orchestrator/sweep.h"
 
 using namespace canvas;
 using namespace canvas::bench;
 
 namespace {
-
-std::uint64_t PeakRssBytes() {
-  struct rusage ru;
-  getrusage(RUSAGE_SELF, &ru);
-  return std::uint64_t(ru.ru_maxrss) * 1024;
-}
 
 orchestrator::ScenarioSpec Scenario(bool quick, std::uint64_t seed) {
   orchestrator::ScenarioSpec sc;

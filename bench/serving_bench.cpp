@@ -117,12 +117,12 @@ int main(int argc, char** argv) {
   opts.jobs = JobsFromEnv();
   orchestrator::SweepEngine engine(opts);
 
-  auto with_qos = engine.RunServing(Scenario(horizon, rate_scale, seed, true));
-  auto no_qos = engine.RunServing(Scenario(horizon, rate_scale, seed, false));
+  auto with_qos = engine.Run(Scenario(horizon, rate_scale, seed, true));
+  auto no_qos = engine.Run(Scenario(horizon, rate_scale, seed, false));
   auto fault_qos =
-      engine.RunServing(FaultSpecs(horizon, rate_scale, seed, true));
+      engine.Run(FaultSpecs(horizon, rate_scale, seed, true));
   auto fault_noqos =
-      engine.RunServing(FaultSpecs(horizon, rate_scale, seed, false));
+      engine.Run(FaultSpecs(horizon, rate_scale, seed, false));
   bool all_ok = with_qos.all_ok && no_qos.all_ok && fault_qos.all_ok &&
                 fault_noqos.all_ok;
 

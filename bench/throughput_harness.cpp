@@ -17,8 +17,6 @@
 //     peak_rss_bytes (max resident set over the whole harness run).
 //
 // Honours CANVAS_SCALE / CANVAS_SEED like every other bench binary.
-#include <sys/resource.h>
-
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -31,6 +29,7 @@
 #include <thread>
 
 #include "bench_util.h"
+#include "common/run.h"
 #include "fault/fault_plan.h"
 #include "orchestrator/sweep.h"
 #include "sim/simulator.h"
@@ -82,10 +81,6 @@ class LegacySimulator {
 };
 
 using Clock = std::chrono::steady_clock;
-
-double SecondsSince(Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
-}
 
 // Event churn modeled on the real call sites: each chain reschedules
 // itself with a pseudo-random small delay. The capture mirrors the typical
@@ -142,12 +137,6 @@ ScenarioResult RunScenario(const std::string& name, core::SystemConfig cfg,
   for (std::size_t i = 0; i < e.system().app_count(); ++i)
     r.finish_sec.push_back(e.FinishSeconds(i));
   return r;
-}
-
-std::uint64_t PeakRssBytes() {
-  struct rusage ru;
-  getrusage(RUSAGE_SELF, &ru);
-  return std::uint64_t(ru.ru_maxrss) * 1024;  // Linux reports KiB
 }
 
 /// Fault-subsystem overhead on a healthy run: fig10 with no fault plan vs

@@ -11,101 +11,45 @@
 //                                               worker pool (SweepEngine)
 //   canvasctl serve [options] [tenant[:rate[:mods]] ...]
 //                                               online-serving tail-latency
-//                                               harness (open-loop load,
+//                                               grid (open-loop load,
 //                                               per-tenant SLOs, QoS plane)
 //   canvasctl churn [options] [template[:scale[:weight]] ...]
-//                                               cluster-day tenant churn:
-//                                               trace-driven arrival and
-//                                               departure at thousand-tenant
-//                                               scale (DESIGN.md §15)
-//   canvasctl list-apps                         Table 2 application names
-//   canvasctl list-axes                         every sweep axis + values
-//   canvasctl list-systems                      system presets + aliases
-//   canvasctl list-servers                      server-pool topologies
-//   canvasctl list-tiers                        hybrid local-tier presets
+//                                               cluster-day tenant churn
+//                                               grid (DESIGN.md §15)
+//   canvasctl list-apps | list-axes | list-systems | list-servers |
+//             list-tiers                        registries
 //
-// Axis flags are unified across run/sweep/serve/churn: every plural form
-// (--systems= --topologies= --tiers= --granularities= --arrivals=
-// --harvests= --seeds= --ratios= --scales=) is REPEATABLE — the first occurrence replaces the
-// default, later occurrences append — and takes comma-separated lists.
-// The singular forms (--system= --topology= --tier= --arrival= --harvest=
-// --seed= --ratio= --scale=) are deprecated shims for the plural spelling
-// and behave identically.
-//
-// Shared options (run + sweep):
-//   --system=NAME    preset from `canvasctl list-systems` (default canvas)
-//   --topology=T     server-pool topology from `canvasctl list-servers`
-//                    (default single)
-//   --tier=T         hybrid local-tier preset from `canvasctl list-tiers`
-//                    (default none = two-level hierarchy)
-//   --granularity=G  swap granularity: page | object (default page;
-//                    `object` enables behaviour-scheduled object fetching
-//                    for registry-aware workloads such as `chase`)
-//   --scale=S        workload scale factor (default 0.3)
-//   --ratio=R        local memory fraction of working set (default 0.25)
-//   --seed=N         workload seed (default 7)
-//   --no-adaptive    disable adaptive swap-entry allocation
-//   --no-horizontal  disable timeliness-based prefetch dropping
-//   --prefetcher=P   none | readahead | leap | two-tier (override preset)
-//   --fault-plan=F   inject faults from a plan file (one directive per
-//                    line, times in microseconds: `blackout START END
-//                    [SERVER]`, `latency START END EXTRA_US [in|out|both]
-//                    [SERVER]`, `tier-latency START END EXTRA_US`,
-//                    `tier-freeze START END`; full grammar in
-//                    src/fault/fault_plan.h); a sweep applies the plan
-//                    to every grid point
-//
-// run-only options:
-//   --format=F       table | csv | json (default table)
-//
-// sweep-only options (comma-separated lists expand as a full grid):
-//   --systems=A,B    preset axis (overrides --system)
-//   --topologies=T1,T2  server-topology axis (overrides --topology)
-//   --tiers=T1,T2    local-tier axis (overrides --tier; composes with the
-//                    topology axis as a full grid)
-//   --granularities=G1,G2  swap-granularity axis (page | object)
-//   --ratios=R1,R2   local-memory-ratio axis (overrides --ratio)
-//   --scales=S1,S2   scale axis (overrides --scale)
-//   --seeds=N1,N2    seed axis (overrides --seed)
-//   --jobs=N         worker threads (default: hardware concurrency)
-//   --max-live=N     cap concurrently live swap systems (default: jobs)
-//   --cancel-on-failure   stop dispatching after the first failed run
-//   --progress       progress line on stderr
-//   --out=PATH       write the sweep JSON there instead of stdout
-//
-// serve-only options (default topology is pool4, not single):
-//   tenant syntax    name[:rate_rps[:mods]] where mods is a +-joined list
-//                    of `be` (best-effort: sheddable, never SLO-escalated)
-//                    and `load` (the --arrivals axis retargets only
-//                    load-marked tenants). Default co-run when no tenant is
-//                    given: frontend:150000:load + batch:50000:be.
-//   --arrivals=A,B   arrival-process axis: poisson | diurnal | flash
-//   --horizon=SEC    open-loop generation horizon per tenant (default 2.0)
-//   --slo-p99-us=N   per-window p99 fault-latency SLO, microseconds
-//   --slo-p999-us=N  per-window p99.9 SLO, microseconds
-//   --no-qos         disable the QoS/admission plane (observe-only SLOs)
-//   --qos-curve=F    per-window supply curve CSV (`time_ms,scale` rows,
-//                    serving/supply_curve.h) scaling every tenant's SLO
-//                    bounds each control tick
-//   (plus the sweep execution options: --jobs, --max-live, --out, ...)
-//
-// The pre-subcommand flat form (`canvasctl --system=... app ...`) was
-// deprecated for several releases and is now rejected with a migration
-// hint; spell it `canvasctl run ...`.
+// All four run commands share one path: parse, check every axis flag
+// against what the command reads, expand the scenario (an unknown name on
+// any axis exits 2), stamp --fault-plan (and a single --harvest) onto
+// every spec, then run one spec (`run`) or the whole grid on the
+// SweepEngine pool. `run` takes one value per axis; `sweep`, `serve` and
+// `churn` expand the shared axes (--systems --topologies --tiers
+// --granularities --seeds) plus their own (--ratios --scales for sweep,
+// --arrivals for serve, --harvests for churn) as a full grid. An axis a
+// command does not read is rejected rather than ignored. Plural axis flags
+// are repeatable comma lists (the first occurrence replaces the default,
+// later ones append); the singular spellings are deprecated aliases.
+// Numbers must parse in full and be non-negative; anything else exits 2.
+// `canvasctl --help` lists every flag.
 //
 // Examples:
 //   canvasctl run spark-lr snappy memcached xgboost
 //   canvasctl run --system=linux --format=csv cassandra:24 memcached:4
 //   canvasctl sweep --systems=linux,canvas --ratios=0.25,0.5 --jobs=8
 //       spark-lr snappy memcached xgboost        (one command line)
-#include <algorithm>
+#include <array>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/table.h"
@@ -115,101 +59,181 @@
 #include "orchestrator/sweep.h"
 #include "remote/harvest.h"
 #include "remote/pool.h"
-#include "serving/harness.h"
 #include "serving/supply_curve.h"
 #include "tier/tier.h"
 #include "workload/apps.h"
-#include "workload/churn.h"
 
 using namespace canvas;
 
 namespace {
+
+enum class Command { kRun, kSweep, kServe, kChurn };
+constexpr const char* kCommandNames[] = {"run", "sweep", "serve", "churn"};
+
+/// How a command reads an axis flag.
+enum class Use : std::uint8_t {
+  kGrid,  ///< every value, as one dimension of the grid
+  kOne,   ///< a single value; more than one is an error
+  kNone,  ///< not at all; giving the flag is an error
+};
+/// Per command, in Command order (run, sweep, serve, churn).
+using Uses = std::array<Use, 4>;
+constexpr Uses kSharedAxis = {Use::kOne, Use::kGrid, Use::kGrid, Use::kGrid};
+
+[[noreturn]] void Fail(const std::string& msg) {
+  std::fprintf(stderr, "canvasctl: %s\n", msg.c_str());
+  std::exit(2);
+}
+
+std::vector<std::string> Split(const std::string& s, const char* seps) {
+  std::vector<std::string> out;
+  std::size_t start = 0;
+  for (;;) {
+    std::size_t cut = s.find_first_of(seps, start);
+    out.push_back(s.substr(start, cut - start));
+    if (cut == std::string::npos) return out;
+    start = cut + 1;
+  }
+}
+
+/// `text` as a T, parsed in full. Every number canvasctl takes is a
+/// non-negative count, rate, time, scale or fraction, so a sign, NaN,
+/// trailing junk or an empty string exits 2.
+template <typename T>
+T Parse(const std::string& flag, const std::string& text) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    return text;
+  } else {
+    T v{};
+    const char* end = text.data() + text.size();
+    auto [ptr, ec] = std::from_chars(text.data(), end, v);
+    bool ok = ec == std::errc() && ptr == end;
+    if constexpr (std::is_floating_point_v<T>)
+      ok = ok && std::isfinite(v) && v >= 0;
+    if (!ok)
+      Fail(flag + ": '" + text + "' is not a non-negative " +
+           (std::is_integral_v<T> ? "integer" : "number"));
+    return v;
+  }
+}
+
+template <typename T>
+void Set(T& field, const std::string& flag, const std::string& text) {
+  field = Parse<T>(flag, text);
+}
 
 /// One repeatable axis flag: the first explicit occurrence replaces the
 /// built-in default, later occurrences append — so
 /// `--systems=canvas --systems=linux` equals `--systems=canvas,linux`.
 template <typename T>
 struct Axis {
+  const char* plural;    ///< "--systems"
+  const char* singular;  ///< "--system", the deprecated alias
+  Uses use;
   std::vector<T> values;
   bool set = false;
 
-  Axis(std::initializer_list<T> defaults) : values(defaults) {}
-  void Add(std::vector<T> items) {
+  void Add(const std::string& flag, const std::string& text) {
     if (!set) values.clear();
     set = true;
-    for (T& v : items) values.push_back(std::move(v));
+    for (const std::string& item : Split(text, ","))
+      values.push_back(Parse<T>(flag, item));
   }
-  operator const std::vector<T>&() const { return values; }
-  const T& front() const { return values.front(); }
 };
 
 struct Options {
-  Axis<std::string> systems = {"canvas"};
-  Axis<std::string> topologies = {"single"};
-  Axis<std::string> tiers = {"none"};
-  Axis<std::string> granularities = {"page"};
-  Axis<std::string> harvests = {"closed-loop"};
-  Axis<double> ratios = {0.25};
-  Axis<double> scales = {0.3};
-  Axis<std::uint64_t> seeds = {7};
-  std::string format = "table";
+  explicit Options(Command c) : cmd(c) {
+    // Serving and churn pair with a server pool (the QoS migration lever
+    // and slab release need one).
+    if (c == Command::kServe || c == Command::kChurn)
+      topologies.values = {"pool4"};
+  }
+
+  Command cmd;
+  Axis<std::string> systems{"--systems", "--system", kSharedAxis, {"canvas"}};
+  Axis<std::string> topologies{"--topologies", "--topology", kSharedAxis,
+                               {"single"}};
+  Axis<std::string> tiers{"--tiers", "--tier", kSharedAxis, {"none"}};
+  Axis<std::string> granularities{"--granularities", "--granularity",
+                                  kSharedAxis, {"page"}};
+  Axis<std::uint64_t> seeds{"--seeds", "--seed", kSharedAxis, {7}};
+  Axis<double> ratios{"--ratios", "--ratio",
+                      {Use::kOne, Use::kGrid, Use::kOne, Use::kNone}, {0.25}};
+  Axis<double> scales{"--scales", "--scale",
+                      {Use::kOne, Use::kGrid, Use::kNone, Use::kNone}, {0.3}};
+  Axis<std::string> arrivals{"--arrivals", "--arrival",
+                             {Use::kNone, Use::kNone, Use::kGrid, Use::kNone},
+                             {"poisson"}};
+  Axis<std::string> harvests{"--harvests", "--harvest",
+                             {Use::kOne, Use::kOne, Use::kOne, Use::kGrid},
+                             {"closed-loop"}};
   orchestrator::FeatureOverrides overrides;
-  // sweep execution
+  std::string fault_plan_path;
+  // run
+  std::string format = "table";
+  std::vector<std::pair<std::string, std::uint32_t>> apps;  // also sweep
+  // sweep, serve, churn: execution
   unsigned jobs = 0;  // 0 = hardware concurrency
   unsigned max_live = 0;
   bool cancel_on_failure = false;
   bool progress = false;
   std::string out;
-  std::vector<std::pair<std::string, std::uint32_t>> apps;
-  // serve-only
-  Axis<std::string> arrivals = {"poisson"};
-  bool qos = true;
-  // serve-only: supply curve CSV (serving::SupplyCurve, `time_ms,scale`)
-  std::string qos_curve_path;
+  // serve, churn
   double horizon_sec = 2.0;
+  // serve
+  bool qos = true;
+  std::string qos_curve_path;  // serving::SupplyCurve CSV, `time_ms,scale`
   serving::SloConfig slo;
   std::vector<serving::TenantSpec> tenants;
-  // churn-only (the horizon is shared with serve via --horizon)
+  // churn
   workload::ChurnSpec churn;
-  // run-only: fault-plan file (FaultPlan grammar, times in microseconds)
-  std::string fault_plan_path;
 };
+
+template <typename O, typename F>
+void ForEachAxis(O& opt, F f) {
+  f(opt.systems);
+  f(opt.topologies);
+  f(opt.tiers);
+  f(opt.granularities);
+  f(opt.seeds);
+  f(opt.ratios);
+  f(opt.scales);
+  f(opt.arrivals);
+  f(opt.harvests);
+}
 
 int Usage(FILE* to, int code) {
   std::fprintf(
       to,
-      "usage: canvasctl run   [options] app[:cores] ...\n"
-      "       canvasctl sweep [--systems=A,B] [--ratios=..] [--scales=..]\n"
-      "                       [--seeds=..] [--jobs=N] [--max-live=N]\n"
-      "                       [--cancel-on-failure] [--progress] [--out=F]\n"
+      "usage: canvasctl run   [shared options] [--format=table|csv|json]\n"
       "                       app[:cores] ...\n"
-      "       canvasctl serve [--arrivals=poisson,diurnal,flash]\n"
-      "                       [--horizon=SEC] [--slo-p99-us=N] [--no-qos]\n"
-      "                       [--qos-curve=FILE]\n"
-      "                       [sweep execution options]\n"
-      "                       [tenant[:rate_rps[:mods]] ...]\n"
-      "       canvasctl churn [--churn-kind=poisson|diurnal|trace]\n"
-      "                       [--rate=PER_SEC] [--mean-lifetime-ms=N]\n"
-      "                       [--max-tenants=N] [--max-concurrent=N]\n"
-      "                       [--horizon=SEC] [--trace=FILE]\n"
+      "       canvasctl sweep [shared options] [grid options]\n"
+      "                       [--ratios=R,..] [--scales=S,..] app[:cores] ...\n"
+      "       canvasctl serve [shared options] [grid options]\n"
+      "                       [--arrivals=poisson,diurnal,flash]\n"
+      "                       [--horizon=SEC] [--slo-p99-us=N]\n"
+      "                       [--slo-p999-us=N] [--no-qos] [--qos-curve=FILE]\n"
+      "                       [--ratio=R] [tenant[:rate_rps[:mods]] ...]\n"
+      "       canvasctl churn [shared options] [grid options]\n"
       "                       [--harvests=none,steady,bursty,closed-loop]\n"
-      "                       [sweep execution options]\n"
-      "                       [template[:scale[:weight]] ...]\n"
+      "                       [--churn-kind=poisson|diurnal|trace]\n"
+      "                       [--rate=PER_SEC] [--mean-lifetime-ms=N]\n"
+      "                       [--min-lifetime-ms=N] [--max-tenants=N]\n"
+      "                       [--max-concurrent=N] [--horizon=SEC]\n"
+      "                       [--trace=FILE] [template[:scale[:weight]] ...]\n"
       "       canvasctl list-apps | list-axes | list-systems |\n"
       "                 list-servers | list-tiers\n"
-      "options: --system=NAME --topology=T --tier=T --granularity=G\n"
-      "         --ratio=R --scale=S\n"
-      "         --seed=N --format=table|csv|json --no-adaptive\n"
-      "         --no-horizontal --prefetcher=none|readahead|leap|two-tier\n"
-      "         --fault-plan=FILE\n"
-      "axes:    every plural flag (--systems= --topologies= --tiers=\n"
-      "         --granularities= --arrivals= --harvests= --seeds=\n"
-      "         --ratios= --scales=) is\n"
-      "         repeatable and takes comma lists; values per axis in\n"
-      "         `canvasctl list-axes`. Singular forms are deprecated\n"
-      "         aliases.\n"
-      "sweep:   --jobs=N --max-live=N\n"
-      "         --cancel-on-failure --progress --out=F\n"
+      "shared:  --systems=A,B --topologies=T,.. --tiers=T,..\n"
+      "         --granularities=page,object --seeds=N,.. --fault-plan=FILE\n"
+      "         --no-adaptive --no-horizontal\n"
+      "         --prefetcher=none|readahead|leap|two-tier\n"
+      "         --harvest=H (run, sweep, serve: one schedule for every run)\n"
+      "grid:    --jobs=N --max-live=N --cancel-on-failure --progress\n"
+      "         --out=FILE\n"
+      "axes:    plural axis flags are repeatable and take comma lists\n"
+      "         (values in `canvasctl list-axes`); `run` takes one value\n"
+      "         per axis; singular spellings (--system= ...) are aliases.\n"
+      "         serve and churn default to --topologies=pool4.\n"
       "serve:   tenant mods are `be` (best-effort) and `load` (arrival\n"
       "         axis target), joined with '+': e.g. frontend:150000:load\n"
       "churn:   templates are app names with optional footprint scale and\n"
@@ -217,287 +241,358 @@ int Usage(FILE* to, int code) {
   return code;
 }
 
-std::vector<std::string> SplitCommas(const std::string& s) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= s.size()) {
-    std::size_t comma = s.find(',', start);
-    if (comma == std::string::npos) {
-      out.push_back(s.substr(start));
-      break;
+/// One argument, split at its first '='.
+struct Arg {
+  std::string key;
+  std::string value;
+  bool bare = true;  ///< no '=' at all
+
+  explicit Arg(const std::string& arg) {
+    std::size_t eq = arg.find('=');
+    key = arg.substr(0, eq);
+    if (eq != std::string::npos) {
+      value = arg.substr(eq + 1);
+      bare = false;
     }
-    out.push_back(s.substr(start, comma - start));
-    start = comma + 1;
   }
-  return out;
-}
+};
 
-core::SystemConfig ResolveSystem(const std::string& name,
-                                 const orchestrator::FeatureOverrides& ov) {
-  auto cfg = core::SystemConfig::FromName(name);
-  if (!cfg) {
-    std::fprintf(stderr,
-                 "unknown system '%s' (see `canvasctl list-systems`)\n",
-                 name.c_str());
-    std::exit(2);
-  }
-  ov.Apply(*cfg);
-  return *cfg;
-}
-
-std::vector<double> ParseDoubles(const std::string& s) {
-  std::vector<double> out;
-  for (const std::string& v : SplitCommas(s)) out.push_back(std::atof(v.c_str()));
-  return out;
-}
-
-std::vector<std::uint64_t> ParseU64s(const std::string& s) {
-  std::vector<std::uint64_t> out;
-  for (const std::string& v : SplitCommas(s))
-    out.push_back(std::strtoull(v.c_str(), nullptr, 10));
-  return out;
-}
-
-/// The unified axis surface: plural flags are repeatable comma lists; the
-/// singular spellings are deprecated aliases for the same axis.
-bool ParseAxis(const std::string& arg, Options& opt) {
-  auto value = [&](const char* prefix) {
-    return arg.substr(std::strlen(prefix));
-  };
-  if (arg.rfind("--systems=", 0) == 0) {
-    opt.systems.Add(SplitCommas(value("--systems=")));
-  } else if (arg.rfind("--system=", 0) == 0) {
-    opt.systems.Add(SplitCommas(value("--system=")));
-  } else if (arg.rfind("--topologies=", 0) == 0) {
-    opt.topologies.Add(SplitCommas(value("--topologies=")));
-  } else if (arg.rfind("--topology=", 0) == 0) {
-    opt.topologies.Add(SplitCommas(value("--topology=")));
-  } else if (arg.rfind("--tiers=", 0) == 0) {
-    opt.tiers.Add(SplitCommas(value("--tiers=")));
-  } else if (arg.rfind("--tier=", 0) == 0) {
-    opt.tiers.Add(SplitCommas(value("--tier=")));
-  } else if (arg.rfind("--granularities=", 0) == 0) {
-    opt.granularities.Add(SplitCommas(value("--granularities=")));
-  } else if (arg.rfind("--granularity=", 0) == 0) {
-    opt.granularities.Add(SplitCommas(value("--granularity=")));
-  } else if (arg.rfind("--harvests=", 0) == 0) {
-    opt.harvests.Add(SplitCommas(value("--harvests=")));
-  } else if (arg.rfind("--harvest=", 0) == 0) {
-    opt.harvests.Add(SplitCommas(value("--harvest=")));
-  } else if (arg.rfind("--arrivals=", 0) == 0) {
-    opt.arrivals.Add(SplitCommas(value("--arrivals=")));
-  } else if (arg.rfind("--arrival=", 0) == 0) {
-    opt.arrivals.Add(SplitCommas(value("--arrival=")));
-  } else if (arg.rfind("--ratios=", 0) == 0) {
-    opt.ratios.Add(ParseDoubles(value("--ratios=")));
-  } else if (arg.rfind("--ratio=", 0) == 0) {
-    opt.ratios.Add(ParseDoubles(value("--ratio=")));
-  } else if (arg.rfind("--scales=", 0) == 0) {
-    opt.scales.Add(ParseDoubles(value("--scales=")));
-  } else if (arg.rfind("--scale=", 0) == 0) {
-    opt.scales.Add(ParseDoubles(value("--scale=")));
-  } else if (arg.rfind("--seeds=", 0) == 0) {
-    opt.seeds.Add(ParseU64s(value("--seeds=")));
-  } else if (arg.rfind("--seed=", 0) == 0) {
-    opt.seeds.Add(ParseU64s(value("--seed=")));
-  } else {
-    return false;
-  }
-  return true;
-}
-
-bool ParseCommon(const std::string& arg, Options& opt) {
-  auto value = [&](const char* prefix) {
-    return arg.substr(std::strlen(prefix));
-  };
-  if (ParseAxis(arg, opt)) {
-    return true;
-  } else if (arg.rfind("--format=", 0) == 0) {
-    opt.format = value("--format=");
-  } else if (arg.rfind("--prefetcher=", 0) == 0) {
-    auto kind = orchestrator::PrefetcherFromName(value("--prefetcher="));
-    if (!kind) {
-      std::fprintf(stderr, "unknown prefetcher '%s'\n",
-                   value("--prefetcher=").c_str());
-      std::exit(2);
+bool ParseAxis(const Arg& a, Options& opt) {
+  bool hit = false;
+  ForEachAxis(opt, [&](auto& axis) {
+    if (!hit && !a.bare && (a.key == axis.plural || a.key == axis.singular)) {
+      axis.Add(a.key, a.value);
+      hit = true;
     }
+  });
+  return hit;
+}
+
+/// Every non-axis flag, each accepted only by the commands that read it.
+bool ParseFlag(const Arg& a, Options& opt) {
+  auto flag = [&](const char* name) { return a.bare && a.key == name; };
+  auto option = [&](const char* name) { return !a.bare && a.key == name; };
+  bool grid = opt.cmd != Command::kRun;
+  bool serve = opt.cmd == Command::kServe;
+  bool churn = opt.cmd == Command::kChurn;
+  if (option("--prefetcher")) {
+    auto kind = orchestrator::PrefetcherFromName(a.value);
+    if (!kind) Fail("unknown prefetcher '" + a.value + "'");
     opt.overrides.prefetcher = *kind;
-  } else if (arg.rfind("--fault-plan=", 0) == 0) {
-    opt.fault_plan_path = value("--fault-plan=");
-  } else if (arg == "--no-adaptive") {
+  } else if (option("--fault-plan")) {
+    opt.fault_plan_path = a.value;
+  } else if (flag("--no-adaptive")) {
     opt.overrides.adaptive_alloc = false;
-  } else if (arg == "--no-horizontal") {
+  } else if (flag("--no-horizontal")) {
     opt.overrides.horizontal_sched = false;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-/// Load the fault plan named by --fault-plan= (exit 2 on parse errors);
-/// returns null when the option was not given.
-std::shared_ptr<const fault::FaultPlan> ResolvePlan(const Options& opt) {
-  if (opt.fault_plan_path.empty()) return nullptr;
-  std::string err;
-  auto plan = fault::FaultPlan::LoadFile(opt.fault_plan_path, &err);
-  if (!plan) {
-    std::fprintf(stderr, "bad fault plan '%s': %s\n",
-                 opt.fault_plan_path.c_str(), err.c_str());
-    std::exit(2);
-  }
-  return std::make_shared<const fault::FaultPlan>(std::move(*plan));
-}
-
-bool ParseSweepOnly(const std::string& arg, Options& opt) {
-  auto value = [&](const char* prefix) {
-    return arg.substr(std::strlen(prefix));
-  };
-  if (arg.rfind("--jobs=", 0) == 0) {
-    opt.jobs = unsigned(std::atoi(value("--jobs=").c_str()));
-  } else if (arg.rfind("--max-live=", 0) == 0) {
-    opt.max_live = unsigned(std::atoi(value("--max-live=").c_str()));
-  } else if (arg == "--cancel-on-failure") {
+  } else if (!grid && option("--format")) {
+    if (a.value != "table" && a.value != "csv" && a.value != "json")
+      Fail("unknown format '" + a.value + "' (table | csv | json)");
+    opt.format = a.value;
+  } else if (grid && option("--jobs")) {
+    Set(opt.jobs, a.key, a.value);
+  } else if (grid && option("--max-live")) {
+    Set(opt.max_live, a.key, a.value);
+  } else if (grid && flag("--cancel-on-failure")) {
     opt.cancel_on_failure = true;
-  } else if (arg == "--progress") {
+  } else if (grid && flag("--progress")) {
     opt.progress = true;
-  } else if (arg.rfind("--out=", 0) == 0) {
-    opt.out = value("--out=");
-  } else {
-    return false;
-  }
-  return true;
-}
-
-bool ParseServeOnly(const std::string& arg, Options& opt) {
-  auto value = [&](const char* prefix) {
-    return arg.substr(std::strlen(prefix));
-  };
-  if (arg.rfind("--horizon=", 0) == 0) {
-    opt.horizon_sec = std::atof(value("--horizon=").c_str());
-  } else if (arg.rfind("--slo-p99-us=", 0) == 0) {
-    opt.slo.p99_ns = SimTime(std::atof(value("--slo-p99-us=").c_str()) * 1e3);
-  } else if (arg.rfind("--slo-p999-us=", 0) == 0) {
-    opt.slo.p999_ns = SimTime(std::atof(value("--slo-p999-us=").c_str()) * 1e3);
-  } else if (arg == "--no-qos") {
+  } else if (grid && option("--out")) {
+    opt.out = a.value;
+  } else if ((serve || churn) && option("--horizon")) {
+    Set(opt.horizon_sec, a.key, a.value);
+  } else if (serve && option("--slo-p99-us")) {
+    opt.slo.p99_ns = SimTime(Parse<double>(a.key, a.value) * 1e3);
+  } else if (serve && option("--slo-p999-us")) {
+    opt.slo.p999_ns = SimTime(Parse<double>(a.key, a.value) * 1e3);
+  } else if (serve && flag("--no-qos")) {
     opt.qos = false;
-  } else if (arg.rfind("--qos-curve=", 0) == 0) {
-    opt.qos_curve_path = value("--qos-curve=");
+  } else if (serve && option("--qos-curve")) {
+    opt.qos_curve_path = a.value;
+  } else if (churn && option("--churn-kind")) {
+    auto kind = workload::ChurnKindFromName(a.value);
+    if (!kind)
+      Fail("unknown churn kind '" + a.value + "' (poisson | diurnal | trace)");
+    opt.churn.kind = *kind;
+  } else if (churn && option("--rate")) {
+    Set(opt.churn.arrival_rate_per_sec, a.key, a.value);
+  } else if (churn && option("--mean-lifetime-ms")) {
+    opt.churn.mean_lifetime =
+        SimDuration(Parse<double>(a.key, a.value) * double(kMillisecond));
+  } else if (churn && option("--min-lifetime-ms")) {
+    opt.churn.min_lifetime =
+        SimDuration(Parse<double>(a.key, a.value) * double(kMillisecond));
+  } else if (churn && option("--max-tenants")) {
+    Set(opt.churn.max_tenants, a.key, a.value);
+  } else if (churn && option("--max-concurrent")) {
+    Set(opt.churn.max_concurrent, a.key, a.value);
+  } else if (churn && option("--trace")) {
+    opt.churn.kind = workload::ChurnKind::kTrace;
+    opt.churn.trace_csv = a.value;
   } else {
     return false;
   }
   return true;
 }
 
-// Tenant syntax: name[:rate_rps[:mods]], mods a '+'-joined list of
-// `be` (best-effort) and `load` (arrival-axis target).
-bool ParseServeTenant(const std::string& arg, Options& opt) {
+// app[:cores] (run, sweep); cores 0 = the paper's core count.
+void AddApp(const std::string& arg, Options& opt) {
+  std::vector<std::string> f = Split(arg, ":");
+  if (f[0].empty() || f.size() > 2) Fail("bad app '" + arg + "'");
+  opt.apps.emplace_back(
+      f[0], f.size() > 1 ? Parse<std::uint32_t>("app cores", f[1]) : 0);
+}
+
+// name[:rate_rps[:mods]] (serve), mods a '+'-joined list of `be`
+// (best-effort) and `load` (arrival-axis target).
+void AddTenant(const std::string& arg, Options& opt) {
+  std::vector<std::string> f = Split(arg, ":");
+  if (f[0].empty() || f.size() > 3) Fail("bad tenant '" + arg + "'");
   serving::TenantSpec t;
-  auto c1 = arg.find(':');
-  t.name = arg.substr(0, c1);
-  if (t.name.empty()) return false;
-  if (c1 != std::string::npos) {
-    auto c2 = arg.find(':', c1 + 1);
-    t.arrival.rate_rps = std::atof(arg.substr(c1 + 1, c2 - c1 - 1).c_str());
-    if (t.arrival.rate_rps <= 0) {
-      std::fprintf(stderr, "tenant '%s': rate must be > 0\n", t.name.c_str());
-      std::exit(2);
-    }
-    if (c2 != std::string::npos) {
-      for (const std::string& mod : SplitCommas(arg.substr(c2 + 1))) {
-        std::size_t start = 0;
-        while (start <= mod.size()) {
-          std::size_t plus = mod.find('+', start);
-          std::string m = mod.substr(start, plus == std::string::npos
-                                                ? std::string::npos
-                                                : plus - start);
-          if (m == "be") {
-            t.best_effort = true;
-          } else if (m == "load") {
-            t.load_tenant = true;
-          } else if (!m.empty()) {
-            std::fprintf(stderr, "tenant '%s': unknown mod '%s'\n",
-                         t.name.c_str(), m.c_str());
-            std::exit(2);
-          }
-          if (plus == std::string::npos) break;
-          start = plus + 1;
-        }
+  t.name = f[0];
+  if (f.size() > 1) {
+    t.arrival.rate_rps = Parse<double>("tenant rate", f[1]);
+    if (t.arrival.rate_rps <= 0)
+      Fail("tenant '" + t.name + "': rate must be > 0");
+  }
+  if (f.size() > 2) {
+    for (const std::string& m : Split(f[2], "+,")) {
+      if (m == "be") {
+        t.best_effort = true;
+      } else if (m == "load") {
+        t.load_tenant = true;
+      } else if (!m.empty()) {
+        Fail("tenant '" + t.name + "': unknown mod '" + m + "'");
       }
     }
   }
   opt.tenants.push_back(std::move(t));
-  return true;
 }
 
-bool ParseChurnOnly(const std::string& arg, Options& opt) {
-  auto value = [&](const char* prefix) {
-    return arg.substr(std::strlen(prefix));
-  };
-  if (arg.rfind("--churn-kind=", 0) == 0) {
-    auto kind = workload::ChurnKindFromName(value("--churn-kind="));
-    if (!kind) {
-      std::fprintf(stderr,
-                   "unknown churn kind '%s' (poisson | diurnal | trace)\n",
-                   value("--churn-kind=").c_str());
-      std::exit(2);
-    }
-    opt.churn.kind = *kind;
-  } else if (arg.rfind("--rate=", 0) == 0) {
-    opt.churn.arrival_rate_per_sec = std::atof(value("--rate=").c_str());
-  } else if (arg.rfind("--mean-lifetime-ms=", 0) == 0) {
-    opt.churn.mean_lifetime =
-        SimDuration(std::atof(value("--mean-lifetime-ms=").c_str()) *
-                    double(kMillisecond));
-  } else if (arg.rfind("--min-lifetime-ms=", 0) == 0) {
-    opt.churn.min_lifetime =
-        SimDuration(std::atof(value("--min-lifetime-ms=").c_str()) *
-                    double(kMillisecond));
-  } else if (arg.rfind("--max-tenants=", 0) == 0) {
-    opt.churn.max_tenants =
-        std::strtoull(value("--max-tenants=").c_str(), nullptr, 10);
-  } else if (arg.rfind("--max-concurrent=", 0) == 0) {
-    opt.churn.max_concurrent =
-        std::strtoull(value("--max-concurrent=").c_str(), nullptr, 10);
-  } else if (arg.rfind("--trace=", 0) == 0) {
-    opt.churn.kind = workload::ChurnKind::kTrace;
-    opt.churn.trace_csv = value("--trace=");
-  } else {
-    return false;
-  }
-  return true;
-}
-
-// Template syntax: app[:scale[:weight]] — an arrival-weighted tenant
-// archetype, e.g. `memcached:0.02:3`.
-bool ParseChurnTemplate(const std::string& arg, Options& opt) {
+// app[:scale[:weight]] (churn): an arrival-weighted tenant archetype, e.g.
+// `memcached:0.02:3`.
+void AddTemplate(const std::string& arg, Options& opt) {
+  std::vector<std::string> f = Split(arg, ":");
+  if (f[0].empty() || f.size() > 3) Fail("bad template '" + arg + "'");
   workload::TenantTemplate t;
-  auto c1 = arg.find(':');
-  t.app = arg.substr(0, c1);
-  if (t.app.empty()) return false;
-  if (c1 != std::string::npos) {
-    auto c2 = arg.find(':', c1 + 1);
-    t.scale = std::atof(arg.substr(c1 + 1, c2 - c1 - 1).c_str());
-    if (t.scale <= 0) {
-      std::fprintf(stderr, "template '%s': scale must be > 0\n",
-                   t.app.c_str());
-      std::exit(2);
-    }
-    if (c2 != std::string::npos)
-      t.weight = std::atof(arg.substr(c2 + 1).c_str());
+  t.app = f[0];
+  if (f.size() > 1) {
+    t.scale = Parse<double>("template scale", f[1]);
+    if (t.scale <= 0) Fail("template '" + t.app + "': scale must be > 0");
   }
+  if (f.size() > 2) t.weight = Parse<double>("template weight", f[2]);
   opt.churn.templates.push_back(std::move(t));
-  return true;
 }
 
-bool ParseApp(const std::string& arg, Options& opt) {
-  auto colon = arg.find(':');
-  std::string name = arg.substr(0, colon);
-  std::uint32_t cores =
-      colon == std::string::npos
-          ? core::PaperCores(name)
-          : std::uint32_t(std::atoi(arg.substr(colon + 1).c_str()));
-  opt.apps.emplace_back(name, cores);
-  return true;
+/// Reject an axis the command does not read, and more than one value on an
+/// axis it reads only once — instead of silently dropping them.
+void CheckAxes(const Options& opt) {
+  std::string cmd = kCommandNames[int(opt.cmd)];
+  ForEachAxis(opt, [&](const auto& axis) {
+    Use use = axis.use[int(opt.cmd)];
+    if (use == Use::kNone && axis.set)
+      Fail(std::string(axis.plural) + " does not apply to `canvasctl " +
+           cmd + "`");
+    if (use == Use::kOne && axis.values.size() > 1)
+      Fail(std::string(axis.plural) + " takes one value in `canvasctl " +
+           cmd + "`");
+  });
+}
+
+/// Call `resolve`, turning an unknown registry name (std::invalid_argument)
+/// into exit 2.
+template <typename F>
+auto Resolve(F resolve) {
+  try {
+    return resolve();
+  } catch (const std::invalid_argument& e) {
+    Fail(std::string(e.what()) + " (see `canvasctl list-axes`)");
+  }
+}
+
+/// Fill the shared axis block, expand, and stamp what applies to every
+/// run alike: the --fault-plan, and a single --harvest schedule where
+/// harvest is not a grid axis. Exits 2 on any bad name or plan.
+template <typename Scenario>
+auto ExpandSpecs(const Options& opt, Scenario sc) {
+  sc.systems = opt.systems.values;
+  sc.overrides = opt.overrides;
+  sc.topologies = opt.topologies.values;
+  sc.tiers = opt.tiers.values;
+  sc.granularities = opt.granularities.values;
+  sc.seeds = opt.seeds.values;
+  auto specs = Resolve([&] { return sc.Expand(); });
+
+  std::shared_ptr<const fault::FaultPlan> plan;
+  if (!opt.fault_plan_path.empty()) {
+    std::string err;
+    auto loaded = fault::FaultPlan::LoadFile(opt.fault_plan_path, &err);
+    if (!loaded)
+      Fail("bad fault plan '" + opt.fault_plan_path + "': " + err);
+    plan = std::make_shared<const fault::FaultPlan>(std::move(*loaded));
+  }
+  std::optional<remote::HarvestConfig> harvest;
+  if (opt.harvests.set && opt.harvests.use[int(opt.cmd)] == Use::kOne)
+    harvest = Resolve([&] {
+      return remote::HarvestConfig::FromName(opt.harvests.values.front());
+    });
+  for (auto& spec : specs) {
+    if (plan) orchestrator::ConfigOf(spec).fault_plan = plan;
+    if (harvest) orchestrator::ConfigOf(spec).remote.harvest = *harvest;
+  }
+  return specs;
+}
+
+orchestrator::ScenarioSpec BatchScenario(const Options& opt) {
+  orchestrator::ScenarioSpec sc;
+  sc.ratios = opt.ratios.values;
+  sc.scales = opt.scales.values;
+  for (const auto& [name, cores] : opt.apps) {
+    core::AppBuild b;
+    b.name = name;
+    b.cores = cores;
+    sc.apps.push_back(std::move(b));
+  }
+  return sc;
+}
+
+orchestrator::ServingScenarioSpec ServingScenario(const Options& opt) {
+  orchestrator::ServingScenarioSpec sc;
+  sc.arrivals = opt.arrivals.values;
+  sc.qos_enabled = opt.qos;
+  if (!opt.qos_curve_path.empty()) {
+    std::string err;
+    auto curve = serving::SupplyCurve::LoadFile(opt.qos_curve_path, &err);
+    if (!curve)
+      Fail("bad supply curve '" + opt.qos_curve_path + "': " + err);
+    sc.qos.supply = std::move(*curve);
+  }
+  sc.tenants = opt.tenants;
+  if (sc.tenants.empty()) {
+    // Default co-run: a latency-sensitive frontend carrying the arrival
+    // axis plus a best-effort batch tenant the QoS plane may shed.
+    serving::TenantSpec fe;
+    fe.name = "frontend";
+    fe.arrival.rate_rps = 150000;
+    fe.load_tenant = true;
+    serving::TenantSpec batch;
+    batch.name = "batch";
+    batch.arrival.rate_rps = 50000;
+    batch.best_effort = true;
+    sc.tenants = {fe, batch};
+  }
+  for (serving::TenantSpec& t : sc.tenants) {
+    t.slo = opt.slo;
+    t.horizon = SimTime(opt.horizon_sec * 1e9);
+    t.ratio = opt.ratios.values.front();
+  }
+  return sc;
+}
+
+orchestrator::ChurnScenarioSpec ChurnScenario(const Options& opt) {
+  orchestrator::ChurnScenarioSpec sc;
+  sc.harvests = opt.harvests.values;
+  sc.churn = opt.churn;
+  sc.churn.horizon = SimDuration(opt.horizon_sec * 1e9);
+  return sc;
+}
+
+int RunOne(const Options& opt, const orchestrator::RunSpec& spec) {
+  const std::string& name = spec.exp.config.name;
+  core::Experiment exp(spec.exp);
+  bool finished = exp.Run();
+  const core::SwapSystem& sys = exp.system();
+
+  if (opt.format == "csv") {
+    core::WriteCsv(std::cout, sys, name);
+  } else if (opt.format == "json") {
+    core::WriteJson(std::cout, sys, name);
+  } else {
+    PrintBanner(name + (finished ? "" : "  [DID NOT FINISH]"));
+    TablePrinter t({"app", "runtime", "faults", "major", "contrib",
+                    "accuracy", "swap-outs", "lock-free", "drops"});
+    for (std::size_t i = 0; i < sys.app_count(); ++i) {
+      const auto& m = sys.metrics(i);
+      t.AddRow({m.name, FormatTime(m.finish_time), std::to_string(m.faults),
+                std::to_string(m.faults_major),
+                TablePrinter::Num(m.ContributionPct(), 1) + "%",
+                TablePrinter::Num(m.AccuracyPct(), 1) + "%",
+                std::to_string(m.swapouts),
+                std::to_string(m.lockfree_swapouts),
+                std::to_string(sys.scheduler().drops_for(sys.cgroup_of(i)))});
+    }
+    t.Print();
+    std::printf("RDMA in %.0fMB/s out %.0fMB/s, WMMR %.2f\n",
+                sys.nic().bytes_series(rdma::Direction::kIngress).MeanRate() /
+                    1e6,
+                sys.nic().bytes_series(rdma::Direction::kEgress).MeanRate() /
+                    1e6,
+                sys.Wmmr(rdma::Direction::kIngress));
+  }
+  return finished ? 0 : 1;
+}
+
+/// Run a scenario's grid on the worker pool and write its JSON report to
+/// --out or stdout.
+template <typename Scenario>
+int RunGrid(const Options& opt, Scenario sc) {
+  auto specs = ExpandSpecs(opt, std::move(sc));
+  orchestrator::SweepOptions sweep_opts;
+  sweep_opts.jobs = opt.jobs;
+  sweep_opts.max_live = opt.max_live;
+  sweep_opts.cancel_on_failure = opt.cancel_on_failure;
+  sweep_opts.progress = opt.progress;
+  auto result = orchestrator::SweepEngine(sweep_opts).Run(std::move(specs));
+
+  if (opt.out.empty()) {
+    result.WriteJson(std::cout);
+  } else {
+    std::ofstream os(opt.out);
+    if (!os) {
+      std::fprintf(stderr, "cannot write %s\n", opt.out.c_str());
+      return 1;
+    }
+    result.WriteJson(os);
+    std::fprintf(stderr, "wrote %s (%zu runs, %u jobs, %.2fs)\n",
+                 opt.out.c_str(), result.runs.size(), result.jobs,
+                 result.wall_sec);
+  }
+  return result.all_ok ? 0 : 1;
+}
+
+int Main(Command cmd, int argc, char** argv) {
+  Options opt(cmd);
+  for (int i = 2; i < argc; ++i) {
+    std::string arg = argv[i];
+    if (arg == "--help" || arg == "-h") return Usage(stdout, 0);
+    Arg a(arg);
+    if (ParseAxis(a, opt) || ParseFlag(a, opt)) continue;
+    if (arg.rfind("--", 0) == 0) {
+      std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
+      return Usage(stderr, 2);
+    }
+    if (cmd == Command::kServe) {
+      AddTenant(arg, opt);
+    } else if (cmd == Command::kChurn) {
+      AddTemplate(arg, opt);
+    } else {
+      AddApp(arg, opt);
+    }
+  }
+  CheckAxes(opt);
+  switch (cmd) {
+    case Command::kRun:
+      if (opt.apps.empty()) return Usage(stderr, 2);
+      return RunOne(opt, ExpandSpecs(opt, BatchScenario(opt)).front());
+    case Command::kSweep:
+      if (opt.apps.empty()) return Usage(stderr, 2);
+      return RunGrid(opt, BatchScenario(opt));
+    case Command::kServe:
+      return RunGrid(opt, ServingScenario(opt));
+    case Command::kChurn:
+      return RunGrid(opt, ChurnScenario(opt));
+  }
+  return 2;
 }
 
 int ListApps() {
@@ -530,51 +625,12 @@ int ListServers() {
   return 0;
 }
 
-remote::PoolConfig ResolveTopology(const std::string& name) {
-  try {
-    return remote::PoolConfig::FromName(name);
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "%s (see `canvasctl list-servers`)\n", e.what());
-    std::exit(2);
-  }
-}
-
 int ListTiers() {
   TablePrinter t({"name", "description"});
   for (const auto& [name, description] : tier::TierConfig::ListTiers())
     t.AddRow({name, description});
   t.Print();
   return 0;
-}
-
-tier::TierConfig ResolveTier(const std::string& name) {
-  try {
-    return tier::TierConfig::FromName(name);
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "%s (see `canvasctl list-tiers`)\n", e.what());
-    std::exit(2);
-  }
-}
-
-/// Map a --granularity value to SystemConfig::objects.enabled (exit 2 on
-/// an unknown name).
-bool ResolveGranularity(const std::string& name) {
-  auto enabled = orchestrator::GranularityFromName(name);
-  if (!enabled) {
-    std::fprintf(stderr, "unknown granularity '%s' (page | object)\n",
-                 name.c_str());
-    std::exit(2);
-  }
-  return *enabled;
-}
-
-remote::HarvestConfig ResolveHarvest(const std::string& name) {
-  try {
-    return remote::HarvestConfig::FromName(name);
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "%s (see `canvasctl list-axes`)\n", e.what());
-    std::exit(2);
-  }
 }
 
 /// The one place every axis and its value registry is enumerated: each row
@@ -602,304 +658,6 @@ int ListAxes() {
   return 0;
 }
 
-int RunOne(const Options& opt) {
-  auto cfg = ResolveSystem(opt.systems.front(), opt.overrides);
-  cfg.remote = ResolveTopology(opt.topologies.front());
-  cfg.tier = ResolveTier(opt.tiers.front());
-  cfg.objects.enabled = ResolveGranularity(opt.granularities.front());
-  // An explicit --harvest overrides the topology preset's own schedule.
-  if (opt.harvests.set)
-    cfg.remote.harvest = ResolveHarvest(opt.harvests.front());
-  if (auto plan = ResolvePlan(opt)) cfg.fault_plan = std::move(plan);
-  core::ExperimentSpec spec;
-  spec.config = cfg;
-  for (auto& [name, cores] : opt.apps) {
-    core::AppBuild b;
-    b.name = name;
-    b.scale = opt.scales.front();
-    b.ratio = opt.ratios.front();
-    b.cores = cores;
-    b.seed = opt.seeds.front();
-    spec.apps.push_back(std::move(b));
-  }
-
-  core::Experiment exp(spec);
-  bool finished = exp.Run();
-
-  if (opt.format == "csv") {
-    core::WriteCsv(std::cout, exp.system(), cfg.name);
-  } else if (opt.format == "json") {
-    core::WriteJson(std::cout, exp.system(), cfg.name);
-  } else {
-    PrintBanner(cfg.name + (finished ? "" : "  [DID NOT FINISH]"));
-    TablePrinter t({"app", "runtime", "faults", "major", "contrib",
-                    "accuracy", "swap-outs", "lock-free", "drops"});
-    for (std::size_t i = 0; i < exp.system().app_count(); ++i) {
-      const auto& m = exp.system().metrics(i);
-      t.AddRow({m.name, FormatTime(m.finish_time),
-                std::to_string(m.faults), std::to_string(m.faults_major),
-                TablePrinter::Num(m.ContributionPct(), 1) + "%",
-                TablePrinter::Num(m.AccuracyPct(), 1) + "%",
-                std::to_string(m.swapouts),
-                std::to_string(m.lockfree_swapouts),
-                std::to_string(exp.system().scheduler().drops_for(
-                    exp.system().cgroup_of(i)))});
-    }
-    t.Print();
-    std::printf("RDMA in %.0fMB/s out %.0fMB/s, WMMR %.2f\n",
-                exp.system()
-                        .nic()
-                        .bytes_series(rdma::Direction::kIngress)
-                        .MeanRate() /
-                    1e6,
-                exp.system()
-                        .nic()
-                        .bytes_series(rdma::Direction::kEgress)
-                        .MeanRate() /
-                    1e6,
-                exp.system().Wmmr(rdma::Direction::kIngress));
-  }
-  return finished ? 0 : 1;
-}
-
-int RunSweep(const Options& opt) {
-  orchestrator::ScenarioSpec scenario;
-  scenario.systems = opt.systems;
-  scenario.topologies = opt.topologies;
-  scenario.tiers = opt.tiers;
-  scenario.granularities = opt.granularities;
-  scenario.overrides = opt.overrides;
-  scenario.ratios = opt.ratios;
-  scenario.scales = opt.scales;
-  scenario.seeds = opt.seeds;
-  for (auto& [name, cores] : opt.apps) {
-    core::AppBuild b;
-    b.name = name;
-    b.cores = cores;
-    scenario.apps.push_back(std::move(b));
-  }
-  // Validate preset + topology + tier names before spinning up the pool.
-  for (const std::string& s : scenario.systems) ResolveSystem(s, {});
-  for (const std::string& t : scenario.topologies) ResolveTopology(t);
-  for (const std::string& t : scenario.tiers) ResolveTier(t);
-  for (const std::string& g : scenario.granularities) ResolveGranularity(g);
-
-  orchestrator::SweepOptions sweep_opts;
-  sweep_opts.jobs = opt.jobs;
-  sweep_opts.max_live = opt.max_live;
-  sweep_opts.cancel_on_failure = opt.cancel_on_failure;
-  sweep_opts.progress = opt.progress;
-  orchestrator::SweepEngine engine(sweep_opts);
-  // A --fault-plan applies to every grid point: stamp the expanded specs
-  // (labels are untouched — the plan is not a sweep axis).
-  std::vector<orchestrator::RunSpec> specs = scenario.Expand();
-  if (auto plan = ResolvePlan(opt))
-    for (orchestrator::RunSpec& r : specs) r.exp.config.fault_plan = plan;
-  // --harvest applies to every grid point (not a batch-sweep axis; use
-  // `canvasctl churn --harvests=` for the axis form).
-  if (opt.harvests.set) {
-    remote::HarvestConfig harvest = ResolveHarvest(opt.harvests.front());
-    for (orchestrator::RunSpec& r : specs) r.exp.config.remote.harvest = harvest;
-  }
-  auto result = engine.Run(std::move(specs));
-
-  if (!opt.out.empty()) {
-    std::ofstream os(opt.out);
-    if (!os) {
-      std::fprintf(stderr, "cannot write %s\n", opt.out.c_str());
-      return 1;
-    }
-    result.WriteJson(os);
-    std::fprintf(stderr, "wrote %s (%zu runs, %u jobs, %.2fs)\n",
-                 opt.out.c_str(), result.runs.size(), result.jobs,
-                 result.wall_sec);
-  } else {
-    result.WriteJson(std::cout);
-  }
-  return result.all_ok ? 0 : 1;
-}
-
-int RunServe(const Options& opt) {
-  orchestrator::ServingScenarioSpec scenario;
-  scenario.systems = opt.systems;
-  scenario.overrides = opt.overrides;
-  scenario.arrivals = opt.arrivals;
-  scenario.seeds = opt.seeds;
-  scenario.qos_enabled = opt.qos;
-  if (!opt.qos_curve_path.empty()) {
-    std::string err;
-    auto curve = serving::SupplyCurve::LoadFile(opt.qos_curve_path, &err);
-    if (!curve) {
-      std::fprintf(stderr, "bad supply curve '%s': %s\n",
-                   opt.qos_curve_path.c_str(), err.c_str());
-      std::exit(2);
-    }
-    scenario.qos.supply = std::move(*curve);
-  }
-  // `serve` defaults to the pool4 topology (the QoS plane's migration
-  // lever needs a multi-server pool); --topology/--topologies override.
-  scenario.topologies = opt.topologies;
-  scenario.granularities = opt.granularities;
-
-  scenario.tenants = opt.tenants;
-  if (scenario.tenants.empty()) {
-    // Default co-run: a latency-sensitive frontend carrying the arrival
-    // axis plus a best-effort batch tenant the QoS plane may shed.
-    serving::TenantSpec fe;
-    fe.name = "frontend";
-    fe.arrival.rate_rps = 150000;
-    fe.load_tenant = true;
-    serving::TenantSpec batch;
-    batch.name = "batch";
-    batch.arrival.rate_rps = 50000;
-    batch.best_effort = true;
-    scenario.tenants = {fe, batch};
-  }
-  for (serving::TenantSpec& t : scenario.tenants) {
-    t.slo = opt.slo;
-    t.horizon = SimTime(opt.horizon_sec * 1e9);
-    t.ratio = opt.ratios.front();
-  }
-  for (const std::string& s : scenario.systems) ResolveSystem(s, {});
-  for (const std::string& t : scenario.topologies) ResolveTopology(t);
-  for (const std::string& g : scenario.granularities) ResolveGranularity(g);
-  for (const std::string& a : scenario.arrivals) {
-    if (!workload::ArrivalKindFromName(a)) {
-      std::fprintf(stderr,
-                   "unknown arrival process '%s' (poisson | diurnal | "
-                   "flash)\n",
-                   a.c_str());
-      std::exit(2);
-    }
-  }
-
-  orchestrator::SweepOptions sweep_opts;
-  sweep_opts.jobs = opt.jobs;
-  sweep_opts.max_live = opt.max_live;
-  sweep_opts.cancel_on_failure = opt.cancel_on_failure;
-  sweep_opts.progress = opt.progress;
-  orchestrator::SweepEngine engine(sweep_opts);
-  std::vector<serving::ServingSpec> specs = scenario.Expand();
-  if (opt.harvests.set) {
-    remote::HarvestConfig harvest = ResolveHarvest(opt.harvests.front());
-    for (serving::ServingSpec& s : specs) s.config.remote.harvest = harvest;
-  }
-  auto result = engine.RunServing(std::move(specs));
-
-  if (!opt.out.empty()) {
-    std::ofstream os(opt.out);
-    if (!os) {
-      std::fprintf(stderr, "cannot write %s\n", opt.out.c_str());
-      return 1;
-    }
-    result.WriteJson(os);
-    std::fprintf(stderr, "wrote %s (%zu runs, %u jobs, %.2fs)\n",
-                 opt.out.c_str(), result.runs.size(), result.jobs,
-                 result.wall_sec);
-  } else {
-    result.WriteJson(std::cout);
-  }
-  return result.all_ok ? 0 : 1;
-}
-
-int RunChurnCmd(const Options& opt) {
-  orchestrator::ChurnScenarioSpec scenario;
-  scenario.systems = opt.systems;
-  scenario.overrides = opt.overrides;
-  scenario.topologies = opt.topologies;
-  scenario.tiers = opt.tiers;
-  scenario.harvests = opt.harvests;
-  scenario.seeds = opt.seeds;
-  scenario.churn = opt.churn;
-  scenario.churn.horizon = SimDuration(opt.horizon_sec * 1e9);
-  for (const std::string& s : scenario.systems) ResolveSystem(s, {});
-  for (const std::string& t : scenario.topologies) ResolveTopology(t);
-  for (const std::string& t : scenario.tiers) ResolveTier(t);
-  for (const std::string& h : scenario.harvests) ResolveHarvest(h);
-
-  orchestrator::SweepOptions sweep_opts;
-  sweep_opts.jobs = opt.jobs;
-  sweep_opts.max_live = opt.max_live;
-  sweep_opts.cancel_on_failure = opt.cancel_on_failure;
-  sweep_opts.progress = opt.progress;
-  orchestrator::SweepEngine engine(sweep_opts);
-  orchestrator::ChurnSweepResult result = engine.RunChurn(scenario);
-
-  if (!opt.out.empty()) {
-    std::ofstream os(opt.out);
-    if (!os) {
-      std::fprintf(stderr, "cannot write %s\n", opt.out.c_str());
-      return 1;
-    }
-    result.WriteJson(os);
-    std::fprintf(stderr, "wrote %s (%zu runs, %u jobs, %.2fs)\n",
-                 opt.out.c_str(), result.runs.size(), result.jobs,
-                 result.wall_sec);
-  } else {
-    result.WriteJson(std::cout);
-  }
-  return result.all_ok ? 0 : 1;
-}
-
-int ParseAndRunChurn(int argc, char** argv, int first_arg) {
-  Options opt;
-  opt.topologies.values = {"pool4"};  // churn pairs with a server pool
-  // Cluster-day defaults: a long horizon with small tenants.
-  opt.horizon_sec = 2.0;
-  for (int i = first_arg; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") return Usage(stdout, 0);
-    if (ParseChurnOnly(arg, opt)) continue;
-    if (ParseCommon(arg, opt)) continue;
-    if (ParseSweepOnly(arg, opt)) continue;
-    if (arg.rfind("--horizon=", 0) == 0) {
-      opt.horizon_sec = std::atof(arg.substr(std::strlen("--horizon=")).c_str());
-      continue;
-    }
-    if (arg.rfind("--", 0) == 0) {
-      std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
-      return Usage(stderr, 2);
-    }
-    ParseChurnTemplate(arg, opt);
-  }
-  return RunChurnCmd(opt);
-}
-
-int ParseAndRunServe(int argc, char** argv, int first_arg) {
-  Options opt;
-  opt.topologies = {"pool4"};
-  for (int i = first_arg; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") return Usage(stdout, 0);
-    if (ParseCommon(arg, opt)) continue;
-    if (ParseSweepOnly(arg, opt)) continue;
-    if (ParseServeOnly(arg, opt)) continue;
-    if (arg.rfind("--", 0) == 0) {
-      std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
-      return Usage(stderr, 2);
-    }
-    ParseServeTenant(arg, opt);
-  }
-  return RunServe(opt);
-}
-
-int ParseAndRun(int argc, char** argv, int first_arg, bool sweep) {
-  Options opt;
-  for (int i = first_arg; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") return Usage(stdout, 0);
-    if (ParseCommon(arg, opt)) continue;
-    if (sweep && ParseSweepOnly(arg, opt)) continue;
-    if (arg.rfind("--", 0) == 0) {
-      std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
-      return Usage(stderr, 2);
-    }
-    ParseApp(arg, opt);
-  }
-  if (opt.apps.empty()) return Usage(stderr, 2);
-  return sweep ? RunSweep(opt) : RunOne(opt);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -911,10 +669,8 @@ int main(int argc, char** argv) {
   if (cmd == "list-systems") return ListSystems();
   if (cmd == "list-servers") return ListServers();
   if (cmd == "list-tiers") return ListTiers();
-  if (cmd == "run") return ParseAndRun(argc, argv, 2, /*sweep=*/false);
-  if (cmd == "sweep") return ParseAndRun(argc, argv, 2, /*sweep=*/true);
-  if (cmd == "serve") return ParseAndRunServe(argc, argv, 2);
-  if (cmd == "churn") return ParseAndRunChurn(argc, argv, 2);
+  for (int c = 0; c < 4; ++c)
+    if (cmd == kCommandNames[c]) return Main(Command(c), argc, argv);
   // The flat form `canvasctl [options] app ...` (no subcommand) was
   // deprecated and is now a hard error — fail loudly rather than guessing.
   std::fprintf(stderr,

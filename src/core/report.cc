@@ -1,5 +1,7 @@
 #include "core/report.h"
 
+#include "common/run.h"
+
 namespace canvas::core {
 
 namespace {
@@ -32,19 +34,6 @@ const char* kObjectCsvColumns =
     ",behaviours_declared,behaviours_dispatched,behaviours_completed,"
     "object_fetches,object_fetch_hits,object_pins,object_unpins,"
     "object_stale_handles,behaviour_deferrals,behaviour_stall_ns";
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
-}
-
-}  // namespace
-
-namespace {
 
 /// One CSV metrics row (shared by live and retired tenants; the latter pass
 /// their ledger-recorded NIC byte totals).

@@ -1,11 +1,6 @@
 #include "orchestrator/churn.h"
 
-#include <sys/resource.h>
-
-#include <chrono>
-#include <cstdio>
 #include <exception>
-#include <stdexcept>
 
 #include "core/report.h"
 #include "workload/apps.h"
@@ -14,88 +9,9 @@ namespace canvas::orchestrator {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-double SecondsSince(Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
-}
-
-std::uint64_t PeakRssBytes() {
-  struct rusage ru;
-  getrusage(RUSAGE_SELF, &ru);
-  return std::uint64_t(ru.ru_maxrss) * 1024;  // Linux reports KiB
-}
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
-}
-
 constexpr std::size_t kNoSlot = std::size_t(-1);
 
 }  // namespace
-
-const char* ChurnStatusName(ChurnResult::Status s) {
-  switch (s) {
-    case ChurnResult::Status::kOk: return "ok";
-    case ChurnResult::Status::kDeadline: return "deadline";
-    case ChurnResult::Status::kError: return "error";
-    case ChurnResult::Status::kCancelled: return "cancelled";
-  }
-  return "?";
-}
-
-std::string ChurnRunLabel(const std::string& system,
-                          const std::string& topology,
-                          const std::string& harvest, std::uint64_t seed,
-                          const std::string& tier) {
-  std::string label = system;
-  if (topology != "single") label += "/" + topology;
-  if (tier != "none" && !tier.empty()) label += "/" + tier;
-  label += "/" + harvest;
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "/seed%llu", (unsigned long long)seed);
-  return label + buf;
-}
-
-std::vector<ChurnRunSpec> ChurnScenarioSpec::Expand() const {
-  std::vector<ChurnRunSpec> runs;
-  runs.reserve(RunCount());
-  for (const std::string& sys : systems) {
-    auto preset = core::SystemConfig::FromName(sys);
-    if (!preset)
-      throw std::invalid_argument("unknown system preset: " + sys);
-    overrides.Apply(*preset);
-    for (const std::string& topo : topologies) {
-      remote::PoolConfig pool = remote::PoolConfig::FromName(topo);
-      for (const std::string& tier_name : tiers) {
-        tier::TierConfig tier_cfg = tier::TierConfig::FromName(tier_name);
-        for (const std::string& hv : harvests) {
-          remote::HarvestConfig harvest = remote::HarvestConfig::FromName(hv);
-          for (std::uint64_t seed : seeds) {
-            ChurnRunSpec r;
-            r.index = runs.size();
-            r.label = ChurnRunLabel(sys, topo, hv, seed, tier_name);
-            r.config = *preset;
-            r.config.remote = pool;
-            r.config.remote.harvest = harvest;
-            r.config.tier = tier_cfg;
-            r.churn = churn;
-            // The seed axis re-samples the whole arrival timeline.
-            r.churn.seed = seed;
-            r.deadline = deadline;
-            runs.push_back(std::move(r));
-          }
-        }
-      }
-    }
-  }
-  return runs;
-}
 
 ChurnResult RunChurn(const ChurnRunSpec& spec) {
   ChurnResult r;
@@ -103,7 +19,7 @@ ChurnResult RunChurn(const ChurnRunSpec& spec) {
   r.label = spec.label;
   r.system = spec.config.name;
   r.topology = spec.config.remote.topology;
-  auto t0 = Clock::now();
+  auto t0 = HostClock::now();
   try {
     workload::ChurnSchedule sched = workload::BuildChurnSchedule(spec.churn);
     r.tenants_scheduled = sched.tenants.size();
@@ -212,8 +128,9 @@ ChurnResult RunChurn(const ChurnRunSpec& spec) {
   return r;
 }
 
-void ChurnSweepResult::WriteJson(std::ostream& os,
-                                 bool include_timing) const {
+template <>
+void Sweep<ChurnResult>::WriteJson(std::ostream& os,
+                                   bool include_timing) const {
   os << "{\n  \"schema_version\": " << core::kChurnReportSchemaVersion
      << ",\n"
      << "  \"kind\": \"churn-sweep\",\n"
@@ -225,7 +142,7 @@ void ChurnSweepResult::WriteJson(std::ostream& os,
     const ChurnResult& r = runs[i];
     os << "    {\"index\": " << r.index << ", \"label\": \""
        << JsonEscape(r.label) << "\", \"system\": \"" << JsonEscape(r.system)
-       << "\", \"status\": \"" << ChurnStatusName(r.status) << "\"";
+       << "\", \"status\": \"" << RunStatusName(r.status) << "\"";
     if (!r.error.empty())
       os << ", \"error\": \"" << JsonEscape(r.error) << "\"";
     if (r.executed()) {

@@ -1,8 +1,6 @@
 #include "orchestrator/sweep.h"
 
-#include <sys/resource.h>
-
-#include <chrono>
+#include <algorithm>
 #include <condition_variable>
 #include <cstdio>
 #include <exception>
@@ -10,43 +8,9 @@
 #include <thread>
 
 #include "core/report.h"
+#include "orchestrator/churn.h"
 
 namespace canvas::orchestrator {
-
-namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double SecondsSince(Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
-}
-
-std::uint64_t PeakRssBytes() {
-  struct rusage ru;
-  getrusage(RUSAGE_SELF, &ru);
-  return std::uint64_t(ru.ru_maxrss) * 1024;  // Linux reports KiB
-}
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
-}
-
-}  // namespace
-
-const char* StatusName(RunResult::Status s) {
-  switch (s) {
-    case RunResult::Status::kOk: return "ok";
-    case RunResult::Status::kDeadline: return "deadline";
-    case RunResult::Status::kError: return "error";
-    case RunResult::Status::kCancelled: return "cancelled";
-  }
-  return "?";
-}
 
 SweepEngine::SweepEngine(SweepOptions opts) : opts_(opts) {}
 
@@ -55,12 +19,12 @@ RunResult SweepEngine::ExecuteOne(const RunSpec& spec) {
   r.index = spec.index;
   r.label = spec.label;
   r.system = spec.exp.config.name;
-  auto t0 = Clock::now();
+  r.topology = spec.exp.config.remote.topology;
+  auto t0 = HostClock::now();
   try {
     core::Experiment e(spec.exp);
     bool finished = e.Run();
-    r.status = finished ? RunResult::Status::kOk
-                        : RunResult::Status::kDeadline;
+    r.status = finished ? RunStatus::kOk : RunStatus::kDeadline;
     const core::SwapSystem& sys = e.system();
     r.apps.reserve(sys.app_count());
     for (std::size_t i = 0; i < sys.app_count(); ++i) {
@@ -78,7 +42,7 @@ RunResult SweepEngine::ExecuteOne(const RunSpec& spec) {
     r.sched_drops = sys.scheduler().drops();
     r.sim_events = e.simulator().events_executed();
   } catch (const std::exception& ex) {
-    r.status = RunResult::Status::kError;
+    r.status = RunStatus::kError;
     r.error = ex.what();
   }
   r.wall_sec = SecondsSince(t0);
@@ -86,13 +50,21 @@ RunResult SweepEngine::ExecuteOne(const RunSpec& spec) {
   return r;
 }
 
-SweepResult SweepEngine::Run(std::vector<RunSpec> specs) {
-  SweepResult result;
+// The one worker pool behind every run kind: `execute` runs one spec in
+// the calling worker thread and returns its result.
+template <typename Result, typename Spec, typename Execute>
+Sweep<Result> SweepEngine::RunPool(const std::vector<Spec>& specs,
+                                   const char* tag, Execute execute) {
+  Sweep<Result> result;
+  // Pre-stamp every slot so runs that are never dispatched still report
+  // their identity (status kCancelled).
   result.runs.resize(specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    result.runs[i].index = specs[i].index;
-    result.runs[i].label = specs[i].label;
-    result.runs[i].system = specs[i].exp.config.name;
+    Result& r = result.runs[i];
+    r.index = specs[i].index;
+    r.label = specs[i].label;
+    r.system = ConfigOf(specs[i]).name;
+    r.topology = ConfigOf(specs[i]).remote.topology;
   }
 
   unsigned jobs = opts_.jobs ? opts_.jobs
@@ -109,7 +81,7 @@ SweepResult SweepEngine::Run(std::vector<RunSpec> specs) {
   unsigned high_water = 0;    // guarded by mu
   bool cancelled = false;     // guarded by mu
 
-  auto t0 = Clock::now();
+  auto t0 = HostClock::now();
   auto worker = [&] {
     for (;;) {
       std::size_t idx;
@@ -124,20 +96,20 @@ SweepResult SweepEngine::Run(std::vector<RunSpec> specs) {
         ++live;
         if (live > high_water) high_water = live;
       }
-      RunResult r = ExecuteOne(specs[idx]);
+      Result r = execute(specs[idx]);
       {
         std::unique_lock<std::mutex> lk(mu);
         --live;
         ++done;
-        bool failed = r.status != RunResult::Status::kOk;
+        bool failed = r.status != RunStatus::kOk;
         if (failed && opts_.cancel_on_failure) cancelled = true;
         if (opts_.progress) {
-          std::fprintf(stderr, "\r[sweep] %zu/%zu done (last: %s %s)   ",
+          std::fprintf(stderr, "\r[%s] %zu/%zu done (last: %s %s)   ", tag,
                        done, specs.size(), r.label.c_str(),
-                       StatusName(r.status));
+                       RunStatusName(r.status));
           if (done == specs.size() || cancelled) std::fprintf(stderr, "\n");
         }
-        result.runs[r.index] = std::move(r);
+        result.runs[idx] = std::move(r);
       }
       live_cv.notify_all();
     }
@@ -155,164 +127,32 @@ SweepResult SweepEngine::Run(std::vector<RunSpec> specs) {
   result.wall_sec = SecondsSince(t0);
   result.cancelled = cancelled;
   result.all_ok = true;
-  for (const RunResult& r : result.runs)
-    if (r.status != RunResult::Status::kOk) result.all_ok = false;
+  for (const Result& r : result.runs)
+    if (r.status != RunStatus::kOk) result.all_ok = false;
   live_high_water_ = high_water;
   return result;
 }
 
-ServingSweepResult SweepEngine::RunServing(
-    std::vector<serving::ServingSpec> specs) {
-  ServingSweepResult result;
-  result.runs.resize(specs.size());
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    result.runs[i].index = specs[i].index;
-    result.runs[i].label = specs[i].label;
-    result.runs[i].system = specs[i].config.name;
-    result.runs[i].topology = specs[i].config.remote.topology;
-  }
-
-  unsigned jobs = opts_.jobs ? opts_.jobs
-                             : std::max(1u, std::thread::hardware_concurrency());
-  jobs = std::min<unsigned>(jobs, std::max<std::size_t>(specs.size(), 1));
-  unsigned max_live = opts_.max_live ? std::min(opts_.max_live, jobs) : jobs;
-  result.jobs = jobs;
-
-  std::mutex mu;
-  std::condition_variable live_cv;
-  std::size_t next = 0;
-  std::size_t done = 0;
-  unsigned live = 0;
-  unsigned high_water = 0;
-  bool cancelled = false;
-
-  auto t0 = Clock::now();
-  auto worker = [&] {
-    for (;;) {
-      std::size_t idx;
-      {
-        std::unique_lock<std::mutex> lk(mu);
-        live_cv.wait(lk, [&] { return cancelled || live < max_live ||
-                                      next >= specs.size(); });
-        if (cancelled || next >= specs.size()) return;
-        idx = next++;
-        ++live;
-        if (live > high_water) high_water = live;
-      }
-      serving::ServingResult r = serving::RunServing(specs[idx]);
-      {
-        std::unique_lock<std::mutex> lk(mu);
-        --live;
-        ++done;
-        bool failed = r.status != serving::ServingResult::Status::kOk;
-        if (failed && opts_.cancel_on_failure) cancelled = true;
-        if (opts_.progress) {
-          std::fprintf(stderr, "\r[serve] %zu/%zu done (last: %s %s)   ",
-                       done, specs.size(), r.label.c_str(),
-                       serving::ServingStatusName(r.status));
-          if (done == specs.size() || cancelled) std::fprintf(stderr, "\n");
-        }
-        result.runs[r.index] = std::move(r);
-      }
-      live_cv.notify_all();
-    }
-  };
-
-  if (jobs <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(jobs);
-    for (unsigned t = 0; t < jobs; ++t) pool.emplace_back(worker);
-    for (std::thread& t : pool) t.join();
-  }
-
-  result.wall_sec = SecondsSince(t0);
-  result.cancelled = cancelled;
-  result.all_ok = true;
-  for (const serving::ServingResult& r : result.runs)
-    if (r.status != serving::ServingResult::Status::kOk)
-      result.all_ok = false;
-  live_high_water_ = high_water;
-  return result;
+SweepResult SweepEngine::Run(std::vector<RunSpec> specs) {
+  return RunPool<RunResult>(specs, "sweep", &SweepEngine::ExecuteOne);
 }
 
-ChurnSweepResult SweepEngine::RunChurn(std::vector<ChurnRunSpec> specs) {
-  ChurnSweepResult result;
-  result.runs.resize(specs.size());
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    result.runs[i].index = specs[i].index;
-    result.runs[i].label = specs[i].label;
-    result.runs[i].system = specs[i].config.name;
-    result.runs[i].topology = specs[i].config.remote.topology;
-  }
-
-  unsigned jobs = opts_.jobs ? opts_.jobs
-                             : std::max(1u, std::thread::hardware_concurrency());
-  jobs = std::min<unsigned>(jobs, std::max<std::size_t>(specs.size(), 1));
-  unsigned max_live = opts_.max_live ? std::min(opts_.max_live, jobs) : jobs;
-  result.jobs = jobs;
-
-  std::mutex mu;
-  std::condition_variable live_cv;
-  std::size_t next = 0;
-  std::size_t done = 0;
-  unsigned live = 0;
-  unsigned high_water = 0;
-  bool cancelled = false;
-
-  auto t0 = Clock::now();
-  auto worker = [&] {
-    for (;;) {
-      std::size_t idx;
-      {
-        std::unique_lock<std::mutex> lk(mu);
-        live_cv.wait(lk, [&] { return cancelled || live < max_live ||
-                                      next >= specs.size(); });
-        if (cancelled || next >= specs.size()) return;
-        idx = next++;
-        ++live;
-        if (live > high_water) high_water = live;
-      }
-      // Qualified: the member overloads shadow the free-function runner.
-      ChurnResult r = canvas::orchestrator::RunChurn(specs[idx]);
-      {
-        std::unique_lock<std::mutex> lk(mu);
-        --live;
-        ++done;
-        bool failed = r.status != ChurnResult::Status::kOk;
-        if (failed && opts_.cancel_on_failure) cancelled = true;
-        if (opts_.progress) {
-          std::fprintf(stderr, "\r[churn] %zu/%zu done (last: %s %s)   ",
-                       done, specs.size(), r.label.c_str(),
-                       ChurnStatusName(r.status));
-          if (done == specs.size() || cancelled) std::fprintf(stderr, "\n");
-        }
-        result.runs[r.index] = std::move(r);
-      }
-      live_cv.notify_all();
-    }
-  };
-
-  if (jobs <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(jobs);
-    for (unsigned t = 0; t < jobs; ++t) pool.emplace_back(worker);
-    for (std::thread& t : pool) t.join();
-  }
-
-  result.wall_sec = SecondsSince(t0);
-  result.cancelled = cancelled;
-  result.all_ok = true;
-  for (const ChurnResult& r : result.runs)
-    if (r.status != ChurnResult::Status::kOk) result.all_ok = false;
-  live_high_water_ = high_water;
-  return result;
+ServingSweepResult SweepEngine::Run(std::vector<serving::ServingSpec> specs) {
+  return RunPool<serving::ServingResult>(specs, "serve", &serving::RunServing);
 }
 
-void SweepResult::WriteJson(std::ostream& os, bool include_timing) const {
+ChurnSweepResult SweepEngine::Run(std::vector<ChurnRunSpec> specs) {
+  return RunPool<ChurnResult>(specs, "churn", &RunChurn);
+}
+
+template <>
+void Sweep<serving::ServingResult>::WriteJson(std::ostream& os,
+                                              bool include_timing) const {
+  serving::WriteServingJson(os, runs, include_timing);
+}
+
+template <>
+void Sweep<RunResult>::WriteJson(std::ostream& os, bool include_timing) const {
   // Object-granularity runs (DESIGN.md §16) widen every app row with the
   // behaviour/object counters and bump the schema; sweeps that never
   // enabled the registry keep emitting v2 byte-for-byte.
@@ -334,7 +174,7 @@ void SweepResult::WriteJson(std::ostream& os, bool include_timing) const {
     const RunResult& r = runs[i];
     os << "    {\"index\": " << r.index << ", \"label\": \""
        << JsonEscape(r.label) << "\", \"system\": \"" << JsonEscape(r.system)
-       << "\", \"status\": \"" << StatusName(r.status) << "\"";
+       << "\", \"status\": \"" << RunStatusName(r.status) << "\"";
     if (!r.error.empty()) os << ", \"error\": \"" << JsonEscape(r.error) << "\"";
     if (r.executed()) {
       os << ", \"wmmr_ingress\": " << r.wmmr_ingress

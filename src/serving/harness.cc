@@ -1,6 +1,5 @@
 #include "serving/harness.h"
 
-#include <chrono>
 #include <exception>
 #include <memory>
 #include <utility>
@@ -12,15 +11,6 @@
 namespace canvas::serving {
 
 namespace {
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
-}
 
 /// Materialize one tenant as an AppWorkload of open-loop streams plus its
 /// shared LoadControl block.
@@ -54,23 +44,13 @@ core::AppSpec BuildTenant(const TenantSpec& t, std::uint64_t seed,
 
 }  // namespace
 
-const char* ServingStatusName(ServingResult::Status s) {
-  switch (s) {
-    case ServingResult::Status::kOk: return "ok";
-    case ServingResult::Status::kDeadline: return "deadline";
-    case ServingResult::Status::kError: return "error";
-    case ServingResult::Status::kCancelled: return "cancelled";
-  }
-  return "?";
-}
-
 ServingResult RunServing(const ServingSpec& spec) {
   ServingResult r;
   r.index = spec.index;
   r.label = spec.label;
   r.system = spec.config.name;
   r.topology = spec.config.remote.topology;
-  auto t0 = std::chrono::steady_clock::now();
+  auto t0 = HostClock::now();
   try {
     std::vector<std::shared_ptr<workload::LoadControl>> controls;
     std::vector<core::AppSpec> apps;
@@ -141,9 +121,8 @@ ServingResult RunServing(const ServingSpec& spec) {
     r.status = ServingResult::Status::kError;
     r.error = ex.what();
   }
-  r.wall_sec = std::chrono::duration<double>(
-                   std::chrono::steady_clock::now() - t0)
-                   .count();
+  r.wall_sec = SecondsSince(t0);
+  r.peak_rss_bytes = PeakRssBytes();
   return r;
 }
 
@@ -159,7 +138,7 @@ void WriteServingJson(std::ostream& os,
     os << "    {\"index\": " << r.index << ", \"label\": \""
        << JsonEscape(r.label) << "\", \"system\": \"" << JsonEscape(r.system)
        << "\", \"topology\": \"" << JsonEscape(r.topology)
-       << "\", \"status\": \"" << ServingStatusName(r.status) << "\"";
+       << "\", \"status\": \"" << RunStatusName(r.status) << "\"";
     if (!r.error.empty())
       os << ", \"error\": \"" << JsonEscape(r.error) << "\"";
     if (r.executed()) {

@@ -11,7 +11,7 @@
 // request counts, cumulative fault-latency percentiles, windowed SLO
 // violation rates, and the QoS actions taken.
 //
-// Like RunSpec/SweepResult, everything here is a plain value: a serving
+// Like RunSpec/RunResult, everything here is a plain value: a serving
 // sweep report is a pure function of its ServingSpecs, byte-identical
 // across sweep jobs counts.
 #pragma once
@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "common/run.h"
 #include "core/config.h"
 #include "serving/qos.h"
 #include "workload/arrival.h"
@@ -92,16 +93,7 @@ struct TenantResult {
   SimTime finish_ns = 0;
 };
 
-struct ServingResult {
-  enum class Status : std::uint8_t { kOk, kDeadline, kError, kCancelled };
-
-  std::size_t index = 0;
-  std::string label;
-  std::string system;
-  std::string topology;
-  Status status = Status::kCancelled;
-  std::string error;
-
+struct ServingResult : RunRecord {
   // --- deterministic payload ---
   std::vector<TenantResult> tenants;
   std::uint64_t qos_ticks = 0;
@@ -112,16 +104,7 @@ struct ServingResult {
   /// Always false; kept only for perfbench/, and goes in the next benchmark
   /// change.
   bool parallel = false;
-
-  // --- timing payload (never byte-stable) ---
-  double wall_sec = 0;
-
-  bool executed() const {
-    return status == Status::kOk || status == Status::kDeadline;
-  }
 };
-
-const char* ServingStatusName(ServingResult::Status s);
 
 /// Execute one serving spec in the calling thread.
 ServingResult RunServing(const ServingSpec& spec);

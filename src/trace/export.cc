@@ -6,6 +6,8 @@
 #include <map>
 #include <set>
 
+#include "common/run.h"
+
 namespace canvas::trace {
 
 namespace {
@@ -25,15 +27,6 @@ std::string TidName(std::uint32_t pid, std::uint32_t tid) {
   }
   if (tid == kCgroupTrack) return "cgroup";
   return "thread-" + std::to_string(tid - 1);
-}
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
 }
 
 /// Chrome trace-event timestamps are microseconds; print with ns precision.

@@ -11,7 +11,7 @@
 
 #include "cgroup/cgroup.h"
 #include "core/report.h"
-#include "orchestrator/sweep.h"
+#include "orchestrator/churn.h"
 #include "workload/churn.h"
 
 namespace canvas::orchestrator {
@@ -263,8 +263,8 @@ TEST(Determinism, SweepIsByteIdenticalAcrossJobs) {
   serial.jobs = 1;
   SweepOptions wide;
   wide.jobs = 4;
-  ChurnSweepResult a = SweepEngine(serial).RunChurn(sc);
-  ChurnSweepResult b = SweepEngine(wide).RunChurn(sc);
+  ChurnSweepResult a = SweepEngine(serial).Run(sc);
+  ChurnSweepResult b = SweepEngine(wide).Run(sc);
   EXPECT_TRUE(a.all_ok) << Aggregate(a);
   EXPECT_EQ(Aggregate(a), Aggregate(b));
 }
@@ -273,8 +273,8 @@ TEST(Determinism, RunIsByteIdenticalWhenRepeated) {
   ChurnScenarioSpec sc = SweepScenario();
   sc.systems = {"canvas"};
   sc.seeds = {11};
-  ChurnSweepResult a = SweepEngine().RunChurn(sc);
-  ChurnSweepResult b = SweepEngine().RunChurn(sc);
+  ChurnSweepResult a = SweepEngine().Run(sc);
+  ChurnSweepResult b = SweepEngine().Run(sc);
   ASSERT_TRUE(a.all_ok) << Aggregate(a);
   EXPECT_EQ(Aggregate(a), Aggregate(b));
 }

@@ -114,6 +114,23 @@ TEST(Scenario, TopologyAxisExpandsAndLabels) {
   EXPECT_THROW(spec.Expand(), std::invalid_argument);
 }
 
+// Churn runs inherit the whole shared axis block, granularity included:
+// each granularity is its own run, and the non-default one is labelled.
+TEST(Scenario, ChurnExpandHonoursGranularityAxis) {
+  ChurnScenarioSpec spec;
+  spec.granularities = {"page", "object"};
+  auto runs = spec.Expand();
+  ASSERT_EQ(runs.size(), spec.RunCount());
+  ASSERT_EQ(runs.size(), 2u);
+  EXPECT_EQ(runs[0].label, "canvas/pool4/closed-loop/seed7");
+  EXPECT_EQ(runs[1].label, "canvas/pool4/closed-loop/seed7/object");
+  EXPECT_FALSE(runs[0].config.objects.enabled);
+  EXPECT_TRUE(runs[1].config.objects.enabled);
+
+  spec.granularities = {"block"};
+  EXPECT_THROW(spec.Expand(), std::invalid_argument);
+}
+
 // Pooled runs obey the same determinism contract as the rest of the sweep:
 // the aggregate is byte-identical for any worker-thread count.
 TEST(SweepEngine, TopologySweepAggregateByteIdenticalAcrossJobs) {
@@ -256,6 +273,78 @@ TEST(SweepEngine, BoundedConcurrencyRespectsMaxLive) {
   EXPECT_TRUE(r.all_ok);
   EXPECT_GE(engine.live_high_water(), 1u);
   EXPECT_LE(engine.live_high_water(), 2u);
+}
+
+// The serving and churn overloads run on the same pool, so they keep the
+// same cancellation and live-system contracts as batch runs. Both grids
+// below have four cheap runs.
+ServingScenarioSpec SmallServing() {
+  ServingScenarioSpec spec;
+  spec.seeds = {1, 2, 3, 4};
+  serving::TenantSpec t;
+  t.name = "frontend";
+  t.arrival.rate_rps = 20'000;
+  t.horizon = 20 * kMillisecond;
+  t.threads = 1;
+  t.footprint_pages = 2048;
+  spec.tenants = {t};
+  return spec;
+}
+
+ChurnScenarioSpec SmallChurn() {
+  ChurnScenarioSpec spec;
+  spec.seeds = {1, 2, 3, 4};
+  spec.churn.arrival_rate_per_sec = 200;
+  spec.churn.mean_lifetime = 10 * kMillisecond;
+  spec.churn.min_lifetime = 5 * kMillisecond;
+  spec.churn.horizon = 30 * kMillisecond;
+  spec.churn.max_concurrent = 4;
+  workload::TenantTemplate t;
+  t.app = "memcached";
+  t.scale = 0.01;
+  spec.churn.templates = {t};
+  return spec;
+}
+
+template <typename Scenario>
+void ExpectSerialCancellation(Scenario spec) {
+  spec.deadline = 1 * kMillisecond;  // every run fails fast
+  SweepOptions opts;
+  opts.jobs = 1;
+  opts.cancel_on_failure = true;
+  auto r = SweepEngine(opts).Run(spec);
+  EXPECT_TRUE(r.cancelled);
+  EXPECT_FALSE(r.all_ok);
+  ASSERT_EQ(r.runs.size(), 4u);
+  EXPECT_EQ(r.runs[0].status, RunStatus::kDeadline);
+  auto specs = spec.Expand();
+  for (std::size_t i = 1; i < r.runs.size(); ++i) {
+    EXPECT_EQ(r.runs[i].status, RunStatus::kCancelled);
+    EXPECT_EQ(r.runs[i].label, specs[i].label);  // slot kept
+  }
+}
+
+template <typename Scenario>
+void ExpectMaxLiveBound(const Scenario& spec) {
+  SweepOptions opts;
+  opts.jobs = 8;
+  opts.max_live = 2;
+  SweepEngine engine(opts);
+  auto r = engine.Run(spec);
+  EXPECT_TRUE(r.all_ok);
+  EXPECT_EQ(r.runs.size(), 4u);
+  EXPECT_GE(engine.live_high_water(), 1u);
+  EXPECT_LE(engine.live_high_water(), 2u);
+}
+
+TEST(SweepEngine, CancellationStopsDispatchForServingAndChurn) {
+  ExpectSerialCancellation(SmallServing());
+  ExpectSerialCancellation(SmallChurn());
+}
+
+TEST(SweepEngine, MaxLiveBoundsServingAndChurn) {
+  ExpectMaxLiveBound(SmallServing());
+  ExpectMaxLiveBound(SmallChurn());
 }
 
 // The sweep JSON is schema-versioned like every other machine-readable

@@ -379,13 +379,13 @@ TEST(ServingSweep, Jobs1Vs8ByteIdenticalReport) {
   orchestrator::SweepOptions serial_opts;
   serial_opts.jobs = 1;
   orchestrator::SweepEngine serial(serial_opts);
-  auto a = serial.RunServing(sc);
+  auto a = serial.Run(sc);
   ASSERT_TRUE(a.all_ok);
 
   orchestrator::SweepOptions par_opts;
   par_opts.jobs = 8;
   orchestrator::SweepEngine par(par_opts);
-  auto b = par.RunServing(sc);
+  auto b = par.Run(sc);
   ASSERT_TRUE(b.all_ok);
 
   std::ostringstream ja, jb;
@@ -400,7 +400,7 @@ TEST(ServingSweep, FlashCrowdLiftsOfferedLoadOverPoisson) {
   // siblings (8x rate inside the burst window).
   orchestrator::ServingScenarioSpec sc = SmallScenario();
   orchestrator::SweepEngine engine(orchestrator::SweepOptions{});
-  auto res = engine.RunServing(sc);
+  auto res = engine.Run(sc);
   ASSERT_TRUE(res.all_ok);
   // Index order: poisson/seed7, poisson/seed8, flash/seed7, flash/seed8.
   EXPECT_GT(res.runs[2].tenants[0].offered, res.runs[0].tenants[0].offered);
