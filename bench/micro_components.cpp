@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the hot paths of each substrate:
 // ablation evidence for the design choices called out in DESIGN.md §4
 // (intrusive LRU, hash-indexed swap cache, WFQ dequeue, detector updates,
-// event-queue throughput).
+// event-queue throughput, the swap-cache shrink pop and the timeliness
+// budget).
 #include <benchmark/benchmark.h>
 
 #include "common/rng.h"
@@ -11,6 +12,7 @@
 #include "prefetch/readahead.h"
 #include "runtime/runtime_info.h"
 #include "sched/fastswap.h"
+#include "sched/timeliness.h"
 #include "sched/two_dim.h"
 #include "sim/simulator.h"
 #include "swapalloc/cluster.h"
@@ -79,6 +81,42 @@ static void BM_SwapCacheInsertRemove(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SwapCacheInsertRemove);
+
+// Shrink pop plus the insert that refills the cache, with range(0) percent
+// of a full per-cgroup cache held locked (in flight) throughout. The
+// warm-up pass makes the locked entries the cache's oldest.
+static void BM_SwapCachePopLru(benchmark::State& state) {
+  const auto locked_pct = PageId(state.range(0));
+  constexpr PageId kPages = 8192;
+  mem::SwapCache cache("bench", kPages);
+  PageId next = 0;
+  for (; next < kPages; ++next)
+    cache.Insert(1, next, next % 100 < locked_pct, false, 0);
+  auto pop_refill = [&] {
+    mem::SwapCache::Entry e;
+    if (cache.PopLruUnlocked(e)) benchmark::DoNotOptimize(e.page);
+    cache.Insert(1, next++, false, false, 0);
+  };
+  for (PageId i = 0; i < kPages; ++i) pop_refill();
+  for (auto _ : state) pop_refill();
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SwapCachePopLru)->Arg(0)->Arg(50)->Arg(90);
+
+// One sample recorded into a full 256-sample window, then the budget read
+// that every prefetch dequeue makes.
+static void BM_TimelinessRecordThreshold(benchmark::State& state) {
+  sched::TimelinessTracker t;
+  Rng rng(3);
+  for (int i = 0; i < 256; ++i)
+    t.Record(1, SimDuration(rng.NextBounded(4000)) * kMicrosecond);
+  for (auto _ : state) {
+    t.Record(1, SimDuration(rng.NextBounded(4000)) * kMicrosecond);
+    benchmark::DoNotOptimize(t.Threshold(1));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_TimelinessRecordThreshold);
 
 static void BM_FreelistAllocate(benchmark::State& state) {
   sim::Simulator sim;

@@ -29,8 +29,10 @@ ctest --test-dir "$BUILD" --output-on-failure -j"$JOBS"
 # churn suite retires and reaps tenants mid-run (where stale-slot
 # use-after-frees would hide), and the object suite churns the object
 # registry and pins/unpins behaviour read-sets through the cooperative
-# channel, and the cli suite feeds canvasctl malformed flags, unknown axis
-# names and unreadable plans, so they always also run under ASan+UBSan.
+# channel, the cli suite feeds canvasctl malformed flags, unknown axis
+# names and unreadable plans, and the mem and sched suites drive the swap
+# cache's LRU relinking and the timeliness tracker's sorted window with
+# seeded random differentials, so they always also run under ASan+UBSan.
 # Skipped when the main build is already sanitized.
 if [ -z "${CANVAS_SANITIZE:-}" ] && [ "${CANVAS_NO_ASAN_FAULT:-0}" != "1" ]; then
   SAN_BUILD="${SAN_BUILD_DIR:-$ROOT/build-asan}"
@@ -38,9 +40,9 @@ if [ -z "${CANVAS_SANITIZE:-}" ] && [ "${CANVAS_NO_ASAN_FAULT:-0}" != "1" ]; the
   cmake --build "$SAN_BUILD" -j"$JOBS" \
     --target fault_injection_test fault_property_test trace_test \
              orchestrator_test remote_test serving_test workload_test \
-             tier_test churn_test object_test canvasctl
+             tier_test churn_test object_test mem_test sched_test canvasctl
   ctest --test-dir "$SAN_BUILD" \
-    -L 'fault|trace|orchestrator|remote|serving|tier|churn|object|cli' \
+    -L 'fault|trace|orchestrator|remote|serving|tier|churn|object|cli|mem|sched' \
     --output-on-failure -j"$JOBS"
 fi
 

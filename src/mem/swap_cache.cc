@@ -57,7 +57,7 @@ void SwapCache::Insert(CgroupId app, PageId page, bool locked, bool prefetched,
   assert(!index_.Contains(PackAppPage(app, page)));
   std::uint32_t slot = AcquireSlot();
   pool_[slot].entry = Entry{app, page, locked, prefetched, now};
-  LinkFront(slot);
+  if (!locked) LinkFront(slot);
   index_[PackAppPage(app, page)] = slot;
   ++inserts_;
 }
@@ -65,9 +65,12 @@ void SwapCache::Insert(CgroupId app, PageId page, bool locked, bool prefetched,
 void SwapCache::Unlock(CgroupId app, PageId page) {
   std::uint32_t* slot = index_.Find(PackAppPage(app, page));
   assert(slot != nullptr);
-  pool_[*slot].entry.locked = false;
+  Entry& e = pool_[*slot].entry;
   // Refresh: arrival counts as recency.
-  if (head_ != *slot) {
+  if (e.locked) {
+    e.locked = false;
+    LinkFront(*slot);
+  } else if (head_ != *slot) {
     UnlinkNode(*slot);
     LinkFront(*slot);
   }
@@ -76,30 +79,31 @@ void SwapCache::Unlock(CgroupId app, PageId page) {
 void SwapCache::Lock(CgroupId app, PageId page) {
   std::uint32_t* slot = index_.Find(PackAppPage(app, page));
   if (!slot) return;
-  pool_[*slot].entry.locked = true;
+  Entry& e = pool_[*slot].entry;
+  if (e.locked) return;
+  e.locked = true;
+  UnlinkNode(*slot);
 }
 
 bool SwapCache::Remove(CgroupId app, PageId page) {
   std::uint32_t* found = index_.Find(PackAppPage(app, page));
   if (!found) return false;
   std::uint32_t slot = *found;
-  UnlinkNode(slot);
+  if (!pool_[slot].entry.locked) UnlinkNode(slot);
   ReleaseSlot(slot);
   index_.Erase(PackAppPage(app, page));
   return true;
 }
 
 bool SwapCache::PopLruUnlocked(Entry& out) {
-  for (std::uint32_t slot = tail_; slot != kNil; slot = pool_[slot].prev) {
-    if (pool_[slot].entry.locked) continue;
-    out = pool_[slot].entry;
-    UnlinkNode(slot);
-    ReleaseSlot(slot);
-    index_.Erase(PackAppPage(out.app, out.page));
-    ++shrunk_;
-    return true;
-  }
-  return false;
+  if (tail_ == kNil) return false;
+  std::uint32_t slot = tail_;
+  out = pool_[slot].entry;
+  UnlinkNode(slot);
+  ReleaseSlot(slot);
+  index_.Erase(PackAppPage(out.app, out.page));
+  ++shrunk_;
+  return true;
 }
 
 }  // namespace canvas::mem

@@ -10,12 +10,16 @@
 //
 // Pages arrive `locked` while their RDMA transfer is in flight; only
 // unlocked pages are eligible for capacity shrinking. An internal LRU
-// provides the shrink order.
+// provides the shrink order, and only unlocked entries are on it: a locked
+// entry joins the head when it is unlocked and leaves the list when it is
+// (re-)locked, so the tail is always the next shrink victim and a shrink
+// pop is O(1) however many transfers are in flight.
 //
-// Layout: entries live in a slot pool (flat vector + free list) threaded
-// into an intrusive doubly-linked LRU; the (cgroup, page) index is a flat
-// open-addressing map over the packed 64-bit key. The per-page hot path
-// (lookup / insert / unlock / remove) allocates nothing in steady state.
+// Layout: entries live in a slot pool (flat vector + free list); unlocked
+// slots are threaded into an intrusive doubly-linked LRU; the (cgroup,
+// page) index is a flat open-addressing map over the packed 64-bit key.
+// The per-page hot path (lookup / insert / lock / unlock / remove / pop)
+// allocates nothing in steady state.
 #pragma once
 
 #include <cstdint>
@@ -55,18 +59,21 @@ class SwapCache {
   void Insert(CgroupId app, PageId page, bool locked, bool prefetched,
               SimTime now);
 
-  /// Mark an in-flight page's data as arrived; refreshes LRU position.
+  /// Mark an in-flight page's data as arrived; links it at the LRU head
+  /// (an already-unlocked entry moves to the head).
   void Unlock(CgroupId app, PageId page);
 
-  /// Re-lock a present entry (cooperative pin, DESIGN.md §16): locked
-  /// entries are exempt from PopLruUnlocked shrinking. No-op if absent.
+  /// Re-lock a present entry (cooperative pin, DESIGN.md §16): it leaves
+  /// the LRU, so it is exempt from PopLruUnlocked shrinking until the next
+  /// Unlock. No-op if absent or already locked.
   void Lock(CgroupId app, PageId page);
 
   /// Remove a page (mapped into the process, writeback finished, or
   /// released). Returns false if absent.
   bool Remove(CgroupId app, PageId page);
 
-  /// Pop the least-recently-inserted *unlocked* entry, or return false.
+  /// Pop the unlocked entry least recently inserted-unlocked or unlocked
+  /// (the LRU tail), or return false if every entry is locked. O(1).
   /// Used by the shrink path; the caller transitions the page state.
   bool PopLruUnlocked(Entry& out);
 
@@ -94,8 +101,8 @@ class SwapCache {
   std::uint64_t capacity_;
   std::vector<Node> pool_;
   std::uint32_t free_head_ = kNil;
-  std::uint32_t head_ = kNil;  // most recent
-  std::uint32_t tail_ = kNil;  // least recent
+  std::uint32_t head_ = kNil;  // most recent unlocked entry
+  std::uint32_t tail_ = kNil;  // least recent unlocked entry
   FlatMap64<std::uint32_t> index_;  // PackAppPage(app, page) -> pool slot
   mutable std::uint64_t lookups_ = 0;
   mutable std::uint64_t hits_ = 0;

@@ -6,9 +6,15 @@
 // estimated arrival would exceed the distribution's upper quantile is
 // useless (the page will have been wanted already) and is dropped. The same
 // threshold serves as the blocked-thread rescue timeout.
+//
+// The threshold is read on every prefetch dequeue and every rescue check,
+// far more often than a sample is recorded, so each window is kept twice:
+// a ring in arrival order (which sample leaves next) and a sorted copy of
+// the same multiset (which sample sits at the quantile). Record costs
+// O(log w + w) for a w-sample window (two binary searches plus the vector
+// shift of one erase and one insert); Threshold is one O(1) index.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -34,7 +40,9 @@ class TimelinessTracker {
   };
 
   TimelinessTracker() : TimelinessTracker(Config{}) {}
-  explicit TimelinessTracker(const Config& cfg) : cfg_(cfg) {}
+  /// Throws std::invalid_argument unless window >= 1,
+  /// 0 <= quantile <= 1 and floor <= ceiling.
+  explicit TimelinessTracker(const Config& cfg);
 
   /// Record that a prefetched page was accessed `dt` after its prefetch was
   /// issued.
@@ -52,7 +60,8 @@ class TimelinessTracker {
 
  private:
   struct State {
-    std::vector<SimDuration> ring;
+    std::vector<SimDuration> ring;    // arrival order
+    std::vector<SimDuration> sorted;  // the ring's samples, ascending
     std::size_t next = 0;
     std::uint64_t count = 0;
   };

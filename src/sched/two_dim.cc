@@ -1,5 +1,6 @@
 #include "sched/two_dim.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace canvas::sched {

@@ -1,6 +1,10 @@
 // Unit tests for the memory substrate: LRU lists and swap cache.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <list>
+#include <random>
+
 #include "mem/lru.h"
 #include "mem/swap_cache.h"
 
@@ -178,6 +182,133 @@ TEST(SwapCacheTest, ShrunkCounter) {
   SwapCache::Entry victim;
   c.PopLruUnlocked(victim);
   EXPECT_EQ(c.shrunk(), 1u);
+}
+
+/// Reference swap cache: one recency list holding every entry, locked or
+/// not; a shrink pop walks from the tail past locked entries.
+class ReferenceSwapCache {
+ public:
+  struct Item {
+    CgroupId app;
+    PageId page;
+    bool locked;
+  };
+
+  std::list<Item>::iterator Find(CgroupId app, PageId page) {
+    return std::find_if(items_.begin(), items_.end(), [&](const Item& i) {
+      return i.app == app && i.page == page;
+    });
+  }
+  const Item* Get(CgroupId app, PageId page) {
+    auto it = Find(app, page);
+    return it == items_.end() ? nullptr : &*it;
+  }
+  bool Contains(CgroupId app, PageId page) { return Get(app, page); }
+  void Insert(CgroupId app, PageId page, bool locked) {
+    items_.push_front({app, page, locked});
+  }
+  void Unlock(CgroupId app, PageId page) {
+    auto it = Find(app, page);
+    it->locked = false;
+    items_.splice(items_.begin(), items_, it);
+  }
+  void Lock(CgroupId app, PageId page) {
+    auto it = Find(app, page);
+    if (it != items_.end()) it->locked = true;
+  }
+  bool Remove(CgroupId app, PageId page) {
+    auto it = Find(app, page);
+    if (it == items_.end()) return false;
+    items_.erase(it);
+    return true;
+  }
+  bool PopLruUnlocked(Item& out) {
+    for (auto it = items_.rbegin(); it != items_.rend(); ++it) {
+      if (it->locked) continue;
+      out = *it;
+      items_.erase(std::next(it).base());
+      ++shrunk_;
+      return true;
+    }
+    return false;
+  }
+  std::size_t size() const { return items_.size(); }
+  std::uint64_t shrunk() const { return shrunk_; }
+
+ private:
+  std::list<Item> items_;
+  std::uint64_t shrunk_ = 0;
+};
+
+// Random Insert / Lock / Unlock / Remove / PopLruUnlocked on one cache
+// shared by two cgroups must pop exactly what the all-entries reference
+// pops, in the same order.
+TEST(SwapCacheTest, DifferentialAgainstAllEntriesReference) {
+  for (std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    SCOPED_TRACE(seed);
+    std::mt19937_64 rng(seed);
+    SwapCache c("t", 64);
+    ReferenceSwapCache ref;
+    auto pick = [&](std::uint64_t n) { return rng() % n; };
+    for (int step = 0; step < 20000; ++step) {
+      CgroupId app = CgroupId(1 + pick(2));
+      PageId page = PageId(pick(48));
+      const bool present = ref.Contains(app, page);
+      switch (pick(6)) {
+        case 0:
+        case 1:
+          if (!present) {
+            bool locked = pick(2) == 0;
+            c.Insert(app, page, locked, false, SimTime(step));
+            ref.Insert(app, page, locked);
+          }
+          break;
+        case 2:  // also unlocks already-unlocked entries
+          if (present) {
+            c.Unlock(app, page);
+            ref.Unlock(app, page);
+          }
+          break;
+        case 3:  // absent entries are a no-op on both
+          c.Lock(app, page);
+          ref.Lock(app, page);
+          break;
+        case 4:  // removes locked and unlocked entries alike
+          ASSERT_EQ(c.Remove(app, page), ref.Remove(app, page));
+          break;
+        case 5: {
+          SwapCache::Entry got;
+          ReferenceSwapCache::Item want;
+          bool popped = c.PopLruUnlocked(got);
+          ASSERT_EQ(popped, ref.PopLruUnlocked(want)) << "step " << step;
+          if (popped) {
+            ASSERT_EQ(got.app, want.app) << "step " << step;
+            ASSERT_EQ(got.page, want.page) << "step " << step;
+            ASSERT_FALSE(got.locked);
+          }
+          break;
+        }
+      }
+      ASSERT_EQ(c.size(), ref.size()) << "step " << step;
+      ASSERT_EQ(c.shrunk(), ref.shrunk()) << "step " << step;
+      const SwapCache::Entry* e = c.Lookup(app, page);
+      const ReferenceSwapCache::Item* want = ref.Get(app, page);
+      ASSERT_EQ(e != nullptr, want != nullptr);
+      if (e) {
+        ASSERT_EQ(e->locked, want->locked);
+      }
+    }
+    // Drain: the remaining unlocked entries pop in reference order too.
+    SwapCache::Entry got;
+    ReferenceSwapCache::Item want;
+    while (ref.PopLruUnlocked(want)) {
+      ASSERT_TRUE(c.PopLruUnlocked(got));
+      ASSERT_EQ(got.app, want.app);
+      ASSERT_EQ(got.page, want.page);
+    }
+    EXPECT_FALSE(c.PopLruUnlocked(got));
+    EXPECT_EQ(c.size(), ref.size());
+  }
 }
 
 }  // namespace

@@ -1,6 +1,13 @@
 // Unit tests for the RDMA dispatch schedulers and the timeliness tracker.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <deque>
+#include <map>
+#include <random>
+#include <stdexcept>
+
 #include "sched/fastswap.h"
 #include "sched/fifo.h"
 #include "sched/timeliness.h"
@@ -120,6 +127,84 @@ TEST(Timeliness, SlidingWindowForgetsOldSamples) {
   for (int i = 0; i < 16; ++i) t.Record(1, kMillisecond);
   for (int i = 0; i < 16; ++i) t.Record(1, kMicrosecond);
   EXPECT_LE(t.Threshold(1), kMicrosecond * 2);
+}
+
+TEST(Timeliness, RejectsEmptyWindow) {
+  TimelinessTracker::Config cfg;
+  cfg.window = 0;
+  EXPECT_THROW(TimelinessTracker{cfg}, std::invalid_argument);
+}
+
+TEST(Timeliness, RejectsQuantileOutsideUnitInterval) {
+  for (double q : {1.5, -0.1, std::nan("")}) {
+    TimelinessTracker::Config cfg;
+    cfg.quantile = q;
+    EXPECT_THROW(TimelinessTracker{cfg}, std::invalid_argument) << q;
+  }
+  for (double q : {0.0, 1.0}) {
+    TimelinessTracker::Config cfg;
+    cfg.quantile = q;
+    EXPECT_NO_THROW(TimelinessTracker{cfg}) << q;
+  }
+}
+
+TEST(Timeliness, RejectsFloorAboveCeiling) {
+  TimelinessTracker::Config cfg;
+  cfg.floor = 2 * kMillisecond;
+  cfg.ceiling = kMillisecond;
+  EXPECT_THROW(TimelinessTracker{cfg}, std::invalid_argument);
+  cfg.floor = cfg.ceiling;
+  EXPECT_NO_THROW(TimelinessTracker{cfg});
+}
+
+/// Reference threshold: copy the cgroup's last `window` samples, sort,
+/// index the quantile.
+SimDuration ReferenceThreshold(const TimelinessTracker::Config& cfg,
+                               const std::deque<SimDuration>& window) {
+  if (window.empty()) return cfg.initial_threshold;
+  std::vector<SimDuration> sorted(window.begin(), window.end());
+  std::sort(sorted.begin(), sorted.end());
+  auto idx = std::size_t(cfg.quantile * double(sorted.size() - 1));
+  return std::clamp(sorted[idx], cfg.floor, cfg.ceiling);
+}
+
+// Random samples (with many duplicates) across several cgroups, windows
+// that wrap many times, and Forget followed by reuse of the same id: the
+// sorted-window threshold must equal copy-and-sort after every Record.
+TEST(Timeliness, DifferentialAgainstCopyAndSort) {
+  for (std::size_t window : {std::size_t(1), std::size_t(7), std::size_t(256)}) {
+    for (double q : {0.0, 0.5, 0.9, 1.0}) {
+      SCOPED_TRACE(testing::Message() << "window " << window << " q " << q);
+      TimelinessTracker::Config cfg;
+      cfg.window = window;
+      cfg.quantile = q;
+      cfg.floor = 3 * kMicrosecond;
+      cfg.ceiling = 40 * kMicrosecond;
+      TimelinessTracker t(cfg);
+      std::map<CgroupId, std::deque<SimDuration>> ref;
+      std::mt19937_64 rng(window * 1000 + std::uint64_t(q * 100));
+      for (int step = 0; step < 4000; ++step) {
+        CgroupId cg = CgroupId(rng() % 3);
+        if (rng() % 500 == 0) {
+          t.Forget(cg);
+          ref.erase(cg);
+          ASSERT_EQ(t.samples(cg), 0u);
+          ASSERT_EQ(t.Threshold(cg), cfg.initial_threshold);
+          continue;
+        }
+        // 0..49 us: below the floor, inside the clamp and above the
+        // ceiling, with repeats.
+        SimDuration dt = SimDuration(rng() % 50) * kMicrosecond;
+        t.Record(cg, dt);
+        auto& w = ref[cg];
+        w.push_back(dt);
+        if (w.size() > window) w.pop_front();
+        for (CgroupId other = 0; other < 3; ++other)
+          ASSERT_EQ(t.Threshold(other), ReferenceThreshold(cfg, ref[other]))
+              << "step " << step << " cgroup " << other;
+      }
+    }
+  }
 }
 
 class TwoDimTest : public ::testing::Test {
