@@ -1,10 +1,11 @@
 // Micro-benchmarks (google-benchmark) for the hot paths of each substrate:
 // ablation evidence for the design choices called out in DESIGN.md §4
-// (intrusive LRU, hash-indexed swap cache, WFQ dequeue, detector updates,
-// event-queue throughput, the swap-cache shrink pop and the timeliness
-// budget).
+// (intrusive LRU, hash-indexed swap cache, WFQ dequeue over the backlog,
+// detector updates, event-queue throughput, the swap-cache shrink pop, the
+// timeliness budget and the pressured hot-page scan tick).
 #include <benchmark/benchmark.h>
 
+#include "cgroup/cgroup.h"
 #include "common/rng.h"
 #include "mem/lru.h"
 #include "mem/swap_cache.h"
@@ -17,6 +18,8 @@
 #include "sim/simulator.h"
 #include "swapalloc/cluster.h"
 #include "swapalloc/freelist.h"
+#include "swapalloc/partition.h"
+#include "swapalloc/reservation.h"
 
 using namespace canvas;
 
@@ -204,21 +207,63 @@ static void BM_FastswapDequeue(benchmark::State& state) {
 }
 BENCHMARK(BM_FastswapDequeue);
 
+// Dispatch with range(0) registered cgroups of which 3 are backlogged: the
+// cost follows the backlog, so 4 and 64 registered should match.
 static void BM_TwoDimDequeue(benchmark::State& state) {
+  const auto registered = CgroupId(state.range(0));
   sched::TwoDimScheduler::Config cfg;
   cfg.horizontal = false;
   sched::TwoDimScheduler s(cfg);
-  for (CgroupId c = 0; c < 4; ++c) s.RegisterCgroup(c, 1.0 + c);
+  for (CgroupId c = 0; c < registered; ++c) s.RegisterCgroup(c, 1.0 + c % 4);
+  const CgroupId busy[3] = {0, registered / 2, registered - 1};
   for (auto _ : state) {
     state.PauseTiming();
-    for (int i = 0; i < 64; ++i)
+    for (int i = 0; i < 63; ++i)
       s.Enqueue(MicroReq(i % 2 ? rdma::Op::kDemandIn : rdma::Op::kPrefetchIn,
-                         CgroupId(i % 4)));
+                         busy[i % 3]));
     state.ResumeTiming();
     while (auto r = s.Dequeue(rdma::Direction::kIngress, 0))
       benchmark::DoNotOptimize(r.get());
   }
+  state.SetItemsProcessed(state.iterations() * 63);
 }
-BENCHMARK(BM_TwoDimDequeue);
+BENCHMARK(BM_TwoDimDequeue)->Arg(4)->Arg(64);
+
+// One pressured hot-page scan tick (remote usage above the 75% threshold,
+// free slack above target: the tick bumps the scan generation and returns)
+// plus the LRU churn between two ticks — four evictions whose pages fault
+// straight back in at the active head — at scan windows of range(0)
+// pages. The scan is incremental, so the cost is flat in the window size
+// (an eager walk of the window costs a few ns per page).
+static void BM_ReservationPressuredTick(benchmark::State& state) {
+  constexpr PageId kPages = 16384;
+  sim::Simulator sim;
+  std::vector<mem::Page> pages(kPages);
+  mem::LruLists lru(pages);
+  for (PageId i = 0; i < kPages; ++i) {
+    pages[i].state = mem::PageState::kResident;
+    lru.AddActive(i);
+  }
+  swapalloc::SwapPartition partition(sim, "bench", 1000, {});
+  for (int i = 0; i < 800; ++i)
+    partition.allocator().Allocate(0, [](swapalloc::AllocResult) {});
+  sim.Run();
+  Cgroup cgroup(0, CgroupSpec{"bench", kPages, 1000, 64, 1.0, 1});
+  swapalloc::ReservationManager::Config cfg;
+  cfg.scan_pages = std::size_t(state.range(0));
+  swapalloc::ReservationManager m(sim, pages, lru, partition, cgroup, cfg);
+  m.Start();
+  for (auto _ : state) {
+    for (int i = 0; i < 4; ++i) {
+      PageId v = lru.EvictionCandidate();
+      lru.Remove(v);
+      lru.AddActive(v);
+    }
+    sim.RunUntil(sim.Now() + cfg.scan_period);
+  }
+  if (m.scans() == 0) state.SkipWithError("the tick never ran pressured");
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ReservationPressuredTick)->Arg(512)->Arg(2048)->Arg(8192);
 
 BENCHMARK_MAIN();

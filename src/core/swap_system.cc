@@ -1007,7 +1007,7 @@ void SwapSystem::MaybePromoteToTier(AppState& app, PageId page,
   std::uint32_t g = runtime::RuntimeInfo::GroupOf(page);
   bool group_hot = g < app.group_faults.size() &&
                    app.group_faults[g] >= cfg_.tier.promote_group_faults;
-  bool scan_hot = p.scan_hits >= 2;
+  bool scan_hot = app.lru->ScanHits(page) >= 2;
   if (!group_hot && !scan_hot) return;
   if (!tier_->Admit(WaiterKey(app, page), app.cg)) {
     ++app.metrics.tier_rejects;
@@ -1194,10 +1194,7 @@ void SwapSystem::RunThread(AppState& app, ThreadCtx& th) {
     // Fault: hand off to the fault path at the access instant.
     sim_.Schedule(elapsed, [this, a = &app, t = &th, acc = *acc] {
       BeginStall(*t);
-      HandleFault(*a, *t, acc, /*retry=*/false, [this, a, t, page = acc.page] {
-        EndStall(*a, *t, page);
-        RunThread(*a, *t);
-      });
+      HandleFault(*a, *t, acc, /*retry=*/false);
     });
     return;
   }
@@ -1226,9 +1223,13 @@ void SwapSystem::FinishThread(AppState& app, ThreadCtx& th,
 // Fault path
 // ---------------------------------------------------------------------------
 
+void SwapSystem::ResumeThread(AppState& app, ThreadCtx& th, PageId page) {
+  EndStall(app, th, page);
+  RunThread(app, th);
+}
+
 void SwapSystem::HandleFault(AppState& app, ThreadCtx& th,
-                             workload::Access acc, bool retry,
-                             std::function<void()> resume) {
+                             workload::Access acc, bool retry) {
   mem::Page& p = app.pages[acc.page];
   switch (p.state) {
     case mem::PageState::kResident: {
@@ -1236,48 +1237,49 @@ void SwapSystem::HandleFault(AppState& app, ThreadCtx& th,
       app.lru->Touch(acc.page);
       if (acc.write) MarkDirty(app, p);
       ++app.metrics.accesses;
-      sim_.Schedule(kSpuriousFaultCost, std::move(resume));
+      sim_.Schedule(kSpuriousFaultCost, [this, a = &app, t = &th,
+                                         page = acc.page] {
+        ResumeThread(*a, *t, page);
+      });
       return;
     }
     case mem::PageState::kUntouched: {
       if (!retry) {
         ++app.metrics.first_touches;
       }
-      EnsureFrame(app, th.core, [this, a = &app, t = &th, acc,
-                                 page = acc.page, write = acc.write,
-                                 resume = std::move(resume)] {
-        mem::Page& pg = a->pages[page];
+      EnsureFrame(app, th.core, [this, a = &app, t = &th, acc] {
+        mem::Page& pg = a->pages[acc.page];
         if (pg.state != mem::PageState::kUntouched) {
           // Another thread first-touched the page while we waited.
-          HandleFault(*a, *t, acc, /*retry=*/true, resume);
+          HandleFault(*a, *t, acc, /*retry=*/true);
           return;
         }
         pg.state = mem::PageState::kResident;
         pg.dirty = true;  // anonymous page with no backing store yet
         ++pg.content_version;
-        (void)write;
         cgroups_.Get(a->cg).ChargeResident();
-        a->lru->AddActive(page);
+        a->lru->AddActive(acc.page);
         ++a->metrics.accesses;
-        sim_.Schedule(cfg_.first_touch_cost, resume);
+        sim_.Schedule(cfg_.first_touch_cost, [this, a, t, page = acc.page] {
+          ResumeThread(*a, *t, page);
+        });
       });
       return;
     }
     case mem::PageState::kSwapCache:
-      FaultOnCachedPage(app, th, acc, retry, std::move(resume));
+      FaultOnCachedPage(app, th, acc, retry);
       return;
     case mem::PageState::kRemote:
       if (!retry) {
         ++app.metrics.faults;
       }
-      DemandSwapIn(app, th, acc, std::move(resume));
+      DemandSwapIn(app, th, acc);
       return;
   }
 }
 
 void SwapSystem::FaultOnCachedPage(AppState& app, ThreadCtx& th,
-                                   workload::Access acc, bool retry,
-                                   std::function<void()> resume) {
+                                   workload::Access acc, bool retry) {
   mem::Page& p = app.pages[acc.page];
   if (!retry) {
     ++app.metrics.faults;
@@ -1293,9 +1295,8 @@ void SwapSystem::FaultOnCachedPage(AppState& app, ThreadCtx& th,
       IssuePrefetches(app, prefetch::FaultInfo{app.cg, acc.page, th.tid,
                                                sim_.Now(),
                                                /*cache_hit=*/true});
-    auto refault = [this, a = &app, t = &th, acc,
-                    resume = std::move(resume)] {
-      HandleFault(*a, *t, acc, /*retry=*/true, resume);
+    auto refault = [this, a = &app, t = &th, acc] {
+      HandleFault(*a, *t, acc, /*retry=*/true);
     };
     if (p.in_flight && p.in_flight_prefetch && cfg_.horizontal_sched &&
         p.entry != kInvalidEntry) {
@@ -1344,8 +1345,7 @@ void SwapSystem::FaultOnCachedPage(AppState& app, ThreadCtx& th,
   // Plain minor fault: map the cached page. The fault is still
   // kernel-visible (the PTE was unmapped), so it feeds the prefetcher —
   // this is how readahead windows keep growing across their own hits.
-  sim_.Schedule(cfg_.map_cost, [this, a = &app, t = &th, acc,
-                                resume = std::move(resume)] {
+  sim_.Schedule(cfg_.map_cost, [this, a = &app, t = &th, acc] {
     mem::Page& pg = a->pages[acc.page];
     if (pg.state == mem::PageState::kSwapCache && !pg.in_flight &&
         !pg.under_writeback) {
@@ -1358,10 +1358,10 @@ void SwapSystem::FaultOnCachedPage(AppState& app, ThreadCtx& th,
       IssuePrefetches(*a,
                       prefetch::FaultInfo{a->cg, acc.page, t->tid, sim_.Now(),
                                           /*cache_hit=*/true});
-      resume();
+      ResumeThread(*a, *t, acc.page);
     } else {
       // Raced: re-fault.
-      HandleFault(*a, *t, acc, /*retry=*/true, resume);
+      HandleFault(*a, *t, acc, /*retry=*/true);
     }
   });
 }
@@ -1414,28 +1414,27 @@ void SwapSystem::MapCachedPage(AppState& app, PageId page) {
 }
 
 void SwapSystem::DemandSwapIn(AppState& app, ThreadCtx& th,
-                              workload::Access acc,
-                              std::function<void()> resume) {
+                              workload::Access acc) {
   ++app.metrics.faults_major;
   NoteTierHeat(app, acc.page);
-  prefetch::FaultInfo info{app.cg, acc.page, th.tid, sim_.Now(), false};
-  CoreId core = th.core;
   tracer_.Span(std::uint32_t(app.index), ThreadTrack(th),
                trace::Name::kSwapCacheLookup, sim_.Now(),
                sim_.Now() + cfg_.fault_entry_cost, acc.page);
-  // The trap/lookup cost precedes the charge + I/O issue.
-  sim_.Schedule(cfg_.fault_entry_cost, [this, a = &app, t = &th, acc, info,
-                                        core, resume = std::move(resume)] {
+  // The trap/lookup cost precedes the charge + I/O issue. The closures carry
+  // only the fault instant; the prefetcher's FaultInfo is rebuilt from it
+  // (keeping each hop inside InlineCallback's buffer).
+  sim_.Schedule(cfg_.fault_entry_cost, [this, a = &app, t = &th, acc,
+                                        fault_at = sim_.Now()] {
     mem::Page& p = a->pages[acc.page];
     if (p.state != mem::PageState::kRemote) {
       // Another thread started (or finished) handling this page meanwhile.
-      HandleFault(*a, *t, acc, /*retry=*/true, resume);
+      HandleFault(*a, *t, acc, /*retry=*/true);
       return;
     }
-    EnsureFrame(*a, core, [this, a, t, acc, info, resume] {
+    EnsureFrame(*a, t->core, [this, a, t, acc, fault_at] {
       mem::Page& pg = a->pages[acc.page];
       if (pg.state != mem::PageState::kRemote) {
-        HandleFault(*a, *t, acc, /*retry=*/true, resume);
+        HandleFault(*a, *t, acc, /*retry=*/true);
         return;
       }
       CgroupFor(*a, pg).ChargeCache();
@@ -1458,8 +1457,9 @@ void SwapSystem::DemandSwapIn(AppState& app, ThreadCtx& th,
       StampPool(*a, pg, *req, /*place=*/false);
       bool from_disk = pg.disk_backed;
       bool from_tier = pg.tier_backed;
-      req->on_complete = [this, a, t, page = acc.page, acc, expected,
-                          resume](const rdma::Request& r) {
+      req->on_complete = [this, a, t, acc,
+                          expected](const rdma::Request& r) {
+        PageId page = acc.page;
         if (tracer_.enabled()) {
           // Queueing and DMA windows from the request's own timestamps —
           // these abut, and both nest inside the thread's fault span.
@@ -1473,7 +1473,7 @@ void SwapSystem::DemandSwapIn(AppState& app, ThreadCtx& th,
         if (pg2.seq != expected) {
           // The page moved on (a stale rescue unlocked it early): resolve
           // the thread's access through a fresh fault instead.
-          HandleFault(*a, *t, acc, /*retry=*/true, resume);
+          HandleFault(*a, *t, acc, /*retry=*/true);
           return;
         }
         CheckSwapInOracle(*a, pg2, r);
@@ -1490,8 +1490,8 @@ void SwapSystem::DemandSwapIn(AppState& app, ThreadCtx& th,
         // (DESIGN.md §16); pins are always zero with the registry off.
         if (pg2.pins == 0) CacheFor(*a, pg2).Unlock(a->cg, page);
         pg2.in_flight = false;
-        sim_.Schedule(cfg_.map_cost, [this, a, t, page, acc, expected,
-                                      resume] {
+        sim_.Schedule(cfg_.map_cost, [this, a, t, acc, expected] {
+          PageId page = acc.page;
           mem::Page& pg3 = a->pages[page];
           if (pg3.seq == expected &&
               pg3.state == mem::PageState::kSwapCache && !pg3.in_flight &&
@@ -1503,11 +1503,11 @@ void SwapSystem::DemandSwapIn(AppState& app, ThreadCtx& th,
             if (acc.write) MarkDirty(*a, pg3);
             ++a->metrics.accesses;
             WakeWaiters(*a, page);
-            resume();
+            ResumeThread(*a, *t, page);
             return;
           }
           WakeWaiters(*a, page);
-          HandleFault(*a, *t, acc, /*retry=*/true, resume);
+          HandleFault(*a, *t, acc, /*retry=*/true);
         });
       };
       if (tier_ && from_tier) {
@@ -1526,7 +1526,8 @@ void SwapSystem::DemandSwapIn(AppState& app, ThreadCtx& th,
           };
         scheduler_->Enqueue(std::move(req));
       }
-      IssuePrefetches(*a, info);
+      IssuePrefetches(*a, prefetch::FaultInfo{a->cg, acc.page, t->tid,
+                                              fault_at, /*cache_hit=*/false});
       ShrinkCache(*a, a->cache->capacity());
     });
   });
@@ -1979,7 +1980,7 @@ void SwapSystem::SyncObjectMetrics(AppState& app) {
 // ---------------------------------------------------------------------------
 
 void SwapSystem::EnsureFrame(AppState& app, CoreId core,
-                             std::function<void()> granted) {
+                             sim::InlineCallback granted) {
   Cgroup& cg = cgroups_.Get(app.cg);
   if (cg.charged_pages() + 1 <= cg.spec().local_mem_pages) {
     granted();

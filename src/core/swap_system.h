@@ -244,7 +244,7 @@ class SwapSystem {
     // Direct-reclaim machinery: each faulting thread runs its own reclaim
     // chain (kernel direct reclaim), so concurrent faults from many threads
     // contend on the entry allocator exactly as in §3.
-    std::vector<std::function<void()>> frame_waiters;
+    std::vector<sim::InlineCallback> frame_waiters;
     std::uint32_t active_reclaimers = 0;
     bool reclaim_retry_scheduled = false;
     PageId strip_cursor = 0;
@@ -287,6 +287,8 @@ class SwapSystem {
 
   // --- thread execution ---
   void RunThread(AppState& app, ThreadCtx& th);
+  /// A resolved fault hands the thread back: EndStall, then RunThread.
+  void ResumeThread(AppState& app, ThreadCtx& th, PageId page);
   void FinishThread(AppState& app, ThreadCtx& th, SimDuration elapsed);
   /// Background reclaim keeping a free-frame watermark (kswapd analogue).
   void KswapdTick(AppState& app);
@@ -320,18 +322,19 @@ class SwapSystem {
   void SyncObjectMetrics(AppState& app);
 
   // --- fault path ---
+  // A fault's only continuation is ResumeThread on the faulting thread, so
+  // no closure travels down the path: each resolution calls it directly.
   void HandleFault(AppState& app, ThreadCtx& th, workload::Access acc,
-                   bool retry, std::function<void()> resume);
+                   bool retry);
   void FaultOnCachedPage(AppState& app, ThreadCtx& th, workload::Access acc,
-                         bool retry, std::function<void()> resume);
+                         bool retry);
   void MapCachedPage(AppState& app, PageId page);
-  void DemandSwapIn(AppState& app, ThreadCtx& th, workload::Access acc,
-                    std::function<void()> resume);
+  void DemandSwapIn(AppState& app, ThreadCtx& th, workload::Access acc);
   void IssuePrefetches(AppState& app, const prefetch::FaultInfo& info);
   void IssueRescueDemand(AppState& app, PageId page);
 
   // --- reclaim / eviction ---
-  void EnsureFrame(AppState& app, CoreId core, std::function<void()> granted);
+  void EnsureFrame(AppState& app, CoreId core, sim::InlineCallback granted);
   void GrantFrames(AppState& app);
   /// One direct-reclaim pass by one (simulated) thread: evicts up to
   /// `budget` pages, allocating swap entries sequentially.
@@ -465,7 +468,7 @@ class SwapSystem {
 
   /// Continuations blocked on an in-flight page, keyed by the packed
   /// (app index, page) composite key.
-  FlatMap64<std::vector<std::function<void()>>> waiters_;
+  FlatMap64<std::vector<sim::InlineCallback>> waiters_;
   /// Per-app cumulative NIC bytes at the previous sample (ingress, egress),
   /// for the sampler's bandwidth-rate counters.
   std::vector<std::array<double, 2>> sampler_last_bytes_;

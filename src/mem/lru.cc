@@ -24,10 +24,33 @@ void LruLists::PushHead(List& l, LruList which, PageId id) {
   l.head = id;
   if (l.tail == kInvalidPage) l.tail = id;
   ++l.count;
+  if (which != LruList::kActive || window_ == 0) return;
+  // The new head enters the scan window; a full window sheds its last page.
+  EnterWindow(id);
+  if (window_count_ < window_) {
+    ++window_count_;
+    if (window_last_ == kInvalidPage) window_last_ = id;
+  } else {
+    PageId out = window_last_;
+    window_last_ = pages_[out].lru_prev;
+    LeaveWindow(out);
+  }
 }
 
 void LruLists::Unlink(List& l, PageId id) {
   Page& p = pages_[id];
+  if (p.in_scan_window) {
+    // The first active page past the window moves up into it.
+    PageId next_in = pages_[window_last_].lru_next;
+    LeaveWindow(id);
+    if (next_in != kInvalidPage) {
+      EnterWindow(next_in);
+      window_last_ = next_in;
+    } else {
+      --window_count_;
+      if (window_last_ == id) window_last_ = p.lru_prev;
+    }
+  }
   if (p.lru_prev != kInvalidPage)
     pages_[p.lru_prev].lru_next = p.lru_next;
   else
@@ -103,6 +126,57 @@ PageId LruLists::EvictionCandidate() {
   for (PageId v = active_.tail; v != kInvalidPage; v = pages_[v].lru_prev)
     if (pages_[v].pins == 0) return v;
   return kInvalidPage;
+}
+
+void LruLists::EnterWindow(PageId id) {
+  Page& p = pages_[id];
+  p.in_scan_window = true;
+  p.scan_enter_gen = scan_gen_;
+}
+
+void LruLists::LeaveWindow(PageId id) {
+  Page& p = pages_[id];
+  FoldScanHits(p);
+  p.in_scan_window = false;
+}
+
+std::uint8_t LruLists::HitsAt(const Page& p, std::uint32_t gen) {
+  std::uint32_t scans = p.in_scan_window ? gen - p.scan_enter_gen : 0;
+  if (scans == 0) return p.scan_hits;
+  // Seen at every generation after it entered. If the page was also seen at
+  // the generation it entered on (it left and came back between two scans,
+  // or never left), the run continues; otherwise a new run starts.
+  return p.last_scan_gen == p.scan_enter_gen
+             ? std::uint8_t(p.scan_hits + scans)
+             : std::uint8_t(scans);
+}
+
+void LruLists::FoldScanHits(Page& p) {
+  if (p.scan_enter_gen == scan_gen_) return;
+  p.scan_hits = HitsAt(p, scan_gen_);
+  p.last_scan_gen = scan_gen_;
+  p.scan_enter_gen = scan_gen_;
+}
+
+std::uint8_t LruLists::ScanHits(PageId id) const {
+  return HitsAt(pages_[id], scan_gen_);
+}
+
+void LruLists::SetScanWindow(std::size_t n) {
+  // Fold and clear the old window, then mark the new one from the head.
+  for (PageId cur = active_.head;
+       cur != kInvalidPage && pages_[cur].in_scan_window;
+       cur = pages_[cur].lru_next)
+    LeaveWindow(cur);
+  window_ = n;
+  window_count_ = 0;
+  window_last_ = kInvalidPage;
+  for (PageId cur = active_.head; cur != kInvalidPage && window_count_ < n;
+       cur = pages_[cur].lru_next) {
+    EnterWindow(cur);
+    window_last_ = cur;
+    ++window_count_;
+  }
 }
 
 void LruLists::ScanActiveHead(std::size_t n, std::vector<PageId>& out) const {

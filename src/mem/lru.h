@@ -6,6 +6,14 @@
 //  - eviction takes from the inactive tail with a second-chance pass over
 //    the referenced bit;
 //  - the Canvas hot-page detector (§5.1) scans the active-list head.
+//
+// The hot-page scan is incremental. The lists track the scan window — the
+// first `n` active pages — as they change: a boundary pointer to the n-th
+// active page plus a per-page in-window bit. A scan is then one generation
+// bump (AdvanceScan); each page's consecutive-scan count is folded in only
+// when it leaves the window or a reader asks (ScanHits), from the
+// generation at which it entered. The counts equal an eager walk of the
+// first n pages at every scan, modulo 256 like the uint8_t they live in.
 #pragma once
 
 #include <cstdint>
@@ -35,9 +43,18 @@ class LruLists {
   /// victim is NOT removed; callers unmap it and then call Remove().
   PageId EvictionCandidate();
 
-  /// Copy the first `n` pages from the active-list head into `out`
-  /// (hot-page detection scan).
+  /// Copy the first `n` pages from the active-list head into `out`, in
+  /// list order (the scan's cancel passes and emergency reclaim).
   void ScanActiveHead(std::size_t n, std::vector<PageId>& out) const;
+
+  /// Track the first `n` active pages as the hot-page scan window (0 = no
+  /// window, the default: systems without a scan pay nothing).
+  void SetScanWindow(std::size_t n);
+  /// One hot-page scan of the window: O(1) whatever its size.
+  void AdvanceScan() { ++scan_gen_; }
+  /// Consecutive scans, up to the latest, that found `id` in the window
+  /// (mod 256; 0 if never seen).
+  std::uint8_t ScanHits(PageId id) const;
 
   std::uint64_t active_count() const { return active_.count; }
   std::uint64_t inactive_count() const { return inactive_.count; }
@@ -57,10 +74,21 @@ class LruLists {
   void PushHead(List& l, LruList which, PageId id);
   void Unlink(List& l, PageId id);
   void Rebalance();
+  void EnterWindow(PageId id);
+  void LeaveWindow(PageId id);
+  /// `p`'s consecutive-scan count as of generation `gen`.
+  static std::uint8_t HitsAt(const Page& p, std::uint32_t gen);
+  /// Write the scans since `p` entered the window into its stored count.
+  void FoldScanHits(Page& p);
 
   std::vector<Page>& pages_;
   List active_;
   List inactive_;
+  // Scan window: its capacity, occupancy, and last (n-th) page.
+  std::size_t window_ = 0;
+  std::size_t window_count_ = 0;
+  PageId window_last_ = kInvalidPage;
+  std::uint32_t scan_gen_ = 0;
 };
 
 }  // namespace canvas::mem

@@ -50,11 +50,21 @@ struct Page {
   /// exclusive with disk_backed (single-home invariant).
   bool tier_backed = false;
 
+  /// Hot-page detection (§5.1): count of consecutive active-list scans that
+  /// found this page near the head (mod 256), and the scan generation that
+  /// last saw it (used to detect "consecutive"). While the page sits in the
+  /// LRU's scan window both are stale by the scans since `scan_enter_gen`;
+  /// read them through LruLists::ScanHits.
+  std::uint8_t scan_hits = 0;
+
   /// Cooperative pin count (object subsystem, DESIGN.md §16): while
   /// non-zero the page belongs to an open behaviour's read-set — the LRU
   /// skips it for eviction and its swap-cache entry stays locked. Always
   /// zero with the object registry off.
   std::uint16_t pins = 0;
+
+  /// Among the first `scan_pages` active pages (LruLists scan window).
+  bool in_scan_window = false;
 
   /// Swap entry holding the current (or last written) remote copy;
   /// kInvalidEntry if the page has no remote copy.
@@ -63,11 +73,11 @@ struct Page {
   /// reservation holds (equals `entry` when both are set).
   SwapEntryId reserved = kInvalidEntry;
 
-  /// Hot-page detection (§5.1): count of consecutive active-list scans that
-  /// found this page near the head, and the scan generation that last saw it
-  /// (used to detect "consecutive").
-  std::uint8_t scan_hits = 0;
+  /// Scan generation that last saw the page (see scan_hits).
   std::uint32_t last_scan_gen = 0;
+  /// Scan generation current when the page last entered the scan window
+  /// (or had its hits folded); meaningful only while in_scan_window.
+  std::uint32_t scan_enter_gen = 0;
 
   /// Content oracle for the chaos tests: bumped every time the page's
   /// (simulated) contents change, i.e. on each store to a mapped page.
@@ -90,5 +100,9 @@ struct Page {
   bool HasRemoteCopy() const { return entry != kInvalidEntry; }
   bool NeedsWriteback() const { return dirty || entry == kInvalidEntry; }
 };
+
+// One page record per simulated 4 KB page: the per-tenant page table is the
+// largest allocation in a run, so the record must stay one cache line.
+static_assert(sizeof(Page) == 64, "mem::Page must stay 64 bytes");
 
 }  // namespace canvas::mem

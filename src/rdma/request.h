@@ -12,6 +12,7 @@
 #include <memory>
 
 #include "common/types.h"
+#include "sim/inline_callback.h"
 
 namespace canvas::rdma {
 
@@ -105,17 +106,21 @@ struct Request {
   std::int32_t server = -1;
 
   /// Fired exactly once at completion time (never if the request is
-  /// dropped by the scheduler or exhausts its retries).
-  std::function<void(const Request&)> on_complete;
+  /// dropped by the scheduler or exhausts its retries). Inline storage: the
+  /// fault-path closures fit the 56-byte buffer, so the only heap
+  /// allocation per RDMA operation is the request itself.
+  sim::InlineFunction<void(const Request&)> on_complete;
 
   /// Fired if the scheduler drops the request (stale prefetch).
-  std::function<void(const Request&)> on_drop;
+  sim::InlineFunction<void(const Request&)> on_drop;
 
   /// Fired when the NIC exhausts the retry budget; ownership of the request
   /// returns to the issuer, which may re-enqueue it (callbacks intact),
   /// redirect it to another backend, or unwind it. When absent the NIC
   /// falls back to on_drop. Exactly one of on_complete / on_drop / on_error
-  /// fires per request lifetime.
+  /// fires per request lifetime. A std::function: the NIC copies it out
+  /// before handing ownership back, and its captures fit the 16-byte
+  /// small-object buffer.
   std::function<void(std::unique_ptr<Request>)> on_error;
 };
 

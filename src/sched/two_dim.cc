@@ -1,12 +1,48 @@
 #include "sched/two_dim.h"
 
 #include <algorithm>
-#include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace canvas::sched {
 
 void TwoDimScheduler::RegisterCgroup(CgroupId cg, double weight) {
-  vqps_[cg].weight = weight > 0 ? weight : 1.0;
+  Vqp& vqp = vqps_[cg];
+  vqp.id = cg;
+  vqp.weight = weight > 0 ? weight : 1.0;
+}
+
+void TwoDimScheduler::ForgetCgroup(CgroupId cg) {
+  auto it = vqps_.find(cg);
+  if (it != vqps_.end()) {
+    Vqp& vqp = it->second;
+    if (vqp.Backlogged(rdma::Direction::kIngress) ||
+        vqp.Backlogged(rdma::Direction::kEgress))
+      throw std::logic_error("TwoDimScheduler::ForgetCgroup: cgroup " +
+                             std::to_string(cg) +
+                             " still has queued requests");
+    Unlist(vqp, 0);
+    Unlist(vqp, 1);
+    vqps_.erase(it);
+  }
+  timeliness_.Forget(cg);
+  DispatchScheduler::ForgetCgroup(cg);
+}
+
+void TwoDimScheduler::List(Vqp& vqp, std::size_t d) {
+  if (vqp.listed[d] != kUnlisted) return;
+  vqp.listed[d] = std::uint32_t(backlog_[d].size());
+  backlog_[d].push_back(&vqp);
+}
+
+void TwoDimScheduler::Unlist(Vqp& vqp, std::size_t d) {
+  std::uint32_t at = vqp.listed[d];
+  if (at == kUnlisted) return;
+  Vqp* last = backlog_[d].back();
+  backlog_[d][at] = last;
+  last->listed[d] = at;
+  backlog_[d].pop_back();
+  vqp.listed[d] = kUnlisted;
 }
 
 void TwoDimScheduler::Enqueue(rdma::RequestPtr req) {
@@ -28,6 +64,7 @@ void TwoDimScheduler::Enqueue(rdma::RequestPtr req) {
     case rdma::Op::kPrefetchIn: vqp.prefetch.push_back(std::move(req)); break;
     case rdma::Op::kSwapOut: vqp.swapout.push_back(std::move(req)); break;
   }
+  List(vqp, std::size_t(dir));
   KickNic(dir);
 }
 
@@ -77,6 +114,11 @@ std::vector<rdma::RequestPtr> TwoDimScheduler::DrainMatching(
     DrainQueue(vqp.prefetch, pred, out);
     DrainQueue(vqp.swapout, pred, out);
   }
+  for (std::size_t d = 0; d < 2; ++d)
+    for (std::size_t i = backlog_[d].size(); i-- > 0;) {
+      Vqp& vqp = *backlog_[d][i];
+      if (!vqp.Backlogged(rdma::Direction(d))) Unlist(vqp, d);
+    }
   return out;
 }
 
@@ -84,12 +126,15 @@ rdma::RequestPtr TwoDimScheduler::Dequeue(rdma::Direction dir, SimTime now) {
   auto d = std::size_t(dir);
   for (;;) {
     Vqp* best = nullptr;
-    for (auto& [cg, vqp] : vqps_) {
-      if (!vqp.Backlogged(dir)) continue;
-      if (!best || vqp.finish[d] < best->finish[d]) best = &vqp;
-    }
+    for (Vqp* vqp : backlog_[d])
+      if (!best || vqp->finish[d] < best->finish[d] ||
+          (vqp->finish[d] == best->finish[d] && vqp->id < best->id))
+        best = vqp;
     if (!best) return nullptr;
     rdma::RequestPtr req = PopHorizontal(*best, dir, now);
+    // Stale-prefetch drops may have emptied the VQP (and their on_drop may
+    // have refilled it through Enqueue).
+    if (!best->Backlogged(dir)) Unlist(*best, d);
     if (!req) continue;  // this cgroup's eligible work was all stale
     // Advance the served flow's virtual finish tag and the global clock.
     double start = std::max(best->finish[d], vclock_[d]);

@@ -17,11 +17,17 @@
 //
 // With `horizontal=false` this is the "isolation only" configuration of
 // §6.3: vertical fairness plus Fastswap-style sync/async priority.
+//
+// Dispatch cost tracks the backlog, not the tenant count: each direction
+// keeps the list of its backlogged VQPs, and a dequeue takes the minimum
+// (finish tag, cgroup id) over that list — the same VQP an ascending-id walk
+// of every registered cgroup with a strict `<` would pick.
 #pragma once
 
-#include <cassert>
+#include <cstdint>
 #include <deque>
 #include <map>
+#include <vector>
 
 #include "sched/scheduler.h"
 #include "sched/timeliness.h"
@@ -38,6 +44,9 @@ class TwoDimScheduler : public DispatchScheduler {
   TwoDimScheduler() : TwoDimScheduler(Config{}) {}
   explicit TwoDimScheduler(const Config& cfg)
       : cfg_(cfg), timeliness_(cfg.timeliness) {}
+  // backlog_ points into vqps_: a copy would alias the original's VQPs.
+  TwoDimScheduler(const TwoDimScheduler&) = delete;
+  TwoDimScheduler& operator=(const TwoDimScheduler&) = delete;
 
   /// Declare a cgroup with its fair-share weight (must precede Enqueue).
   void RegisterCgroup(CgroupId cg, double weight);
@@ -62,32 +71,29 @@ class TwoDimScheduler : public DispatchScheduler {
   std::vector<rdma::RequestPtr> DrainMatching(
       const std::function<bool(const rdma::Request&)>& pred) override;
   std::size_t QueueDepth(CgroupId cg) const override;
-  /// Drops the cgroup's VQP (must be empty — enforced) and its timeliness
-  /// window along with the base drop counters. The shared virtual clock is
-  /// untouched: tags of other cgroups keep their rank.
-  void ForgetCgroup(CgroupId cg) override {
-    auto it = vqps_.find(cg);
-    if (it != vqps_.end()) {
-      assert(!it->second.Backlogged(rdma::Direction::kIngress) &&
-             !it->second.Backlogged(rdma::Direction::kEgress) &&
-             "retiring cgroup still has queued requests");
-      vqps_.erase(it);
-    }
-    timeliness_.Forget(cg);
-    DispatchScheduler::ForgetCgroup(cg);
-  }
+  /// Drops the cgroup's VQP and its timeliness window along with the base
+  /// drop counters. The shared virtual clock is untouched: tags of other
+  /// cgroups keep their rank. Throws std::logic_error (and changes nothing)
+  /// if the cgroup still has queued requests: erasing them would silently
+  /// lose their on_complete / on_drop.
+  void ForgetCgroup(CgroupId cg) override;
   const char* name() const override { return "two-dim"; }
 
   TimelinessTracker& timeliness() { return timeliness_; }
   const TimelinessTracker& timeliness() const { return timeliness_; }
 
  private:
+  static constexpr std::uint32_t kUnlisted = 0xFFFF'FFFFu;
+
   struct Vqp {
+    CgroupId id = kInvalidCgroup;
     double weight = 1.0;
     std::deque<rdma::RequestPtr> demand;
     std::deque<rdma::RequestPtr> prefetch;
     std::deque<rdma::RequestPtr> swapout;
     double finish[2] = {0, 0};  // virtual finish tag per direction
+    /// Position in backlog_[dir], kUnlisted while not backlogged.
+    std::uint32_t listed[2] = {kUnlisted, kUnlisted};
 
     bool Backlogged(rdma::Direction dir) const {
       return dir == rdma::Direction::kEgress
@@ -100,9 +106,17 @@ class TwoDimScheduler : public DispatchScheduler {
   /// prefetches. Returns nullptr if everything eligible was dropped.
   rdma::RequestPtr PopHorizontal(Vqp& vqp, rdma::Direction dir, SimTime now);
 
+  /// Add `vqp` to / drop it from backlog_[d] (no-op if already there /
+  /// absent). Callers keep "listed iff Backlogged" after every queue
+  /// change.
+  void List(Vqp& vqp, std::size_t d);
+  void Unlist(Vqp& vqp, std::size_t d);
+
   Config cfg_;
   TimelinessTracker timeliness_;
-  std::map<CgroupId, Vqp> vqps_;
+  std::map<CgroupId, Vqp> vqps_;  // node-based: Vqp pointers stay valid
+  /// Backlogged VQPs per direction, in no particular order.
+  std::vector<Vqp*> backlog_[2];
   double vclock_[2] = {0, 0};
 };
 

@@ -1,42 +1,55 @@
-// Small-buffer-optimized, move-only callback for the event hot path.
+// Small-buffer-optimized, move-only callables for the event and fault hot
+// paths.
 //
-// Every simulated event carries a closure; with std::function the typical
-// capture set in this codebase (this + two or three pointers + a few
-// scalars) exceeds libstdc++'s 16-byte small-object buffer and costs one
-// heap allocation per event. InlineCallback stores captures up to
-// kInlineSize bytes directly inside the object (56 bytes of payload — the
-// object is exactly one 64-byte cache line including its dispatch pointer),
-// falling back to the heap only for oversized or throwing-move captures.
+// Every simulated event carries a closure, and most fault-path hops carry
+// another (request completions, frame grants, page waiters, allocator and
+// lock continuations). With std::function the typical capture set in this
+// codebase (this + two or three pointers + a few scalars) exceeds
+// libstdc++'s 16-byte small-object buffer and costs one heap allocation per
+// hop. InlineFunction<R(Args...)> stores captures up to kInlineSize bytes
+// directly inside the object (56 bytes of payload — the object is exactly
+// one 64-byte cache line including its dispatch pointer), falling back to
+// the heap only for oversized or throwing-move captures. InlineCallback is
+// the void() case every event carries.
 //
 // Unlike std::function it is move-only, so it also accepts move-only
 // captures (e.g. a captured std::unique_ptr) without std::function's
-// copyability requirement.
+// copyability requirement. Like std::function, constructing it from a null
+// function pointer or an empty std::function yields an empty callable.
 #pragma once
 
 #include <cassert>
 #include <cstddef>
 #include <cstring>
+#include <functional>
 #include <new>
 #include <type_traits>
 #include <utility>
 
 namespace canvas::sim {
 
-class InlineCallback {
+template <typename Signature>
+class InlineFunction;
+
+template <typename R, typename... Args>
+class InlineFunction<R(Args...)> {
  public:
   /// Inline capture payload in bytes; one cache line total with ops_.
   static constexpr std::size_t kInlineSize = 56;
 
-  InlineCallback() noexcept = default;
-  InlineCallback(std::nullptr_t) noexcept {}  // NOLINT(runtime/explicit)
+  InlineFunction() noexcept = default;
+  InlineFunction(std::nullptr_t) noexcept {}  // NOLINT(runtime/explicit)
 
   template <typename F,
             typename = std::enable_if_t<!std::is_same_v<
-                std::decay_t<F>, InlineCallback>>>
-  InlineCallback(F&& fn) {  // NOLINT(runtime/explicit)
+                std::decay_t<F>, InlineFunction>>>
+  InlineFunction(F&& fn) {  // NOLINT(runtime/explicit)
     using Fn = std::decay_t<F>;
-    static_assert(std::is_invocable_r_v<void, Fn&>,
-                  "InlineCallback requires a void() callable");
+    static_assert(std::is_invocable_r_v<R, Fn&, Args...>,
+                  "InlineFunction target does not match its signature");
+    if constexpr (kNullable<Fn>) {
+      if (!fn) return;  // empty target -> empty callable (std::function)
+    }
     if constexpr (kFitsInline<Fn>) {
       ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(fn));
       ops_ = &kInlineOps<Fn>;
@@ -46,14 +59,17 @@ class InlineCallback {
     }
   }
 
-  InlineCallback(InlineCallback&& other) noexcept : ops_(other.ops_) {
+  static_assert(kInlineSize % alignof(std::max_align_t) == 8,
+                "ops_ must pad the buffer out to a cache line");
+
+  InlineFunction(InlineFunction&& other) noexcept : ops_(other.ops_) {
     if (ops_) {
       Relocate(ops_, buf_, other.buf_);
       other.ops_ = nullptr;
     }
   }
 
-  InlineCallback& operator=(InlineCallback&& other) noexcept {
+  InlineFunction& operator=(InlineFunction&& other) noexcept {
     if (this != &other) {
       Reset();
       ops_ = other.ops_;
@@ -65,14 +81,17 @@ class InlineCallback {
     return *this;
   }
 
-  InlineCallback(const InlineCallback&) = delete;
-  InlineCallback& operator=(const InlineCallback&) = delete;
+  InlineFunction(const InlineFunction&) = delete;
+  InlineFunction& operator=(const InlineFunction&) = delete;
 
-  ~InlineCallback() { Reset(); }
+  ~InlineFunction() { Reset(); }
 
-  void operator()() {
-    assert(ops_ && "invoking an empty InlineCallback");
-    ops_->invoke(buf_);
+  /// Const like std::function's call operator (the target itself may
+  /// mutate its captures), so const holders such as a `const Request&` can
+  /// fire it.
+  R operator()(Args... args) const {
+    assert(ops_ && "invoking an empty InlineFunction");
+    return ops_->invoke(buf_, std::forward<Args>(args)...);
   }
 
   explicit operator bool() const noexcept { return ops_ != nullptr; }
@@ -83,7 +102,7 @@ class InlineCallback {
 
  private:
   struct Ops {
-    void (*invoke)(void*);
+    R (*invoke)(void*, Args&&...);
     /// Move-construct the callable at `dst` from `src`, then destroy `src`.
     /// nullptr marks a trivially relocatable callable (every trivially
     /// copyable inline capture, and the heap case — moving a raw pointer):
@@ -109,14 +128,37 @@ class InlineCallback {
     }
   }
 
+  template <typename T>
+  struct IsStdFunction : std::false_type {};
+  template <typename S>
+  struct IsStdFunction<std::function<S>> : std::true_type {};
+
+  /// Targets that can be empty: a null function / member pointer or an
+  /// empty std::function must not produce a callable that tests true.
+  template <typename Fn>
+  static constexpr bool kNullable = std::is_pointer_v<Fn> ||
+                                    std::is_member_pointer_v<Fn> ||
+                                    IsStdFunction<Fn>::value;
+
   template <typename Fn>
   static constexpr bool kFitsInline =
       sizeof(Fn) <= kInlineSize && alignof(Fn) <= alignof(std::max_align_t) &&
       std::is_nothrow_move_constructible_v<Fn>;
 
   template <typename Fn>
+  static R Invoke(Fn& fn, Args&&... args) {
+    if constexpr (std::is_void_v<R>)
+      std::invoke(fn, std::forward<Args>(args)...);
+    else
+      return std::invoke(fn, std::forward<Args>(args)...);
+  }
+
+  template <typename Fn>
   static constexpr Ops kInlineOps = {
-      [](void* p) { (*std::launder(reinterpret_cast<Fn*>(p)))(); },
+      [](void* p, Args&&... args) -> R {
+        return Invoke(*std::launder(reinterpret_cast<Fn*>(p)),
+                      std::forward<Args>(args)...);
+      },
       std::is_trivially_copyable_v<Fn>
           ? nullptr
           : +[](void* dst, void* src) noexcept {
@@ -134,7 +176,10 @@ class InlineCallback {
 
   template <typename Fn>
   static constexpr Ops kHeapOps = {
-      [](void* p) { (**std::launder(reinterpret_cast<Fn**>(p)))(); },
+      [](void* p, Args&&... args) -> R {
+        return Invoke(**std::launder(reinterpret_cast<Fn**>(p)),
+                      std::forward<Args>(args)...);
+      },
       /*relocate=*/nullptr,  // relocating a Fn* is a memcpy
       [](void* p) noexcept { delete *std::launder(reinterpret_cast<Fn**>(p)); },
       /*inline_storage=*/false,
@@ -147,8 +192,13 @@ class InlineCallback {
     }
   }
 
+  // Buffer first: with ops_ after it the object is 56 + 8 = 64 bytes even
+  // though the buffer is max_align_t-aligned.
+  alignas(std::max_align_t) mutable unsigned char buf_[kInlineSize];
   const Ops* ops_ = nullptr;
-  alignas(std::max_align_t) unsigned char buf_[kInlineSize];
 };
+
+/// The callback every simulated event carries.
+using InlineCallback = InlineFunction<void()>;
 
 }  // namespace canvas::sim

@@ -26,8 +26,10 @@ void SimMutex::Grant(Request req) {
       std::min(1.0 + alpha_ * double(queue_.size()), max_factor_);
   auto hold = SimDuration(double(req.base_hold) * factor);
   hold_stats_.Add(double(hold));
-  sim_.Schedule(hold, [this, wait, hold, done = std::move(req.done)]() {
+  std::uint32_t slot = holders_.Put(std::move(req.done));
+  sim_.Schedule(hold, [this, wait, hold, slot] {
     held_ = false;
+    Done done = holders_.Take(slot);
     if (done) done(wait, hold);
     if (!queue_.empty()) {
       Request next = std::move(queue_.front());

@@ -14,11 +14,12 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 
 #include "common/stats.h"
 #include "common/types.h"
+#include "sim/inline_callback.h"
 #include "sim/simulator.h"
+#include "sim/slot_pool.h"
 
 namespace canvas::sim {
 
@@ -26,7 +27,7 @@ class SimMutex {
  public:
   /// Invoked when the critical section completes; receives the time spent
   /// waiting for the lock and the time spent holding it.
-  using Done = std::function<void(SimDuration wait, SimDuration hold)>;
+  using Done = InlineFunction<void(SimDuration wait, SimDuration hold)>;
 
   SimMutex(Simulator& sim, double contention_alpha = 0.15,
            double max_contention_factor = 3.0)
@@ -60,6 +61,11 @@ class SimMutex {
   double alpha_;
   double max_factor_;
   bool held_ = false;
+  /// Holders' continuations, parked so the release event captures only a
+  /// slot index and stays inline. More than one can be live: a holder's
+  /// `done` may re-take the freed lock just before the next waiter is
+  /// granted.
+  SlotPool<Done> holders_;
   std::deque<Request> queue_;
   StreamingStats wait_stats_;
   StreamingStats hold_stats_;

@@ -18,11 +18,11 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 
 #include "common/stats.h"
 #include "common/types.h"
+#include "sim/inline_callback.h"
 #include "sim/simulator.h"
 
 namespace canvas::swapalloc {
@@ -35,7 +35,9 @@ struct AllocResult {
 
 class SwapEntryAllocator {
  public:
-  using Done = std::function<void(AllocResult)>;
+  /// Move-only and inline: implementations park it in a sim::SlotPool
+  /// while the request queues on their locks, so no hop allocates.
+  using Done = sim::InlineFunction<void(AllocResult)>;
 
   virtual ~SwapEntryAllocator() = default;
 

@@ -46,42 +46,44 @@ void ClusterAllocator::Allocate(CoreId core, Done done) {
     core_cluster_.resize(core + 1, kNoCluster);
     core_cache_.resize(core + 1);
   }
+  std::uint32_t slot = pending_.Put(Pending{std::move(done), core});
   // Batched entries from a previous lock acquisition are handed out without
   // touching any lock.
   if (!core_cache_[core].empty()) {
     SwapEntryId e = core_cache_[core].back();
     core_cache_[core].pop_back();
-    sim_.Schedule(cfg_.cache_pop_cost, [this, e, done = std::move(done)] {
+    sim_.Schedule(cfg_.cache_pop_cost, [this, e, slot] {
       AllocResult r;
       r.entry = e;
       r.hold = cfg_.cache_pop_cost;
       RecordAlloc(sim_.Now(), r);
-      done(r);
+      Finish(slot, r);
     });
     return;
   }
   // si->lock: brief global critical section on every allocation path
   // (availability counters), before the per-cluster work.
-  global_mutex_.Execute(cfg_.si_lock_hold, [this, core,
-                                            done = std::move(done)](
-                                               SimDuration wait,
-                                               SimDuration hold) mutable {
-    std::uint32_t ci = core_cluster_[core];
+  global_mutex_.Execute(cfg_.si_lock_hold, [this, slot](SimDuration wait,
+                                                        SimDuration hold) {
+    std::uint32_t ci = core_cluster_[pending_[slot].core];
     if (ci != kNoCluster && !clusters_[ci].free.empty()) {
-      AllocateFromCluster(core, ci, std::move(done), wait, hold);
+      AllocateFromCluster(slot, ci, wait, hold);
       return;
     }
-    SwitchCluster(core, [wait, hold, done = std::move(done)](
-                            AllocResult r) mutable {
-      r.wait += wait;
-      r.hold += hold;
-      done(r);
-    });
+    SwitchCluster(slot, wait, hold);
   });
 }
 
-void ClusterAllocator::AllocateFromCluster(CoreId core, std::uint32_t ci,
-                                           Done done, SimDuration prior_wait,
+void ClusterAllocator::Finish(std::uint32_t slot, AllocResult r) {
+  Pending p = pending_.Take(slot);
+  r.wait += p.carry_wait;
+  r.hold += p.carry_hold;
+  p.done(r);
+}
+
+void ClusterAllocator::AllocateFromCluster(std::uint32_t slot,
+                                           std::uint32_t ci,
+                                           SimDuration prior_wait,
                                            SimDuration prior_hold) {
   Cluster& cl = clusters_[ci];
   // A cluster shared by several cores costs more per allocation: its free
@@ -98,10 +100,11 @@ void ClusterAllocator::AllocateFromCluster(CoreId core, std::uint32_t ci,
   if (cfg_.batch_size > 1)
     hold = SimDuration(double(hold) *
                        (1.0 + cfg_.batch_scan_coeff * (cfg_.batch_size - 1)));
-  cl.mutex->Execute(hold, [this, core, ci, prior_wait, prior_hold,
-                           done = std::move(done)](SimDuration wait,
-                                                   SimDuration hold_actual) {
+  cl.mutex->Execute(hold, [this, slot, ci, prior_wait,
+                           prior_hold](SimDuration wait,
+                                       SimDuration hold_actual) {
     Cluster& cl2 = clusters_[ci];
+    CoreId core = pending_[slot].core;
     AllocResult r;
     r.wait = prior_wait + wait;
     r.hold = prior_hold + hold_actual;
@@ -119,17 +122,13 @@ void ClusterAllocator::AllocateFromCluster(CoreId core, std::uint32_t ci,
         ++used_;
       }
       RecordAlloc(sim_.Now(), r);
-      done(r);
+      Finish(slot, r);
       return;
     }
-    // Raced with another core that drained the cluster: switch and retry.
+    // Raced with another core that drained the cluster: switch and retry,
+    // carrying the accumulated cost through the retry.
     DetachCore(core);
-    // Carry the accumulated cost through the retry.
-    SwitchCluster(core, [r, done = std::move(done)](AllocResult r2) mutable {
-      r2.wait += r.wait;
-      r2.hold += r.hold;
-      done(r2);
-    });
+    SwitchCluster(slot, r.wait, r.hold);
   });
 }
 
@@ -145,15 +144,18 @@ std::uint32_t ClusterAllocator::PickSharedCluster() {
   return kNoCluster;
 }
 
-void ClusterAllocator::SwitchCluster(CoreId core, Done done) {
-  global_mutex_.Execute(cfg_.global_hold, [this, core, done = std::move(done)](
-                                              SimDuration wait,
-                                              SimDuration hold) mutable {
+void ClusterAllocator::SwitchCluster(std::uint32_t slot, SimDuration wait,
+                                     SimDuration hold) {
+  pending_[slot].carry_wait += wait;
+  pending_[slot].carry_hold += hold;
+  global_mutex_.Execute(cfg_.global_hold, [this, slot](SimDuration wait,
+                                                       SimDuration hold) {
+    CoreId core = pending_[slot].core;
     // A concurrent allocation from this core may have attached a cluster
     // while we queued on the global lock: use it instead of switching.
     std::uint32_t cur = core_cluster_[core];
     if (cur != kNoCluster && !clusters_[cur].free.empty()) {
-      AllocateFromCluster(core, cur, std::move(done), wait, hold);
+      AllocateFromCluster(slot, cur, wait, hold);
       return;
     }
     DetachCore(core);
@@ -170,12 +172,12 @@ void ClusterAllocator::SwitchCluster(CoreId core, Done done) {
       AllocResult r;  // partition full
       r.wait = wait;
       r.hold = hold;
-      done(r);
+      Finish(slot, r);
       return;
     }
     core_cluster_[core] = ci;
     ++clusters_[ci].owners;
-    AllocateFromCluster(core, ci, std::move(done), wait, hold);
+    AllocateFromCluster(slot, ci, wait, hold);
   });
 }
 

@@ -15,6 +15,7 @@
 
 #include "common/rng.h"
 #include "sim/sim_mutex.h"
+#include "sim/slot_pool.h"
 #include "swapalloc/allocator.h"
 
 namespace canvas::swapalloc {
@@ -70,11 +71,26 @@ class ClusterAllocator : public SwapEntryAllocator {
     bool in_free_list = false;
   };
 
+  /// One allocation in progress. Every lock hop captures only its slot, so
+  /// the continuation is never re-wrapped (and never heap-allocated).
+  struct Pending {
+    Done done;
+    CoreId core = 0;
+    /// Lock time spent on hops before a cluster switch. The caller sees it
+    /// added to the result; RecordAlloc does not (it records only the
+    /// cluster lock and the global-lock hop that led to it).
+    SimDuration carry_wait = 0;
+    SimDuration carry_hold = 0;
+  };
+
   static constexpr std::uint32_t kNoCluster = 0xFFFFFFFFu;
 
-  void AllocateFromCluster(CoreId core, std::uint32_t ci, Done done,
+  void AllocateFromCluster(std::uint32_t slot, std::uint32_t ci,
                            SimDuration prior_wait, SimDuration prior_hold);
-  void SwitchCluster(CoreId core, Done done);
+  /// Retry on another cluster, carrying `wait`/`hold` spent so far.
+  void SwitchCluster(std::uint32_t slot, SimDuration wait, SimDuration hold);
+  /// Deliver `r` (plus carried time) to the caller and free the slot.
+  void Finish(std::uint32_t slot, AllocResult r);
   std::uint32_t PickSharedCluster();
   void DetachCore(CoreId core);
 
@@ -87,6 +103,7 @@ class ClusterAllocator : public SwapEntryAllocator {
   std::vector<std::uint32_t> free_clusters_;  // fully-free, unassigned
   std::vector<std::uint32_t> core_cluster_;   // per-core current cluster
   std::vector<std::vector<SwapEntryId>> core_cache_;  // batched entries
+  sim::SlotPool<Pending> pending_;
   std::uint64_t used_ = 0;
   std::uint64_t fallbacks_ = 0;
 };

@@ -24,9 +24,9 @@ SimDuration FreelistAllocator::CurrentHold() const {
 }
 
 void FreelistAllocator::Allocate(CoreId /*core*/, Done done) {
-  mutex_.Execute(CurrentHold(),
-                 [this, done = std::move(done)](SimDuration wait,
-                                                SimDuration hold) {
+  std::uint32_t slot = pending_.Put(std::move(done));
+  mutex_.Execute(CurrentHold(), [this, slot](SimDuration wait,
+                                             SimDuration hold) {
     AllocResult r;
     r.wait = wait;
     r.hold = hold;
@@ -36,7 +36,7 @@ void FreelistAllocator::Allocate(CoreId /*core*/, Done done) {
       ++used_;
       RecordAlloc(sim_.Now(), r);
     }
-    done(r);
+    pending_.Take(slot)(r);
   });
 }
 

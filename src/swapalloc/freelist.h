@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "sim/sim_mutex.h"
+#include "sim/slot_pool.h"
 #include "swapalloc/allocator.h"
 
 namespace canvas::swapalloc {
@@ -46,6 +47,7 @@ class FreelistAllocator : public SwapEntryAllocator {
   sim::SimMutex mutex_;
   std::uint64_t used_ = 0;
   std::vector<SwapEntryId> free_;  // stack of free entries
+  sim::SlotPool<Done> pending_;    // callers queued on mutex_
 };
 
 }  // namespace canvas::swapalloc

@@ -8,7 +8,9 @@ ReservationManager::ReservationManager(sim::Simulator& sim,
                                        SwapPartition& partition,
                                        Cgroup& cgroup, Config cfg)
     : sim_(sim), pages_(pages), lru_(lru), partition_(partition),
-      cgroup_(cgroup), cfg_(cfg) {}
+      cgroup_(cgroup), cfg_(cfg) {
+  lru_.SetScanWindow(cfg_.scan_pages);
+}
 
 void ReservationManager::Start() {
   if (started_) return;
@@ -72,17 +74,11 @@ void ReservationManager::Tick() {
   auto& alloc = partition_.allocator();
   if (alloc.Utilization() < cfg_.pressure_threshold) return;
   ++scans_;
-  ++generation_;
-  lru_.ScanActiveHead(cfg_.scan_pages, scan_buf_);
-  // Update hot-page bookkeeping: "hot" = seen near the active head in
-  // consecutive scans.
-  for (PageId id : scan_buf_) {
-    mem::Page& p = pages_[id];
-    p.scan_hits = (p.last_scan_gen + 1 == generation_)
-                      ? std::uint8_t(p.scan_hits + 1)
-                      : std::uint8_t(1);
-    p.last_scan_gen = generation_;
-  }
+  // Hot-page bookkeeping: "hot" = seen near the active head in consecutive
+  // scans. The LRU tracks its head window incrementally, so the scan itself
+  // is one generation bump; the ordered walk below runs only on ticks that
+  // actually cancel.
+  lru_.AdvanceScan();
   // Cancel only while free entries are scarce, and only up to the slack
   // target: over-cancelling churns — every cancelled page pays the lock
   // path at its next swap-out (the §5.1 time/space trade-off).
@@ -97,6 +93,7 @@ void ReservationManager::Tick() {
       {target - free_now, cfg_.max_removals_per_scan,
        std::size_t(cancel_debt_)});
   std::size_t removed = 0;
+  lru_.ScanActiveHead(cfg_.scan_pages, scan_buf_);
   // The periodic scan only cancels genuinely HOT pages (stable working
   // set, e.g. a Zipfian head) — their reservations are parked capacity.
   // Dirty pages first: their entry holds stale data, so the cancellation
@@ -107,12 +104,13 @@ void ReservationManager::Tick() {
   for (PageId id : scan_buf_) {  // pass 1: hot + dirty
     if (removed >= deficit) break;
     mem::Page& p = pages_[id];
-    if (p.scan_hits >= cfg_.hot_scans && p.dirty && Cancel(p)) ++removed;
+    if (lru_.ScanHits(id) >= cfg_.hot_scans && p.dirty && Cancel(p))
+      ++removed;
   }
   for (PageId id : scan_buf_) {  // pass 2: hot (clean) pages
     if (removed >= deficit) break;
-    mem::Page& p = pages_[id];
-    if (p.scan_hits >= cfg_.hot_scans && Cancel(p)) ++removed;
+    if (lru_.ScanHits(id) >= cfg_.hot_scans && Cancel(pages_[id]))
+      ++removed;
   }
   cancel_debt_ -= std::int64_t(removed);
 }

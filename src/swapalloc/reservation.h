@@ -6,7 +6,9 @@
 // remote-memory usage crosses the pressure threshold (75% in the paper), a
 // periodic scan of the LRU active-list head identifies hot pages — pages
 // seen near the head in consecutive scans — and cancels their reservations,
-// returning entries to the free list (time/space trade-off). The page state
+// returning entries to the free list (time/space trade-off). The LRU keeps
+// the scanned head window incrementally (mem/lru.h), so a scan is one
+// generation bump; the window is walked in order only when a tick cancels. The page state
 // machine of the paper's Figure 7 is realized by the page.reserved field:
 //   state 2 (no entry remembered)  -> swap-out takes the allocator path,
 //                                     then remembers the new entry (state 5)
@@ -111,7 +113,6 @@ class ReservationManager {
   Cgroup& cgroup_;
   Config cfg_;
   std::function<void(mem::Page&)> entry_lost_;
-  std::uint32_t generation_ = 0;
   std::int64_t cancel_debt_ = 0;
   PageId emergency_cursor_ = 0;
   std::vector<PageId> scan_buf_;

@@ -1,10 +1,14 @@
-// Unit tests for the SBO callback carried by every simulated event:
-// inline vs heap storage selection, move-only captures, and destruction of
-// unfired callbacks when a queue is dropped mid-run.
+// Unit tests for the SBO callables carried by every simulated event and
+// fault-path hop: inline vs heap storage selection, move-only captures,
+// argument-taking signatures, std::function's empty-target semantics, and
+// destruction of unfired callbacks when a queue is dropped mid-run.
 #include <gtest/gtest.h>
 
 #include <array>
+#include <functional>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "sim/inline_callback.h"
@@ -109,6 +113,85 @@ TEST(InlineCallback, ScheduleAcceptsMoveOnlyLambda) {
   sim.Run();
   EXPECT_EQ(out, 5);
   EXPECT_EQ(sim.events_executed(), 1u);
+}
+
+TEST(InlineFunction, OneCacheLine) {
+  EXPECT_EQ(sizeof(InlineCallback), 64u);
+  EXPECT_EQ(sizeof(InlineFunction<int(const std::string&, long)>), 64u);
+}
+
+TEST(InlineFunction, ForwardsArgumentsAndReturnsValue) {
+  int base = 10;
+  InlineFunction<int(int, const std::string&)> f =
+      [&base](int x, const std::string& s) { return base + x + int(s.size()); };
+  ASSERT_TRUE(f);
+  EXPECT_TRUE(f.inlined());
+  EXPECT_EQ(f(5, "abc"), 18);
+  // By-value move-only argument.
+  InlineFunction<int(std::unique_ptr<int>)> g = [](std::unique_ptr<int> p) {
+    return *p;
+  };
+  EXPECT_EQ(g(std::make_unique<int>(4)), 4);
+  // Reference argument the target mutates, through a const callable (as a
+  // `const Request&` holder fires its on_drop).
+  const InlineFunction<void(int&)> h = [](int& v) { v *= 3; };
+  int v = 7;
+  h(v);
+  EXPECT_EQ(v, 21);
+}
+
+TEST(InlineFunction, ArgumentTakingInlineHeapBoundary) {
+  using Fn = InlineFunction<long(long)>;
+  std::array<char, Fn::kInlineSize> fit{};
+  fit[0] = 2;
+  Fn exact = [fit](long x) { return x * fit[0]; };
+  EXPECT_TRUE(exact.inlined());
+  EXPECT_EQ(exact(21), 42);
+  std::array<char, Fn::kInlineSize + 1> over{};
+  over[Fn::kInlineSize] = 3;
+  Fn spill = [over](long x) { return x * over[Fn::kInlineSize]; };
+  ASSERT_TRUE(spill);
+  EXPECT_FALSE(spill.inlined());
+  EXPECT_EQ(spill(5), 15);
+  Fn moved = std::move(spill);
+  EXPECT_FALSE(spill);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(moved(2), 6);
+}
+
+TEST(InlineFunction, EmptyTargetsYieldEmptyCallable) {
+  // std::function semantics: an empty std::function or a null function
+  // pointer makes an empty wrapper, so `if (cb) cb(...)` guards hold.
+  std::function<void(int)> empty_fn;
+  InlineFunction<void(int)> a = empty_fn;
+  EXPECT_FALSE(a);
+  InlineFunction<void(int)> b = std::move(empty_fn);
+  EXPECT_FALSE(b);
+  void (*null_ptr)(int) = nullptr;
+  InlineFunction<void(int)> c = null_ptr;
+  EXPECT_FALSE(c);
+  InlineCallback d = std::function<void()>(nullptr);
+  EXPECT_FALSE(d);
+  // Non-empty targets of the same kinds are kept.
+  int hits = 0;
+  std::function<void(int)> full = [&hits](int x) { hits += x; };
+  InlineFunction<void(int)> e = full;
+  ASSERT_TRUE(e);
+  e(3);
+  EXPECT_EQ(hits, 3);
+  static int fn_hits = 0;
+  void (*fp)(int) = [](int x) { fn_hits += x; };
+  InlineFunction<void(int)> f = fp;
+  ASSERT_TRUE(f);
+  f(4);
+  EXPECT_EQ(fn_hits, 4);
+}
+
+TEST(InlineFunction, WrappedStdFunctionStillThrowsWhenItsTargetDoes) {
+  InlineFunction<int()> f = std::function<int()>([]() -> int {
+    throw std::runtime_error("boom");
+  });
+  ASSERT_TRUE(f);
+  EXPECT_THROW(f(), std::runtime_error);
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 #include <algorithm>
 #include <list>
 #include <random>
+#include <string>
+#include <vector>
 
 #include "mem/lru.h"
 #include "mem/swap_cache.h"
@@ -101,6 +103,234 @@ TEST_F(LruTest, ScanClampsToListSize) {
   std::vector<PageId> head;
   lru_.ScanActiveHead(100, head);
   EXPECT_EQ(head.size(), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Hot-page scan window: the incremental window (one generation bump per
+// scan, hits folded lazily) against the eager walk it replaced, kept here
+// as the reference. The reference runs on a second LruLists without a
+// window, fed the same operations, so both lists hold the same order; its
+// per-page hit counters are updated exactly as the old scan did.
+// ---------------------------------------------------------------------------
+
+class EagerScanReference {
+ public:
+  explicit EagerScanReference(std::size_t n_pages)
+      : pages_(n_pages), lru_(pages_), hits_(n_pages), last_(n_pages) {}
+
+  LruLists& lru() { return lru_; }
+  std::vector<Page>& pages() { return pages_; }
+
+  /// The old ReservationManager::Tick bookkeeping, verbatim.
+  void Scan(std::size_t window) {
+    ++generation_;
+    lru_.ScanActiveHead(window, buf_);
+    for (PageId id : buf_) {
+      hits_[id] = (last_[id] + 1 == generation_) ? std::uint8_t(hits_[id] + 1)
+                                                 : std::uint8_t(1);
+      last_[id] = generation_;
+    }
+  }
+  std::uint8_t hits(PageId id) const { return hits_[id]; }
+
+ private:
+  std::vector<Page> pages_;
+  LruLists lru_;
+  std::vector<std::uint8_t> hits_;
+  std::vector<std::uint32_t> last_;
+  std::uint32_t generation_ = 0;
+  std::vector<PageId> buf_;
+};
+
+/// The two cancel passes of a scan tick (hot + dirty, then hot), as the
+/// ordered list of pages they would consider cancelling.
+template <typename HitsFn>
+std::vector<PageId> CancelOrder(const std::vector<PageId>& head,
+                                const std::vector<Page>& pages, HitsFn hits) {
+  std::vector<PageId> order;
+  for (PageId id : head)
+    if (hits(id) >= 2 && pages[id].dirty) order.push_back(id);
+  for (PageId id : head)
+    if (hits(id) >= 2 && !pages[id].dirty) order.push_back(id);
+  return order;
+}
+
+class ScanWindowDifferential {
+ public:
+  ScanWindowDifferential(std::size_t n_pages, std::size_t window)
+      : window_(window), pages_(n_pages), lru_(pages_), ref_(n_pages) {
+    lru_.SetScanWindow(window);
+  }
+
+  bool Listed(PageId id) const { return pages_[id].list != LruList::kNone; }
+
+  void Add(PageId id) {
+    pages_[id].state = ref_.pages()[id].state = PageState::kResident;
+    lru_.AddActive(id);
+    ref_.lru().AddActive(id);
+  }
+  void Touch(PageId id) {
+    lru_.Touch(id);
+    ref_.lru().Touch(id);
+  }
+  void Remove(PageId id) {
+    lru_.Remove(id);
+    ref_.lru().Remove(id);
+  }
+  void Evict() {
+    PageId v = lru_.EvictionCandidate();
+    ASSERT_EQ(v, ref_.lru().EvictionCandidate());
+    if (v != kInvalidPage) Remove(v);
+  }
+  void SetDirty(PageId id, bool dirty) {
+    pages_[id].dirty = ref_.pages()[id].dirty = dirty;
+  }
+  void SetPins(PageId id, std::uint16_t pins) {
+    pages_[id].pins = ref_.pages()[id].pins = pins;
+  }
+  void Scan() {
+    lru_.AdvanceScan();
+    ref_.Scan(window_);
+  }
+
+  /// Every page's hits, the window membership, and the cancel-pass order.
+  void Check(const std::string& where) {
+    SCOPED_TRACE(where);
+    for (PageId id = 0; id < pages_.size(); ++id)
+      ASSERT_EQ(int(lru_.ScanHits(id)), int(ref_.hits(id))) << "page " << id;
+    std::vector<PageId> head, ref_head;
+    lru_.ScanActiveHead(window_, head);
+    ref_.lru().ScanActiveHead(window_, ref_head);
+    ASSERT_EQ(head, ref_head);
+    std::size_t in_window = 0;
+    for (PageId id = 0; id < pages_.size(); ++id)
+      in_window += pages_[id].in_scan_window;
+    ASSERT_EQ(in_window, head.size());
+    for (PageId id : head) ASSERT_TRUE(pages_[id].in_scan_window);
+    ASSERT_EQ(CancelOrder(head, pages_,
+                          [&](PageId id) { return lru_.ScanHits(id); }),
+              CancelOrder(ref_head, ref_.pages(),
+                          [&](PageId id) { return ref_.hits(id); }));
+  }
+
+  std::size_t window_;
+  std::vector<Page> pages_;
+  LruLists lru_;
+  EagerScanReference ref_;
+};
+
+// Random AddActive / Touch / Remove / EvictionCandidate sequences with scan
+// generations interleaved, at window sizes 1, 7 and larger than the list.
+// Touch twice on an inactive page promotes it (re-push at the active
+// head); eviction's second chance promotes referenced and pinned pages.
+TEST(ScanWindow, DifferentialAgainstEagerWalk) {
+  constexpr std::size_t kPages = 64;
+  for (std::size_t window : {std::size_t(1), std::size_t(7), std::size_t(100)}) {
+    for (std::uint64_t seed : {1u, 2u, 3u}) {
+      ScanWindowDifferential d(kPages, window);
+      std::mt19937_64 rng(seed * 7919 + window);
+      for (int step = 0; step < 6000; ++step) {
+        PageId id = rng() % kPages;
+        switch (rng() % 10) {
+          case 0:
+          case 1:
+            if (!d.Listed(id)) d.Add(id);
+            break;
+          case 2:
+          case 3:
+            if (d.Listed(id)) d.Touch(id);
+            break;
+          case 4:
+            d.Remove(id);
+            break;
+          case 5:
+            d.Evict();
+            break;
+          case 6: {
+            // An in-window page unlinked and re-pushed between two scans.
+            std::vector<PageId> head;
+            d.lru_.ScanActiveHead(window, head);
+            if (!head.empty()) {
+              PageId h = head[rng() % head.size()];
+              d.Remove(h);
+              d.Add(h);
+            }
+            break;
+          }
+          case 7:
+            d.SetDirty(id, rng() % 2);
+            d.SetPins(id, rng() % 8 == 0);
+            break;
+          default:
+            d.Scan();
+            break;
+        }
+        if (step % 50 == 0) d.Check("step " + std::to_string(step));
+      }
+      d.Check("end");
+    }
+  }
+}
+
+// Scan-hit counts live in a uint8_t: 300 consecutive scans of one page
+// must wrap exactly as the old per-scan increment did (300 mod 256 = 44).
+TEST(ScanWindow, HitCountWrapsModulo256) {
+  ScanWindowDifferential d(8, 4);
+  d.Add(3);
+  for (int i = 1; i <= 300; ++i) {
+    d.Scan();
+    ASSERT_EQ(int(d.lru_.ScanHits(3)), i % 256) << "scan " << i;
+    if (i % 37 == 0) {
+      // Leave and re-enter between scans: the run continues.
+      d.Remove(3);
+      d.Add(3);
+    }
+  }
+  d.Check("after 300 scans");
+  // A missed scan restarts the run at 1.
+  d.Remove(3);
+  d.Scan();
+  d.Add(3);
+  d.Scan();
+  EXPECT_EQ(d.lru_.ScanHits(3), 1u);
+  d.Check("restarted");
+}
+
+// A page pushed out of the window by newer pages keeps the hits it had;
+// one that comes back after a missed scan starts over.
+TEST(ScanWindow, PushedOutPageKeepsCountUntilItReturns) {
+  ScanWindowDifferential d(16, 2);
+  d.Add(0);
+  d.Scan();
+  d.Scan();
+  EXPECT_EQ(d.lru_.ScanHits(0), 2u);
+  d.Add(1);
+  d.Add(2);  // page 0 falls out of the 2-page window
+  EXPECT_FALSE(d.pages_[0].in_scan_window);
+  d.Scan();
+  EXPECT_EQ(d.lru_.ScanHits(0), 2u);
+  d.Check("pushed out");
+}
+
+// Windows set after pages are already listed start from the list head.
+TEST(ScanWindow, SetScanWindowOnPopulatedList) {
+  std::vector<Page> pages(10);
+  LruLists lru(pages);
+  for (PageId i = 0; i < 10; ++i) {
+    pages[i].state = PageState::kResident;
+    lru.AddActive(i);
+  }
+  lru.SetScanWindow(3);
+  for (PageId i = 0; i < 10; ++i)
+    EXPECT_EQ(pages[i].in_scan_window, i >= 7) << i;
+  lru.AdvanceScan();
+  EXPECT_EQ(lru.ScanHits(9), 1u);
+  EXPECT_EQ(lru.ScanHits(6), 0u);
+  lru.SetScanWindow(0);  // fold and drop the window
+  for (PageId i = 0; i < 10; ++i) EXPECT_FALSE(pages[i].in_scan_window);
+  EXPECT_EQ(pages[9].scan_hits, 1u);
+  lru.AdvanceScan();
+  EXPECT_EQ(lru.ScanHits(9), 1u);
 }
 
 TEST(SwapCacheTest, InsertLookupRemove) {

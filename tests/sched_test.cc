@@ -4,8 +4,11 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
+#include <functional>
 #include <map>
+#include <optional>
 #include <random>
+#include <vector>
 #include <stdexcept>
 
 #include "sched/fastswap.h"
@@ -365,6 +368,342 @@ TEST_F(TwoDimTest, DropScanContinuesToNextFreshRequest) {
   ASSERT_NE(r, nullptr);
   EXPECT_EQ(r->created, kMillisecond - kMicrosecond);
   EXPECT_EQ(s.drops(), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Backlog dispatch: the per-direction backlogged-VQP list against the
+// ascending-cgroup-id walk it replaced, kept here as the reference. Each
+// request carries a unique tag in `page`; both sides must dequeue, drop and
+// drain the same tags in the same order.
+// ---------------------------------------------------------------------------
+
+/// The pre-backlog TwoDimScheduler dispatch, verbatim: walk every
+/// registered cgroup in id order and take the first strictly smallest
+/// finish tag. Stale-prefetch decisions come from the scheduler under test
+/// (same tracker, same NIC estimate), so only the choice of VQP differs.
+class ReferenceTwoDim {
+ public:
+  struct Item {
+    PageId tag;
+    SimTime created;
+    std::uint32_t bytes;
+    rdma::Op op;
+  };
+  using Stale = std::function<bool(const Item&, CgroupId, SimTime)>;
+
+  void Register(CgroupId cg, double weight) {
+    vqps_[cg].weight = weight > 0 ? weight : 1.0;
+  }
+  void SetWeight(CgroupId cg, double weight) {
+    auto it = vqps_.find(cg);
+    if (it != vqps_.end()) it->second.weight = weight > 0 ? weight : 1.0;
+  }
+  bool Backlogged(CgroupId cg) const {
+    auto it = vqps_.find(cg);
+    return it != vqps_.end() && (it->second.Backlogged(0) ||
+                                 it->second.Backlogged(1));
+  }
+  void Forget(CgroupId cg) { vqps_.erase(cg); }
+  void Enqueue(CgroupId cg, const Item& item) {
+    auto it = vqps_.find(cg);
+    if (it == vqps_.end()) {
+      Register(cg, 1.0);
+      it = vqps_.find(cg);
+    }
+    Vqp& vqp = it->second;
+    std::size_t d = item.op == rdma::Op::kSwapOut ? 1 : 0;
+    if (!vqp.Backlogged(d)) vqp.finish[d] = std::max(vqp.finish[d], vclock_[d]);
+    (item.op == rdma::Op::kDemandIn    ? vqp.demand
+     : item.op == rdma::Op::kPrefetchIn ? vqp.prefetch
+                                         : vqp.swapout)
+        .push_back(item);
+  }
+  /// Returns the dispatched tag (or kInvalidPage); dropped tags go to
+  /// `drops`.
+  PageId Dequeue(std::size_t d, SimTime now, const Stale& stale,
+                 std::vector<PageId>& drops) {
+    for (;;) {
+      Vqp* best = nullptr;
+      CgroupId best_cg = 0;
+      for (auto& [cg, vqp] : vqps_) {
+        if (!vqp.Backlogged(d)) continue;
+        if (!best || vqp.finish[d] < best->finish[d]) {
+          best = &vqp;
+          best_cg = cg;
+        }
+      }
+      if (!best) return kInvalidPage;
+      std::optional<Item> item;
+      if (d == 1) {
+        item = best->swapout.front();
+        best->swapout.pop_front();
+      } else if (!best->demand.empty()) {
+        item = best->demand.front();
+        best->demand.pop_front();
+      } else {
+        while (!best->prefetch.empty()) {
+          Item p = best->prefetch.front();
+          best->prefetch.pop_front();
+          if (stale(p, best_cg, now)) {
+            drops.push_back(p.tag);
+            continue;
+          }
+          item = p;
+          break;
+        }
+      }
+      if (!item) continue;
+      double start = std::max(best->finish[d], vclock_[d]);
+      best->finish[d] = start + double(item->bytes) / best->weight;
+      vclock_[d] = start;
+      return item->tag;
+    }
+  }
+  template <typename Pred>
+  std::vector<PageId> Drain(Pred pred) {
+    std::vector<PageId> out;
+    for (auto& [cg, vqp] : vqps_)
+      for (auto* q : {&vqp.demand, &vqp.prefetch, &vqp.swapout}) {
+        std::deque<Item> kept;
+        for (const Item& it : *q)
+          (pred(it) ? out.push_back(it.tag) : kept.push_back(it));
+        q->swap(kept);
+      }
+    return out;
+  }
+
+ private:
+  struct Vqp {
+    double weight = 1.0;
+    std::deque<Item> demand, prefetch, swapout;
+    double finish[2] = {0, 0};
+    bool Backlogged(std::size_t d) const {
+      return d == 1 ? !swapout.empty() : !(demand.empty() && prefetch.empty());
+    }
+  };
+  std::map<CgroupId, Vqp> vqps_;
+  double vclock_[2] = {0, 0};
+};
+
+/// Drives a TwoDimScheduler and the reference with one operation stream.
+class BacklogDifferential {
+ public:
+  BacklogDifferential() : s_(MakeConfig()) { s_.AttachNic(&idle_.nic()); }
+
+  static TwoDimScheduler::Config MakeConfig() {
+    TwoDimScheduler::Config cfg;
+    cfg.horizontal = true;
+    // A fixed 50 us budget: prefetches older than ~50 us at dequeue drop.
+    cfg.timeliness.initial_threshold = 50 * kMicrosecond;
+    cfg.timeliness.floor = 50 * kMicrosecond;
+    cfg.timeliness.ceiling = 50 * kMicrosecond;
+    return cfg;
+  }
+
+  void Register(CgroupId cg, double w) {
+    s_.RegisterCgroup(cg, w);
+    ref_.Register(cg, w);
+  }
+  void SetWeight(CgroupId cg, double w) {
+    s_.SetWeight(cg, w);
+    ref_.SetWeight(cg, w);
+  }
+  void Enqueue(CgroupId cg, rdma::Op op, SimTime created,
+               std::uint32_t bytes) {
+    PageId tag = next_tag_++;
+    auto r = MakeReq(op, cg, created, [this](const rdma::Request& req) {
+      drops_.push_back(req.page);
+    });
+    r->page = tag;
+    r->bytes = bytes;
+    s_.Enqueue(std::move(r));
+    ref_.Enqueue(cg, {tag, created, bytes, op});
+  }
+  void Dequeue(rdma::Direction dir, SimTime now) {
+    auto stale = [&](const ReferenceTwoDim::Item& it, CgroupId cg,
+                     SimTime t) {
+      SimDuration est =
+          (t - it.created) + idle_.nic().EstimateServiceDelay(dir, t);
+      return est > s_.timeliness().Threshold(cg);
+    };
+    std::vector<PageId> ref_drops;
+    PageId want = ref_.Dequeue(std::size_t(dir), now, stale, ref_drops);
+    drops_.clear();
+    auto got = s_.Dequeue(dir, now);
+    ASSERT_EQ(got ? got->page : kInvalidPage, want);
+    ASSERT_EQ(drops_, ref_drops);
+    served_ += got != nullptr;
+  }
+  void Drain(PageId modulo) {
+    auto pred = [modulo](PageId tag) { return tag % modulo == 0; };
+    auto got = s_.DrainMatching(
+        [&](const rdma::Request& r) { return pred(r.page); });
+    auto want = ref_.Drain([&](const ReferenceTwoDim::Item& it) {
+      return pred(it.tag);
+    });
+    std::vector<PageId> got_tags;
+    for (auto& r : got) got_tags.push_back(r->page);
+    ASSERT_EQ(got_tags, want);
+  }
+  /// Forget when idle (both sides), or check that a backlogged cgroup is
+  /// refused without losing anything.
+  void Forget(CgroupId cg) {
+    if (ref_.Backlogged(cg)) {
+      ASSERT_THROW(s_.ForgetCgroup(cg), std::logic_error);
+      return;
+    }
+    s_.ForgetCgroup(cg);
+    ref_.Forget(cg);
+  }
+
+  TwoDimScheduler s_;
+  ReferenceTwoDim ref_;
+  IdleNicFixture idle_;
+  std::vector<PageId> drops_;
+  PageId next_tag_ = 1;
+  std::size_t served_ = 0;
+};
+
+// Random enqueue / dequeue / drain / reweight / forget-and-reuse sequences
+// over a few cgroup populations. Byte sizes come from a small set, so equal
+// finish tags (where the lowest cgroup id must win) are common, and stale
+// prefetches empty VQPs in the middle of a dequeue.
+TEST(TwoDimBacklog, DifferentialAgainstIdOrderWalk) {
+  for (CgroupId n_cgroups : {CgroupId(3), CgroupId(16), CgroupId(64)}) {
+    for (std::uint64_t seed : {1u, 2u}) {
+      SCOPED_TRACE(testing::Message() << n_cgroups << " cgroups, seed "
+                                      << seed);
+      BacklogDifferential d;
+      for (CgroupId cg = 0; cg < n_cgroups; ++cg)
+        d.Register(cg, 1.0 + double(cg % 3));
+      std::mt19937_64 rng(seed * 131 + n_cgroups);
+      SimTime now = kMillisecond;
+      // At most five cgroups, spread over the id range, carry traffic.
+      auto busy = [&] {
+        return CgroupId(rng() % std::min<CgroupId>(n_cgroups, 5)) *
+               std::max<CgroupId>(1, n_cgroups / 5);
+      };
+      for (int step = 0; step < 5000; ++step) {
+        now += rng() % 4 * kMicrosecond;
+        std::uint32_t bytes = rng() % 2 ? kPageSize : 2 * kPageSize;
+        switch (rng() % 12) {
+          case 0: case 1: case 2:
+            d.Enqueue(busy(), rdma::Op::kDemandIn, now, bytes);
+            break;
+          case 3: case 4:
+            // Created up to 100 us ago: about half are stale at dequeue.
+            d.Enqueue(busy(), rdma::Op::kPrefetchIn,
+                      now - rng() % 100 * kMicrosecond, bytes);
+            break;
+          case 5:
+            d.Enqueue(busy(), rdma::Op::kSwapOut, now, bytes);
+            break;
+          case 6: case 7: case 8:
+            d.Dequeue(rdma::Direction::kIngress, now);
+            break;
+          case 9:
+            d.Dequeue(rdma::Direction::kEgress, now);
+            break;
+          case 10:
+            if (rng() % 8 == 0) d.Drain(2 + rng() % 5);
+            else d.SetWeight(busy(), 0.5 + double(rng() % 4));
+            break;
+          default: {
+            // Retire an id and re-register it (ids are recycled).
+            CgroupId cg = busy();
+            d.Forget(cg);
+            if (!d.ref_.Backlogged(cg)) d.Register(cg, 1.0 + double(rng() % 3));
+            break;
+          }
+        }
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+      // Drain both sides to empty.
+      for (int i = 0; i < 20000; ++i) {
+        d.Dequeue(rdma::Direction::kIngress, now);
+        d.Dequeue(rdma::Direction::kEgress, now);
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+      EXPECT_GT(d.served_, 1000u);
+    }
+  }
+}
+
+TEST(TwoDimBacklog, EqualFinishTagsLowestCgroupIdWins) {
+  BacklogDifferential d;
+  for (CgroupId cg : {CgroupId(9), CgroupId(4), CgroupId(7)})
+    d.Register(cg, 1.0);
+  // Enqueued in descending-id order; all start at the same virtual time.
+  for (CgroupId cg : {CgroupId(9), CgroupId(7), CgroupId(4)})
+    d.Enqueue(cg, rdma::Op::kDemandIn, 0, kPageSize);
+  auto first = d.s_.Dequeue(rdma::Direction::kIngress, 0);
+  ASSERT_TRUE(first);
+  EXPECT_EQ(first->cgroup, 4u);
+}
+
+TEST(TwoDimBacklog, StaleDropsEmptyAVqpThenItRejoins) {
+  BacklogDifferential d;
+  d.Register(1, 1.0);
+  d.Register(2, 1.0);
+  // Cgroup 1 holds only stale prefetches; cgroup 2 one demand.
+  SimTime now = kMillisecond;
+  for (int i = 0; i < 3; ++i) d.Enqueue(1, rdma::Op::kPrefetchIn, 0, kPageSize);
+  d.Enqueue(2, rdma::Op::kDemandIn, now, 2 * kPageSize);
+  d.Dequeue(rdma::Direction::kIngress, now);  // drops 1's three, serves 2
+  EXPECT_EQ(d.s_.drops_for(1), 3u);
+  EXPECT_EQ(d.s_.QueueDepth(1), 0u);
+  d.Dequeue(rdma::Direction::kIngress, now);  // nothing left
+  // The emptied VQP is backlogged again by its next request.
+  d.Enqueue(1, rdma::Op::kDemandIn, now, kPageSize);
+  d.Dequeue(rdma::Direction::kIngress, now);
+  EXPECT_EQ(d.served_, 2u);
+}
+
+TEST(TwoDimBacklog, SixtyFourCgroupsThreeBacklogged) {
+  BacklogDifferential d;
+  for (CgroupId cg = 0; cg < 64; ++cg) d.Register(cg, 1.0 + double(cg % 4));
+  for (int round = 0; round < 50; ++round)
+    for (CgroupId cg : {CgroupId(5), CgroupId(33), CgroupId(60)})
+      d.Enqueue(cg, rdma::Op::kDemandIn, 0, kPageSize);
+  for (int i = 0; i < 160; ++i) d.Dequeue(rdma::Direction::kIngress, 0);
+  EXPECT_EQ(d.served_, 150u);
+}
+
+TEST(TwoDimBacklog, DrainMatchingUnlistsEmptiedVqps) {
+  BacklogDifferential d;
+  d.Register(1, 1.0);
+  d.Register(2, 1.0);
+  d.Enqueue(1, rdma::Op::kSwapOut, 0, kPageSize);  // tag 1
+  d.Enqueue(2, rdma::Op::kSwapOut, 0, kPageSize);  // tag 2
+  d.Enqueue(2, rdma::Op::kSwapOut, 0, kPageSize);  // tag 3
+  d.Drain(1);  // everything
+  d.Dequeue(rdma::Direction::kEgress, 0);
+  EXPECT_EQ(d.served_, 0u);
+  d.Forget(1);  // idle now: must not throw
+  d.Register(1, 2.0);
+  d.Enqueue(1, rdma::Op::kSwapOut, 0, kPageSize);
+  d.Dequeue(rdma::Direction::kEgress, 0);
+  EXPECT_EQ(d.served_, 1u);
+}
+
+// Retiring a cgroup with queued requests must refuse in every build type
+// (erasing them would lose their on_complete / on_drop), leave the queue
+// intact, and keep dispatching it.
+TEST(TwoDimBacklog, ForgetCgroupWithQueuedRequestsThrows) {
+  TwoDimScheduler s;
+  s.RegisterCgroup(3, 1.0);
+  int dropped = 0;
+  s.Enqueue(MakeReq(rdma::Op::kPrefetchIn, 3, 0,
+                    [&](const rdma::Request&) { ++dropped; }));
+  s.Enqueue(MakeReq(rdma::Op::kSwapOut, 3));
+  EXPECT_THROW(s.ForgetCgroup(3), std::logic_error);
+  EXPECT_EQ(s.QueueDepth(3), 2u);
+  EXPECT_NE(s.Dequeue(rdma::Direction::kIngress, 0), nullptr);
+  EXPECT_THROW(s.ForgetCgroup(3), std::logic_error);  // egress still queued
+  EXPECT_NE(s.Dequeue(rdma::Direction::kEgress, 0), nullptr);
+  EXPECT_NO_THROW(s.ForgetCgroup(3));
+  EXPECT_EQ(s.QueueDepth(3), 0u);
+  EXPECT_EQ(dropped, 0);
 }
 
 }  // namespace
