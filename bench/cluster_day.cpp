@@ -147,8 +147,10 @@ int main(int argc, char** argv) {
 
   // Headline 2: O(active tenants) memory. Structurally, registry slots
   // must track the concurrency peak; physically, the process RSS delta
-  // across the day must scale with the high-water mark (generous per-slot
-  // allowance), never with the admitted-tenant count.
+  // across the day must scale with the high-water mark, never with the
+  // admitted-tenant count. The full day measures ~19.5 MiB at high-water
+  // 48 against a 40 MiB bound; a build that retained ~31 KB of histogram
+  // per retired tenant and every NIC latency sample measured ~110 MiB.
   bool bounded = true;
   std::uint64_t peak_high_water = 0;
   for (const orchestrator::ChurnResult& r : day.runs) {
@@ -158,7 +160,7 @@ int main(int argc, char** argv) {
   }
   std::uint64_t rss_delta = rss_after - rss_before;
   std::uint64_t rss_bound =
-      96ull * 1024 * 1024 + peak_high_water * 8ull * 1024 * 1024;
+      16ull * 1024 * 1024 + peak_high_water * 512ull * 1024;
   bool rss_ok = kRssCheckMeaningful ? rss_delta <= rss_bound : true;
   std::printf("memory: slots %s; day RSS delta %.1f MiB vs bound %.1f MiB "
               "(high-water %llu)%s\n",

@@ -66,6 +66,7 @@ class ZipfianGenerator {
   double zetan_;
   double eta_;
   double zeta2theta_;
+  double rank1_cutoff_;  ///< 1 + 0.5^theta: u*zetan below it draws rank 1
 };
 
 /// Fisher-Yates shuffle of a vector using the simulation Rng.

@@ -1,6 +1,7 @@
 #include "common/stats.h"
 
 #include <cmath>
+#include <iterator>
 
 namespace canvas {
 
@@ -22,52 +23,61 @@ void StreamingStats::Merge(const StreamingStats& other) {
   n_ = total;
 }
 
-void LatencyRecorder::EnsureSorted() const {
-  if (!sorted_) {
-    std::sort(samples_.begin(), samples_.end());
-    sorted_ = true;
-  }
+void LatencyRecorder::EnsureRanks() const {
+  if (!ranks_stale_) return;
+  ranks_.clear();
+  ranks_.reserve(counts_.size());
+  counts_.ForEach([this](std::uint64_t bits, std::uint64_t n) {
+    ranks_.emplace_back(std::bit_cast<double>(bits), n);
+  });
+  std::sort(ranks_.begin(), ranks_.end());
+  std::uint64_t cum = 0;
+  for (auto& [value, n] : ranks_) n = cum += n;
+  ranks_stale_ = false;
+}
+
+double LatencyRecorder::At(std::uint64_t rank) const {
+  auto it = std::upper_bound(
+      ranks_.begin(), ranks_.end(), rank,
+      [](std::uint64_t r, const auto& e) { return r < e.second; });
+  return it->first;
 }
 
 double LatencyRecorder::Percentile(double p) const {
-  if (samples_.empty()) return 0.0;
-  EnsureSorted();
-  double rank = p / 100.0 * double(samples_.size() - 1);
-  auto lo = std::size_t(rank);
-  auto hi = std::min(lo + 1, samples_.size() - 1);
+  if (count_ == 0) return 0.0;
+  EnsureRanks();
+  double rank = p / 100.0 * double(count_ - 1);
+  auto lo = std::uint64_t(rank);
+  auto hi = std::min(lo + 1, count_ - 1);
   double frac = rank - double(lo);
-  return samples_[lo] * (1.0 - frac) + samples_[hi] * frac;
-}
-
-double LatencyRecorder::Mean() const {
-  if (samples_.empty()) return 0.0;
-  double s = 0;
-  for (double v : samples_) s += v;
-  return s / double(samples_.size());
+  return At(lo) * (1.0 - frac) + At(hi) * frac;
 }
 
 double LatencyRecorder::Max() const {
-  if (samples_.empty()) return 0.0;
-  EnsureSorted();
-  return samples_.back();
+  if (count_ == 0) return 0.0;
+  EnsureRanks();
+  return ranks_.back().first;
 }
 
 double LatencyRecorder::FractionBelow(double threshold) const {
-  if (samples_.empty()) return 0.0;
-  EnsureSorted();
-  auto it = std::upper_bound(samples_.begin(), samples_.end(), threshold);
-  return double(it - samples_.begin()) / double(samples_.size());
+  if (count_ == 0) return 0.0;
+  EnsureRanks();
+  auto it = std::upper_bound(
+      ranks_.begin(), ranks_.end(), threshold,
+      [](double t, const auto& e) { return t < e.first; });
+  std::uint64_t below = it == ranks_.begin() ? 0 : std::prev(it)->second;
+  return double(below) / double(count_);
 }
 
 std::vector<std::pair<double, double>> LatencyRecorder::Cdf(int points) const {
   std::vector<std::pair<double, double>> out;
-  if (samples_.empty() || points <= 0) return out;
-  EnsureSorted();
+  if (count_ == 0 || points <= 0) return out;
+  EnsureRanks();
   out.reserve(std::size_t(points));
   for (int i = 1; i <= points; ++i) {
     double frac = double(i) / double(points);
-    auto idx = std::size_t(frac * double(samples_.size() - 1));
-    out.emplace_back(samples_[idx], frac);
+    auto idx = std::uint64_t(frac * double(count_ - 1));
+    out.emplace_back(At(idx), frac);
   }
   return out;
 }

@@ -1,14 +1,20 @@
 // Streaming statistics utilities used across metrics collection:
 //  - StreamingStats: count/mean/stddev/min/max in O(1) memory (Welford).
-//  - LatencyRecorder: full-sample percentile queries and CDF export.
+//  - LatencyRecorder: exact percentile queries and CDF export over a
+//    multiset of sample values (memory per distinct value, not per sample).
 //  - Histogram: fixed-bucket counting for distribution shape checks.
 //  - TimeSeries: time-bucketed accumulation (bandwidth / throughput curves).
 #pragma once
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdint>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
+#include "common/flat_map.h"
 #include "common/types.h"
 
 namespace canvas {
@@ -40,19 +46,31 @@ class StreamingStats {
   double mean_ = 0, m2_ = 0, min_ = 0, max_ = 0;
 };
 
-/// Records every sample; answers percentile and CDF queries. Sample counts in
-/// our experiments are bounded (one per RDMA request), so full retention is
-/// affordable and exact.
+/// Exact order statistics over every recorded sample, stored as a multiset:
+/// one (value, count) entry per distinct value, so memory follows the number
+/// of distinct latencies rather than the number of samples (the simulator's
+/// latencies are integral nanoseconds, and repeat heavily). Queries return
+/// exactly what sorting every sample would: each order statistic is found by
+/// binary search over cumulative counts, rebuilt lazily after an Add.
+/// -0.0 is recorded as +0.0; a NaN sample throws std::invalid_argument.
 class LatencyRecorder {
  public:
-  void Add(double v) { samples_.push_back(v); sorted_ = false; }
+  void Add(double v) {
+    if (std::isnan(v)) throw std::invalid_argument("LatencyRecorder: NaN");
+    if (v == 0.0) v = 0.0;  // one key for both zeros
+    ++counts_[std::bit_cast<std::uint64_t>(v)];
+    ++count_;
+    sum_ += v;
+    ranks_stale_ = true;
+  }
 
-  std::uint64_t count() const { return samples_.size(); }
-  bool empty() const { return samples_.empty(); }
+  std::uint64_t count() const { return count_; }
+  bool empty() const { return count_ == 0; }
 
   /// p in [0, 100]. Returns 0 for an empty recorder.
   double Percentile(double p) const;
-  double Mean() const;
+  /// Sum in insertion order over the count.
+  double Mean() const { return count_ ? sum_ / double(count_) : 0.0; }
   double Max() const;
 
   /// Fraction of samples <= threshold.
@@ -63,10 +81,16 @@ class LatencyRecorder {
   std::vector<std::pair<double, double>> Cdf(int points = 100) const;
 
  private:
-  void EnsureSorted() const;
+  /// Value of the sample at 0-based `rank` in ascending order.
+  double At(std::uint64_t rank) const;
+  void EnsureRanks() const;
 
-  mutable std::vector<double> samples_;
-  mutable bool sorted_ = true;
+  FlatMap64<std::uint64_t> counts_;  ///< value bit pattern -> multiplicity
+  std::uint64_t count_ = 0;
+  double sum_ = 0;
+  /// Distinct values ascending, each with the count of samples <= it.
+  mutable std::vector<std::pair<double, std::uint64_t>> ranks_;
+  mutable bool ranks_stale_ = false;
 };
 
 /// Fixed-width bucket histogram over [lo, hi); out-of-range values clamp to

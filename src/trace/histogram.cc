@@ -13,7 +13,7 @@ std::uint64_t LogHistogram::Percentile(double p) const {
       std::max<std::uint64_t>(1, std::uint64_t(std::ceil(p / 100.0 *
                                                          double(count_))));
   std::uint64_t cum = 0;
-  for (std::uint32_t i = 0; i < kNumBuckets; ++i) {
+  for (std::uint32_t i = 0; i < counts_.size(); ++i) {
     cum += counts_[i];
     if (cum >= rank) {
       // Upper edge of the bucket, clamped to the recorded extremes.
@@ -27,18 +27,22 @@ std::uint64_t LogHistogram::Percentile(double p) const {
 
 LogHistogram LogHistogram::Since(const LogHistogram& start) const {
   LogHistogram out;
+  out.count_ = count_ - start.count_;
+  out.sum_ = sum_ - start.sum_;
+  if (out.count_ == 0) return out;
+  // `start` is an earlier snapshot, so its stored prefix is no longer than
+  // ours.
+  out.counts_.resize(counts_.size());
   std::uint32_t lo = kNumBuckets, hi = 0;
-  for (std::uint32_t i = 0; i < kNumBuckets; ++i) {
-    std::uint64_t d = counts_[i] - start.counts_[i];
+  for (std::uint32_t i = 0; i < counts_.size(); ++i) {
+    std::uint64_t d = counts_[i] - start.BucketCount(i);
     out.counts_[i] = d;
     if (d) {
       if (i < lo) lo = i;
       hi = i;
     }
   }
-  out.count_ = count_ - start.count_;
-  out.sum_ = sum_ - start.sum_;
-  if (out.count_ == 0) return out;
+  out.counts_.resize(hi + 1);
   // The exact interval extremes are unrecoverable from two cumulative
   // snapshots; reconstruct them from the occupied bucket edges so every
   // interval sample still satisfies min_ <= v <= max_ within the bucket
@@ -52,7 +56,9 @@ LogHistogram LogHistogram::Since(const LogHistogram& start) const {
 
 void LogHistogram::Merge(const LogHistogram& other) {
   if (other.count_ == 0) return;
-  for (std::uint32_t i = 0; i < kNumBuckets; ++i)
+  if (other.counts_.size() > counts_.size())
+    counts_.resize(other.counts_.size());
+  for (std::uint32_t i = 0; i < other.counts_.size(); ++i)
     counts_[i] += other.counts_[i];
   if (count_ == 0 || other.min_ < min_) min_ = other.min_;
   max_ = std::max(max_, other.max_);

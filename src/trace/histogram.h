@@ -1,15 +1,18 @@
 // Log-bucketed latency histogram (HdrHistogram-style, DESIGN.md §9).
 //
 // Values are binned into 32 sub-buckets per power of two, giving a fixed
-// <= 1/32 (~3.1%) relative quantization error across the full uint64 range
-// in a flat 15KB count array — O(1) Add with no allocation, O(buckets)
+// <= 1/32 (~3.1%) relative quantization error across the full uint64 range.
+// Counts live in a flat array that holds only the prefix up to the highest
+// bucket used (nanosecond latencies up to 1ms need 510 of the 1920 buckets),
+// so an idle or small histogram costs a fraction of the full range. O(1) Add
+// (allocating only when a new highest bucket is reached), O(buckets)
 // percentile queries, and exact deterministic Merge (used to aggregate
 // per-cgroup fault-latency distributions into report sections).
 #pragma once
 
-#include <array>
 #include <bit>
 #include <cstdint>
+#include <vector>
 
 namespace canvas::trace {
 
@@ -37,7 +40,9 @@ class LogHistogram {
   }
 
   void Add(std::uint64_t v) {
-    ++counts_[BucketIndex(v)];
+    std::uint32_t b = BucketIndex(v);
+    if (b >= counts_.size()) counts_.resize(b + 1);
+    ++counts_[b];
     ++count_;
     sum_ += v;
     if (v > max_) max_ = v;
@@ -73,10 +78,14 @@ class LogHistogram {
   /// pre-window samples can never contaminate the interval distribution.
   LogHistogram Since(const LogHistogram& start) const;
 
-  std::uint64_t BucketCount(std::uint32_t i) const { return counts_[i]; }
+  /// Count in bucket `i` (any i < kNumBuckets; 0 past the stored prefix).
+  std::uint64_t BucketCount(std::uint32_t i) const {
+    return i < counts_.size() ? counts_[i] : 0;
+  }
 
  private:
-  std::array<std::uint64_t, kNumBuckets> counts_{};
+  /// Buckets 0..highest bucket added; every later bucket is zero.
+  std::vector<std::uint64_t> counts_;
   std::uint64_t count_ = 0;
   std::uint64_t sum_ = 0;
   std::uint64_t max_ = 0;

@@ -1,14 +1,19 @@
 // Machine-independent host-cost gate: heap allocations per simulated event
 // and events per fault on a fixed small canvas co-run and a fixed small
-// pool4 churn. Unlike wall time, both are exact on any machine, so tier-1
-// can pin them: allocations per event must stay at or below a committed
-// bound (ratchet it down when a change removes allocations), and the event
+// pool4 churn, plus the live heap each retired churn tenant leaves behind.
+// Unlike wall time and RSS, all are exact on any machine (for one C++
+// runtime), so tier-1 can pin them: allocations per event and retained
+// bytes per tenant must stay at or below committed bounds (ratchet them
+// down when a change removes allocations or retained state), and the event
 // and fault counts must equal the committed values (a change that moves
 // them changes the simulation, and must say so by updating them here).
 //
-// This binary replaces the global operator new to count calls, so it is its
-// own executable and stays out of the sanitizer passes (label `perf`).
+// This binary replaces the global operator new/delete to count calls and
+// live bytes, so it is its own executable and stays out of the sanitizer
+// passes (label `perf`).
 #include <gtest/gtest.h>
+
+#include <malloc.h>
 
 #include <atomic>
 #include <cstdio>
@@ -22,21 +27,41 @@
 namespace {
 
 std::atomic<std::uint64_t> g_allocations{0};
+// Live bytes as malloc sized them (usable size, counted the same on both
+// sides) and their high-water mark. The runs below are single-threaded;
+// the atomics only keep gtest's own threads, if any, well defined.
+std::atomic<std::int64_t> g_live_bytes{0};
+std::atomic<std::int64_t> g_peak_live_bytes{0};
 
 void* Counted(std::size_t n) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n ? n : 1)) return p;
-  throw std::bad_alloc();
+  void* p = std::malloc(n ? n : 1);
+  if (!p) throw std::bad_alloc();
+  auto size = std::int64_t(malloc_usable_size(p));
+  std::int64_t live =
+      g_live_bytes.fetch_add(size, std::memory_order_relaxed) + size;
+  std::int64_t peak = g_peak_live_bytes.load(std::memory_order_relaxed);
+  while (live > peak && !g_peak_live_bytes.compare_exchange_weak(
+                            peak, live, std::memory_order_relaxed)) {
+  }
+  return p;
+}
+
+void Uncounted(void* p) noexcept {
+  if (!p) return;
+  g_live_bytes.fetch_sub(std::int64_t(malloc_usable_size(p)),
+                         std::memory_order_relaxed);
+  std::free(p);
 }
 
 }  // namespace
 
 void* operator new(std::size_t n) { return Counted(n); }
 void* operator new[](std::size_t n) { return Counted(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { Uncounted(p); }
+void operator delete[](void* p) noexcept { Uncounted(p); }
+void operator delete(void* p, std::size_t) noexcept { Uncounted(p); }
+void operator delete[](void* p, std::size_t) noexcept { Uncounted(p); }
 
 namespace canvas {
 namespace {
@@ -81,14 +106,21 @@ TEST(AllocGate, CanvasCorun) {
   Report("canvas co-run", c);
   EXPECT_EQ(c.events, 293395u);
   EXPECT_EQ(c.faults, 30361u);
-  // Measured 0.2587: one Request per RDMA operation plus waiter lists and
+  // Measured 0.2586: one Request per RDMA operation plus waiter lists and
   // workload buffers.
   EXPECT_LE(c.AllocsPerEvent(), 0.27);
 }
 
-// Tenants arrive, fault, swap to a harvested 4-server pool and are reaped;
-// tenant construction happens inside the run and is counted.
-TEST(AllocGate, Pool4Churn) {
+// A small pool4 churn: tenants arrive, fault, swap to a harvested 4-server
+// pool and are reaped. At most 8 run at once; arrivals stop at `horizon`
+// or after `max_tenants` admissions.
+struct ChurnRun {
+  orchestrator::ChurnResult result;
+  Cost cost;
+  std::int64_t peak_live_bytes = 0;  ///< above the live heap at the start
+};
+
+ChurnRun RunPool4Churn(std::uint64_t max_tenants, SimDuration horizon) {
   orchestrator::ChurnScenarioSpec sc;
   sc.systems = {"canvas"};
   sc.topologies = {"pool4"};
@@ -99,8 +131,8 @@ TEST(AllocGate, Pool4Churn) {
   c.arrival_rate_per_sec = 400;
   c.mean_lifetime = 30 * kMillisecond;
   c.min_lifetime = 5 * kMillisecond;
-  c.horizon = 200 * kMillisecond;
-  c.max_tenants = 60;
+  c.horizon = horizon;
+  c.max_tenants = max_tenants;
   c.max_concurrent = 8;
   workload::TenantTemplate cache;
   cache.app = "memcached";
@@ -112,20 +144,66 @@ TEST(AllocGate, Pool4Churn) {
   batch.local_ratio = 0.25;
   c.templates = {cache, batch};
   auto runs = sc.Expand();
-  ASSERT_EQ(runs.size(), 1u);
+  EXPECT_EQ(runs.size(), 1u);
 
+  ChurnRun run;
   std::uint64_t before = g_allocations.load();
-  orchestrator::ChurnResult r = orchestrator::RunChurn(runs[0]);
-  Cost cost;
-  cost.allocations = g_allocations.load() - before;
-  ASSERT_EQ(r.status, orchestrator::ChurnResult::Status::kOk) << r.error;
-  cost.events = r.sim_events;
-  cost.faults = r.faults;
-  Report("pool4 churn", cost);
-  EXPECT_EQ(cost.events, 642605u);
-  EXPECT_EQ(cost.faults, 50558u);
-  // Measured 0.2198, tenant construction included.
-  EXPECT_LE(cost.AllocsPerEvent(), 0.23);
+  std::int64_t live_before = g_live_bytes.load();
+  g_peak_live_bytes.store(live_before);
+  run.result = orchestrator::RunChurn(runs.at(0));
+  run.peak_live_bytes = g_peak_live_bytes.load() - live_before;
+  run.cost.allocations = g_allocations.load() - before;
+  run.cost.events = run.result.sim_events;
+  run.cost.faults = run.result.faults;
+  return run;
+}
+
+// Tenant construction happens inside the run and is counted.
+TEST(AllocGate, Pool4Churn) {
+  ChurnRun run = RunPool4Churn(60, 200 * kMillisecond);
+  ASSERT_EQ(run.result.status, orchestrator::ChurnResult::Status::kOk)
+      << run.result.error;
+  Report("pool4 churn", run.cost);
+  EXPECT_EQ(run.cost.events, 642605u);
+  EXPECT_EQ(run.cost.faults, 50558u);
+  // Measured 0.2194, tenant construction included.
+  EXPECT_LE(run.cost.AllocsPerEvent(), 0.23);
+}
+
+// O(active tenants) memory (DESIGN.md §15): with the concurrency cap fixed,
+// admitting 4x the tenants may grow the peak live heap only by what the
+// run keeps per retired tenant — its ledger record and the reaped shell —
+// plus latency statistics that grow with distinct values, not samples.
+TEST(AllocGate, Pool4ChurnRetainedHeapPerTenant) {
+  ChurnRun small = RunPool4Churn(60, 200 * kMillisecond);
+  ChurnRun large = RunPool4Churn(240, 800 * kMillisecond);
+  for (const ChurnRun* r : {&small, &large})
+    ASSERT_EQ(r->result.status, orchestrator::ChurnResult::Status::kOk)
+        << r->result.error;
+  // Arrivals past the concurrency cap are dropped, so the horizon ends
+  // admissions first: 43 and 189 tenants retire, 146 apart.
+  ASSERT_GT(large.result.tenants_retired, 3 * small.result.tenants_retired);
+  ASSERT_EQ(small.result.active_high_water, large.result.active_high_water);
+  double per_tenant =
+      double(large.peak_live_bytes - small.peak_live_bytes) /
+      double(large.result.tenants_retired - small.result.tenants_retired);
+  std::printf("peak live heap: %.1f KiB at %llu tenants, %.1f KiB at %llu; "
+              "%.1f KiB per extra retired tenant\n",
+              double(small.peak_live_bytes) / 1024,
+              (unsigned long long)small.result.tenants_retired,
+              double(large.peak_live_bytes) / 1024,
+              (unsigned long long)large.result.tenants_retired,
+              per_tenant / 1024);
+  // Measured 19.9-20.0 KiB, depending on which tests ran earlier in the
+  // process (113 KiB while every retired tenant kept two full-range
+  // fault histograms and the NIC kept every latency sample).
+  // About 11 KiB of it is the NIC's latency multisets, which grow with the
+  // run's distinct swap-out latencies (19k -> 64k) rather than with
+  // tenants; 3-6 KB the ledger record's fault histogram (300-450 buckets
+  // plus growth slack); ~1.5 KiB the 576-byte record and the 856-byte
+  // shell with its threads/frame_waiters capacity; the rest is ledger
+  // growth slack and other state that scales with run length.
+  EXPECT_LE(per_tenant, 21.0 * 1024);
 }
 
 }  // namespace

@@ -4,7 +4,10 @@
 // determinism guarantee — reports are byte-identical with tracing on or off.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cctype>
+#include <cmath>
 #include <sstream>
 #include <string>
 
@@ -343,6 +346,169 @@ TEST(LogHistogram, HugeValuesDoNotOverflow) {
   // upper edge would overflow uint64.
   EXPECT_GE(h.Percentile(99), h.min());
   EXPECT_LE(h.Percentile(99), h.max());
+}
+
+// Differential: LogHistogram stores only the bucket prefix it uses; the
+// reference below is the fixed 1920-bucket array it replaced. Percentiles,
+// windows, merges and every bucket count must match exactly.
+class FixedArrayHistogram {
+ public:
+  using H = trace::LogHistogram;
+  void Add(std::uint64_t v) {
+    ++counts_[H::BucketIndex(v)];
+    ++count_;
+    sum_ += v;
+    if (v > max_) max_ = v;
+    if (count_ == 1 || v < min_) min_ = v;
+  }
+  std::uint64_t Percentile(double p) const {
+    if (count_ == 0) return 0;
+    p = std::clamp(p, 0.0, 100.0);
+    std::uint64_t rank = std::max<std::uint64_t>(
+        1, std::uint64_t(std::ceil(p / 100.0 * double(count_))));
+    std::uint64_t cum = 0;
+    for (std::uint32_t i = 0; i < H::kNumBuckets; ++i) {
+      cum += counts_[i];
+      if (cum >= rank) {
+        std::uint64_t hi =
+            i + 1 < H::kNumBuckets ? H::BucketLow(i + 1) - 1 : max_;
+        return std::clamp(hi, min_, max_);
+      }
+    }
+    return max_;
+  }
+  FixedArrayHistogram Since(const FixedArrayHistogram& start) const {
+    FixedArrayHistogram out;
+    std::uint32_t lo = H::kNumBuckets, hi = 0;
+    for (std::uint32_t i = 0; i < H::kNumBuckets; ++i) {
+      std::uint64_t d = counts_[i] - start.counts_[i];
+      out.counts_[i] = d;
+      if (d) {
+        if (i < lo) lo = i;
+        hi = i;
+      }
+    }
+    out.count_ = count_ - start.count_;
+    out.sum_ = sum_ - start.sum_;
+    if (out.count_ == 0) return out;
+    out.min_ = H::BucketLow(lo);
+    out.max_ = hi + 1 < H::kNumBuckets ? H::BucketLow(hi + 1) - 1 : max_;
+    return out;
+  }
+  void Merge(const FixedArrayHistogram& other) {
+    if (other.count_ == 0) return;
+    for (std::uint32_t i = 0; i < H::kNumBuckets; ++i)
+      counts_[i] += other.counts_[i];
+    if (count_ == 0 || other.min_ < min_) min_ = other.min_;
+    max_ = std::max(max_, other.max_);
+    count_ += other.count_;
+    sum_ += other.sum_;
+  }
+  std::uint64_t BucketCount(std::uint32_t i) const { return counts_[i]; }
+  std::uint64_t count() const { return count_; }
+  std::uint64_t min() const { return count_ ? min_ : 0; }
+  std::uint64_t max() const { return max_; }
+  double Mean() const { return count_ ? double(sum_) / double(count_) : 0.0; }
+
+ private:
+  std::array<std::uint64_t, H::kNumBuckets> counts_{};
+  std::uint64_t count_ = 0, sum_ = 0, max_ = 0, min_ = 0;
+};
+
+void ExpectSameHistogram(const trace::LogHistogram& got,
+                         const FixedArrayHistogram& want) {
+  ASSERT_EQ(got.count(), want.count());
+  EXPECT_EQ(got.min(), want.min());
+  EXPECT_EQ(got.max(), want.max());
+  EXPECT_EQ(got.Mean(), want.Mean());
+  for (double p : {0.0, 0.1, 1.0, 10.0, 50.0, 90.0, 99.0, 99.9, 100.0})
+    EXPECT_EQ(got.Percentile(p), want.Percentile(p)) << "p" << p;
+  for (std::uint32_t i = 0; i < trace::LogHistogram::kNumBuckets; ++i)
+    ASSERT_EQ(got.BucketCount(i), want.BucketCount(i)) << "bucket " << i;
+}
+
+/// Adds the same sample to both histograms.
+struct HistogramPair {
+  trace::LogHistogram got;
+  FixedArrayHistogram want;
+  void Add(std::uint64_t v) {
+    got.Add(v);
+    want.Add(v);
+  }
+};
+
+std::uint64_t LogUniform(Rng& rng, std::uint32_t max_bits) {
+  std::uint64_t v = std::uint64_t(1) << rng.NextBounded(max_bits);
+  return v + rng.NextBounded(v);
+}
+
+TEST(LogHistogramDiff, EmptyMatchesReference) {
+  HistogramPair h;
+  ExpectSameHistogram(h.got, h.want);
+  ExpectSameHistogram(h.got.Since(h.got), h.want.Since(h.want));
+  HistogramPair other;
+  h.got.Merge(other.got);
+  h.want.Merge(other.want);
+  ExpectSameHistogram(h.got, h.want);
+}
+
+TEST(LogHistogramDiff, RandomSamplesIncludingTopBucket) {
+  HistogramPair h;
+  Rng rng(5);
+  for (int i = 0; i < 20'000; ++i) h.Add(LogUniform(rng, 40));
+  ExpectSameHistogram(h.got, h.want);
+  h.Add(~std::uint64_t(0));  // bucket 1919, the last one
+  EXPECT_EQ(trace::LogHistogram::BucketIndex(~std::uint64_t(0)),
+            trace::LogHistogram::kNumBuckets - 1);
+  ExpectSameHistogram(h.got, h.want);
+  EXPECT_EQ(h.got.Percentile(100), ~std::uint64_t(0));
+}
+
+TEST(LogHistogramDiff, BucketCountPastStoredPrefixIsZero) {
+  HistogramPair h;
+  for (std::uint64_t v = 0; v < 40; ++v) h.Add(v % 7);
+  ExpectSameHistogram(h.got, h.want);  // walks all 1920 buckets
+  EXPECT_EQ(h.got.BucketCount(7), 0u);
+  EXPECT_EQ(h.got.BucketCount(trace::LogHistogram::kNumBuckets - 1), 0u);
+}
+
+TEST(LogHistogramDiff, SinceWithShorterStartSnapshot) {
+  // The snapshot holds only small values, so its stored prefix is shorter
+  // than the histogram's at the window edge.
+  HistogramPair h;
+  Rng rng(8);
+  for (int i = 0; i < 3000; ++i) h.Add(rng.NextBounded(200));
+  HistogramPair snap = h;
+  for (int i = 0; i < 3000; ++i) h.Add(LogUniform(rng, 34));
+  ExpectSameHistogram(h.got.Since(snap.got), h.want.Since(snap.want));
+  // Windows that are empty, or hold only top-end samples.
+  ExpectSameHistogram(h.got.Since(h.got), h.want.Since(h.want));
+  HistogramPair edge = h;
+  h.Add(~std::uint64_t(0) - 3);
+  ExpectSameHistogram(h.got.Since(edge.got), h.want.Since(edge.want));
+  // A window from an empty snapshot holds every sample.
+  HistogramPair none;
+  ExpectSameHistogram(h.got.Since(none.got), h.want.Since(none.want));
+}
+
+TEST(LogHistogramDiff, MergeInBothSizeOrders) {
+  HistogramPair small, large;
+  Rng rng(12);
+  for (int i = 0; i < 2000; ++i) small.Add(rng.NextBounded(100));
+  for (int i = 0; i < 2000; ++i) large.Add(LogUniform(rng, 48));
+  HistogramPair small_into_large = large;
+  small_into_large.got.Merge(small.got);
+  small_into_large.want.Merge(small.want);
+  ExpectSameHistogram(small_into_large.got, small_into_large.want);
+  HistogramPair large_into_small = small;
+  large_into_small.got.Merge(large.got);
+  large_into_small.want.Merge(large.want);
+  ExpectSameHistogram(large_into_small.got, large_into_small.want);
+  // Merging into an empty histogram copies it.
+  HistogramPair empty;
+  empty.got.Merge(large.got);
+  empty.want.Merge(large.want);
+  ExpectSameHistogram(empty.got, empty.want);
 }
 
 // ---------------------------------------------------------------------------
