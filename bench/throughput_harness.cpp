@@ -7,7 +7,8 @@
 //  1. micro: an identical self-rescheduling event churn run through (a) a
 //     faithful replica of the seed engine (std::function callbacks in a
 //     std::priority_queue — see LegacySimulator below) and (b) the current
-//     sim::Simulator. The ratio is the headline "fast-path speedup".
+//     sim::Simulator. The ratio is the headline "fast-path speedup"; the
+//     harness exits 1 if its median falls below the 2x regression floor.
 //  2. scenarios: representative runs of fig02 (Linux 5.5 co-run), fig10
 //     (Canvas full co-run) and fig13 (Memcached alloc scaling) measured in
 //     wall-clock seconds and simulated events/sec.
@@ -15,6 +16,10 @@
 //     on a healthy fig10 run.
 //  4. hardware_concurrency (the host CPU count the timings came from) and
 //     peak_rss_bytes (max resident set over the whole harness run).
+//
+// Sections 1 and 2 repeat kRepeats times (the micro engines alternate) and
+// report the median with the min and max, so one noisy run on a shared
+// host cannot set the number.
 //
 // Honours CANVAS_SCALE / CANVAS_SEED like every other bench binary.
 #include <algorithm>
@@ -82,6 +87,26 @@ class LegacySimulator {
 
 using Clock = std::chrono::steady_clock;
 
+constexpr int kRepeats = 5;
+constexpr double kSpeedupFloor = 2.0;
+
+/// Median, min and max of a set of repeats.
+struct Spread {
+  double median = 0;
+  double min = 0;
+  double max = 0;
+};
+
+Spread SpreadOf(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t n = v.size();
+  Spread s;
+  s.median = n % 2 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2;
+  s.min = v.front();
+  s.max = v.back();
+  return s;
+}
+
 // Event churn modeled on the real call sites: each chain reschedules
 // itself with a pseudo-random small delay. The capture mirrors the typical
 // fault-path closure (this + a handful of pointers/scalars, ~48 bytes —
@@ -122,6 +147,24 @@ struct ScenarioResult {
   std::uint64_t sim_events = 0;
   double events_per_sec = 0;
   std::vector<double> finish_sec;
+};
+
+/// One figure scenario over the repeats: wall seconds and the events/sec
+/// they imply (simulated results repeat exactly, so one copy is kept).
+struct ScenarioSpread {
+  std::string name;
+  std::uint64_t sim_events = 0;
+  std::vector<double> finish_sec;
+  std::vector<double> walls;
+};
+
+/// The micro churn over the repeats, in events/sec, with the per-repeat
+/// fast/seed ratios.
+struct MicroSpread {
+  std::uint64_t events = 0;
+  std::vector<double> legacy_eps;
+  std::vector<double> fast_eps;
+  std::vector<double> speedups;
 };
 
 ScenarioResult RunScenario(const std::string& name, core::SystemConfig cfg,
@@ -209,9 +252,19 @@ TraceOverhead MeasureTraceOverhead(double scale, int reps) {
   return o;
 }
 
-void WriteJson(const std::string& path, std::uint64_t micro_events,
-               double legacy_eps, double fast_eps,
-               const std::vector<ScenarioResult>& scenarios,
+void PrintSpread(std::FILE* f, const char* key, const Spread& sp,
+                 const char* fmt, const char* tail) {
+  std::fprintf(f, "\"%s\": ", key);
+  std::fprintf(f, fmt, sp.median);
+  std::fprintf(f, ", \"%s_min\": ", key);
+  std::fprintf(f, fmt, sp.min);
+  std::fprintf(f, ", \"%s_max\": ", key);
+  std::fprintf(f, fmt, sp.max);
+  std::fprintf(f, "%s", tail);
+}
+
+void WriteJson(const std::string& path, const MicroSpread& micro,
+               const std::vector<ScenarioSpread>& scenarios,
                const FaultOverhead& fault, const TraceOverhead& trace) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (!f) {
@@ -220,22 +273,27 @@ void WriteJson(const std::string& path, std::uint64_t micro_events,
   }
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"benchmark\": \"simulator_throughput\",\n");
+  std::fprintf(f, "  \"repeats\": %d,\n", kRepeats);
   std::fprintf(f, "  \"micro\": {\n");
   std::fprintf(f, "    \"events\": %llu,\n",
-               (unsigned long long)micro_events);
-  std::fprintf(f, "    \"baseline_seed_events_per_sec\": %.0f,\n",
-               legacy_eps);
-  std::fprintf(f, "    \"fastpath_events_per_sec\": %.0f,\n", fast_eps);
-  std::fprintf(f, "    \"speedup\": %.3f\n", fast_eps / legacy_eps);
+               (unsigned long long)micro.events);
+  std::fprintf(f, "    ");
+  PrintSpread(f, "baseline_seed_events_per_sec", SpreadOf(micro.legacy_eps),
+              "%.0f", ",\n    ");
+  PrintSpread(f, "fastpath_events_per_sec", SpreadOf(micro.fast_eps), "%.0f",
+              ",\n    ");
+  PrintSpread(f, "speedup", SpreadOf(micro.speedups), "%.3f", "\n");
   std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"scenarios\": [\n");
   for (std::size_t i = 0; i < scenarios.size(); ++i) {
-    const ScenarioResult& s = scenarios[i];
-    std::fprintf(f, "    {\"name\": \"%s\", \"wall_sec\": %.3f, "
-                 "\"sim_events\": %llu, \"events_per_sec\": %.0f, "
+    const ScenarioSpread& s = scenarios[i];
+    const Spread wall = SpreadOf(s.walls);
+    std::fprintf(f, "    {\"name\": \"%s\", ", s.name.c_str());
+    PrintSpread(f, "wall_sec", wall, "%.3f", ", ");
+    std::fprintf(f, "\"sim_events\": %llu, \"events_per_sec\": %.0f, "
                  "\"finish_sim_sec\": [",
-                 s.name.c_str(), s.wall_sec,
-                 (unsigned long long)s.sim_events, s.events_per_sec);
+                 (unsigned long long)s.sim_events,
+                 double(s.sim_events) / wall.median);
     for (std::size_t j = 0; j < s.finish_sec.size(); ++j)
       std::fprintf(f, "%s%.3f", j ? ", " : "", s.finish_sec[j]);
     std::fprintf(f, "]}%s\n", i + 1 < scenarios.size() ? "," : "");
@@ -280,18 +338,29 @@ int main(int argc, char** argv) {
 
   PrintBanner("Simulator throughput harness");
 
-  // --- micro: same churn through both engines ---
-  std::uint64_t micro_events = quick ? 400'000 : 4'000'000;
+  // --- micro: same churn through both engines, alternating ---
+  MicroSpread micro;
+  micro.events = quick ? 400'000 : 4'000'000;
   const unsigned kChains = 2048;  // pending events at co-run depth
-  double legacy_eps =
-      Churn<LegacySimulator>{}.EventsPerSec(micro_events, kChains);
-  double fast_eps = Churn<sim::Simulator>{}.EventsPerSec(micro_events, kChains);
-  std::printf("micro churn (%llu events, 2048 chains):\n"
-              "  seed engine     %12.0f events/sec\n"
-              "  fast-path engine%12.0f events/sec\n"
-              "  speedup         %12.2fx\n",
-              (unsigned long long)micro_events, legacy_eps, fast_eps,
-              fast_eps / legacy_eps);
+  for (int rep = 0; rep < kRepeats; ++rep) {
+    double legacy =
+        Churn<LegacySimulator>{}.EventsPerSec(micro.events, kChains);
+    double fast = Churn<sim::Simulator>{}.EventsPerSec(micro.events, kChains);
+    micro.legacy_eps.push_back(legacy);
+    micro.fast_eps.push_back(fast);
+    micro.speedups.push_back(fast / legacy);
+  }
+  const Spread legacy_eps = SpreadOf(micro.legacy_eps);
+  const Spread fast_eps = SpreadOf(micro.fast_eps);
+  const Spread speedup = SpreadOf(micro.speedups);
+  std::printf("micro churn (%llu events, 2048 chains, median [min, max] of "
+              "%d):\n"
+              "  seed engine     %12.0f events/sec [%.0f, %.0f]\n"
+              "  fast-path engine%12.0f events/sec [%.0f, %.0f]\n"
+              "  speedup         %12.2fx [%.2f, %.2f]\n",
+              (unsigned long long)micro.events, kRepeats, legacy_eps.median,
+              legacy_eps.min, legacy_eps.max, fast_eps.median, fast_eps.min,
+              fast_eps.max, speedup.median, speedup.min, speedup.max);
 
   // --- representative figure scenarios ---
   // Composed as RunSpecs and executed by the SweepEngine with jobs=1: the
@@ -309,25 +378,32 @@ int main(int argc, char** argv) {
     AddRun(scenario_specs, "fig13_memcached_16c",
            core::SystemConfig::CanvasFull(), {std::move(b)});
   }
-  auto scenario_sweep = RunSweep(std::move(scenario_specs), /*jobs=*/1);
-
-  std::vector<ScenarioResult> scenarios;
-  for (const orchestrator::RunResult& r : scenario_sweep.runs) {
-    ScenarioResult s;
-    s.name = r.label;
-    s.wall_sec = r.wall_sec;
-    s.sim_events = r.sim_events;
-    s.events_per_sec = s.wall_sec > 0 ? double(s.sim_events) / s.wall_sec : 0;
-    for (const orchestrator::AppResult& a : r.apps)
-      s.finish_sec.push_back(double(a.metrics.finish_time) / double(kSecond));
-    scenarios.push_back(std::move(s));
+  std::vector<ScenarioSpread> scenarios;
+  for (int rep = 0; rep < kRepeats; ++rep) {
+    auto sweep = RunSweep(scenario_specs, /*jobs=*/1);
+    scenarios.resize(sweep.runs.size());
+    for (std::size_t i = 0; i < sweep.runs.size(); ++i) {
+      const orchestrator::RunResult& r = sweep.runs[i];
+      ScenarioSpread& s = scenarios[i];
+      s.walls.push_back(r.wall_sec);
+      if (rep > 0) continue;
+      s.name = r.label;
+      s.sim_events = r.sim_events;
+      for (const orchestrator::AppResult& a : r.apps)
+        s.finish_sec.push_back(double(a.metrics.finish_time) /
+                               double(kSecond));
+    }
   }
 
-  TablePrinter table({"scenario", "wall sec", "sim events", "events/sec"});
-  for (const ScenarioResult& s : scenarios)
-    table.AddRow({s.name, TablePrinter::Num(s.wall_sec, 2),
-                  std::to_string(s.sim_events),
-                  TablePrinter::Num(s.events_per_sec, 0)});
+  TablePrinter table({"scenario", "wall sec (median)", "min", "max",
+                      "sim events", "events/sec"});
+  for (const ScenarioSpread& s : scenarios) {
+    const Spread wall = SpreadOf(s.walls);
+    table.AddRow({s.name, TablePrinter::Num(wall.median, 3),
+                  TablePrinter::Num(wall.min, 3),
+                  TablePrinter::Num(wall.max, 3), std::to_string(s.sim_events),
+                  TablePrinter::Num(double(s.sim_events) / wall.median, 0)});
+  }
   table.Print();
 
   // --- fault-subsystem overhead with faults disabled ---
@@ -349,7 +425,11 @@ int main(int argc, char** argv) {
   std::printf("host CPUs: %u\n", std::thread::hardware_concurrency());
   std::printf("peak RSS: %s\n", FormatBytes(double(PeakRssBytes())).c_str());
 
-  WriteJson(json_path, micro_events, legacy_eps, fast_eps, scenarios, fault,
-            trace);
+  WriteJson(json_path, micro, scenarios, fault, trace);
+  if (speedup.median < kSpeedupFloor) {
+    std::fprintf(stderr, "FAIL: fast-path speedup %.2fx is below the %.1fx "
+                 "floor\n", speedup.median, kSpeedupFloor);
+    return 1;
+  }
   return 0;
 }

@@ -30,9 +30,12 @@ ctest --test-dir "$BUILD" --output-on-failure -j"$JOBS"
 # use-after-frees would hide), and the object suite churns the object
 # registry and pins/unpins behaviour read-sets through the cooperative
 # channel, the cli suite feeds canvasctl malformed flags, unknown axis
-# names and unreadable plans, and the mem and sched suites drive the swap
+# names and unreadable plans, the mem and sched suites drive the swap
 # cache's LRU relinking and the timeliness tracker's sorted window with
-# seeded random differentials, so they always also run under ASan+UBSan.
+# seeded random differentials, the sim suite runs the event queue's
+# differential (wheel cascades, overflow heap, backlog) and the rdma suite
+# checks that a freed pooled request is poisoned, so they always also run
+# under ASan+UBSan.
 # Skipped when the main build is already sanitized.
 if [ -z "${CANVAS_SANITIZE:-}" ] && [ "${CANVAS_NO_ASAN_FAULT:-0}" != "1" ]; then
   SAN_BUILD="${SAN_BUILD_DIR:-$ROOT/build-asan}"
@@ -40,9 +43,10 @@ if [ -z "${CANVAS_SANITIZE:-}" ] && [ "${CANVAS_NO_ASAN_FAULT:-0}" != "1" ]; the
   cmake --build "$SAN_BUILD" -j"$JOBS" \
     --target fault_injection_test fault_property_test trace_test \
              orchestrator_test remote_test serving_test workload_test \
-             tier_test churn_test object_test mem_test sched_test canvasctl
+             tier_test churn_test object_test mem_test sched_test sim_test \
+             rdma_test canvasctl
   ctest --test-dir "$SAN_BUILD" \
-    -L 'fault|trace|orchestrator|remote|serving|tier|churn|object|cli|mem|sched' \
+    -L 'fault|trace|orchestrator|remote|serving|tier|churn|object|cli|mem|sched|sim|rdma' \
     --output-on-failure -j"$JOBS"
 fi
 

@@ -7,6 +7,7 @@
 // and 14 and the timeliness statistics used by the horizontal scheduler.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -122,6 +123,15 @@ struct Request {
   /// before handing ownership back, and its captures fit the 16-byte
   /// small-object buffer.
   std::function<void(std::unique_ptr<Request>)> on_error;
+
+  /// Requests are recycled through a per-thread free list (request.cc), so
+  /// once it holds a run's peak number of requests in flight, a swap-out,
+  /// demand read or prefetch allocates nothing. Only where the bytes come
+  /// from changes: RequestPtr still owns the request, and on_error still
+  /// hands it back. Under AddressSanitizer the pool steps aside, so a freed
+  /// request goes to ASan's quarantine and a stale use is still caught.
+  static void* operator new(std::size_t size);
+  static void operator delete(void* p, std::size_t size) noexcept;
 };
 
 using RequestPtr = std::unique_ptr<Request>;

@@ -44,19 +44,20 @@ class InlineFunction<R(Args...)> {
             typename = std::enable_if_t<!std::is_same_v<
                 std::decay_t<F>, InlineFunction>>>
   InlineFunction(F&& fn) {  // NOLINT(runtime/explicit)
-    using Fn = std::decay_t<F>;
-    static_assert(std::is_invocable_r_v<R, Fn&, Args...>,
-                  "InlineFunction target does not match its signature");
-    if constexpr (kNullable<Fn>) {
-      if (!fn) return;  // empty target -> empty callable (std::function)
-    }
-    if constexpr (kFitsInline<Fn>) {
-      ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(fn));
-      ops_ = &kInlineOps<Fn>;
-    } else {
-      ::new (static_cast<void*>(buf_)) Fn*(new Fn(std::forward<F>(fn)));
-      ops_ = &kHeapOps<Fn>;
-    }
+    Construct(std::forward<F>(fn));
+  }
+
+  /// Replace the target with `fn`, built directly in this object's buffer:
+  /// unlike converting to a temporary and move-assigning it, no capture is
+  /// relocated. `= nullptr` takes the move-assignment path.
+  template <typename F,
+            typename = std::enable_if_t<
+                !std::is_same_v<std::decay_t<F>, InlineFunction> &&
+                !std::is_same_v<std::decay_t<F>, std::nullptr_t>>>
+  InlineFunction& operator=(F&& fn) {
+    Reset();
+    Construct(std::forward<F>(fn));
+    return *this;
   }
 
   static_assert(kInlineSize % alignof(std::max_align_t) == 8,
@@ -100,6 +101,14 @@ class InlineFunction<R(Args...)> {
   /// Exposed for tests and the throughput harness.
   bool inlined() const noexcept { return ops_ && ops_->inline_storage; }
 
+  /// Destroy the target, leaving an empty callable.
+  void Reset() noexcept {
+    if (ops_) {
+      if (ops_->destroy) ops_->destroy(buf_);
+      ops_ = nullptr;
+    }
+  }
+
  private:
   struct Ops {
     R (*invoke)(void*, Args&&...);
@@ -113,6 +122,24 @@ class InlineFunction<R(Args...)> {
     void (*destroy)(void*) noexcept;
     bool inline_storage;
   };
+
+  /// Build the target from `fn` into the empty buffer.
+  template <typename F>
+  void Construct(F&& fn) {
+    using Fn = std::decay_t<F>;
+    static_assert(std::is_invocable_r_v<R, Fn&, Args...>,
+                  "InlineFunction target does not match its signature");
+    if constexpr (kNullable<Fn>) {
+      if (!fn) return;  // empty target -> empty callable (std::function)
+    }
+    if constexpr (kFitsInline<Fn>) {
+      ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(fn));
+      ops_ = &kInlineOps<Fn>;
+    } else {
+      ::new (static_cast<void*>(buf_)) Fn*(new Fn(std::forward<F>(fn)));
+      ops_ = &kHeapOps<Fn>;
+    }
+  }
 
   static void Relocate(const Ops* ops, void* dst, void* src) noexcept {
     if (ops->relocate) {
@@ -184,13 +211,6 @@ class InlineFunction<R(Args...)> {
       [](void* p) noexcept { delete *std::launder(reinterpret_cast<Fn**>(p)); },
       /*inline_storage=*/false,
   };
-
-  void Reset() noexcept {
-    if (ops_) {
-      if (ops_->destroy) ops_->destroy(buf_);
-      ops_ = nullptr;
-    }
-  }
 
   // Buffer first: with ops_ after it the object is 56 + 8 = 64 bytes even
   // though the buffer is max_align_t-aligned.

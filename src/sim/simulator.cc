@@ -1,14 +1,6 @@
 #include "sim/simulator.h"
 
-#include <cassert>
-#include <utility>
-
 namespace canvas::sim {
-
-void Simulator::ScheduleAt(SimTime when, Callback fn) {
-  assert(when >= now_ && "cannot schedule into the past");
-  queue_.Push(when, std::move(fn));
-}
 
 bool Simulator::Step() {
   if (queue_.empty()) return false;

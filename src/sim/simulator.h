@@ -8,13 +8,16 @@
 //
 // Hot-path design (see DESIGN.md "Simulator performance"): callbacks are
 // InlineCallback (56-byte small-buffer storage, no per-event allocation for
-// typical captures) and the queue is a hierarchical timing wheel with
-// recycled pooled event nodes (EventQueue) — O(1) push/pop with no
-// per-event sift at any queue depth. Run() drains every event at the
-// current instant in one pass before touching the clock again.
+// typical captures), built in place in the event's node by Schedule, and
+// the queue is a hierarchical timing wheel with recycled pooled event nodes
+// (EventQueue) — O(1) push/pop with no per-event sift at any queue depth.
+// Run() drains every event at the current instant in one pass before
+// touching the clock again.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
+#include <utility>
 
 #include "common/types.h"
 #include "sim/event_queue.h"
@@ -24,8 +27,6 @@ namespace canvas::sim {
 
 class Simulator {
  public:
-  using Callback = InlineCallback;
-
   Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
@@ -33,13 +34,20 @@ class Simulator {
   /// Current virtual time.
   SimTime Now() const { return now_; }
 
-  /// Schedule `fn` to run `delay` nanoseconds from now.
-  void Schedule(SimDuration delay, Callback fn) {
-    ScheduleAt(now_ + delay, std::move(fn));
+  /// Schedule `fn` to run `delay` nanoseconds from now. `fn` is any
+  /// callable an InlineCallback accepts; it is forwarded, not copied, into
+  /// the event's node and its callback is constructed there.
+  template <typename F>
+  void Schedule(SimDuration delay, F&& fn) {
+    ScheduleAt(now_ + delay, std::forward<F>(fn));
   }
 
   /// Schedule `fn` at an absolute instant (must be >= Now()).
-  void ScheduleAt(SimTime when, Callback fn);
+  template <typename F>
+  void ScheduleAt(SimTime when, F&& fn) {
+    assert(when >= now_ && "cannot schedule into the past");
+    queue_.Push(when, std::forward<F>(fn));
+  }
 
   /// Run until the event queue is empty.
   void Run();

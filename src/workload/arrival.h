@@ -70,11 +70,6 @@ class ArrivalProcess {
   /// Consume and return the next arrival instant; strictly increasing.
   SimTime NextArrival();
 
-  /// Drop every arrival before `t` (admission deferral fast-forward).
-  void AdvanceTo(SimTime t) {
-    if (clock_ < t) clock_ = t;
-  }
-
   const ArrivalConfig& config() const { return cfg_; }
 
  private:

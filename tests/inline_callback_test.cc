@@ -84,6 +84,38 @@ TEST(InlineCallback, MoveAssignmentReleasesPreviousTarget) {
   a();
 }
 
+TEST(InlineCallback, AssigningACallableBuildsItInPlace) {
+  auto tracker = std::make_shared<int>(1);
+  std::weak_ptr<int> watch = tracker;
+  InlineCallback a = [t = std::move(tracker)] { (void)*t; };
+  int moves = 0;
+  int calls = 0;
+  struct Counted {
+    int* moves;
+    int* calls;
+    Counted(int* m, int* c) : moves(m), calls(c) {}
+    Counted(const Counted&) = delete;
+    Counted(Counted&& o) noexcept : moves(o.moves), calls(o.calls) {
+      ++*moves;
+    }
+    void operator()() const { ++*calls; }
+  };
+  // The old target is destroyed and the new one moved in exactly once,
+  // with no temporary InlineCallback in between.
+  a = Counted(&moves, &calls);
+  EXPECT_TRUE(watch.expired());
+  EXPECT_EQ(moves, 1);
+  ASSERT_TRUE(a);
+  a();
+  EXPECT_EQ(calls, 1);
+  // Empty targets still empty the callable, as in construction.
+  a = std::function<void()>();
+  EXPECT_FALSE(a);
+  a = [&calls] { ++calls; };
+  a = nullptr;
+  EXPECT_FALSE(a);
+}
+
 TEST(InlineCallback, UnfiredCallbacksDestroyedWithQueue) {
   // Both inline and heap-fallback captures pending in a dropped simulator
   // must run their destructors (mid-run teardown, e.g. deadline abort).

@@ -3,6 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <memory>
+
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
 
 #include "rdma/nic.h"
 #include "sim/simulator.h"
@@ -171,6 +176,41 @@ TEST(DirectionOf, MapsOps) {
   EXPECT_EQ(DirectionOf(Op::kDemandIn), Direction::kIngress);
   EXPECT_EQ(DirectionOf(Op::kPrefetchIn), Direction::kIngress);
   EXPECT_EQ(DirectionOf(Op::kSwapOut), Direction::kEgress);
+}
+
+// Outside AddressSanitizer builds requests recycle through a per-thread
+// free list: a freed request's block is the next one handed out, and the
+// recycled request is freshly constructed.
+TEST(RequestPool, RecyclesFreedRequests) {
+#if defined(__SANITIZE_ADDRESS__)
+  GTEST_SKIP() << "the request pool steps aside under AddressSanitizer";
+#else
+  auto first = std::make_unique<Request>();
+  first->attempts = 3;
+  first->on_complete = [](const Request&) {};
+  const void* block = first.get();
+  first.reset();
+  auto second = std::make_unique<Request>();
+  EXPECT_EQ(static_cast<const void*>(second.get()), block);
+  EXPECT_EQ(second->attempts, 0u);
+  EXPECT_FALSE(second->on_complete);
+#endif
+}
+
+// Under AddressSanitizer a freed request is poisoned from its first byte to
+// its last, so a stale RequestPtr use is reported.
+TEST(RequestPool, FreedRequestIsPoisonedUnderAsan) {
+#if !defined(__SANITIZE_ADDRESS__)
+  GTEST_SKIP() << "needs AddressSanitizer";
+#else
+  auto req = std::make_unique<Request>();
+  char* raw = reinterpret_cast<char*>(req.get());
+  EXPECT_EQ(__asan_region_is_poisoned(raw, sizeof(Request)), nullptr);
+  req.reset();
+  EXPECT_TRUE(__asan_address_is_poisoned(raw));
+  EXPECT_TRUE(__asan_address_is_poisoned(raw + sizeof(Request) - 1));
+  EXPECT_EQ(__asan_region_is_poisoned(raw, sizeof(Request)), raw);
+#endif
 }
 
 TEST(OpName, Names) {

@@ -2,8 +2,13 @@
 // mutex.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "sim/sim_mutex.h"
 #include "sim/simulator.h"
 
@@ -73,6 +78,157 @@ TEST(Simulator, StepReturnsFalseWhenEmpty) {
   EXPECT_TRUE(sim.Step());
   EXPECT_FALSE(sim.Step());
   EXPECT_EQ(sim.events_executed(), 1u);
+}
+
+// Differential check of the event queue: seeded random schedules run
+// through the Simulator while a std::set of (when, seq) models the required
+// delivery order. Every event that fires must be the set's minimum, at
+// exactly its instant. The delays reach every wheel level and past the
+// 2^48 ns horizon into the overflow heap; callbacks schedule onto their own
+// instant and in same-instant bursts; and Drive() stops RunUntil at
+// deadlines between events and schedules behind the advanced wheel cursor.
+class QueueDifferential {
+ public:
+  QueueDifferential(std::uint64_t seed, unsigned population,
+                    std::uint64_t budget)
+      : rng_(seed), budget_(budget) {
+    for (unsigned i = 0; i < population; ++i) Add(RandomDelay());
+  }
+
+  void Drive() {
+    while (budget_ > 0 && !sim_.empty()) {
+      if (sim_.RunUntil(sim_.Now() + RandomDelay())) break;
+      // Now() is the deadline, which may lie behind the wheel cursor.
+      const unsigned n = 1 + unsigned(rng_.NextBounded(3));
+      for (unsigned i = 0; i < n; ++i) Add(rng_.NextBounded(3));
+    }
+    sim_.Run();
+  }
+
+  std::uint64_t scheduled() const { return next_seq_; }
+  std::uint64_t executed() const { return sim_.events_executed(); }
+  std::size_t pending_in_reference() const { return ref_.size(); }
+  std::uint64_t errors() const { return errors_; }
+  const std::string& first_error() const { return first_error_; }
+
+ private:
+  static constexpr SimTime kFar = SimTime(1) << 58;
+
+  void Add(SimDuration delay) { AddAt(sim_.Now() + delay); }
+
+  void AddAt(SimTime when) {
+    const std::uint64_t seq = next_seq_++;
+    if (budget_ > 0) --budget_;
+    ref_.insert({when, seq});
+    sim_.ScheduleAt(when, [this, when, seq] { Fire(when, seq); });
+  }
+
+  using Key = std::pair<SimTime, std::uint64_t>;
+
+  static std::string Describe(const Key& k) {
+    return "(" + std::to_string(k.first) + ", " + std::to_string(k.second) +
+           ")";
+  }
+
+  void Fire(SimTime when, std::uint64_t seq) {
+    const Key got{when, seq};
+    if (ref_.empty() || *ref_.begin() != got || sim_.Now() != when) {
+      if (errors_++ == 0)
+        first_error_ = "fired " + Describe(got) + " at " +
+                       std::to_string(sim_.Now()) + ", expected " +
+                       (ref_.empty() ? "nothing" : Describe(*ref_.begin()));
+    }
+    ref_.erase(got);
+    if (budget_ == 0) return;
+    // One child on average keeps the population near its starting size.
+    const std::uint64_t r = rng_.NextBounded(20);
+    if (r < 6) return;
+    if (r < 16) {
+      Add(RandomDelay());
+    } else if (r < 19) {
+      Add(RandomDelay());
+      Add(RandomDelay());
+    } else {
+      const SimTime burst = sim_.Now() + RandomDelay();
+      for (int i = 0; i < 4; ++i) AddAt(burst);
+    }
+  }
+
+  SimDuration Between(std::uint64_t lo, std::uint64_t hi) {
+    return lo + rng_.NextBounded(hi - lo);
+  }
+
+  /// A delay from one of eight classes; the overflow class is dropped once
+  /// the clock is far out, so deadlines never wrap.
+  SimDuration RandomDelay() {
+    switch (rng_.NextBounded(sim_.Now() < kFar ? 8 : 7)) {
+      case 0: return 0;                                    // this instant
+      case 1: return Between(1, 64);                       // near ticks
+      case 2: return Between(1, SimTime(1) << 12);         // level 0
+      case 3: return Between(SimTime(1) << 12, SimTime(1) << 24);  // level 1
+      case 4: return Between(SimTime(1) << 24, SimTime(1) << 36);  // level 2
+      case 5: return Between(SimTime(1) << 36, SimTime(1) << 48);  // level 3
+      case 6: return Between(1, SimTime(1) << 14);  // across a level-0 block
+      default: return Between(SimTime(1) << 48, SimTime(1) << 50);  // heap
+    }
+  }
+
+  Simulator sim_;
+  Rng rng_;
+  std::uint64_t budget_;
+  std::uint64_t next_seq_ = 0;
+  std::set<Key> ref_;
+  std::uint64_t errors_ = 0;
+  std::string first_error_;
+};
+
+TEST(EventQueue, MatchesReferenceOrderOnRandomSchedules) {
+  const unsigned kPopulations[] = {1, 16, 256, 2048};
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    QueueDifferential d(seed, kPopulations[seed % 4], 30'000);
+    d.Drive();
+    EXPECT_EQ(d.errors(), 0u) << "seed " << seed << ": " << d.first_error();
+    EXPECT_EQ(d.executed(), d.scheduled()) << "seed " << seed;
+    EXPECT_EQ(d.pending_in_reference(), 0u) << "seed " << seed;
+  }
+}
+
+/// A callable that counts how often it is moved, copied and invoked.
+struct MoveCounter {
+  int* moves;
+  int* copies;
+  int* calls;
+  MoveCounter(int* m, int* c, int* k) : moves(m), copies(c), calls(k) {}
+  MoveCounter(const MoveCounter& o)
+      : moves(o.moves), copies(o.copies), calls(o.calls) {
+    ++*copies;
+  }
+  MoveCounter(MoveCounter&& o) noexcept
+      : moves(o.moves), copies(o.copies), calls(o.calls) {
+    ++*moves;
+  }
+  void operator()() const { ++*calls; }
+};
+
+TEST(Simulator, ScheduleBuildsCallbackInPlace) {
+  Simulator sim;
+  int moves = 0, copies = 0, calls = 0;
+  // A temporary is moved once, straight into the event's node.
+  sim.Schedule(5, MoveCounter(&moves, &copies, &calls));
+  EXPECT_EQ(moves, 1);
+  EXPECT_EQ(copies, 0);
+  sim.ScheduleAt(7, MoveCounter(&moves, &copies, &calls));
+  EXPECT_EQ(moves, 2);
+  // An lvalue is copied once and never moved.
+  const MoveCounter named(&moves, &copies, &calls);
+  sim.Schedule(9, named);
+  EXPECT_EQ(moves, 2);
+  EXPECT_EQ(copies, 1);
+  // Delivery invokes the callbacks where they were built.
+  sim.Run();
+  EXPECT_EQ(calls, 3);
+  EXPECT_EQ(moves, 2);
+  EXPECT_EQ(copies, 1);
 }
 
 TEST(SimMutex, UncontendedRunsImmediately) {
