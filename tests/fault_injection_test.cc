@@ -89,7 +89,19 @@ std::string ReportOf(const Experiment& e) {
 /// failure's resolution.
 struct Recovery {
   std::uint64_t exhausted = 0, reissues = 0, failovers = 0, failbacks = 0,
-                disk_in = 0, disk_out = 0, stale = 0;
+                disk_in = 0, disk_out = 0, stale = 0, tier_in = 0,
+                tier_out = 0, rescues = 0, prefetch_dropped = 0,
+                prefetch_discarded = 0;
+  bool operator==(const Recovery&) const = default;
+  friend std::ostream& operator<<(std::ostream& os, const Recovery& r) {
+    return os << "{exhausted=" << r.exhausted << " reissues=" << r.reissues
+              << " failovers=" << r.failovers << " failbacks=" << r.failbacks
+              << " disk_in=" << r.disk_in << " disk_out=" << r.disk_out
+              << " stale=" << r.stale << " tier_in=" << r.tier_in
+              << " tier_out=" << r.tier_out << " rescues=" << r.rescues
+              << " prefetch_dropped=" << r.prefetch_dropped
+              << " prefetch_discarded=" << r.prefetch_discarded << "}";
+  }
 };
 Recovery RecoveryOf(const Experiment& e) {
   Recovery r;
@@ -102,6 +114,11 @@ Recovery RecoveryOf(const Experiment& e) {
     r.disk_in += m.disk_swapins;
     r.disk_out += m.disk_swapouts;
     r.stale += m.stale_reads;
+    r.tier_in += m.tier_swapins;
+    r.tier_out += m.tier_swapouts;
+    r.rescues += m.rescues;
+    r.prefetch_dropped += m.prefetch_dropped;
+    r.prefetch_discarded += m.prefetch_discarded;
   }
   return r;
 }
@@ -204,6 +221,9 @@ TEST(FaultInjection, BlackoutFailsOverAndRecovers) {
   EXPECT_GT(r.disk_out, 0u);
   EXPECT_GT(e.system().nic().timeouts(), 0u);
   EXPECT_EQ(r.stale, 0u);
+  EXPECT_EQ(r, (Recovery{.exhausted = 7, .reissues = 2, .failovers = 1,
+                          .failbacks = 1, .disk_in = 15, .disk_out = 9,
+                          .prefetch_dropped = 13}));
   // Failover/failback leave the cgroup on the remote backend at the end.
   EXPECT_EQ(e.system().cgroup(0).backend(), SwapBackend::kRemote);
 }
@@ -223,6 +243,9 @@ TEST(FaultInjection, DiskBackedPagesReadBackFromDisk) {
   EXPECT_GT(r.disk_in, 0u);
   EXPECT_GT(e.system().disk()->reads(), 0u);
   EXPECT_EQ(r.stale, 0u);
+  EXPECT_EQ(r, (Recovery{.exhausted = 2, .reissues = 2, .failovers = 1,
+                          .failbacks = 1, .disk_in = 64, .disk_out = 31,
+                          .prefetch_dropped = 15}));
 }
 
 TEST(FaultInjection, InflightRequestsNeverLeakAcrossBlackout) {
@@ -250,6 +273,9 @@ TEST(FaultInjection, InflightRequestsNeverLeakAcrossBlackout) {
   EXPECT_EQ(e.system().nic().pending_retries(), 0u);
   EXPECT_EQ(e.system().disk()->inflight(), 0u);
   EXPECT_EQ(RecoveryOf(e).stale, 0u);
+  EXPECT_EQ(RecoveryOf(e), (Recovery{.exhausted = 5, .reissues = 4,
+                                    .failovers = 2, .failbacks = 2,
+                                    .disk_in = 1579, .disk_out = 966}));
 }
 
 // --- determinism -----------------------------------------------------------

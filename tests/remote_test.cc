@@ -398,10 +398,30 @@ TEST(RemoteSystem, PerServerBlackoutFailsOverOnlyThatServer) {
   const SwapSystem& sys = exp.system();
   const remote::ServerPool* pool = sys.pool();
   ASSERT_NE(pool, nullptr);
+  std::uint64_t disk_in = 0, disk_out = 0, rescues = 0, dropped = 0,
+                discarded = 0, exhausted = 0, reissues = 0;
   for (std::size_t i = 0; i < sys.app_count(); ++i) {
-    EXPECT_EQ(sys.metrics(i).stale_reads, 0u);
-    EXPECT_EQ(sys.metrics(i).failovers, 0u);  // targeted, not global
+    const AppMetrics& m = sys.metrics(i);
+    EXPECT_EQ(m.stale_reads, 0u);
+    EXPECT_EQ(m.failovers, 0u);  // targeted, not global
+    disk_in += m.disk_swapins;
+    disk_out += m.disk_swapouts;
+    rescues += m.rescues;
+    dropped += m.prefetch_dropped;
+    discarded += m.prefetch_discarded;
+    exhausted += m.rdma_exhausted;
+    reissues += m.demand_reissues;
   }
+  // Exact routing totals after the slabs move to disk: a change to how a
+  // read or writeback picks its backend moves at least one of these.
+  EXPECT_EQ(pool->evictions_to_disk(), 1u);
+  EXPECT_EQ(disk_in, 0u);
+  EXPECT_EQ(disk_out, 0u);
+  EXPECT_EQ(rescues, 0u);
+  EXPECT_EQ(dropped, 0u);
+  EXPECT_EQ(discarded, 0u);
+  EXPECT_EQ(exhausted, 0u);
+  EXPECT_EQ(reissues, 0u);
   EXPECT_FALSE(pool->servers()[0].down);  // window ended -> back up
   std::string err;
   EXPECT_TRUE(pool->Audit(&err)) << err;

@@ -261,15 +261,21 @@ TEST(TierProperty, OracleHoldsAcrossPromotionDemotionFailover) {
   EXPECT_TRUE(e.system().Quiescent());
 
   std::uint64_t stale = 0, tier_failovers = 0, failovers = 0, disk_out = 0,
-                tier_in = 0, tier_out = 0;
+                disk_in = 0, tier_in = 0, tier_out = 0, rescues = 0,
+                dropped = 0, discarded = 0, exhausted = 0;
   for (std::size_t i = 0; i < e.system().app_count(); ++i) {
     const AppMetrics& m = e.system().metrics(i);
     stale += m.stale_reads;
     tier_failovers += m.tier_failovers;
     failovers += m.failovers;
     disk_out += m.disk_swapouts;
+    disk_in += m.disk_swapins;
     tier_in += m.tier_swapins;
     tier_out += m.tier_swapouts;
+    rescues += m.rescues;
+    dropped += m.prefetch_dropped;
+    discarded += m.prefetch_discarded;
+    exhausted += m.rdma_exhausted;
   }
   EXPECT_EQ(stale, 0u);
   EXPECT_GE(failovers, 1u);
@@ -278,6 +284,15 @@ TEST(TierProperty, OracleHoldsAcrossPromotionDemotionFailover) {
   EXPECT_EQ(disk_out, 0u);
   EXPECT_GT(tier_out, 0u);
   EXPECT_GT(tier_in, 0u);
+  // Exact routing totals: a change to how a read or writeback picks its
+  // backend moves at least one of these.
+  EXPECT_EQ(tier_in, 3023u);
+  EXPECT_EQ(tier_out, 3422u);
+  EXPECT_EQ(disk_in, 0u);
+  EXPECT_EQ(rescues, 0u);
+  EXPECT_EQ(dropped, 0u);
+  EXPECT_EQ(discarded, 0u);
+  EXPECT_EQ(exhausted, 0u);
   CheckResidencyMirrors(e.system());
   // After the fabric heals the failback probe returns every cgroup to the
   // remote backend.
