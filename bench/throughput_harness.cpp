@@ -332,9 +332,15 @@ int main(int argc, char** argv) {
   using namespace canvas;
   using namespace canvas::bench;
 
+  // Reject anything but an optional --quick before running: a mistyped
+  // flag would otherwise run the full harness and overwrite its JSON.
+  bool quick = argc == 2 && std::strcmp(argv[1], "--quick") == 0;
+  if (argc > 1 && !quick) {
+    std::fprintf(stderr, "usage: %s [--quick]\n", argv[0]);
+    return 2;
+  }
   const char* env = std::getenv("CANVAS_BENCH_JSON");
   std::string json_path = env ? env : "BENCH_simulator.json";
-  bool quick = argc > 1 && std::strcmp(argv[1], "--quick") == 0;
 
   PrintBanner("Simulator throughput harness");
 

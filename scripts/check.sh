@@ -33,9 +33,10 @@ ctest --test-dir "$BUILD" --output-on-failure -j"$JOBS"
 # names and unreadable plans, the mem and sched suites drive the swap
 # cache's LRU relinking and the timeliness tracker's sorted window with
 # seeded random differentials, the sim suite runs the event queue's
-# differential (wheel cascades, overflow heap, backlog) and the rdma suite
-# checks that a freed pooled request is poisoned, so they always also run
-# under ASan+UBSan.
+# differential (wheel cascades, overflow heap, backlog), the rdma suite
+# checks that a freed pooled request is poisoned, and the core and
+# property suites drive SwapSystem's request path (fault, rescue, reclaim,
+# writeback) end to end, so they always also run under ASan+UBSan.
 # Skipped when the main build is already sanitized.
 if [ -z "${CANVAS_SANITIZE:-}" ] && [ "${CANVAS_NO_ASAN_FAULT:-0}" != "1" ]; then
   SAN_BUILD="${SAN_BUILD_DIR:-$ROOT/build-asan}"
@@ -44,9 +45,10 @@ if [ -z "${CANVAS_SANITIZE:-}" ] && [ "${CANVAS_NO_ASAN_FAULT:-0}" != "1" ]; the
     --target fault_injection_test fault_property_test trace_test \
              orchestrator_test remote_test serving_test workload_test \
              tier_test churn_test object_test mem_test sched_test sim_test \
-             rdma_test canvasctl
+             rdma_test core_test faultpath_test property_test canvasctl \
+             throughput_harness
   ctest --test-dir "$SAN_BUILD" \
-    -L 'fault|trace|orchestrator|remote|serving|tier|churn|object|cli|mem|sched|sim|rdma' \
+    -L 'fault|trace|orchestrator|remote|serving|tier|churn|object|cli|mem|sched|sim|rdma|core|property' \
     --output-on-failure -j"$JOBS"
 fi
 

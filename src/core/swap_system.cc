@@ -519,12 +519,7 @@ void SwapSystem::ReapApp(AppState& app) {
       CgroupFor(app, p).UnchargeCache();
     }
     if (p.entry != kInvalidEntry) {
-      auto& part = PartitionFor(app, p);
-      if (&part == global_partition_.get()) {
-        part.meta(p.entry) = swapalloc::EntryMeta{};
-        part.allocator().Free(p.entry);
-        CgroupFor(app, p).UnchargeRemote();
-      }
+      if (&PartitionFor(app, p) == global_partition_.get()) FreeEntry(app, p);
       p.entry = kInvalidEntry;
     }
   }
@@ -705,15 +700,17 @@ void SwapSystem::MarkDirty(AppState& app, mem::Page& p) {
   // Entry-keeping release (Appendix B): once a clean page is dirtied its
   // kept swap entry must be released — unless the entry is a Canvas
   // reservation, which is exactly what makes the next swap-out lock-free.
-  if (p.entry != kInvalidEntry && p.entry != p.reserved) {
-    auto& part = PartitionFor(app, p);
-    ReleaseTierResidency(app, p);
-    part.meta(p.entry) = swapalloc::EntryMeta{};
-    part.allocator().Free(p.entry);
-    CgroupFor(app, p).UnchargeRemote();
-    p.entry = kInvalidEntry;
-    p.disk_backed = false;
-  }
+  if (p.entry != kInvalidEntry && p.entry != p.reserved) FreeEntry(app, p);
+}
+
+void SwapSystem::FreeEntry(AppState& app, mem::Page& p) {
+  auto& part = PartitionFor(app, p);
+  ReleaseTierResidency(app, p);
+  part.meta(p.entry) = swapalloc::EntryMeta{};
+  part.allocator().Free(p.entry);
+  CgroupFor(app, p).UnchargeRemote();
+  p.entry = kInvalidEntry;
+  p.disk_backed = false;
 }
 
 void SwapSystem::CheckSwapInOracle(AppState& app, mem::Page& p,
@@ -859,8 +856,7 @@ void SwapSystem::ReissueDemand(AppState& app, rdma::RequestPtr req) {
   // after a pause and keeps trying until the fabric heals.
   ++app.metrics.rdma_exhausted;
   NoteExhausted(app);
-  if (pool_ && req->partition != rdma::kNoPoolPartition &&
-      pool_->OnDisk(req->partition, req->entry)) {
+  if (SlabOnDisk(*req)) {
     // The slab was evicted (harvest or server failover) while this read was
     // burning retries: the data now lives on the disk backend, so reissuing
     // remotely would spin forever. Route it home.
@@ -884,6 +880,11 @@ void SwapSystem::ReissueDemand(AppState& app, rdma::RequestPtr req) {
 // ---------------------------------------------------------------------------
 // Remote memory-server pool (DESIGN.md §11)
 // ---------------------------------------------------------------------------
+
+bool SwapSystem::SlabOnDisk(const rdma::Request& r) const {
+  return pool_ && r.partition != rdma::kNoPoolPartition &&
+         pool_->OnDisk(r.partition, r.entry);
+}
 
 void SwapSystem::StampPool(AppState& app, const mem::Page& p,
                            rdma::Request& req, bool place) {
@@ -966,10 +967,6 @@ void SwapSystem::OnSlabEvicted(std::uint32_t pid, std::uint64_t lo,
     mem::Page& p = rs.app->pages[rs.page];
     if (p.state != mem::PageState::kSwapCache || !p.in_flight) continue;
     if (was_redirected(WaiterKey(*rs.app, rs.page))) continue;
-    p.in_flight_prefetch = false;
-    p.prefetched_unused = false;
-    if (p.entry != kInvalidEntry)
-      PartitionFor(*rs.app, p).meta(p.entry).prefetch_ts = kTimeNever;
     IssueRescueDemand(*rs.app, rs.page);
   }
 }
@@ -1080,14 +1077,8 @@ void SwapSystem::IssueTierDemotion(AppState& app, PageId page) {
   SwapEntryId entry = p.entry;
   std::uint32_t version = PartitionFor(app, p).meta(entry).content_version;
   ++app.metrics.tier_demotions;
-  auto req = std::make_unique<rdma::Request>();
-  req->op = rdma::Op::kSwapOut;
-  req->cgroup = app.cg;
-  req->page = page;
-  req->entry = entry;
-  req->owner_app = std::uint32_t(app.index);
-  req->created = sim_.Now();
-  StampPool(app, p, *req, /*place=*/true);
+  auto req = NewRequest(app, page, entry, rdma::Op::kSwapOut, app.cg,
+                        /*place=*/true);
   req->on_complete = [this, a = &app, page, entry,
                       version](const rdma::Request& r) {
     std::uint64_t k = WaiterKey(*a, page);
@@ -1115,9 +1106,7 @@ void SwapSystem::IssueTierDemotion(AppState& app, PageId page) {
       --a->metrics.tier_demotions;
       return;
     }
-    bool on_disk_now = r.served_by_disk ||
-                       (pool_ && r.partition != rdma::kNoPoolPartition &&
-                        pool_->OnDisk(r.partition, entry));
+    bool on_disk_now = r.served_by_disk || SlabOnDisk(r);
     m.on_tier = false;
     m.on_disk = on_disk_now;
     pg.tier_backed = false;
@@ -1313,9 +1302,6 @@ void SwapSystem::FaultOnCachedPage(AppState& app, ThreadCtx& th,
         if (elapsed > threshold) {
           ++app.metrics.rescues;
           meta.valid = false;
-          meta.prefetch_ts = kTimeNever;
-          p.in_flight_prefetch = false;
-          p.prefetched_unused = false;
           IssueRescueDemand(app, acc.page);
         } else {
           // Check again when the budget runs out.
@@ -1331,9 +1317,6 @@ void SwapSystem::FaultOnCachedPage(AppState& app, ThreadCtx& th,
             if (m.prefetch_ts == kTimeNever) return;
             ++a->metrics.rescues;
             m.valid = false;
-            m.prefetch_ts = kTimeNever;
-            pg.in_flight_prefetch = false;
-            pg.prefetched_unused = false;
             IssueRescueDemand(*a, page);
           });
         }
@@ -1395,15 +1378,9 @@ void SwapSystem::MapCachedPage(AppState& app, PageId page) {
   // kernel frees the entry at swap-in instead of keeping the clean copy.
   if (!app.reservation && p.entry != kInvalidEntry &&
       p.entry != p.reserved) {
-    auto& part = PartitionFor(app, p);
-    double free_frac = 1.0 - part.allocator().Utilization();
+    double free_frac = 1.0 - PartitionFor(app, p).allocator().Utilization();
     if (free_frac < cfg_.entry_keep_free_threshold) {
-      ReleaseTierResidency(app, p);
-      part.meta(p.entry) = swapalloc::EntryMeta{};
-      part.allocator().Free(p.entry);
-      CgroupFor(app, p).UnchargeRemote();
-      p.entry = kInvalidEntry;
-      p.disk_backed = false;
+      FreeEntry(app, p);
       p.dirty = true;  // no backing copy: next eviction writes back
     }
   }
@@ -1447,16 +1424,8 @@ void SwapSystem::DemandSwapIn(AppState& app, ThreadCtx& th,
       if (pg.entry != kInvalidEntry)
         PartitionFor(*a, pg).meta(pg.entry).prefetch_ts = kTimeNever;
 
-      auto req = std::make_unique<rdma::Request>();
-      req->op = rdma::Op::kDemandIn;
-      req->cgroup = pg.shared ? shared_cg_ : a->cg;
-      req->page = acc.page;
-      req->entry = pg.entry;
-      req->owner_app = std::uint32_t(a->index);
-      req->created = sim_.Now();
-      StampPool(*a, pg, *req, /*place=*/false);
-      bool from_disk = pg.disk_backed;
-      bool from_tier = pg.tier_backed;
+      auto req = NewRequest(*a, acc.page, pg.entry, rdma::Op::kDemandIn,
+                            pg.shared ? shared_cg_ : a->cg, /*place=*/false);
       req->on_complete = [this, a, t, acc,
                           expected](const rdma::Request& r) {
         PageId page = acc.page;
@@ -1476,20 +1445,9 @@ void SwapSystem::DemandSwapIn(AppState& app, ThreadCtx& th,
           HandleFault(*a, *t, acc, /*retry=*/true);
           return;
         }
-        CheckSwapInOracle(*a, pg2, r);
-        if (tier_) {
-          if (r.served_by_tier)
-            // Always-on tier-latency sample (report percentiles, like
-            // fault_latency).
-            a->metrics.tier_latency.Add(std::uint64_t(r.completed -
-                                                      r.created));
-          else if (!r.served_by_disk)
-            MaybePromoteToTier(*a, page, pg2);
-        }
-        // A pinned page stays cache-locked until its behaviour releases it
-        // (DESIGN.md §16); pins are always zero with the registry off.
-        if (pg2.pins == 0) CacheFor(*a, pg2).Unlock(a->cg, page);
-        pg2.in_flight = false;
+        LandRead(*a, page, r);
+        if (tier_ && !r.served_by_tier && !r.served_by_disk)
+          MaybePromoteToTier(*a, page, pg2);
         sim_.Schedule(cfg_.map_cost, [this, a, t, acc, expected] {
           PageId page = acc.page;
           mem::Page& pg3 = a->pages[page];
@@ -1510,22 +1468,7 @@ void SwapSystem::DemandSwapIn(AppState& app, ThreadCtx& th,
           HandleFault(*a, *t, acc, /*retry=*/true);
         });
       };
-      if (tier_ && from_tier) {
-        // The copy of record lives in the local tier: fetch it at
-        // slow-memory latency, never touching the fabric.
-        ++a->metrics.tier_swapins;
-        tier_->Submit(std::move(req));
-      } else if (disk_ && from_disk) {
-        // The current copy lives on the local-disk fallback.
-        ++a->metrics.disk_swapins;
-        disk_->Submit(std::move(req));
-      } else {
-        if (disk_)
-          req->on_error = [this, a](rdma::RequestPtr r) {
-            ReissueDemand(*a, std::move(r));
-          };
-        scheduler_->Enqueue(std::move(req));
-      }
+      SubmitRead(*a, acc.page, std::move(req));
       IssuePrefetches(*a, prefetch::FaultInfo{a->cg, acc.page, t->tid,
                                               fault_at, /*cache_hit=*/false});
       ShrinkCache(*a, a->cache->capacity());
@@ -1581,14 +1524,8 @@ void SwapSystem::IssuePrefetches(AppState& app,
     tracer_.Instant(std::uint32_t(app.index), trace::kCgroupTrack,
                     trace::Name::kPrefetchIssue, sim_.Now(), cand);
 
-    auto req = std::make_unique<rdma::Request>();
-    req->op = rdma::Op::kPrefetchIn;
-    req->cgroup = app.cg;
-    req->page = cand;
-    req->entry = p.entry;
-    req->owner_app = std::uint32_t(app.index);
-    req->created = sim_.Now();
-    StampPool(app, p, *req, /*place=*/false);
+    auto req = NewRequest(app, cand, p.entry, rdma::Op::kPrefetchIn, app.cg,
+                          /*place=*/false);
     req->on_complete = [this, a = &app, cand,
                         expected](const rdma::Request& r) {
       if (a->prefetch_inflight > 0) --a->prefetch_inflight;
@@ -1607,11 +1544,8 @@ void SwapSystem::IssuePrefetches(AppState& app,
         }
       }
       if (pg.state != mem::PageState::kSwapCache || !pg.in_flight) return;
-      CheckSwapInOracle(*a, pg, r);
       ++a->metrics.prefetch_completed;
-      if (pg.pins == 0) a->cache->Unlock(a->cg, cand);
-      pg.in_flight = false;
-      pg.in_flight_prefetch = false;
+      LandRead(*a, cand, r);
       WakeWaiters(*a, cand);
       // Enforce the cache budget after arrival.
       ShrinkCache(*a, a->cache->capacity());
@@ -1626,10 +1560,6 @@ void SwapSystem::IssuePrefetches(AppState& app,
       auto key = WaiterKey(*a, cand);
       if (waiters_.Contains(key)) {
         // Threads already block on this page: convert to a demand fetch.
-        pg.in_flight_prefetch = false;
-        pg.prefetched_unused = false;
-        if (pg.entry != kInvalidEntry)
-          PartitionFor(*a, pg).meta(pg.entry).prefetch_ts = kTimeNever;
         IssueRescueDemand(*a, cand);
         return;
       }
@@ -1644,7 +1574,7 @@ void SwapSystem::IssuePrefetches(AppState& app,
         PartitionFor(*a, pg).meta(pg.entry).prefetch_ts = kTimeNever;
       GrantFrames(*a);
     };
-    scheduler_->Enqueue(std::move(req));
+    SubmitRead(app, cand, std::move(req));
   }
   // kswapd analogue: bring usage back under the limit in the background.
   if (charged_over && app.active_reclaimers == 0) {
@@ -1657,45 +1587,73 @@ void SwapSystem::IssuePrefetches(AppState& app,
 void SwapSystem::IssueRescueDemand(AppState& app, PageId page) {
   mem::Page& p = app.pages[page];
   assert(p.state == mem::PageState::kSwapCache && p.in_flight);
+  p.in_flight_prefetch = false;
+  p.prefetched_unused = false;
+  if (p.entry != kInvalidEntry)
+    PartitionFor(app, p).meta(p.entry).prefetch_ts = kTimeNever;
   tracer_.Instant(std::uint32_t(app.index), trace::kCgroupTrack,
                   trace::Name::kRescue, sim_.Now(), page);
   std::uint32_t expected = ++p.seq;  // take over from the stale prefetch
-  auto req = std::make_unique<rdma::Request>();
-  req->op = rdma::Op::kDemandIn;
-  req->cgroup = app.cg;
-  req->page = page;
-  req->entry = p.entry;
-  req->owner_app = std::uint32_t(app.index);
-  req->created = sim_.Now();
-  StampPool(app, p, *req, /*place=*/false);
-  bool from_disk = p.disk_backed;
-  bool from_tier = p.tier_backed;
+  auto req = NewRequest(app, page, p.entry, rdma::Op::kDemandIn, app.cg,
+                        /*place=*/false);
   req->on_complete = [this, a = &app, page,
                       expected](const rdma::Request& r) {
     mem::Page& pg = a->pages[page];
     if (pg.seq != expected) return;
     if (pg.state != mem::PageState::kSwapCache || !pg.in_flight) return;
-    CheckSwapInOracle(*a, pg, r);
-    if (tier_ && r.served_by_tier)
-      a->metrics.tier_latency.Add(std::uint64_t(r.completed - r.created));
-    if (pg.pins == 0) a->cache->Unlock(a->cg, page);
-    pg.in_flight = false;
-    pg.in_flight_prefetch = false;
+    LandRead(*a, page, r);
     WakeWaiters(*a, page);
   };
-  if (tier_ && from_tier) {
+  SubmitRead(app, page, std::move(req));
+}
+
+rdma::RequestPtr SwapSystem::NewRequest(AppState& app, PageId page,
+                                        SwapEntryId entry, rdma::Op op,
+                                        CgroupId cgroup, bool place) {
+  auto req = std::make_unique<rdma::Request>();
+  req->op = op;
+  req->cgroup = cgroup;
+  req->page = page;
+  req->entry = entry;
+  req->owner_app = std::uint32_t(app.index);
+  req->created = sim_.Now();
+  StampPool(app, app.pages[page], *req, place);
+  return req;
+}
+
+void SwapSystem::SubmitRead(AppState& app, PageId page, rdma::RequestPtr req) {
+  const mem::Page& p = app.pages[page];
+  if (tier_ && p.tier_backed) {
+    // The copy of record lives in the local tier: fetch it at slow-memory
+    // latency, never touching the fabric.
     ++app.metrics.tier_swapins;
     tier_->Submit(std::move(req));
-  } else if (disk_ && from_disk) {
+  } else if (disk_ && p.disk_backed) {
+    // The current copy lives on the local-disk fallback.
     ++app.metrics.disk_swapins;
     disk_->Submit(std::move(req));
   } else {
-    if (disk_)
+    // A demand read's only copy is remote, so it cannot fail over: it is
+    // reissued until the fabric heals. Async reads are dropped instead.
+    if (disk_ && req->op == rdma::Op::kDemandIn)
       req->on_error = [this, a = &app](rdma::RequestPtr r) {
         ReissueDemand(*a, std::move(r));
       };
     scheduler_->Enqueue(std::move(req));
   }
+}
+
+void SwapSystem::LandRead(AppState& app, PageId page, const rdma::Request& r) {
+  mem::Page& p = app.pages[page];
+  CheckSwapInOracle(app, p, r);
+  // Always-on tier-latency sample (report percentiles, like fault_latency).
+  if (tier_ && r.served_by_tier)
+    app.metrics.tier_latency.Add(std::uint64_t(r.completed - r.created));
+  // A pinned page stays cache-locked until its behaviour releases it
+  // (DESIGN.md §16); pins are always zero with the registry off.
+  if (p.pins == 0) CacheFor(app, p).Unlock(app.cg, page);
+  p.in_flight = false;
+  p.in_flight_prefetch = false;
 }
 
 // ---------------------------------------------------------------------------
@@ -1869,7 +1827,9 @@ void SwapSystem::StepObjectPage(AppState& app, PageId page,
 
 void SwapSystem::IssueCooperativeFetch(AppState& app, PageId page) {
   // Caller (StepObjectPage) guarantees: kRemote, not in flight, entry
-  // valid, remote-backed, healthy fabric, batch waiter registered.
+  // valid, healthy fabric, batch waiter registered. The page was not
+  // disk-backed when the caller checked, but its slab may have gone to
+  // disk while it waited for a frame; SubmitRead then reads the disk.
   mem::Page& p = app.pages[page];
   cgroups_.Get(app.cg).ChargeCache();
   app.cache->Insert(app.cg, page, /*locked=*/true, /*prefetched=*/false,
@@ -1889,15 +1849,9 @@ void SwapSystem::IssueCooperativeFetch(AppState& app, PageId page) {
   tracer_.Instant(std::uint32_t(app.index), trace::kCgroupTrack,
                   trace::Name::kPrefetchIssue, sim_.Now(), page);
 
-  auto req = std::make_unique<rdma::Request>();
-  req->op = rdma::Op::kPrefetchIn;
+  auto req = NewRequest(app, page, p.entry, rdma::Op::kPrefetchIn, app.cg,
+                        /*place=*/false);
   req->cooperative = true;
-  req->cgroup = app.cg;
-  req->page = page;
-  req->entry = p.entry;
-  req->owner_app = std::uint32_t(app.index);
-  req->created = sim_.Now();
-  StampPool(app, p, *req, /*place=*/false);
   req->on_complete = [this, a = &app, page, expected](const rdma::Request& r) {
     if (a->prefetch_inflight > 0) --a->prefetch_inflight;
     mem::Page& pg = a->pages[page];
@@ -1912,12 +1866,7 @@ void SwapSystem::IssueCooperativeFetch(AppState& app, PageId page) {
       }
     }
     if (pg.state != mem::PageState::kSwapCache || !pg.in_flight) return;
-    CheckSwapInOracle(*a, pg, r);
-    if (tier_ && r.served_by_tier)
-      a->metrics.tier_latency.Add(std::uint64_t(r.completed - r.created));
-    if (pg.pins == 0) a->cache->Unlock(a->cg, page);
-    pg.in_flight = false;
-    pg.in_flight_prefetch = false;
+    LandRead(*a, page, r);
     WakeWaiters(*a, page);  // the batch continuation re-steps here
     ShrinkCache(*a, a->cache->capacity());
   };
@@ -1928,20 +1877,11 @@ void SwapSystem::IssueCooperativeFetch(AppState& app, PageId page) {
     if (pg.seq != expected) return;
     // The batch continuation is always a registered waiter, so a drop
     // converts to a rescue demand rather than unwinding in-flight state.
-    pg.in_flight_prefetch = false;
-    if (pg.entry != kInvalidEntry)
-      PartitionFor(*a, pg).meta(pg.entry).prefetch_ts = kTimeNever;
     IssueRescueDemand(*a, page);
   };
-  if (tier_ && p.tier_backed) {
-    // The copy of record lives in the local slow tier: the cooperative
-    // batch reads it at slow-memory latency, never touching the fabric
-    // (the tier backend always completes, so on_drop stays unused).
-    ++app.metrics.tier_swapins;
-    tier_->Submit(std::move(req));
-  } else {
-    scheduler_->Enqueue(std::move(req));
-  }
+  // A tier-homed page is read from the tier, which always completes, so
+  // on_drop stays unused there.
+  SubmitRead(app, page, std::move(req));
 }
 
 void SwapSystem::CooperativeRelease(AppState& app,
@@ -2042,29 +1982,16 @@ void SwapSystem::ReclaimLoop(AppState& app, CoreId core,
   // ("releasing a batch of pages to shrink the cache", §4). In shared-cache
   // mode the LRU tail may belong to another application — releasing it
   // frees *their* charge (cache pollution interference).
-  if (app.cache->size() > app.cache->capacity()) {
-    mem::SwapCache::Entry victim;
-    if (app.cache->PopLruUnlocked(victim)) {
-      AppState& owner =
-          victim.app < apps_.size() && apps_[victim.app]
-              ? *apps_[victim.app]
-              : app;
-      ReleaseCleanCachePage(owner, victim.page);
-      ReclaimLoop(app, core, budget - 1);
-      return;
-    }
+  if (app.cache->size() > app.cache->capacity() &&
+      ReleaseColdestCachePage(app)) {
+    ReclaimLoop(app, core, budget - 1);
+    return;
   }
   PageId v = app.lru->EvictionCandidate();
   if (v == kInvalidPage) {
     // Nothing on the LRU: steal a clean page from the cache, else wait for
     // in-flight writebacks.
-    mem::SwapCache::Entry victim;
-    if (app.cache->PopLruUnlocked(victim)) {
-      AppState& owner =
-          victim.app < apps_.size() && apps_[victim.app]
-              ? *apps_[victim.app]
-              : app;
-      ReleaseCleanCachePage(owner, victim.page);
+    if (ReleaseColdestCachePage(app)) {
       ReclaimLoop(app, core, budget - 1);
       return;
     }
@@ -2160,19 +2087,13 @@ void SwapSystem::IssueSwapOut(AppState& app, PageId victim,
   mem::Page& p = app.pages[victim];
   tracer_.Instant(std::uint32_t(app.index), trace::kCgroupTrack,
                   trace::Name::kSwapOutIssue, sim_.Now(), victim);
-  auto req = std::make_unique<rdma::Request>();
-  req->op = rdma::Op::kSwapOut;
-  req->cgroup = p.shared ? shared_cg_ : app.cg;
-  req->page = victim;
-  req->entry = entry;
-  req->owner_app = std::uint32_t(app.index);
-  req->created = sim_.Now();
   // Writebacks home the entry's slab: the first swap-out into a slab picks
   // its server via the placement policy (reads only follow). With a tier
   // present, placement is deferred until the request actually routes to the
   // remote path — tier-absorbed writebacks must not home slabs they never
   // touch.
-  StampPool(app, p, *req, /*place=*/!tier_);
+  auto req = NewRequest(app, victim, entry, rdma::Op::kSwapOut,
+                        p.shared ? shared_cg_ : app.cg, /*place=*/!tier_);
   // The page is writeback-locked until completion, so its content version
   // cannot change under the transfer; record the version the entry's data
   // will carry.
@@ -2192,10 +2113,7 @@ void SwapSystem::IssueSwapOut(AppState& app, PageId victim,
     // to disk — record the disk as the copy of record in that case. A
     // tier-served writeback makes the local tier the copy of record.
     bool on_tier_now = r.served_by_tier;
-    bool on_disk_now = !on_tier_now &&
-                       (r.served_by_disk ||
-                        (pool_ && r.partition != rdma::kNoPoolPartition &&
-                         pool_->OnDisk(r.partition, entry)));
+    bool on_disk_now = !on_tier_now && (r.served_by_disk || SlabOnDisk(r));
     pg.disk_backed = on_disk_now;
     pg.tier_backed = on_tier_now;
     auto& m = PartitionFor(*a, pg).meta(entry);
@@ -2214,8 +2132,7 @@ void SwapSystem::IssueSwapOut(AppState& app, PageId victim,
   };
   bool to_disk =
       disk_ && cgroups_.Get(app.cg).backend() == SwapBackend::kLocalDisk;
-  if (!to_disk && pool_ && req->partition != rdma::kNoPoolPartition &&
-      pool_->OnDisk(req->partition, entry))
+  if (!to_disk && SlabOnDisk(*req))
     // The entry's slab is disk-homed (evicted by harvest pressure or a
     // server outage): write straight to the copy of record.
     to_disk = true;
@@ -2272,13 +2189,7 @@ std::size_t SwapSystem::StripKeptEntries(AppState& app, std::size_t n) {
     mem::Page& p = app.pages[idx];
     if (p.state == mem::PageState::kResident && !p.dirty &&
         p.entry != kInvalidEntry && p.reserved == kInvalidEntry) {
-      auto& part = PartitionFor(app, p);
-      ReleaseTierResidency(app, p);
-      part.meta(p.entry) = swapalloc::EntryMeta{};
-      part.allocator().Free(p.entry);
-      CgroupFor(app, p).UnchargeRemote();
-      p.entry = kInvalidEntry;
-      p.disk_backed = false;
+      FreeEntry(app, p);
       ++freed;
     }
   }
@@ -2287,30 +2198,32 @@ std::size_t SwapSystem::StripKeptEntries(AppState& app, std::size_t n) {
   return freed;
 }
 
-void SwapSystem::ReleaseCleanCachePage(AppState& app, PageId page) {
-  mem::Page& p = app.pages[page];
+bool SwapSystem::ReleaseColdestCachePage(AppState& app) {
+  mem::SwapCache::Entry victim;
+  if (!app.cache->PopLruUnlocked(victim)) return false;
+  // In a shared cache the victim may belong to a co-runner: release it to
+  // its owner, whose charge it frees.
+  AppState& owner = victim.app < apps_.size() && apps_[victim.app]
+                        ? *apps_[victim.app]
+                        : app;
+  mem::Page& p = owner.pages[victim.page];
   assert(p.state == mem::PageState::kSwapCache && !p.in_flight);
-  CgroupFor(app, p).UnchargeCache();
+  CgroupFor(owner, p).UnchargeCache();
   p.state = mem::PageState::kRemote;
   ++p.seq;
   if (p.prefetched_unused) {
     p.prefetched_unused = false;
-    ++app.metrics.prefetch_wasted;
+    ++owner.metrics.prefetch_wasted;
     if (p.entry != kInvalidEntry)
-      PartitionFor(app, p).meta(p.entry).prefetch_ts = kTimeNever;
-    if (prefetcher_) prefetcher_->OnPrefetchWasted(app.cg, page);
+      PartitionFor(owner, p).meta(p.entry).prefetch_ts = kTimeNever;
+    if (prefetcher_) prefetcher_->OnPrefetchWasted(owner.cg, victim.page);
   }
-  GrantFrames(app);
+  GrantFrames(owner);
+  return true;
 }
 
 void SwapSystem::ShrinkCache(AppState& app, std::size_t target) {
-  mem::SwapCache::Entry victim;
-  while (app.cache->size() > target) {
-    if (!app.cache->PopLruUnlocked(victim)) break;
-    AppState& owner = victim.app < apps_.size() && apps_[victim.app]
-              ? *apps_[victim.app]
-              : app;
-    ReleaseCleanCachePage(owner, victim.page);
+  while (app.cache->size() > target && ReleaseColdestCachePage(app)) {
   }
 }
 

@@ -331,7 +331,22 @@ class SwapSystem {
   void MapCachedPage(AppState& app, PageId page);
   void DemandSwapIn(AppState& app, ThreadCtx& th, workload::Access acc);
   void IssuePrefetches(AppState& app, const prefetch::FaultInfo& info);
+  /// Take an in-flight page over from its stale async fetch (§5.3) and
+  /// issue a demand read for it.
   void IssueRescueDemand(AppState& app, PageId page);
+
+  // --- the request path: every request is built by NewRequest, every
+  // read routed by SubmitRead and finished by LandRead ---
+  /// A request for `page` charged to `cgroup`, pool-stamped (`place` homes
+  /// the entry's slab).
+  rdma::RequestPtr NewRequest(AppState& app, PageId page, SwapEntryId entry,
+                              rdma::Op op, CgroupId cgroup, bool place);
+  /// Route a read to the tier or disk copy of record, else to the scheduler;
+  /// only a remote demand read is reissued when its retries run out.
+  void SubmitRead(AppState& app, PageId page, rdma::RequestPtr req);
+  /// Finish a read that still owns its page: oracle, tier latency sample,
+  /// unlock unless pinned, clear the in-flight marks.
+  void LandRead(AppState& app, PageId page, const rdma::Request& r);
 
   // --- reclaim / eviction ---
   void EnsureFrame(AppState& app, CoreId core, sim::InlineCallback granted);
@@ -344,6 +359,8 @@ class SwapSystem {
                                  int attempts, std::uint32_t budget);
   void IssueSwapOut(AppState& app, PageId victim, SwapEntryId entry);
   std::size_t StripKeptEntries(AppState& app, std::size_t n);
+  /// Free `p`'s swap entry, its tier residency and its remote charge.
+  void FreeEntry(AppState& app, mem::Page& p);
   void FinishReclaimer(AppState& app, CoreId core);
 
   // --- fault recovery (DESIGN.md §8) ---
@@ -367,6 +384,8 @@ class SwapSystem {
   /// Re-enqueue a retry-exhausted demand read after a short pause (the only
   /// copy of the page is remote — demand reads cannot fail over).
   void ReissueDemand(AppState& app, rdma::RequestPtr req);
+  /// True when the pool slab holding `r`'s entry was evicted to disk.
+  bool SlabOnDisk(const rdma::Request& r) const;
   /// No-stale-read oracle: the served copy's recorded content version and
   /// backing location must match the page's. Violations count as
   /// `stale_reads` (always zero — checked by the chaos suite).
@@ -410,7 +429,9 @@ class SwapSystem {
   mem::SwapCache& CacheFor(AppState& app, const mem::Page& p);
   Cgroup& CgroupFor(AppState& app, const mem::Page& p);
   void MarkDirty(AppState& app, mem::Page& p);
-  void ReleaseCleanCachePage(AppState& app, PageId page);
+  /// Pop the coldest unlocked page of `app`'s cache and release it to its
+  /// owner; false when nothing is unlocked.
+  bool ReleaseColdestCachePage(AppState& app);
   void ShrinkCache(AppState& app, std::size_t target);
   std::uint64_t WaiterKey(const AppState& app, PageId page) const;
   void WakeWaiters(AppState& app, PageId page);

@@ -24,6 +24,7 @@
 
 #include "common/rng.h"
 #include "core/experiment.h"
+#include "fault/fault_plan.h"
 #include "object/registry.h"
 #include "orchestrator/sweep.h"
 #include "runtime/runtime_info.h"
@@ -241,6 +242,34 @@ TEST(ObjectRun, CooperativeChaseEngagesAndBalancesPins) {
   // Every pin taken over the run was released by completion/teardown.
   EXPECT_EQ(m.object_pins, m.object_unpins);
   EXPECT_GT(m.object_pins, 0u);
+}
+
+TEST(ObjectRun, DiskHomedCooperativeReadsSkipTheDeadServer) {
+  // Server 1's blackout evicts its slabs to disk while cooperative fetches
+  // wait for frames. Those fetches must read the disk copy of record, not
+  // burn their retries against the dead server: sending them there raises
+  // the exhausted requests from 7 to 82 and the timeouts from 15 to 90.
+  core::ExperimentSpec spec;
+  spec.config = *core::SystemConfig::FromName("canvas");
+  spec.config.remote = remote::PoolConfig::FromName("pool4");
+  spec.config.objects.enabled = true;
+  auto plan = std::make_shared<fault::FaultPlan>();
+  plan->AddBlackout(2 * kMillisecond, 12 * kMillisecond, /*server=*/1);
+  spec.config.fault_plan = plan;
+  core::AppBuild a;
+  a.scale = 0.05;
+  a.name = "memcached";
+  core::AppBuild b = a;
+  b.name = "snappy";
+  core::AppBuild c = a;
+  c.name = "chase";
+  spec.apps = {a, b, c};
+  core::Experiment e(spec);
+  ASSERT_TRUE(e.Run());
+  for (std::size_t i = 0; i < e.system().app_count(); ++i)
+    EXPECT_EQ(e.system().metrics(i).stale_reads, 0u);
+  EXPECT_EQ(e.system().nic().exhausted(), 7u);
+  EXPECT_EQ(e.system().nic().timeouts(), 15u);
 }
 
 TEST(ObjectRun, RegistryOnSweepIsByteIdenticalAcrossJobs) {
