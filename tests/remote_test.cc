@@ -427,6 +427,62 @@ TEST(RemoteSystem, PerServerBlackoutFailsOverOnlyThatServer) {
   EXPECT_TRUE(pool->Audit(&err)) << err;
 }
 
+// Exact outcome of a small default-topology co-run: a change to how the
+// `single` topology routes a request moves at least one of these.
+struct Pin {
+  std::uint64_t events, faults, majors, swapouts;
+  SimTime makespan;
+  bool operator==(const Pin&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const Pin& p) {
+  return os << "{" << p.events << ", " << p.faults << ", " << p.majors
+            << ", " << p.swapouts << ", " << p.makespan << "}";
+}
+
+Pin RunPinned(const std::string& system,
+              std::shared_ptr<const fault::FaultPlan> plan = nullptr) {
+  ExperimentSpec spec = PooledSpec("single");
+  spec.config = *SystemConfig::FromName(system);
+  spec.config.fault_plan = std::move(plan);
+  Experiment exp(spec);
+  EXPECT_TRUE(exp.Run()) << system;
+  Pin pin{exp.simulator().events_executed(), 0, 0, 0, 0};
+  for (std::size_t i = 0; i < exp.system().app_count(); ++i) {
+    const AppMetrics& m = exp.system().metrics(i);
+    pin.faults += m.faults;
+    pin.majors += m.faults_major;
+    pin.swapouts += m.swapouts;
+    pin.makespan = std::max(pin.makespan, m.finish_time);
+  }
+  return pin;
+}
+
+TEST(RemoteSystem, SingleTopologyRunsArePinnedPerPreset) {
+  const std::vector<std::pair<std::string, Pin>> pins = {
+      {"linux", {39003, 3050, 611, 4241, 7035970}},
+      {"infiniswap", {34807, 3022, 693, 4208, 36542067}},
+      {"leap", {35835, 3101, 540, 4349, 47160000}},
+      {"fastswap", {39003, 3050, 611, 4241, 7035970}},
+      {"isolation", {38664, 3050, 606, 4176, 5808815}},
+      {"canvas", {35178, 3043, 600, 3468, 5443002}},
+  };
+  ASSERT_EQ(pins.size(), SystemConfig::ListPresets().size());
+  for (const auto& [system, pin] : pins)
+    EXPECT_EQ(RunPinned(system), pin) << system;
+}
+
+TEST(RemoteSystem, SingleTopologyIsPinnedUnderEveryUntargetedFaultKind) {
+  auto plan = std::make_shared<fault::FaultPlan>();
+  plan->AddLatencySpike(1 * kMillisecond, 3 * kMillisecond, 20 * kMicrosecond)
+      .AddBandwidthDegrade(2 * kMillisecond, 5 * kMillisecond, 0.5)
+      .AddErrorBurst(3 * kMillisecond, 6 * kMillisecond, 0.2)
+      .AddQpStall(4 * kMillisecond, 4 * kMillisecond + 300 * kMicrosecond)
+      .AddBlackout(6 * kMillisecond, 8 * kMillisecond);
+  EXPECT_EQ(RunPinned("canvas", plan),
+            (Pin{36167, 3046, 671, 3475, 11495810}));
+}
+
 TEST(RemoteSystem, ReportCarriesTheRemoteSectionOnlyWhenPooled) {
   std::string pooled = RunToJson(PooledSpec("pool2"), "r");
   ExperimentSpec plain = PooledSpec("single");
