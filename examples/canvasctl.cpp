@@ -38,6 +38,7 @@
 //   canvasctl run --system=linux --format=csv cassandra:24 memcached:4
 //   canvasctl sweep --systems=linux,canvas --ratios=0.25,0.5 --jobs=8
 //       spark-lr snappy memcached xgboost        (one command line)
+#include <algorithm>
 #include <array>
 #include <charconv>
 #include <cmath>
@@ -437,8 +438,19 @@ auto ExpandSpecs(const Options& opt, Scenario sc) {
       return remote::HarvestConfig::FromName(opt.harvests.values.front());
     });
   for (auto& spec : specs) {
-    if (plan) orchestrator::ConfigOf(spec).fault_plan = plan;
-    if (harvest) orchestrator::ConfigOf(spec).remote.harvest = *harvest;
+    core::SystemConfig& cfg = orchestrator::ConfigOf(spec);
+    if (plan) {
+      cfg.fault_plan = plan;
+      try {
+        // An empty server list is `single`, a pool of one.
+        plan->CheckServerTargets(
+            std::max<std::size_t>(cfg.remote.servers.size(), 1),
+            cfg.remote.topology);
+      } catch (const std::invalid_argument& e) {
+        Fail(e.what());
+      }
+    }
+    if (harvest) cfg.remote.harvest = *harvest;
   }
   return specs;
 }

@@ -136,9 +136,9 @@ void WriteJson(std::ostream& os, const SwapSystem& system,
      << ",\n    \"cqe_errors\": " << system.nic().cqe_errors()
      << ",\n    \"exhausted\": " << system.nic().exhausted()
      << ",\n    \"disk_reads\": "
-     << (system.disk() ? system.disk()->reads() : 0)
+     << system.disk()->reads()
      << ",\n    \"disk_writes\": "
-     << (system.disk() ? system.disk()->writes() : 0)
+     << system.disk()->writes()
      << "\n  },\n";
   // Fault-stall latency distribution merged across all cgroups (the
   // LogHistogram merge is exact, so this equals a histogram of every fault
@@ -156,9 +156,10 @@ void WriteJson(std::ostream& os, const SwapSystem& system,
      << ",\n    \"p999_ns\": " << merged.Percentile(99.9)
      << ",\n    \"max_ns\": " << merged.max()
      << "\n  },\n";
-  // Server-pool section only when a multi-server topology is configured —
-  // default (single-server) output stays byte-identical to pre-pool builds.
-  if (const remote::ServerPool* pool = system.pool()) {
+  // Server-pool section for every topology but the default `single` one,
+  // whose output stays byte-identical to pre-pool builds.
+  if (const remote::ServerPool* pool = system.pool();
+      !pool->config().single()) {
     os << "  \"remote\": {\n"
        << "    \"topology\": \"" << JsonEscape(pool->config().topology)
        << "\",\n    \"placement\": \""
@@ -279,7 +280,8 @@ void WriteJson(std::ostream& os, const SwapSystem& system,
        << ",\n    \"registry_slots\": " << system.cgroups().size()
        << ",\n    \"registry_retired_total\": "
        << system.cgroups().retired_total();
-    if (const remote::ServerPool* pool = system.pool())
+    if (const remote::ServerPool* pool = system.pool();
+        !pool->config().single())
       os << ",\n    \"partitions_released\": "
          << pool->partitions_released()
          << ",\n    \"slabs_released\": " << pool->slabs_released()

@@ -142,28 +142,25 @@ SwapSystem::SwapSystem(sim::Simulator& sim, SystemConfig cfg,
   scheduler_->AttachNic(nic_.get());
   nic_->AttachTracer(&tracer_);
 
+  // --- remote memory-server pool (DESIGN.md §11) and disk backstop ---
+  disk_ = std::make_unique<fault::DiskBackend>(sim_, cfg_.disk);
+  pool_ = std::make_unique<remote::ServerPool>(sim_, cfg_.remote);
+  pool_->AttachTracer(&tracer_);
+  pool_->SetSlabEvictedHandler(
+      [this](std::uint32_t pid, std::uint64_t lo, std::uint64_t hi) {
+        OnSlabEvicted(pid, lo, hi);
+      });
+  nic_->AttachPool(pool_.get());
+
   // --- fault injection & recovery (DESIGN.md §8) ---
   if (cfg_.fault_plan) {
+    cfg_.fault_plan->CheckServerTargets(pool_->servers().size(),
+                                        cfg_.remote.topology);
     injector_ = std::make_unique<fault::FaultInjector>(sim_, *cfg_.fault_plan,
                                                        cfg_.fault_seed);
     nic_->AttachInjector(injector_.get());
-    disk_ = std::make_unique<fault::DiskBackend>(sim_, cfg_.disk);
     injector_->OnServerDown([this](int server) { OnFabricDown(server); });
     injector_->OnServerUp([this](int server) { OnFabricUp(server); });
-  }
-
-  // --- remote memory-server pool (DESIGN.md §11) ---
-  if (cfg_.remote.enabled()) {
-    pool_ = std::make_unique<remote::ServerPool>(sim_, cfg_.remote);
-    pool_->AttachTracer(&tracer_);
-    pool_->SetSlabEvictedHandler(
-        [this](std::uint32_t pid, std::uint64_t lo, std::uint64_t hi) {
-          OnSlabEvicted(pid, lo, hi);
-        });
-    nic_->AttachPool(pool_.get());
-    // Harvest eviction and per-server failover need the disk backstop even
-    // without a fault plan.
-    if (!disk_) disk_ = std::make_unique<fault::DiskBackend>(sim_, cfg_.disk);
   }
 
   // --- hybrid local tier (DESIGN.md §14) ---
@@ -175,11 +172,9 @@ SwapSystem::SwapSystem(sim::Simulator& sim, SystemConfig cfg,
   // is 0 and per-app partitions take 1..N in admission order — the same
   // deterministic placement stream as before, now compatible with mid-run
   // tenant admission (AddApp registers per-app partitions itself).
-  if (pool_) {
-    global_partition_->set_pool_id(
-        pool_->RegisterPartition(global_partition_->capacity()));
-    pool_partitions_.push_back(global_partition_.get());
-  }
+  global_partition_->set_pool_id(
+      pool_->RegisterPartition(global_partition_->capacity()));
+  pool_partitions_.push_back(global_partition_.get());
 
   // --- applications ---
   for (auto& spec : specs) AddApp(std::move(spec));
@@ -301,7 +296,7 @@ std::size_t SwapSystem::AddApp(AppSpec spec) {
     objects_active_ = true;
   }
   if (two_dim_) two_dim_->RegisterCgroup(app->cg, spec.cgroup.rdma_weight);
-  if (pool_ && app->owned_partition) {
+  if (app->owned_partition) {
     std::uint32_t pid =
         pool_->RegisterPartition(app->owned_partition->capacity());
     app->owned_partition->set_pool_id(pid);
@@ -328,7 +323,7 @@ SwapSystem::~SwapSystem() = default;
 void SwapSystem::Start() {
   started_ = true;
   if (injector_) injector_->Start();
-  if (pool_) pool_->Start([this] { return RunActive(); });
+  pool_->Start([this] { return RunActive(); });
   for (auto& app : apps_)
     if (app) StartApp(*app);
   if (tier_)
@@ -387,16 +382,14 @@ void SwapSystem::SampleTick() {
       last = total;
     }
   }
-  if (pool_) {
-    const auto& servers = pool_->servers();
-    for (std::size_t s = 0; s < servers.size(); ++s) {
-      tracer_.Counter(trace::kRemotePoolPid, std::uint32_t(s),
-                      trace::Name::kServerInflight, now,
-                      double(servers[s].inflight));
-      tracer_.Counter(trace::kRemotePoolPid, std::uint32_t(s),
-                      trace::Name::kServerSlabs, now,
-                      double(servers[s].slabs_held));
-    }
+  const auto& servers = pool_->servers();
+  for (std::size_t s = 0; s < servers.size(); ++s) {
+    tracer_.Counter(trace::kRemotePoolPid, std::uint32_t(s),
+                    trace::Name::kServerInflight, now,
+                    double(servers[s].inflight));
+    tracer_.Counter(trace::kRemotePoolPid, std::uint32_t(s),
+                    trace::Name::kServerSlabs, now,
+                    double(servers[s].slabs_held));
   }
 }
 
@@ -530,8 +523,7 @@ void SwapSystem::ReapApp(AppState& app) {
     prefetcher_->Forget(app.cg);
     for (const auto& th : app.threads) prefetcher_->ForgetThread(th.tid);
   }
-  if (pool_ && app.owned_partition &&
-      app.owned_partition->pool_id() != swapalloc::SwapPartition::kNoPoolId) {
+  if (app.owned_partition) {
     std::uint32_t pid = app.owned_partition->pool_id();
     pool_->ReleasePartition(pid);
     if (pid < pool_partitions_.size()) pool_partitions_[pid] = nullptr;
@@ -623,7 +615,7 @@ double SwapSystem::Wmmr(rdma::Direction dir) const {
 bool SwapSystem::Quiescent() const {
   if (!waiters_.empty()) return false;
   if (nic_ && nic_->pending_retries() != 0) return false;
-  if (disk_ && disk_->inflight() != 0) return false;
+  if (disk_->inflight() != 0) return false;
   if (tier_ && tier_->inflight() != 0) return false;
   for (const auto& app : apps_) {
     if (!app) continue;
@@ -735,14 +727,12 @@ void SwapSystem::CheckSwapInOracle(AppState& app, mem::Page& p,
 // ---------------------------------------------------------------------------
 
 void SwapSystem::OnFabricDown(int server) {
-  if (pool_ && server != fault::kAllServers) {
+  if (server != fault::kAllServers) {
     // Per-server failover: only this server's slabs move to disk; the rest
     // of the pool (and the fabric) keeps serving.
-    if (std::size_t(server) < pool_->servers().size()) {
-      tracer_.Instant(trace::kRemotePoolPid, std::uint32_t(server),
-                      trace::Name::kServerDown, sim_.Now());
-      pool_->MarkServerDown(server);
-    }
+    tracer_.Instant(trace::kRemotePoolPid, std::uint32_t(server),
+                    trace::Name::kServerDown, sim_.Now());
+    pool_->MarkServerDown(server);
     return;
   }
   tracer_.Instant(trace::kRdmaPid, trace::kFabricControlTrack,
@@ -786,14 +776,12 @@ void SwapSystem::OnFabricDown(int server) {
 }
 
 void SwapSystem::OnFabricUp(int server) {
-  if (pool_ && server != fault::kAllServers) {
-    if (std::size_t(server) < pool_->servers().size()) {
-      tracer_.Instant(trace::kRemotePoolPid, std::uint32_t(server),
-                      trace::Name::kServerUp, sim_.Now());
-      // Capacity is reachable again; slabs evicted during the outage stay
-      // on disk (their data lives there now) and re-place on future churn.
-      pool_->MarkServerUp(server);
-    }
+  if (server != fault::kAllServers) {
+    tracer_.Instant(trace::kRemotePoolPid, std::uint32_t(server),
+                    trace::Name::kServerUp, sim_.Now());
+    // Capacity is reachable again; slabs evicted during the outage stay on
+    // disk (their data lives there now) and re-place on future churn.
+    pool_->MarkServerUp(server);
     return;
   }
   tracer_.Instant(trace::kRdmaPid, trace::kFabricControlTrack,
@@ -809,7 +797,6 @@ void SwapSystem::NoteExhausted(AppState& app) {
 }
 
 void SwapSystem::FailoverApp(AppState& app) {
-  if (!disk_ && !tier_) return;
   Cgroup& cg = cgroups_.Get(app.cg);
   if (cg.backend() != SwapBackend::kRemote) return;
   if (tier_) {
@@ -882,24 +869,22 @@ void SwapSystem::ReissueDemand(AppState& app, rdma::RequestPtr req) {
 // ---------------------------------------------------------------------------
 
 bool SwapSystem::SlabOnDisk(const rdma::Request& r) const {
-  return pool_ && r.partition != rdma::kNoPoolPartition &&
+  return r.partition != rdma::kNoPoolPartition &&
          pool_->OnDisk(r.partition, r.entry);
 }
 
 void SwapSystem::StampPool(AppState& app, const mem::Page& p,
                            rdma::Request& req, bool place) {
-  if (!pool_ || req.entry == kInvalidEntry) return;
-  swapalloc::SwapPartition& part = PartitionFor(app, p);
-  if (part.pool_id() == swapalloc::SwapPartition::kNoPoolId) return;
-  req.partition = part.pool_id();
-  if (place) pool_->EnsurePlaced(part.pool_id(), req.entry);
+  if (req.entry == kInvalidEntry) return;
+  req.partition = PartitionFor(app, p).pool_id();
+  if (place) pool_->EnsurePlaced(req.partition, req.entry);
 }
 
 void SwapSystem::OnSlabEvicted(std::uint32_t pid, std::uint64_t lo,
                                std::uint64_t hi) {
   swapalloc::SwapPartition* part =
       pid < pool_partitions_.size() ? pool_partitions_[pid] : nullptr;
-  if (!part || !disk_) return;
+  if (!part) return;
 
   // 1. The disk is now the copy of record for every entry in the slab
   //    (unwritten entries get overwritten consistently at their first
@@ -1114,16 +1099,15 @@ void SwapSystem::IssueTierDemotion(AppState& app, PageId page) {
     tier_->Release(k);
     if (!r.served_by_disk) cgroups_.Get(a->cg).NoteRemoteSuccess();
   };
-  if (disk_)
-    req->on_error = [this, a = &app, page](rdma::RequestPtr) {
-      // The remote path gave up: the tier keeps the copy of record; clear
-      // the in-flight mark so a later tick can retry.
-      tier::TierBackend::Resident* rr = tier_->Find(WaiterKey(*a, page));
-      if (rr) rr->demoting = false;
-      --a->metrics.tier_demotions;
-      ++a->metrics.rdma_exhausted;
-      NoteExhausted(*a);
-    };
+  req->on_error = [this, a = &app, page](rdma::RequestPtr) {
+    // The remote path gave up: the tier keeps the copy of record; clear
+    // the in-flight mark so a later tick can retry.
+    tier::TierBackend::Resident* rr = tier_->Find(WaiterKey(*a, page));
+    if (rr) rr->demoting = false;
+    --a->metrics.tier_demotions;
+    ++a->metrics.rdma_exhausted;
+    NoteExhausted(*a);
+  };
   scheduler_->Enqueue(std::move(req));
 }
 
@@ -1628,14 +1612,14 @@ void SwapSystem::SubmitRead(AppState& app, PageId page, rdma::RequestPtr req) {
     // latency, never touching the fabric.
     ++app.metrics.tier_swapins;
     tier_->Submit(std::move(req));
-  } else if (disk_ && p.disk_backed) {
+  } else if (p.disk_backed) {
     // The current copy lives on the local-disk fallback.
     ++app.metrics.disk_swapins;
     disk_->Submit(std::move(req));
   } else {
     // A demand read's only copy is remote, so it cannot fail over: it is
     // reissued until the fabric heals. Async reads are dropped instead.
-    if (disk_ && req->op == rdma::Op::kDemandIn)
+    if (req->op == rdma::Op::kDemandIn)
       req->on_error = [this, a = &app](rdma::RequestPtr r) {
         ReissueDemand(*a, std::move(r));
       };
@@ -2130,8 +2114,7 @@ void SwapSystem::IssueSwapOut(AppState& app, PageId victim,
     GrantFrames(*a);
     WakeWaiters(*a, victim);  // threads that faulted during writeback
   };
-  bool to_disk =
-      disk_ && cgroups_.Get(app.cg).backend() == SwapBackend::kLocalDisk;
+  bool to_disk = cgroups_.Get(app.cg).backend() == SwapBackend::kLocalDisk;
   if (!to_disk && SlabOnDisk(*req))
     // The entry's slab is disk-homed (evicted by harvest pressure or a
     // server outage): write straight to the copy of record.
@@ -2149,7 +2132,7 @@ void SwapSystem::IssueSwapOut(AppState& app, PageId victim,
     } else {
       ++app.metrics.tier_rejects;
       // Failed over onto the tier and refused: spill to the disk backstop.
-      if (disk_ && cgroups_.Get(app.cg).backend() == SwapBackend::kLocalTier)
+      if (cgroups_.Get(app.cg).backend() == SwapBackend::kLocalTier)
         to_disk = true;
     }
   }
@@ -2163,17 +2146,16 @@ void SwapSystem::IssueSwapOut(AppState& app, PageId victim,
     disk_->Submit(std::move(req));
   } else {
     if (tier_) StampPool(app, p, *req, /*place=*/true);
-    if (disk_)
-      req->on_error = [this, a = &app](rdma::RequestPtr r) {
-        // The remote path gave up on this writeback; the disk always
-        // accepts it (and the failure streak may fail the cgroup over).
-        ++a->metrics.rdma_exhausted;
-        NoteExhausted(*a);
-        r->attempts = 0;
-        r->status = rdma::RequestStatus::kOk;
-        ++a->metrics.disk_swapouts;
-        disk_->Submit(std::move(r));
-      };
+    req->on_error = [this, a = &app](rdma::RequestPtr r) {
+      // The remote path gave up on this writeback; the disk always
+      // accepts it (and the failure streak may fail the cgroup over).
+      ++a->metrics.rdma_exhausted;
+      NoteExhausted(*a);
+      r->attempts = 0;
+      r->status = rdma::RequestStatus::kOk;
+      ++a->metrics.disk_swapouts;
+      disk_->Submit(std::move(r));
+    };
     scheduler_->Enqueue(std::move(req));
   }
 }

@@ -153,14 +153,15 @@ class SwapSystem {
   const rdma::Nic& nic() const { return *nic_; }
   /// Mutable NIC access (test hooks: retry observer).
   rdma::Nic& mutable_nic() { return *nic_; }
-  /// Fault subsystem views (null unless SystemConfig::fault_plan is set).
+  /// Fault injector (null unless SystemConfig::fault_plan is set).
   const fault::FaultInjector* injector() const { return injector_.get(); }
+  /// Local-disk backstop for failover and evicted slabs; never null.
   const fault::DiskBackend* disk() const { return disk_.get(); }
   /// Hybrid local tier (DESIGN.md §14); null unless SystemConfig::tier
   /// names an enabled preset.
   const tier::TierBackend* tier() const { return tier_.get(); }
-  /// Remote memory-server pool (DESIGN.md §11); null unless
-  /// SystemConfig::remote names a multi-server topology.
+  /// Remote memory-server pool (DESIGN.md §11); never null. The default
+  /// `single` topology is a pool of one transparent server.
   const remote::ServerPool* pool() const { return pool_.get(); }
   /// Mutable pool access (QoS plane: SLO-driven slab rebalancing).
   remote::ServerPool* mutable_pool() { return pool_.get(); }
@@ -366,9 +367,9 @@ class SwapSystem {
   // --- fault recovery (DESIGN.md §8) ---
   /// Blackout onset. Untargeted (`server` = fault::kAllServers): proactively
   /// fail every cgroup over to the disk backend and drain queued
-  /// swap-outs/prefetches away from the dead fabric. Targeted with a pool:
-  /// only that server goes down — its slabs evict to disk and everything
-  /// else keeps running (per-server failover).
+  /// swap-outs/prefetches away from the dead fabric. Targeted: only that
+  /// server goes down — its slabs evict to disk and everything else keeps
+  /// running (per-server failover).
   void OnFabricDown(int server);
   /// Blackout end: fail every cgroup back to the remote path (untargeted),
   /// or mark the one server reachable again.

@@ -2,6 +2,7 @@
 
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 
 namespace canvas::fault {
 
@@ -207,6 +208,22 @@ std::optional<FaultPlan> FaultPlan::Parse(const std::string& text,
     }
   }
   return plan;
+}
+
+void FaultPlan::CheckServerTargets(std::size_t servers,
+                                   const std::string& topology) const {
+  auto check = [&](const char* kind, const TimeWindow& w, int server) {
+    if (server == kAllServers || std::size_t(server) < servers) return;
+    throw std::invalid_argument(
+        "fault plan: " + std::string(kind) + " " +
+        std::to_string(w.start / kMicrosecond) + " " +
+        std::to_string(w.end / kMicrosecond) + " server=" +
+        std::to_string(server) + " targets a server topology '" + topology +
+        "' lacks (it has " + std::to_string(servers) + ")");
+  };
+  for (const LatencySpike& l : latency_) check("latency", l.window, l.server);
+  for (const QpStall& q : stalls_) check("stall", q.window, q.server);
+  for (const Blackout& b : blackouts_) check("blackout", b.window, b.server);
 }
 
 std::optional<FaultPlan> FaultPlan::LoadFile(const std::string& path,

@@ -42,7 +42,7 @@ inline constexpr int kBothDirections = -1;
 /// Op filter: -1 = every op, otherwise int(rdma::Op).
 inline constexpr int kAllOps = -1;
 /// Server filter: -1 = every memory server. Matches remote::kNoServer, so
-/// requests on the un-pooled fast path are hit by untargeted windows only.
+/// a request no pool routed (a standalone NIC's) is hit by every window.
 inline constexpr int kAllServers = -1;
 
 /// True when a window targeting `target` applies to a request bound for
@@ -154,6 +154,12 @@ class FaultPlan {
   /// message naming the offending line.
   static std::optional<FaultPlan> Parse(const std::string& text,
                                         std::string* err = nullptr);
+
+  /// Throws std::invalid_argument, naming the window, if a latency, stall
+  /// or blackout window targets a server at or past `servers`, the server
+  /// count of `topology`.
+  void CheckServerTargets(std::size_t servers,
+                          const std::string& topology) const;
 
   /// Parse() over the contents of `path`.
   static std::optional<FaultPlan> LoadFile(const std::string& path,

@@ -54,14 +54,12 @@ double FaultInjector::BandwidthFactor(int dir, SimTime now) const {
   return factor;
 }
 
-SimTime FaultInjector::StalledUntil(int dir, SimTime now,
-                                    bool untargeted_only) {
+SimTime FaultInjector::StalledUntil(int dir, SimTime now) {
   SimTime until = 0;
-  for (const QpStall& s : plan_.qp_stalls()) {
-    if (untargeted_only && s.server != kAllServers) continue;
-    if ((s.dir == kBothDirections || s.dir == dir) && s.window.Covers(now))
+  for (const QpStall& s : plan_.qp_stalls())
+    if (s.server == kAllServers &&
+        (s.dir == kBothDirections || s.dir == dir) && s.window.Covers(now))
       until = std::max(until, s.window.end);
-  }
   if (until) ++stats_.stalled_pumps;
   return until;
 }

@@ -75,11 +75,10 @@ class FaultInjector {
   /// Link-rate multiplier at `now` (1.0 = healthy; compounding windows
   /// multiply).
   double BandwidthFactor(int dir, SimTime now) const;
-  /// End of a QP stall window covering `now`, or 0 if the lane may
-  /// dispatch. With `untargeted_only` (a pooled NIC), server-targeted
-  /// stalls do not freeze the shared lane — they surface per-request via
-  /// TargetedStallExtra instead.
-  SimTime StalledUntil(int dir, SimTime now, bool untargeted_only = false);
+  /// End of an untargeted QP stall window covering `now`, or 0 if the
+  /// lane may dispatch. Server-targeted stalls do not freeze the shared
+  /// lane — they surface per-request via TargetedStallExtra instead.
+  SimTime StalledUntil(int dir, SimTime now);
   /// Extra service delay a request bound for `server` pays at `now` from
   /// stall windows targeting that server (the remote QP is wedged until
   /// the window closes, but the local lane keeps dispatching to others).

@@ -103,21 +103,20 @@ ChurnResult RunChurn(const ChurnRunSpec& spec) {
       if (system.app_alive(i)) fold(system.metrics(i));
     r.sched_drops = system.scheduler().drops();
     r.sim_events = sim.events_executed();
-    if (const remote::ServerPool* pool = system.pool()) {
-      r.pool = true;
-      r.partitions_released = pool->partitions_released();
-      r.slabs_released = pool->slabs_released();
-      r.harvest_events = pool->harvest_events();
-      r.control_ticks = pool->control_ticks();
-      r.control_harvests = pool->control_harvests();
-      r.control_returns = pool->control_returns();
-      // Slab conservation must hold after a full churn cycle: every reaped
-      // tenant's slabs are back on their servers or accounted for.
-      std::string audit_err;
-      if (!pool->Audit(&audit_err)) {
-        r.status = ChurnResult::Status::kError;
-        r.error = "pool audit failed: " + audit_err;
-      }
+    const remote::ServerPool& pool = *system.pool();
+    r.pool = !pool.config().single();
+    r.partitions_released = pool.partitions_released();
+    r.slabs_released = pool.slabs_released();
+    r.harvest_events = pool.harvest_events();
+    r.control_ticks = pool.control_ticks();
+    r.control_harvests = pool.control_harvests();
+    r.control_returns = pool.control_returns();
+    // Slab conservation must hold after a full churn cycle: every reaped
+    // tenant's slabs are back on their servers or accounted for.
+    std::string audit_err;
+    if (!pool.Audit(&audit_err)) {
+      r.status = ChurnResult::Status::kError;
+      r.error = "pool audit failed: " + audit_err;
     }
   } catch (const std::exception& ex) {
     r.status = ChurnResult::Status::kError;

@@ -79,7 +79,8 @@ struct ChurnResult : RunRecord {
   std::uint64_t failovers = 0;
   std::uint64_t sched_drops = 0;
   std::uint64_t sim_events = 0;
-  // Pool-side counters (zero when the topology has no server pool).
+  // Pool-side counters. `pool` is false on the default `single` topology,
+  // whose report omits them.
   bool pool = false;
   std::uint64_t partitions_released = 0;
   std::uint64_t slabs_released = 0;

@@ -74,12 +74,10 @@ void Nic::Pump(Direction dir) {
   if (lane.pump_scheduled) return;
   SimTime now = sim_.Now();
   if (injector_ && injector_->active()) {
-    // A QP stall freezes dispatch on this lane until the window closes.
-    // With a pool attached, server-targeted stalls wedge only the remote
-    // QP — they surface as per-request latency below, not a lane freeze.
-    SimTime stalled_until =
-        injector_->StalledUntil(int(dir), now, /*untargeted_only=*/
-                                pool_ != nullptr);
+    // An untargeted QP stall freezes dispatch on this lane until the
+    // window closes. Server-targeted stalls wedge only the remote QP — they
+    // surface as per-request latency below, not a lane freeze.
+    SimTime stalled_until = injector_->StalledUntil(int(dir), now);
     if (stalled_until > now) {
       lane.pump_scheduled = true;
       sim_.ScheduleAt(stalled_until, [this, dir] {
@@ -116,20 +114,19 @@ void Nic::Pump(Direction dir) {
   req->dispatched = now;
   // Late-bound routing: the slab's *current* home decides the destination,
   // so retries issued after a migration or eviction chase the data.
-  if (pool_ && req->partition != kNoPoolPartition)
+  if (req->partition != kNoPoolPartition)
     req->server = pool_->RouteAtDispatch(req->partition, req->entry);
   double bw = cfg_.bandwidth_bytes_per_sec;
   SimDuration extra_lat = 0;
   if (injector_ && injector_->active()) {
     bw *= injector_->BandwidthFactor(int(dir), now);
-    extra_lat = injector_->ExtraLatency(int(dir), now, req->server);
-    if (pool_)
-      extra_lat += injector_->TargetedStallExtra(req->server, int(dir), now);
+    extra_lat = injector_->ExtraLatency(int(dir), now, req->server) +
+                injector_->TargetedStallExtra(req->server, int(dir), now);
   }
   auto ser = SimDuration(double(req->bytes) / bw * double(kSecond));
   lane.busy_until = now + ser;
   SimTime completion = lane.busy_until + cfg_.base_latency + extra_lat;
-  if (pool_ && req->server >= 0)
+  if (req->server >= 0)
     // Fold in the destination server: link serialization behind other
     // transfers to the same server, fixed processing latency, and
     // queue-depth congestion. Transparent servers return it unchanged.
@@ -172,7 +169,7 @@ void Nic::Pump(Direction dir) {
   sim_.ScheduleAt(event_at, [this, outcome, owned = std::move(req)]() mutable {
     // Balance the server's inflight depth at the attempt's terminal event
     // (a timed-out attempt stops congesting once we stop waiting on it).
-    if (pool_ && owned->server >= 0) pool_->EndService(owned->server);
+    if (owned->server >= 0) pool_->EndService(owned->server);
     owned->completed = sim_.Now();
     owned->status = outcome;
     if (outcome == RequestStatus::kOk) {

@@ -111,13 +111,12 @@ class Nic {
   /// tracks. Recording only — never affects dispatch order or timing.
   void AttachTracer(trace::Tracer* tracer) { tracer_ = tracer; }
 
-  /// Attach the remote memory-server pool (nullptr detaches). With a pool,
-  /// each pooled request is routed to its slab's current home server at
-  /// dispatch, the server's service model (link serialization, base
-  /// latency, queue-depth congestion) folds into the completion time, and
-  /// server-targeted fault windows apply only to requests bound for that
-  /// server. Without one — or for requests without a pool partition — the
-  /// single-server fast path is byte-identical to pre-pool builds.
+  /// Attach the remote memory-server pool. A request that carries a pool
+  /// partition (only an issuer with a pool stamps one) is routed to its
+  /// slab's current home server at dispatch, the server's service model
+  /// (link serialization, base latency, queue-depth congestion) folds into
+  /// the completion time, and server-targeted fault windows apply only to
+  /// requests bound for that server. A standalone NIC never sees one.
   void AttachPool(remote::ServerPool* pool) { pool_ = pool; }
 
   /// Notify the NIC that the source may have new work in `dir`.

@@ -46,16 +46,7 @@ PoolConfig MakePool(int n) {
 PoolConfig PoolConfig::FromName(const std::string& name) {
   PoolConfig cfg;
   cfg.topology = name;
-  if (name == "single") {
-    // No pool: the NIC fast path, bit-identical to pre-pool builds.
-    return cfg;
-  }
-  if (name == "transparent") {
-    // One unlimited zero-cost server: exercises the routing layer while
-    // provably reproducing "single" byte-for-byte (the equivalence test).
-    cfg.servers = MakeServers(1, 0, 0.0, 0, 0, 0);
-    return cfg;
-  }
+  if (name == "single") return cfg;  // one transparent server
   if (name == "pool2" || name == "pool4" || name == "pool8") {
     int n = name == "pool2" ? 2 : name == "pool4" ? 4 : 8;
     PoolConfig p = MakePool(n);
@@ -71,13 +62,12 @@ PoolConfig PoolConfig::FromName(const std::string& name) {
   }
   throw std::invalid_argument(
       "unknown server topology '" + name +
-      "' (known: single, transparent, pool2, pool4, pool8, pool4-harvest)");
+      "' (known: single, pool2, pool4, pool8, pool4-harvest)");
 }
 
 std::vector<std::pair<std::string, std::string>> PoolConfig::ListTopologies() {
   return {
-      {"single", "no pool: flat fabric, infinite far memory (default)"},
-      {"transparent", "1 zero-cost server; byte-identical to 'single'"},
+      {"single", "1 unlimited zero-cost server: flat fabric (default)"},
       {"pool2", "2 servers, 256 slabs each, congestion-aware links"},
       {"pool4", "4 servers, 256 slabs each, congestion-aware links"},
       {"pool8", "8 servers, 256 slabs each, congestion-aware links"},
@@ -91,7 +81,8 @@ ServerPool::ServerPool(sim::Simulator& sim, PoolConfig cfg)
       policy_(MakePlacementPolicy(cfg_.placement)),
       placement_rng_(cfg_.placement_seed),
       harvest_rng_(cfg_.harvest.seed) {
-  servers_.reserve(cfg_.servers.size());
+  if (cfg_.single()) servers_.emplace_back(ServerConfig{.name = "ms0"},
+                                           cfg_.series_bucket);
   for (const ServerConfig& s : cfg_.servers)
     servers_.emplace_back(s, cfg_.series_bucket);
   placed_.resize(servers_.size());

@@ -14,10 +14,10 @@
 // handler (SwapSystem then redirects queued and in-flight requests using
 // the incarnation/content_version machinery).
 //
-// The pool adds zero behavior when every server is "transparent"
-// (unlimited capacity, zero bandwidth/latency/congestion): completions
-// pass through unmodified and no events are scheduled, so a single
-// transparent server reproduces the no-pool fast path bit-for-bit.
+// A "transparent" server (unlimited capacity, zero bandwidth/latency/
+// congestion) adds no timing: completions pass through unmodified and no
+// events are scheduled. The default `single` topology is a pool of one
+// such server, so every swap request takes the same routed path.
 #pragma once
 
 #include <cstdint>
@@ -41,7 +41,8 @@ class Tracer;
 namespace canvas::remote {
 
 struct PoolConfig {
-  /// Empty = subsystem disabled (the NIC never consults the pool).
+  /// Empty = the default `single` topology: ServerPool builds one
+  /// transparent server `ms0`.
   std::vector<ServerConfig> servers;
   /// Slab size in swap entries (4096 entries = 16 MiB of pages).
   std::uint64_t slab_entries = 4096;
@@ -54,7 +55,9 @@ struct PoolConfig {
   std::string topology = "single";
   SimDuration series_bucket = 100 * kMillisecond;
 
-  bool enabled() const { return !servers.empty(); }
+  /// True for the default `single` topology. Its reports keep their
+  /// pre-pool shape: no "remote" section and no pool fields.
+  bool single() const { return servers.empty(); }
 
   /// Topology preset registry (mirrors SystemConfig::FromName). Throws
   /// std::invalid_argument on unknown names.

@@ -7,9 +7,8 @@
 // single-NIC model cannot express).
 //
 // The defaults are deliberately "transparent": capacity 0 (unlimited),
-// bandwidth 0 (no serialization), zero latency and congestion. A pool of
-// one transparent server is byte-identical to no pool at all — that
-// differential is the correctness anchor of the subsystem.
+// bandwidth 0 (no serialization), zero latency and congestion. The default
+// `single` topology is a pool of one such server.
 #pragma once
 
 #include <array>
@@ -26,7 +25,8 @@ namespace canvas::remote {
 /// fault-plan windows (fault::kAllServers = -1 matches every server).
 using ServerId = std::int32_t;
 
-/// Request not routed through a pool (NIC without a pool attached).
+/// Request not routed through a pool (a standalone NIC), or a slab that
+/// never had a remote home.
 inline constexpr ServerId kNoServer = -1;
 /// Slab home: evicted to the local-disk backend (terminal — the data stays
 /// disk-backed until its entries are freed and rewritten).

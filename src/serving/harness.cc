@@ -111,11 +111,9 @@ ServingResult RunServing(const ServingSpec& spec) {
       r.tenants.push_back(std::move(tr));
     }
     r.qos_ticks = qos.ticks();
-    if (const remote::ServerPool* pool = sys.pool()) {
-      r.pool_migrations = pool->migrations();
-      r.pool_evictions_to_disk = pool->evictions_to_disk();
-      r.pool_harvest_events = pool->harvest_events();
-    }
+    r.pool_migrations = sys.pool()->migrations();
+    r.pool_evictions_to_disk = sys.pool()->evictions_to_disk();
+    r.pool_harvest_events = sys.pool()->harvest_events();
     r.sim_events = e.simulator().events_executed();
   } catch (const std::exception& ex) {
     r.status = ServingResult::Status::kError;

@@ -84,14 +84,9 @@ void QosPlane::Escalate(std::size_t victim) {
     }
   }
   // 4. Spread the victim's slabs off its hottest server.
-  if (cfg_.enable_migration) {
-    if (remote::ServerPool* pool = sys_->mutable_pool()) {
-      std::uint32_t pid = sys_->partition(t.app).pool_id();
-      if (pid != swapalloc::SwapPartition::kNoPoolId)
-        stats_[victim].slabs_migrated +=
-            pool->RebalanceTenant(pid, cfg_.migrate_slabs);
-    }
-  }
+  if (cfg_.enable_migration)
+    stats_[victim].slabs_migrated += sys_->mutable_pool()->RebalanceTenant(
+        sys_->partition(t.app).pool_id(), cfg_.migrate_slabs);
 }
 
 void QosPlane::Heal(std::size_t tenant) {

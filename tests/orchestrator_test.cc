@@ -106,8 +106,8 @@ TEST(Scenario, TopologyAxisExpandsAndLabels) {
   // non-default topologies are suffixed.
   EXPECT_EQ(runs[0].label, "canvas/r0.25/s0.05/seed3");
   EXPECT_EQ(runs[1].label, "canvas/r0.25/s0.05/seed3/pool2");
-  EXPECT_FALSE(runs[0].exp.config.remote.enabled());
-  ASSERT_TRUE(runs[1].exp.config.remote.enabled());
+  EXPECT_TRUE(runs[0].exp.config.remote.single());
+  ASSERT_FALSE(runs[1].exp.config.remote.single());
   EXPECT_EQ(runs[1].exp.config.remote.servers.size(), 2u);
 
   spec.topologies = {"mesh16"};

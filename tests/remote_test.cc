@@ -1,8 +1,8 @@
 // Tests for the remote memory-server pool (DESIGN.md §11): placement
 // policies, harvesting-driven migration and disk eviction, the single-home
 // (no-dual-residency) and capacity-conservation invariants, per-server
-// fault targeting, and the transparent-topology equivalence that anchors
-// the whole subsystem to the pre-pool fast path.
+// fault targeting, and exact pins of the default `single` topology (a pool
+// of one transparent server).
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -114,8 +114,8 @@ TEST(Placement, KindNamesRoundTrip) {
 // --- topology registry ------------------------------------------------
 
 TEST(Topology, RegistryResolvesKnownNamesAndRejectsUnknown) {
-  EXPECT_FALSE(PoolConfig::FromName("single").enabled());
-  EXPECT_EQ(PoolConfig::FromName("transparent").servers.size(), 1u);
+  EXPECT_TRUE(PoolConfig::FromName("single").single());
+  EXPECT_THROW(PoolConfig::FromName("transparent"), std::invalid_argument);
   EXPECT_EQ(PoolConfig::FromName("pool2").servers.size(), 2u);
   EXPECT_EQ(PoolConfig::FromName("pool4").servers.size(), 4u);
   EXPECT_EQ(PoolConfig::FromName("pool8").servers.size(), 8u);
@@ -329,27 +329,6 @@ std::string RunToJson(const ExperimentSpec& spec, const std::string& label) {
   std::ostringstream os;
   WriteJson(os, exp.system(), label);
   return os.str();
-}
-
-TEST(RemoteSystem, TransparentSingleServerMatchesNoPoolBitForBit) {
-  // The pool of one unlimited zero-cost server routes every request through
-  // the pool layer yet must not move a single event: the per-app CSV (which
-  // has no pool-presence section) must be byte-identical.
-  ExperimentSpec pooled = PooledSpec("transparent");
-  ExperimentSpec plain = pooled;
-  plain.config.remote = remote::PoolConfig::FromName("single");
-
-  Experiment pe(pooled);
-  ASSERT_TRUE(pe.Run());
-  Experiment qe(plain);
-  ASSERT_TRUE(qe.Run());
-  std::ostringstream a, b;
-  WriteCsv(a, pe.system(), "x");
-  WriteCsv(b, qe.system(), "x");
-  EXPECT_EQ(a.str(), b.str());
-  ASSERT_NE(pe.system().pool(), nullptr);
-  EXPECT_EQ(qe.system().pool(), nullptr);
-  EXPECT_GT(pe.system().pool()->servers()[0].requests_served, 0u);
 }
 
 TEST(RemoteSystem, PooledRunsAreDeterministic) {
