@@ -132,6 +132,12 @@ std::uint64_t ServerPool::ReleasePartition(std::uint32_t pid) {
 
 void ServerPool::Start(std::function<bool()> active) {
   active_ = std::move(active);
+  // Only finite servers are harvested. Without one (the default `single`
+  // topology) a harvest schedule has nothing to act on, so it adds no
+  // events.
+  if (std::none_of(servers_.begin(), servers_.end(),
+                   [](const ServerState& s) { return s.cfg.capacity_slabs > 0; }))
+    return;
   for (const HarvestEvent& e : cfg_.harvest.events)
     sim_.ScheduleAt(e.at, [this, e] { ApplyHarvest(e); });
   // The closed-loop controller replaces the open-loop seeded generator.

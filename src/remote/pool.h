@@ -91,8 +91,9 @@ class ServerPool {
   /// partition first. Returns the number of slabs returned to servers.
   std::uint64_t ReleasePartition(std::uint32_t pid);
 
-  /// Schedules the harvest plan. `active` gates the recurring generator so
-  /// it stops once the workload drains (nullptr = always active).
+  /// Schedules the harvest plan, unless every server is unlimited (then
+  /// nothing is harvestable). `active` gates the recurring generator so it
+  /// stops once the workload drains (nullptr = always active).
   void Start(std::function<bool()> active);
 
   // --- placement & routing ---

@@ -224,6 +224,11 @@ TEST(Driver, StaticSchedulesAndSingleTopologyAlsoDrain) {
   ASSERT_EQ(single.status, ChurnResult::Status::kOk) << single.error;
   EXPECT_FALSE(single.pool);
   EXPECT_EQ(single.tenants_retired, single.tenants_started);
+  // `single` is one unlimited server: a harvest schedule has nothing to
+  // act on and adds no events.
+  ChurnResult harvested = RunChurn(SmallRun("single", "steady"));
+  ASSERT_EQ(harvested.status, ChurnResult::Status::kOk) << harvested.error;
+  EXPECT_EQ(harvested.sim_events, single.sim_events);
 }
 
 TEST(Driver, ReportCarriesChurnSchemaAndRetiredTenants) {
