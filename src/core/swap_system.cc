@@ -829,7 +829,7 @@ void SwapSystem::ScheduleFailbackProbe(AppState& app) {
     if (a->reaped) return;  // the tenant (and its cgroup id) is gone
     Cgroup& cg = cgroups_.Get(a->cg);
     if (cg.backend() == SwapBackend::kRemote) return;  // already back
-    if (injector_ && injector_->ServerDown(sim_.Now())) {
+    if (injector_ && injector_->FabricDown(sim_.Now())) {
       ScheduleFailbackProbe(*a);  // still dark: probe again later
       return;
     }
@@ -1466,10 +1466,12 @@ void SwapSystem::IssuePrefetches(AppState& app,
   // A retiring tenant only finishes in-flight work; speculative reads would
   // just delay its reap.
   if (app.retiring) return;
-  // Speculative reads are pure waste while the server is dark or the cgroup
+  // Speculative reads are pure waste while the fabric is dark or the cgroup
   // is failed over to the disk (no disk prefetch path is modeled); demand
-  // traffic keeps the detectors warm for recovery.
-  if (injector_ && (injector_->ServerDown(sim_.Now()) ||
+  // traffic keeps the detectors warm for recovery. A server-targeted
+  // blackout leaves the fabric up: its pages are disk-backed, and the
+  // candidate loop below skips those.
+  if (injector_ && (injector_->FabricDown(sim_.Now()) ||
                     cgroups_.Get(app.cg).backend() != SwapBackend::kRemote))
     return;
   prefetch_buf_.clear();
@@ -1781,7 +1783,7 @@ void SwapSystem::StepObjectPage(AppState& app, PageId page,
       if (app.retiring || p.shared || p.entry == kInvalidEntry ||
           p.disk_backed ||
           (injector_ &&
-           (injector_->ServerDown(sim_.Now()) ||
+           (injector_->FabricDown(sim_.Now()) ||
             cgroups_.Get(app.cg).backend() != SwapBackend::kRemote))) {
         CoopDone(*batch);
         return;

@@ -215,11 +215,11 @@ void FaultPlan::CheckServerTargets(std::size_t servers,
   auto check = [&](const char* kind, const TimeWindow& w, int server) {
     if (server == kAllServers || std::size_t(server) < servers) return;
     throw std::invalid_argument(
-        "fault plan: " + std::string(kind) + " " +
+        "fault plan window '" + std::string(kind) + " " +
         std::to_string(w.start / kMicrosecond) + " " +
         std::to_string(w.end / kMicrosecond) + " server=" +
-        std::to_string(server) + " targets a server topology '" + topology +
-        "' lacks (it has " + std::to_string(servers) + ")");
+        std::to_string(server) + "' targets a missing server: topology '" +
+        topology + "' has " + std::to_string(servers) + " server(s)");
   };
   for (const LatencySpike& l : latency_) check("latency", l.window, l.server);
   for (const QpStall& q : stalls_) check("stall", q.window, q.server);

@@ -147,7 +147,8 @@ class FaultPlan {
   ///   tier-freeze  <start_us> <end_us>
   ///
   /// The optional trailing `server=N` (latency / stall / blackout) targets
-  /// memory server N of the remote pool; omitted means every server, so
+  /// memory server N of the remote pool (N below the topology's server
+  /// count, see CheckServerTargets); omitted means every server, so
   /// pre-pool plan files parse to identical plans.
   ///
   /// Returns nullopt on malformed input and, when `err` is non-null, a

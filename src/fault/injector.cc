@@ -20,9 +20,9 @@ void FaultInjector::Start() {
   }
 }
 
-bool FaultInjector::ServerDown(SimTime now, int server) const {
+bool FaultInjector::FabricDown(SimTime now) const {
   for (const Blackout& b : plan_.blackouts())
-    if (ServerMatches(b.server, server) && b.window.Covers(now)) return true;
+    if (b.server == kAllServers && b.window.Covers(now)) return true;
   return false;
 }
 

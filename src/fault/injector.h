@@ -64,8 +64,10 @@ class FaultInjector {
   // (plus all untargeted windows). The default kAllServers preserves the
   // pre-pool behavior: every window applies.
 
-  /// True while a blackout window covers `now`.
-  bool ServerDown(SimTime now, int server = kAllServers) const;
+  /// True while an untargeted (fabric-wide) blackout window covers `now`.
+  /// A server-targeted blackout downs only its server, whose slabs move
+  /// to disk.
+  bool FabricDown(SimTime now) const;
   /// True if any blackout window intersects the attempt span [a, b]: the
   /// request's completion would never arrive, so it dies by timeout.
   bool BlackoutOverlaps(SimTime a, SimTime b, int server = kAllServers);

@@ -406,6 +406,83 @@ TEST(RemoteSystem, PerServerBlackoutFailsOverOnlyThatServer) {
   EXPECT_TRUE(pool->Audit(&err)) << err;
 }
 
+TEST(RemoteSystem, PlansTargetingAMissingServerAreRejected) {
+  auto plan_for = [](int server) {
+    auto plan = std::make_shared<fault::FaultPlan>();
+    plan->AddBlackout(2 * kMillisecond, 10 * kMillisecond, server);
+    return plan;
+  };
+  ExperimentSpec pool4 = PooledSpec("pool4");
+  pool4.config.fault_plan = plan_for(4);
+  try {
+    Experiment exp(pool4);
+    ADD_FAILURE() << "server=4 on pool4 was accepted";
+  } catch (const std::invalid_argument& e) {
+    std::string what = e.what();
+    EXPECT_NE(what.find("blackout 2000 10000 server=4"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("has 4"), std::string::npos) << what;
+  }
+  ExperimentSpec single = PooledSpec("single");
+  single.config.fault_plan = plan_for(1);
+  EXPECT_THROW(Experiment{single}, std::invalid_argument);
+  auto stall = std::make_shared<fault::FaultPlan>();
+  stall->AddQpStall(0, kMillisecond, fault::kBothDirections, /*server=*/2);
+  single.config.fault_plan = stall;
+  EXPECT_THROW(Experiment{single}, std::invalid_argument);
+}
+
+TEST(RemoteSystem, SingleServerZeroBlackoutEvictsItsSlabsToDisk) {
+  // On `single`, server=0 names the sole transparent server: a targeted
+  // blackout downs it and moves every slab it holds to disk.
+  ExperimentSpec spec = PooledSpec("single");
+  auto plan = std::make_shared<fault::FaultPlan>();
+  plan->AddBlackout(2 * kMillisecond, 10 * kMillisecond, /*server=*/0);
+  spec.config.fault_plan = plan;
+  Experiment exp(spec);
+  ASSERT_TRUE(exp.Run());
+  const SwapSystem& sys = exp.system();
+  EXPECT_GT(sys.pool()->evictions_to_disk(), 0u);
+  std::uint64_t disk_in = 0;
+  for (std::size_t i = 0; i < sys.app_count(); ++i) {
+    EXPECT_EQ(sys.metrics(i).stale_reads, 0u);
+    disk_in += sys.metrics(i).disk_swapins;
+  }
+  EXPECT_GT(disk_in, 0u);
+  std::string err;
+  EXPECT_TRUE(sys.pool()->Audit(&err)) << err;
+}
+
+// Prefetches issued inside a [2, 10) ms blackout of `server` on pool4.
+std::uint64_t PrefetchesDuringBlackout(int server) {
+  ExperimentSpec spec = PooledSpec("pool4");
+  auto plan = std::make_shared<fault::FaultPlan>();
+  plan->AddBlackout(2 * kMillisecond, 10 * kMillisecond, server);
+  spec.config.fault_plan = plan;
+  spec.config.trace.enabled = true;
+  spec.config.trace.sampler = false;
+  spec.config.trace.ring_capacity = std::size_t(1) << 20;
+  Experiment exp(spec);
+  EXPECT_TRUE(exp.Run());
+  const trace::TraceBuffer& buf = exp.system().tracer().buffer();
+  EXPECT_EQ(buf.dropped(), 0u);
+  std::uint64_t issued = 0;
+  buf.ForEach([&](const trace::TraceRecord& r) {
+    if (r.name == trace::Name::kPrefetchIssue && r.ts >= 2 * kMillisecond &&
+        r.ts < 10 * kMillisecond)
+      ++issued;
+  });
+  return issued;
+}
+
+TEST(RemoteSystem, TargetedBlackoutLeavesPrefetchingOn) {
+  // Server 0's pages go disk-backed and prefetch skips them; the other
+  // servers keep serving speculative reads. Only a fabric-wide blackout
+  // pauses prefetching.
+  EXPECT_GT(PrefetchesDuringBlackout(0), 0u);
+  EXPECT_EQ(PrefetchesDuringBlackout(fault::kAllServers), 0u);
+}
+
 // Exact outcome of a small default-topology co-run: a change to how the
 // `single` topology routes a request moves at least one of these.
 struct Pin {
