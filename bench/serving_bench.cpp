@@ -39,12 +39,9 @@ orchestrator::ServingScenarioSpec Scenario(SimTime horizon, double rate_scale,
   sc.arrivals = {"poisson", "flash"};
   sc.seeds = {seed};
   // The comparison arm keeps the plane attached (so windows are judged and
-  // violation rates are comparable) but with every lever disabled.
+  // violation rates are comparable) but never escalates.
   sc.qos_enabled = true;
-  sc.qos.enable_weight_boost = qos_on;
-  sc.qos.enable_shedding = qos_on;
-  sc.qos.enable_deferral = qos_on;
-  sc.qos.enable_migration = qos_on;
+  sc.qos.escalate = qos_on;
   sc.qos.control_period = 50 * kMillisecond;
 
   serving::TenantSpec fe;

@@ -42,7 +42,7 @@ void QosPlane::Tick() {
     violated[i] = trackers_[i].Observe(
         sys_->metrics(tenants_[i].app).fault_latency, scale);
   for (std::size_t i = 0; i < tenants_.size(); ++i) {
-    if (tenants_[i].best_effort) continue;
+    if (tenants_[i].best_effort || !cfg_.escalate) continue;
     if (violated[i]) {
       Escalate(i);
     } else if (trackers_[i].clean_run() >= cfg_.heal_windows) {
@@ -57,56 +57,49 @@ void QosPlane::Escalate(std::size_t victim) {
   const QosTenant& t = tenants_[victim];
   SimTime now = sim_->Now();
   // 1. WFQ weight boost for the victim.
-  if (cfg_.enable_weight_boost) {
-    if (sched::TwoDimScheduler* wfq = sys_->two_dim_scheduler()) {
-      CgroupId cg = sys_->cgroup_of(t.app);
-      double cap = base_weight_[victim] * cfg_.boost_cap;
-      double w = std::min(cap, wfq->Weight(cg) * cfg_.boost_factor);
-      if (w > wfq->Weight(cg)) {
-        wfq->SetWeight(cg, w);
-        ++stats_[victim].weight_boosts;
-      }
-      stats_[victim].current_weight = wfq->Weight(cg);
+  if (sched::TwoDimScheduler* wfq = sys_->two_dim_scheduler()) {
+    CgroupId cg = sys_->cgroup_of(t.app);
+    double cap = base_weight_[victim] * cfg_.boost_cap;
+    double w = std::min(cap, wfq->Weight(cg) * cfg_.boost_factor);
+    if (w > wfq->Weight(cg)) {
+      wfq->SetWeight(cg, w);
+      ++stats_[victim].weight_boosts;
     }
+    stats_[victim].current_weight = wfq->Weight(cg);
   }
   // 2 + 3. Push load off the best-effort tenants.
   for (std::size_t j = 0; j < tenants_.size(); ++j) {
     if (!tenants_[j].best_effort || !tenants_[j].control) continue;
     workload::LoadControl& ctl = *tenants_[j].control;
-    if (cfg_.enable_shedding && ctl.shed_fraction < cfg_.shed_max) {
+    if (ctl.shed_fraction < cfg_.shed_max) {
       ctl.shed_fraction =
           std::min(cfg_.shed_max, ctl.shed_fraction + cfg_.shed_step);
       ++stats_[j].shed_steps;
     }
-    if (cfg_.enable_deferral && ctl.admit_time > now) {
+    if (ctl.admit_time > now) {
       ctl.admit_time += cfg_.admission_defer;
       ++stats_[j].deferrals;
     }
   }
   // 4. Spread the victim's slabs off its hottest server.
-  if (cfg_.enable_migration)
-    stats_[victim].slabs_migrated += sys_->mutable_pool()->RebalanceTenant(
+  stats_[victim].slabs_migrated += sys_->mutable_pool()->RebalanceTenant(
         sys_->partition(t.app).pool_id(), cfg_.migrate_slabs);
 }
 
 void QosPlane::Heal(std::size_t tenant) {
   // One unwind step per clean tick: weight decays toward base, and the
   // shed/defer pressure this tenant caused releases one step.
-  if (cfg_.enable_weight_boost) {
-    if (sched::TwoDimScheduler* wfq = sys_->two_dim_scheduler()) {
-      CgroupId cg = sys_->cgroup_of(tenants_[tenant].app);
-      double w = std::max(base_weight_[tenant],
-                          wfq->Weight(cg) / cfg_.boost_factor);
-      wfq->SetWeight(cg, w);
-      stats_[tenant].current_weight = wfq->Weight(cg);
-    }
+  if (sched::TwoDimScheduler* wfq = sys_->two_dim_scheduler()) {
+    CgroupId cg = sys_->cgroup_of(tenants_[tenant].app);
+    double w = std::max(base_weight_[tenant],
+                        wfq->Weight(cg) / cfg_.boost_factor);
+    wfq->SetWeight(cg, w);
+    stats_[tenant].current_weight = wfq->Weight(cg);
   }
-  if (cfg_.enable_shedding) {
-    for (std::size_t j = 0; j < tenants_.size(); ++j) {
-      if (!tenants_[j].best_effort || !tenants_[j].control) continue;
-      workload::LoadControl& ctl = *tenants_[j].control;
-      ctl.shed_fraction = std::max(0.0, ctl.shed_fraction - cfg_.shed_step);
-    }
+  for (std::size_t j = 0; j < tenants_.size(); ++j) {
+    if (!tenants_[j].best_effort || !tenants_[j].control) continue;
+    workload::LoadControl& ctl = *tenants_[j].control;
+    ctl.shed_fraction = std::max(0.0, ctl.shed_fraction - cfg_.shed_step);
   }
 }
 

@@ -43,10 +43,10 @@ namespace canvas::serving {
 
 struct QosConfig {
   SimDuration control_period = 50 * kMillisecond;
-  bool enable_weight_boost = true;
-  bool enable_shedding = true;
-  bool enable_deferral = true;
-  bool enable_migration = true;
+  /// Escalate on violations and heal on clean windows: boost the victim's
+  /// WFQ weight, shed and defer best-effort load, and migrate the victim's
+  /// slabs. Off, the plane only judges windows.
+  bool escalate = true;
   /// Shed fraction added to best-effort tenants per violated window (and
   /// released per heal step), capped at `shed_max`.
   double shed_step = 0.25;
