@@ -110,7 +110,7 @@ PolicyResult RunPolicy(remote::PlacementKind policy, double scale,
       out.unplaceable = pool->unplaceable();
       out.peak_imbalance = pool->PeakImbalance();
       out.occupancy_cv = pool->OccupancyCV();
-      out.disk_reads = sys.disk() ? sys.disk()->reads() : 0;
+      out.disk_reads = sys.disk()->reads();
       std::string err;
       out.audit_ok = pool->Audit(&err);
       if (!out.audit_ok)
@@ -197,15 +197,12 @@ TierResult RunTiered(const std::string& tier_name, double scale,
         out.tier_rejects += m.tier_rejects;
         out.stale_reads += m.stale_reads;
       }
-      out.disk_reads = sys.disk() ? sys.disk()->reads() : 0;
-      out.disk_writes = sys.disk() ? sys.disk()->writes() : 0;
-      const trace::LogHistogram* target =
-          sys.tier() ? &sys.tier()->latency()
-                     : (sys.disk() ? &sys.disk()->latency() : nullptr);
-      if (target) {
-        out.failover_p50_ns = target->Percentile(50);
-        out.failover_p99_ns = target->Percentile(99);
-      }
+      out.disk_reads = sys.disk()->reads();
+      out.disk_writes = sys.disk()->writes();
+      const trace::LogHistogram& target =
+          sys.tier() ? sys.tier()->latency() : sys.disk()->latency();
+      out.failover_p50_ns = target.Percentile(50);
+      out.failover_p99_ns = target.Percentile(99);
     } else {
       out.deterministic = os.str() == first_report;
     }

@@ -84,9 +84,10 @@ struct SystemConfig {
   fault::DiskBackend::Config disk;
 
   // --- remote memory-server pool (DESIGN.md §11) ---
-  /// Server topology behind the NIC. The default (no servers) is the
-  /// single-infinite-server fast path, byte-identical to pre-pool builds;
-  /// see remote::PoolConfig::FromName for the preset registry.
+  /// Server topology behind the NIC. The default (no servers) is
+  /// `single`, a pool of one transparent server whose reports are
+  /// byte-identical to pre-pool builds; see remote::PoolConfig::FromName
+  /// for the preset registry.
   remote::PoolConfig remote;
 
   // --- hybrid local tier (DESIGN.md §14) ---

@@ -11,58 +11,40 @@ namespace canvas::remote {
 
 namespace {
 
-std::vector<ServerConfig> MakeServers(int n, std::uint64_t capacity,
-                                      double bw, SimDuration lat,
-                                      SimDuration cong, SimDuration cap) {
-  std::vector<ServerConfig> out;
-  out.reserve(std::size_t(n));
-  for (int i = 0; i < n; ++i) {
-    ServerConfig s;
-    s.name = "ms" + std::to_string(i);
-    s.capacity_slabs = capacity;
-    s.bandwidth_bytes_per_sec = bw;
-    s.base_latency = lat;
-    s.congestion_per_inflight = cong;
-    s.congestion_cap = cap;
-    out.push_back(std::move(s));
-  }
-  return out;
-}
-
 PoolConfig MakePool(int n) {
   // Per-server link slightly below the NIC rate so fan-in to one server can
   // saturate its destination even when the initiator NIC has headroom —
   // the per-destination bottleneck the flat fabric model lacks.
   PoolConfig cfg;
-  cfg.servers = MakeServers(n, /*capacity=*/256, /*bw=*/4.8e9,
-                            /*lat=*/1 * kMicrosecond,
-                            /*cong=*/SimDuration(150),
-                            /*cap=*/20 * kMicrosecond);
+  for (int i = 0; i < n; ++i)
+    cfg.servers.push_back({.name = "ms" + std::to_string(i),
+                           .capacity_slabs = 256,
+                           .bandwidth_bytes_per_sec = 4.8e9,
+                           .base_latency = 1 * kMicrosecond,
+                           .congestion_per_inflight = SimDuration(150),
+                           .congestion_cap = 20 * kMicrosecond});
   return cfg;
 }
 
 }  // namespace
 
 PoolConfig PoolConfig::FromName(const std::string& name) {
-  PoolConfig cfg;
+  PoolConfig cfg;  // "single": no servers, so one transparent server
+  if (name == "pool2" || name == "pool8") {
+    cfg = MakePool(name == "pool2" ? 2 : 8);
+  } else if (name == "pool4" || name == "pool4-harvest") {
+    cfg = MakePool(4);
+  } else if (name != "single") {
+    throw std::invalid_argument(
+        "unknown server topology '" + name +
+        "' (known: single, pool2, pool4, pool8, pool4-harvest)");
+  }
   cfg.topology = name;
-  if (name == "single") return cfg;  // one transparent server
-  if (name == "pool2" || name == "pool4" || name == "pool8") {
-    int n = name == "pool2" ? 2 : name == "pool4" ? 4 : 8;
-    PoolConfig p = MakePool(n);
-    p.topology = name;
-    return p;
-  }
   if (name == "pool4-harvest") {
-    PoolConfig p = MakePool(4);
-    p.topology = name;
-    for (ServerConfig& s : p.servers) s.capacity_slabs = 64;
-    p.harvest = HarvestConfig::FromName("steady");
-    return p;
+    for (ServerConfig& s : cfg.servers) s.capacity_slabs = 64;
+    cfg.harvest = HarvestConfig::FromName("steady");
   }
-  throw std::invalid_argument(
-      "unknown server topology '" + name +
-      "' (known: single, pool2, pool4, pool8, pool4-harvest)");
+  return cfg;
 }
 
 std::vector<std::pair<std::string, std::string>> PoolConfig::ListTopologies() {

@@ -71,7 +71,7 @@ class SwapPartition {
   const EntryMeta& meta(SwapEntryId e) const { return meta_.at(e); }
 
   /// Remote-pool partition id assigned at registration (DESIGN.md §11);
-  /// kNoPoolId when the partition is not sharded onto a server pool.
+  /// kNoPoolId until the swap system registers it with its pool.
   static constexpr std::uint32_t kNoPoolId = 0xFFFF'FFFFu;
   std::uint32_t pool_id() const { return pool_id_; }
   void set_pool_id(std::uint32_t id) { pool_id_ = id; }

@@ -188,9 +188,7 @@ TEST(FaultProperty, RandomPlansPreserveSwapInvariants) {
     // Every in-flight request resolved.
     EXPECT_TRUE(e.system().Quiescent());
     EXPECT_EQ(e.system().nic().pending_retries(), 0u);
-    if (e.system().disk()) {
-      EXPECT_EQ(e.system().disk()->inflight(), 0u);
-    }
+    EXPECT_EQ(e.system().disk()->inflight(), 0u);
 
     // Every access completed, none served stale contents.
     EXPECT_EQ(e.system().metrics(0).accesses, ExpectedAccesses(2, 512, 2));
