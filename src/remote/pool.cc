@@ -63,8 +63,8 @@ ServerPool::ServerPool(sim::Simulator& sim, PoolConfig cfg)
       policy_(MakePlacementPolicy(cfg_.placement)),
       placement_rng_(cfg_.placement_seed),
       harvest_rng_(cfg_.harvest.seed) {
-  if (cfg_.single()) servers_.emplace_back(ServerConfig{.name = "ms0"},
-                                           cfg_.series_bucket);
+  if (cfg_.single())
+    servers_.emplace_back(ServerConfig{.name = "ms0"}, cfg_.series_bucket);
   for (const ServerConfig& s : cfg_.servers)
     servers_.emplace_back(s, cfg_.series_bucket);
   placed_.resize(servers_.size());
@@ -117,9 +117,8 @@ void ServerPool::Start(std::function<bool()> active) {
   // Only finite servers are harvested. Without one (the default `single`
   // topology) a harvest schedule has nothing to act on, so it adds no
   // events.
-  if (std::none_of(servers_.begin(), servers_.end(),
-                   [](const ServerState& s) { return s.cfg.capacity_slabs > 0; }))
-    return;
+  auto finite = [](const ServerState& s) { return s.cfg.capacity_slabs > 0; };
+  if (std::none_of(servers_.begin(), servers_.end(), finite)) return;
   for (const HarvestEvent& e : cfg_.harvest.events)
     sim_.ScheduleAt(e.at, [this, e] { ApplyHarvest(e); });
   // The closed-loop controller replaces the open-loop seeded generator.
