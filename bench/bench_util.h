@@ -1,15 +1,15 @@
-// Shared helpers for the reproduction benches (one binary per paper
-// table/figure). Every bench prints paper-style rows via TablePrinter and
-// honours CANVAS_SCALE (workload scale factor), CANVAS_SEED and
-// CANVAS_JOBS (sweep worker threads) from the environment so the whole
-// suite can be dialed up or down.
-//
-// Apps are composed through core::AppBuild / ExperimentSpec — the same
-// declarative surface canvasctl and the orchestrator use — so a bench run
-// is a plain value that can be handed to the SweepEngine and executed on
-// any number of worker threads without changing its result.
+// Shared helpers for the benches (the paper driver in bench/paper/ and the
+// subsystem benches). They print rows via TablePrinter and read
+// CANVAS_SCALE (workload scale factor), CANVAS_SEED and CANVAS_JOBS (sweep
+// worker threads) from the environment; a malformed value exits 2 before
+// anything runs. Apps are composed as core::AppBuild values, so a run is
+// a plain ExperimentSpec the SweepEngine can execute on any thread.
 #pragma once
 
+#include <cerrno>
+#include <cctype>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <thread>
@@ -22,21 +22,40 @@
 
 namespace canvas::bench {
 
-inline double ScaleFromEnv(double fallback) {
-  const char* s = std::getenv("CANVAS_SCALE");
-  return s ? std::atof(s) : fallback;
+[[noreturn]] inline void RejectEnv(const char* var, const char* want) {
+  std::fprintf(stderr, "%s=%s: expected %s\n", var, std::getenv(var), want);
+  std::exit(2);
 }
 
-inline std::uint64_t SeedFromEnv() {
-  const char* s = std::getenv("CANVAS_SEED");
-  return s ? std::strtoull(s, nullptr, 10) : 7;
+/// CANVAS_SCALE: a positive finite number.
+inline double ScaleFromEnv(double fallback) {
+  const char* s = std::getenv("CANVAS_SCALE");
+  char* end = nullptr;
+  double v = s ? std::strtod(s, &end) : fallback;
+  if (s && (end == s || *end || !std::isfinite(v) || v <= 0))
+    RejectEnv("CANVAS_SCALE", "a positive number");
+  return v;
 }
+
+/// A decimal integer >= 1 from `var`, or `fallback` when unset.
+inline std::uint64_t PositiveFromEnv(const char* var, std::uint64_t fallback) {
+  const char* s = std::getenv(var);
+  char* end = nullptr;
+  errno = 0;
+  std::uint64_t v = s ? std::strtoull(s, &end, 10) : fallback;
+  if (s && (!std::isdigit((unsigned char)*s) || *end || errno || v == 0))
+    RejectEnv(var, "a positive integer");
+  return v;
+}
+
+/// CANVAS_SEED, default 7. Zero is rejected: an AppBuild reads seed 0 as
+/// "the default", so it would silently run seed 7.
+inline std::uint64_t SeedFromEnv() { return PositiveFromEnv("CANVAS_SEED", 7); }
 
 /// Sweep worker threads: CANVAS_JOBS, default = hardware concurrency.
 inline unsigned JobsFromEnv() {
-  const char* s = std::getenv("CANVAS_JOBS");
-  if (s) return std::max(1u, unsigned(std::atoi(s)));
-  return std::max(1u, std::thread::hardware_concurrency());
+  return unsigned(PositiveFromEnv(
+      "CANVAS_JOBS", std::max(1u, std::thread::hardware_concurrency())));
 }
 
 /// One application of a co-run, paper defaults applied (cores via
@@ -44,13 +63,11 @@ inline unsigned JobsFromEnv() {
 inline core::AppBuild Build(const std::string& name, double scale,
                             double ratio, std::uint32_t cores = 0,
                             std::uint64_t seed = 0) {
-  core::AppBuild b;
-  b.name = name;
-  b.scale = scale;
-  b.ratio = ratio;
-  b.cores = cores;
-  b.seed = seed ? seed : SeedFromEnv();
-  return b;
+  return {.name = name,
+          .scale = scale,
+          .ratio = ratio,
+          .cores = cores,
+          .seed = seed ? seed : SeedFromEnv()};
 }
 
 /// The paper's standard co-run: one managed app plus the three natives.
@@ -60,49 +77,22 @@ inline std::vector<core::AppBuild> CorunBuilds(const std::string& managed,
           Build("memcached", scale, ratio), Build("xgboost", scale, ratio)};
 }
 
-/// RunSpec at the next index of `specs` (bench drivers build their grid
-/// explicitly and read results back by position).
+/// Appends a RunSpec at the next index of `specs`; returns that index.
 inline std::size_t AddRun(std::vector<orchestrator::RunSpec>& specs,
                           std::string label, core::SystemConfig cfg,
                           std::vector<core::AppBuild> apps) {
-  orchestrator::RunSpec r;
-  r.index = specs.size();
-  r.label = std::move(label);
-  r.exp.config = std::move(cfg);
-  r.exp.apps = std::move(apps);
-  specs.push_back(std::move(r));
+  specs.push_back({.index = specs.size(),
+                   .label = std::move(label),
+                   .exp = {.config = std::move(cfg), .apps = std::move(apps)}});
   return specs.size() - 1;
 }
 
-/// Execute a bench grid on the CANVAS_JOBS-sized pool.
+/// Executes a bench grid on `jobs` (default CANVAS_JOBS) worker threads.
 inline orchestrator::SweepResult RunSweep(
     std::vector<orchestrator::RunSpec> specs, unsigned jobs = 0) {
   orchestrator::SweepOptions opts;
   opts.jobs = jobs ? jobs : JobsFromEnv();
-  orchestrator::SweepEngine engine(opts);
-  return engine.Run(std::move(specs));
-}
-
-/// Legacy single-run helpers (non-ported benches): materialize and run in
-/// the calling thread.
-inline core::AppSpec Spec(const std::string& name, double scale,
-                          double ratio, std::uint32_t cores = 0,
-                          std::uint64_t seed = 0) {
-  auto apps = core::BuildApps({Build(name, scale, ratio, cores, seed)});
-  return std::move(apps.front());
-}
-
-inline std::vector<core::AppSpec> ManagedPlusNatives(
-    const std::string& managed, double scale, double ratio) {
-  return core::BuildApps(CorunBuilds(managed, scale, ratio));
-}
-
-/// Run one app alone under `cfg`; returns its makespan.
-inline SimTime Solo(const std::string& name, double scale, double ratio,
-                    const core::SystemConfig& cfg) {
-  core::Experiment e(cfg, core::BuildApps({Build(name, scale, ratio)}));
-  e.Run();
-  return e.FinishTime(0);
+  return orchestrator::SweepEngine(opts).Run(std::move(specs));
 }
 
 inline std::string X(double v) { return TablePrinter::Num(v, 2) + "x"; }

@@ -196,12 +196,14 @@ FaultOverhead MeasureFaultOverhead(double scale, int reps) {
   FaultOverhead o;
   double plain = 1e30, attached = 1e30;
   for (int rep = 0; rep < reps; ++rep) {
-    auto r1 = RunScenario("plain", core::SystemConfig::CanvasFull(),
-                          ManagedPlusNatives("spark-lr", scale, 0.25));
+    auto r1 = RunScenario(
+        "plain", core::SystemConfig::CanvasFull(),
+        core::BuildApps(CorunBuilds("spark-lr", scale, 0.25)));
     auto cfg = core::SystemConfig::CanvasFull();
     cfg.fault_plan = std::make_shared<fault::FaultPlan>();
-    auto r2 = RunScenario("attached", std::move(cfg),
-                          ManagedPlusNatives("spark-lr", scale, 0.25));
+    auto r2 = RunScenario(
+        "attached", std::move(cfg),
+        core::BuildApps(CorunBuilds("spark-lr", scale, 0.25)));
     plain = std::min(plain, r1.wall_sec);
     attached = std::min(attached, r2.wall_sec);
   }
@@ -227,17 +229,20 @@ TraceOverhead MeasureTraceOverhead(double scale, int reps) {
   TraceOverhead o;
   double plain = 1e30, disabled = 1e30, enabled = 1e30;
   for (int rep = 0; rep < reps; ++rep) {
-    auto r1 = RunScenario("plain", core::SystemConfig::CanvasFull(),
-                          ManagedPlusNatives("spark-lr", scale, 0.25));
+    auto r1 = RunScenario(
+        "plain", core::SystemConfig::CanvasFull(),
+        core::BuildApps(CorunBuilds("spark-lr", scale, 0.25)));
     // Disabled is the default TraceConfig — same config object, toggle off.
     auto cfg_off = core::SystemConfig::CanvasFull();
     cfg_off.trace.enabled = false;
-    auto r2 = RunScenario("trace_disabled", std::move(cfg_off),
-                          ManagedPlusNatives("spark-lr", scale, 0.25));
+    auto r2 = RunScenario(
+        "trace_disabled", std::move(cfg_off),
+        core::BuildApps(CorunBuilds("spark-lr", scale, 0.25)));
     auto cfg_on = core::SystemConfig::CanvasFull();
     cfg_on.trace.enabled = true;
-    auto r3 = RunScenario("trace_enabled", std::move(cfg_on),
-                          ManagedPlusNatives("spark-lr", scale, 0.25));
+    auto r3 = RunScenario(
+        "trace_enabled", std::move(cfg_on),
+        core::BuildApps(CorunBuilds("spark-lr", scale, 0.25)));
     plain = std::min(plain, r1.wall_sec);
     disabled = std::min(disabled, r2.wall_sec);
     enabled = std::min(enabled, r3.wall_sec);

@@ -46,7 +46,7 @@ if [ -z "${CANVAS_SANITIZE:-}" ] && [ "${CANVAS_NO_ASAN_FAULT:-0}" != "1" ]; the
              orchestrator_test remote_test serving_test workload_test \
              tier_test churn_test object_test mem_test sched_test sim_test \
              rdma_test core_test faultpath_test property_test canvasctl \
-             throughput_harness
+             throughput_harness paper
   ctest --test-dir "$SAN_BUILD" \
     -L 'fault|trace|orchestrator|remote|serving|tier|churn|object|cli|mem|sched|sim|rdma|core|property' \
     --output-on-failure -j"$JOBS"

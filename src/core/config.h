@@ -116,6 +116,8 @@ struct SystemConfig {
     /// (0 = unbounded): live objects and total span pages per cgroup.
     std::uint64_t max_objects = 0;
     std::uint64_t max_object_pages = 0;
+
+    bool operator==(const ObjectConfig&) const = default;
   };
   ObjectConfig objects;
 
@@ -166,6 +168,10 @@ struct SystemConfig {
   static std::optional<SystemConfig> FromName(std::string_view name);
   /// All registered presets in display order.
   static const std::vector<PresetInfo>& ListPresets();
+
+  /// Field-wise; two configs that compare equal run identically (the
+  /// fault plan compares by identity).
+  bool operator==(const SystemConfig&) const = default;
 };
 
 }  // namespace canvas::core

@@ -37,6 +37,8 @@ struct AppBuild {
   std::uint32_t threads = 0;  ///< worker-thread override (0 = app default)
   std::uint64_t seed = 0;     ///< workload seed (0 = 7, the bench default)
   double rdma_weight = 0.0;   ///< cgroup RDMA weight (0 = cores)
+
+  bool operator==(const AppBuild&) const = default;
 };
 
 /// A complete, self-contained run description.
@@ -44,6 +46,10 @@ struct ExperimentSpec {
   SystemConfig config;
   std::vector<AppBuild> apps;
   SimTime deadline = 600 * kSecond;
+
+  /// Equal specs produce identical runs (the paper driver runs each
+  /// distinct spec once).
+  bool operator==(const ExperimentSpec&) const = default;
 };
 
 /// Materialize the workloads + cgroups named by `builds`.

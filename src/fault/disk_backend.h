@@ -24,6 +24,8 @@ class DiskBackend {
     double bandwidth_bytes_per_sec = 2.0e9;
     /// Fixed submission -> completion overhead (queueing + media).
     SimDuration latency = 80 * kMicrosecond;
+
+    bool operator==(const Config&) const = default;
   };
 
   DiskBackend(sim::Simulator& sim, Config cfg) : sim_(sim), cfg_(cfg) {}

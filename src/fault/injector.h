@@ -37,6 +37,8 @@ struct RecoveryConfig {
   /// swap-ins cannot fail over — the only copy of the page is remote — so
   /// they are reissued until the fabric heals.
   SimDuration demand_reissue_delay = 100 * kMicrosecond;
+
+  bool operator==(const RecoveryConfig&) const = default;
 };
 
 class FaultInjector {

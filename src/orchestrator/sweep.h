@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "common/run.h"
+#include "common/stats.h"
 #include "core/metrics.h"
 #include "orchestrator/scenario.h"
 
@@ -56,6 +57,12 @@ struct RunResult : RunRecord {
   double wmmr_ingress = 0;
   std::uint64_t sched_drops = 0;
   std::uint64_t sim_events = 0;
+  // NIC-wide figures the paper benches read (Fig. 5, 6, 11, 14); the JSON
+  // report leaves them out.
+  double ingress_mean_rate = 0;      ///< bytes/s over the run
+  double egress_mean_rate = 0;       ///< bytes/s over the run
+  LatencyRecorder demand_latency;    ///< per-request, demand reads
+  LatencyRecorder prefetch_latency;  ///< per-request, prefetch reads
 };
 
 /// Deterministic snapshot of one churn run (DESIGN.md §15). kOk means the

@@ -75,6 +75,8 @@ struct RetryPolicy {
     }
     return 0;
   }
+
+  bool operator==(const RetryPolicy&) const = default;
 };
 
 /// Pure backoff computation (exposed for the property tests). `attempt` is
@@ -96,6 +98,8 @@ class Nic {
     /// Timeout/retry/backoff parameters (only consulted when a fault
     /// injector is attached).
     RetryPolicy retry;
+
+    bool operator==(const Config&) const = default;
   };
 
   Nic(sim::Simulator& sim, Config cfg, RequestSource& source);

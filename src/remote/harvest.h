@@ -23,6 +23,8 @@ struct HarvestEvent {
   ServerId server = 0;
   /// Negative: producer reclaims capacity (harvest). Positive: returns it.
   std::int64_t delta_slabs = 0;
+
+  bool operator==(const HarvestEvent&) const = default;
 };
 
 struct HarvestConfig {
@@ -68,6 +70,8 @@ struct HarvestConfig {
   /// Throws std::invalid_argument on unknown names.
   static HarvestConfig FromName(const std::string& name);
   static std::vector<std::pair<std::string, std::string>> ListPresets();
+
+  bool operator==(const HarvestConfig&) const = default;
 };
 
 }  // namespace canvas::remote

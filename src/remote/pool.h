@@ -63,6 +63,8 @@ struct PoolConfig {
   /// std::invalid_argument on unknown names.
   static PoolConfig FromName(const std::string& name);
   static std::vector<std::pair<std::string, std::string>> ListTopologies();
+
+  bool operator==(const PoolConfig&) const = default;
 };
 
 class ServerPool {

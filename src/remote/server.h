@@ -47,6 +47,8 @@ struct ServerConfig {
   /// (linear queue-depth model), capped by `congestion_cap` (0 = uncapped).
   SimDuration congestion_per_inflight = 0;
   SimDuration congestion_cap = 0;
+
+  bool operator==(const ServerConfig&) const = default;
 };
 
 /// Live per-server state owned by the ServerPool.

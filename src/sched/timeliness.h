@@ -37,6 +37,8 @@ class TimelinessTracker {
     SimDuration floor = kMillisecond;
     SimDuration ceiling = 20 * kMillisecond;
     std::size_t window = 256;
+
+    bool operator==(const Config&) const = default;
   };
 
   TimelinessTracker() : TimelinessTracker(Config{}) {}

@@ -48,6 +48,8 @@ class ClusterAllocator : public SwapEntryAllocator {
     double batch_scan_coeff = 0.08;
     /// Cost of popping a pre-batched entry from the per-core cache.
     SimDuration cache_pop_cost = 60;
+
+    bool operator==(const Config&) const = default;
   };
 
   ClusterAllocator(sim::Simulator& sim, std::uint64_t capacity, Config cfg);

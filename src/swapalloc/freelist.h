@@ -25,6 +25,8 @@ class FreelistAllocator : public SwapEntryAllocator {
     SimDuration max_hold = 25 * kMicrosecond;
     /// SimMutex cacheline-bouncing factor.
     double contention_alpha = 0.15;
+
+    bool operator==(const Config&) const = default;
   };
 
   FreelistAllocator(sim::Simulator& sim, std::uint64_t capacity, Config cfg);

@@ -79,6 +79,8 @@ struct TierConfig {
   /// std::invalid_argument on unknown names.
   static TierConfig FromName(const std::string& name);
   static std::vector<std::pair<std::string, std::string>> ListTiers();
+
+  bool operator==(const TierConfig&) const = default;
 };
 
 /// DES-clock-driven slow-memory device + residency/quota bookkeeping.

@@ -160,6 +160,8 @@ struct TraceConfig {
   /// Emit per-cgroup counter time series on the DES clock.
   bool sampler = true;
   SimDuration sample_period = kMillisecond;
+
+  bool operator==(const TraceConfig&) const = default;
 };
 
 /// The recording front-end. All methods are no-ops while disabled (one
