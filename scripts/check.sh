@@ -75,12 +75,12 @@ fi
 HARNESS_ARGS=()
 [ "${CANVAS_QUICK:-0}" = "1" ] && HARNESS_ARGS+=(--quick)
 CANVAS_BENCH_JSON="${CANVAS_BENCH_JSON:-$BUILD/BENCH_simulator.json}" \
-  "$BUILD/bench/throughput_harness" "${HARNESS_ARGS[@]:-}"
+  "$BUILD/bench/throughput_harness" ${HARNESS_ARGS[@]+"${HARNESS_ARGS[@]}"}
 
 # Sweep orchestrator benchmark: serial vs parallel over the same 32-run
 # grid, with a hard byte-identity check on the aggregated results.
 CANVAS_SWEEP_JSON="${CANVAS_SWEEP_JSON:-$BUILD/BENCH_sweep.json}" \
-  "$BUILD/bench/sweep_bench" "${HARNESS_ARGS[@]:-}"
+  "$BUILD/bench/sweep_bench" ${HARNESS_ARGS[@]+"${HARNESS_ARGS[@]}"}
 
 # Remote memory-server pool benchmark: placement policies under harvest
 # churn plus the tiered-topology blackout comparison, with hard checks
@@ -89,7 +89,7 @@ CANVAS_SWEEP_JSON="${CANVAS_SWEEP_JSON:-$BUILD/BENCH_sweep.json}" \
 # first-fit's, not a makespan claim — and tier failover latency strictly
 # below failover-to-disk).
 CANVAS_REMOTE_JSON="${CANVAS_REMOTE_JSON:-$BUILD/BENCH_remote.json}" \
-  "$BUILD/bench/remote_pool" "${HARNESS_ARGS[@]:-}"
+  "$BUILD/bench/remote_pool" ${HARNESS_ARGS[@]+"${HARNESS_ARGS[@]}"}
 
 # Online-serving tail-latency benchmark: {poisson, flash} x {pool4,
 # pool4-harvest} with the QoS plane on vs observe-only, plus fault-plan
@@ -97,7 +97,7 @@ CANVAS_REMOTE_JSON="${CANVAS_REMOTE_JSON:-$BUILD/BENCH_remote.json}" \
 # hard checks (all runs ok, QoS never worse than observe-only — healthy
 # and faulted — levers engaged, frontend served throughout the fault).
 CANVAS_SERVING_JSON="${CANVAS_SERVING_JSON:-$BUILD/BENCH_serving.json}" \
-  "$BUILD/bench/serving_bench" "${HARNESS_ARGS[@]:-}"
+  "$BUILD/bench/serving_bench" ${HARNESS_ARGS[@]+"${HARNESS_ARGS[@]}"}
 
 # Cluster-day churn benchmark: ~1000 tenants arrive and depart on a
 # diurnal schedule over {steady, closed-loop} harvests, with hard checks
@@ -105,7 +105,7 @@ CANVAS_SERVING_JSON="${CANVAS_SERVING_JSON:-$BUILD/BENCH_serving.json}" \
 # concurrency high-water mark rather than the admitted count, and
 # byte-identical reports at --jobs=1 vs --jobs=4).
 CANVAS_CLUSTER_JSON="${CANVAS_CLUSTER_JSON:-$BUILD/BENCH_cluster.json}" \
-  "$BUILD/bench/cluster_day" "${HARNESS_ARGS[@]:-}"
+  "$BUILD/bench/cluster_day" ${HARNESS_ARGS[@]+"${HARNESS_ARGS[@]}"}
 
 # Object-granularity showdown: page-demand vs cooperative-object on the
 # behaviour-structured pointer-chasing workload across {pool4,
@@ -114,6 +114,6 @@ CANVAS_CLUSTER_JSON="${CANVAS_CLUSTER_JSON:-$BUILD/BENCH_cluster.json}" \
 # count on every grid point, and --jobs=1 vs --jobs=4 reports stay
 # byte-identical).
 CANVAS_OBJECT_JSON="${CANVAS_OBJECT_JSON:-$BUILD/BENCH_object.json}" \
-  "$BUILD/bench/object_granularity" "${HARNESS_ARGS[@]:-}"
+  "$BUILD/bench/object_granularity" ${HARNESS_ARGS[@]+"${HARNESS_ARGS[@]}"}
 
 echo "check.sh: all green"

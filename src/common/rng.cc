@@ -1,16 +1,28 @@
 #include "common/rng.h"
 
+#include <bit>
 #include <cmath>
+#include <vector>
 
 namespace canvas {
 
-namespace {
 double Zeta(std::uint64_t n, double theta) {
+  // Per thread, so sweep workers share nothing and take no lock. A process
+  // sees a handful of distinct (n, theta) pairs, so a linear scan is enough.
+  struct Entry {
+    std::uint64_t n;
+    std::uint64_t theta_bits;
+    double zeta;
+  };
+  thread_local std::vector<Entry> memo;
+  const auto bits = std::bit_cast<std::uint64_t>(theta);
+  for (const Entry& e : memo)
+    if (e.n == n && e.theta_bits == bits) return e.zeta;
   double sum = 0;
   for (std::uint64_t i = 1; i <= n; ++i) sum += 1.0 / std::pow(double(i), theta);
+  memo.push_back({n, bits, sum});
   return sum;
 }
-}  // namespace
 
 ZipfianGenerator::ZipfianGenerator(std::uint64_t n, double theta)
     : n_(n), theta_(theta) {

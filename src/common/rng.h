@@ -47,6 +47,13 @@ class Rng {
   std::uint64_t state_;
 };
 
+/// The Zipfian normaliser zeta(n, theta) = sum_{i=1..n} i^-theta. Memoised
+/// per thread, keyed by n and theta's bit pattern: a workload builds many
+/// generators over the same key space, and the O(n) sum dominated its
+/// set-up. The memo returns the double the sum produced, so every
+/// generator is bit-for-bit the one an unmemoised build gives.
+double Zeta(std::uint64_t n, double theta);
+
 /// Zipfian distribution over [0, n) with skew theta (0 = uniform), using the
 /// standard YCSB rejection-free construction. Used by the Memcached and
 /// Cassandra workload models for key popularity.

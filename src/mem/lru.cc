@@ -181,11 +181,10 @@ void LruLists::SetScanWindow(std::size_t n) {
 
 void LruLists::ScanActiveHead(std::size_t n, std::vector<PageId>& out) const {
   out.clear();
-  PageId cur = active_.head;
-  while (cur != kInvalidPage && out.size() < n) {
-    out.push_back(cur);
-    cur = pages_[cur].lru_next;
-  }
+  WalkActiveHead(n, [&out](PageId id) {
+    out.push_back(id);
+    return true;
+  });
 }
 
 }  // namespace canvas::mem

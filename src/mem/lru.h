@@ -44,8 +44,20 @@ class LruLists {
   PageId EvictionCandidate();
 
   /// Copy the first `n` pages from the active-list head into `out`, in
-  /// list order (the scan's cancel passes and emergency reclaim).
+  /// list order (emergency reclaim).
   void ScanActiveHead(std::size_t n, std::vector<PageId>& out) const;
+
+  /// Visit the first `n` pages from the active-list head in list order,
+  /// stopping early when `visit(id)` returns false (the scan's cancel pass).
+  /// `visit` must not relink the lists.
+  template <typename Visit>
+  void WalkActiveHead(std::size_t n, Visit&& visit) const {
+    PageId cur = active_.head;
+    for (std::size_t i = 0; i < n && cur != kInvalidPage; ++i) {
+      if (!visit(cur)) return;
+      cur = pages_[cur].lru_next;
+    }
+  }
 
   /// Track the first `n` active pages as the hot-page scan window (0 = no
   /// window, the default: systems without a scan pay nothing).

@@ -20,6 +20,7 @@ std::size_t RuntimeInfo::app_thread_count() const {
 void RuntimeInfo::RecordReference(PageId from, PageId to) {
   std::uint32_t g1 = GroupOf(from), g2 = GroupOf(to);
   if (g1 == g2) return;
+  if (g1 >= graph_.size()) graph_.resize(std::size_t(g1) + 1);
   auto& adj = graph_[g1];
   if (std::find(adj.begin(), adj.end(), g2) == adj.end()) {
     adj.push_back(g2);
@@ -37,9 +38,8 @@ void RuntimeInfo::ReachablePages(PageId page, int hops, std::size_t max_pages,
     auto [g, depth] = frontier.front();
     frontier.pop_front();
     if (depth >= hops) continue;
-    auto it = graph_.find(g);
-    if (it == graph_.end()) continue;
-    for (std::uint32_t next : it->second) {
+    if (g >= graph_.size()) continue;
+    for (std::uint32_t next : graph_[g]) {
       if (!visited.insert(next).second) continue;
       for (PageId p = PageId(next) * kGroupPages;
            p < PageId(next + 1) * kGroupPages && out.size() < max_pages; ++p) {

@@ -64,8 +64,10 @@ class RuntimeInfo {
 
  private:
   std::unordered_map<ThreadId, ThreadKind> threads_;
-  // group -> neighbouring groups (deduplicated adjacency).
-  std::unordered_map<std::uint32_t, std::vector<std::uint32_t>> graph_;
+  // group -> neighbouring groups (deduplicated adjacency, insertion order).
+  // Indexed by group: a tenant's pages are dense from 0, so a vector sized
+  // to the highest source group seen costs one slot per group.
+  std::vector<std::vector<std::uint32_t>> graph_;
   std::size_t edge_count_ = 0;
   // start page -> length (pages); non-overlapping by construction.
   std::map<PageId, PageId> arrays_;

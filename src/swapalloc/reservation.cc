@@ -93,7 +93,6 @@ void ReservationManager::Tick() {
       {target - free_now, cfg_.max_removals_per_scan,
        std::size_t(cancel_debt_)});
   std::size_t removed = 0;
-  lru_.ScanActiveHead(cfg_.scan_pages, scan_buf_);
   // The periodic scan only cancels genuinely HOT pages (stable working
   // set, e.g. a Zipfian head) — their reservations are parked capacity.
   // Dirty pages first: their entry holds stale data, so the cancellation
@@ -101,16 +100,23 @@ void ReservationManager::Tick() {
   // destroys its remote copy (a free clean-drop becomes a writeback).
   // Everything else is handled by debt-matched cancel-on-arrival and, on
   // allocation failure, EmergencyReclaim.
-  for (PageId id : scan_buf_) {  // pass 1: hot + dirty
-    if (removed >= deficit) break;
+  // Pass 1 walks the window in place and stops at its last cancel; it
+  // keeps the hot pages it did not cancel, in order, for pass 2. A page
+  // pass 1 cancelled has no reservation left, so pass 2 would skip it.
+  scan_buf_.clear();
+  lru_.WalkActiveHead(cfg_.scan_pages, [&](PageId id) {  // pass 1: hot + dirty
+    if (removed >= deficit) return false;
+    if (lru_.ScanHits(id) < cfg_.hot_scans) return true;
     mem::Page& p = pages_[id];
-    if (lru_.ScanHits(id) >= cfg_.hot_scans && p.dirty && Cancel(p))
+    if (p.dirty && Cancel(p))
       ++removed;
-  }
+    else
+      scan_buf_.push_back(id);
+    return true;
+  });
   for (PageId id : scan_buf_) {  // pass 2: hot (clean) pages
     if (removed >= deficit) break;
-    if (lru_.ScanHits(id) >= cfg_.hot_scans && Cancel(pages_[id]))
-      ++removed;
+    if (Cancel(pages_[id])) ++removed;
   }
   cancel_debt_ -= std::int64_t(removed);
 }

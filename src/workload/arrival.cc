@@ -117,7 +117,8 @@ std::optional<Access> OpenLoopZipfStream::NextAt(SimTime now) {
                                 std::numeric_limits<std::uint32_t>::max());
     if (ctl) ++ctl->served;
     std::uint64_t rank = zipf_.Next(rng_);
-    return Access{perm_[rank % perm_.size()],
+    assert(rank < perm_.size());  // zipf_ spans the whole (non-empty) region
+    return Access{perm_[rank],
                   rng_.NextBool(p_.write_fraction),
                   std::uint32_t(compute)};
   }

@@ -45,8 +45,8 @@ std::optional<Access> ZipfStream::Next() {
   if (done_ >= p_.accesses || p_.region.len == 0) return std::nullopt;
   ++done_;
   std::uint64_t rank = zipf_.Next(rng_);
-  return Access{perm_[rank % perm_.size()], rng_.NextBool(p_.write_fraction),
-                p_.compute_ns};
+  assert(rank < perm_.size());  // zipf_ spans the whole (non-empty) region
+  return Access{perm_[rank], rng_.NextBool(p_.write_fraction), p_.compute_ns};
 }
 
 // --- UniformStream ---

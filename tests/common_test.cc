@@ -2,10 +2,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -91,6 +93,57 @@ TEST(Zipfian, ThetaZeroIsNearUniform) {
   std::vector<int> counts(10, 0);
   for (int i = 0; i < 100000; ++i) ++counts[z.Next(r)];
   for (int c : counts) EXPECT_NEAR(c / 100000.0, 0.1, 0.05);
+}
+
+// The direct sum the memo stands in for.
+double DirectZeta(std::uint64_t n, double theta) {
+  double sum = 0;
+  for (std::uint64_t i = 1; i <= n; ++i) sum += 1.0 / std::pow(double(i), theta);
+  return sum;
+}
+
+TEST(Zeta, MemoisedSumIsTheDirectSumBitForBit) {
+  // Keys no other test uses, so the first call computes and the second hits.
+  const std::pair<std::uint64_t, double> keys[] = {
+      {1, 0.99}, {2, 0.99}, {7777, 0.99}, {7777, 0.5}, {7778, 0.5},
+      {4096, 1e-9}, {12345, 1.5}};
+  for (auto [n, theta] : keys) {
+    auto direct = std::bit_cast<std::uint64_t>(DirectZeta(n, theta));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(Zeta(n, theta)), direct) << n;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(Zeta(n, theta)), direct) << n;
+  }
+  // A fresh thread starts with an empty memo and sums the same double.
+  double other = 0;
+  std::thread([&] { other = Zeta(7777, 0.99); }).join();
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(other),
+            std::bit_cast<std::uint64_t>(DirectZeta(7777, 0.99)));
+}
+
+TEST(Zeta, ThetaKeyedByBitPattern) {
+  // Two thetas one ulp apart are distinct keys.
+  double theta = 0.9;
+  double next = std::nextafter(theta, 1.0);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(Zeta(9000, theta)),
+            std::bit_cast<std::uint64_t>(DirectZeta(9000, theta)));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(Zeta(9000, next)),
+            std::bit_cast<std::uint64_t>(DirectZeta(9000, next)));
+}
+
+TEST(Zipfian, SameKeyDrawsIdenticallyAroundOtherKeys) {
+  auto draws = [](const ZipfianGenerator& proto) {
+    ZipfianGenerator z = proto;
+    Rng r(21);
+    std::vector<std::uint64_t> out;
+    for (int i = 0; i < 2000; ++i) out.push_back(z.Next(r));
+    return out;
+  };
+  ZipfianGenerator first(5555, 0.99);
+  ZipfianGenerator other_n(5556, 0.99);
+  ZipfianGenerator other_theta(5555, 0.8);
+  ZipfianGenerator second(5555, 0.99);
+  EXPECT_EQ(draws(first), draws(second));
+  EXPECT_NE(draws(first), draws(other_n));
+  EXPECT_NE(draws(first), draws(other_theta));
 }
 
 TEST(Shuffle, IsPermutation) {

@@ -2,7 +2,11 @@
 // including the Figure 7 page state machine.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <vector>
+
 #include "cgroup/cgroup.h"
+#include "common/rng.h"
 #include "mem/lru.h"
 #include "sim/simulator.h"
 #include "swapalloc/partition.h"
@@ -170,6 +174,102 @@ TEST_F(ReservationTest, StartIsIdempotent) {
   sim_.RunUntil(5 * kMillisecond + 1);
   // One tick per period, not two.
   EXPECT_LE(sim_.events_executed(), 6u);
+}
+
+// The pressured tick walks the scan window in place and stops at the page
+// that meets its deficit. Its reference is the eager walk it replaced: copy
+// the whole window, then cancel hot dirty pages, then hot clean ones, over
+// the copy, until the deficit is met.
+TEST(ReservationTick, EarlyExitCancelsWhatAnEagerWindowWalkWould) {
+  constexpr PageId kPages = 160;
+  constexpr std::uint64_t kReserved = 100;
+  std::size_t early_exits = 0, clean_cancels = 0;
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    for (std::size_t max_removals : {1u, 4u, 12u, 40u}) {
+      sim::Simulator sim;
+      std::vector<mem::Page> pages(kPages);
+      mem::LruLists lru(pages);
+      SwapPartition partition(sim, "t", 128, {});
+      Cgroup cgroup(0, CgroupSpec{"t", kPages, 128, 32, 1.0, 4});
+      ReservationManager::Config cfg;
+      cfg.pressure_threshold = 0.5;
+      cfg.scan_period = kMillisecond;
+      cfg.scan_pages = 64;
+      cfg.hot_scans = 2;
+      // Slack target 115 of 128 against 28 free, and debt 100: the deficit
+      // is max_removals on the second tick.
+      cfg.free_slack = 0.9;
+      cfg.max_removals_per_scan = max_removals;
+      ReservationManager m(sim, pages, lru, partition, cgroup, cfg);
+
+      Rng rng(seed);
+      std::vector<PageId> order(kPages);
+      for (PageId p = 0; p < kPages; ++p) order[p] = p;
+      Shuffle(order, rng);
+      for (PageId p = 0; p < kReserved; ++p) {
+        partition.allocator().Allocate(0, [&, p](AllocResult r) {
+          cgroup.ChargeRemote();
+          if (p % 3 == 0) pages[p].entry = r.entry;  // clean remote copy
+          m.Remember(pages[p], r.entry);
+        });
+      }
+      sim.Run();
+      // Every page sits on the active list; some are in the swap cache
+      // (not cancellable), and about half are dirty.
+      for (PageId p : order) {
+        pages[p].state = rng.NextBool(0.15) ? mem::PageState::kSwapCache
+                                            : mem::PageState::kResident;
+        pages[p].dirty = rng.NextBool(0.5);
+        lru.AddActive(p);
+      }
+      m.Start();
+      const SimTime t0 = sim.Now();  // ticks at t0 + 1 ms, t0 + 2 ms, ...
+      sim.RunUntil(t0 + kMillisecond + kMillisecond / 2);  // nothing hot yet
+      ASSERT_EQ(m.scans(), 1u);
+      // Re-touch some pages so the window mixes hot and fresh pages.
+      for (int i = 0; i < 24; ++i) {
+        PageId p = order[rng.NextBounded(kPages)];
+        lru.Remove(p);
+        lru.AddActive(p);
+      }
+
+      std::vector<PageId> window;
+      lru.ScanActiveHead(cfg.scan_pages, window);
+      std::vector<bool> had(kPages);
+      for (PageId p = 0; p < kPages; ++p)
+        had[p] = pages[p].reserved != kInvalidEntry;
+      sim.RunUntil(t0 + 2 * kMillisecond + kMillisecond / 2);  // compared
+      ASSERT_EQ(m.scans(), 2u);
+
+      // Cancel does not relink the lists, so ScanHits after the tick is
+      // what the tick saw.
+      auto candidate = [&](PageId p) {
+        return lru.ScanHits(p) >= cfg.hot_scans && had[p] &&
+               pages[p].state == mem::PageState::kResident;
+      };
+      std::set<PageId> expect;
+      for (PageId p : window) {  // pass 1: hot + dirty
+        if (expect.size() >= max_removals) break;
+        if (candidate(p) && pages[p].dirty) expect.insert(p);
+      }
+      for (PageId p : window) {  // pass 2: hot (clean) pages
+        if (expect.size() >= max_removals) break;
+        if (candidate(p) && expect.insert(p).second) ++clean_cancels;
+      }
+      std::size_t hot = 0;
+      for (PageId p : window) hot += candidate(p);
+      if (expect.size() == max_removals && hot > max_removals) ++early_exits;
+
+      std::set<PageId> got;
+      for (PageId p = 0; p < kPages; ++p)
+        if (had[p] && pages[p].reserved == kInvalidEntry) got.insert(p);
+      EXPECT_EQ(got, expect) << "seed " << seed << " max " << max_removals;
+      EXPECT_EQ(m.removals(), expect.size());
+    }
+  }
+  // Both the early exit and the clean-page pass were exercised.
+  EXPECT_GT(early_exits, 0u);
+  EXPECT_GT(clean_cancels, 0u);
 }
 
 }  // namespace

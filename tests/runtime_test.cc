@@ -86,6 +86,58 @@ TEST(SummaryGraph, MaxPagesCapRespected) {
   EXPECT_LE(out.size(), 12u);
 }
 
+TEST(SummaryGraph, GroupsRecordedOutOfOrder) {
+  RuntimeInfo info;
+  const PageId g = RuntimeInfo::kGroupPages;
+  // A high source group first, then lower ones: the table grows to the
+  // highest and the lower groups keep their own edges.
+  info.RecordReference(90 * g, 3 * g);
+  info.RecordReference(5 * g, 60 * g);
+  info.RecordReference(2 * g, 90 * g);
+  info.RecordReference(5 * g, 60 * g + 1);  // same group pair: deduplicated
+  EXPECT_EQ(info.edge_count(), 3u);
+  std::vector<PageId> out;
+  info.ReachablePages(5 * g, 1, 100, out);
+  EXPECT_EQ(out, (std::vector<PageId>{60 * g, 60 * g + 1, 60 * g + 2,
+                                      60 * g + 3}));
+  info.ReachablePages(90 * g + 2, 1, 100, out);
+  EXPECT_EQ(out, (std::vector<PageId>{3 * g, 3 * g + 1, 3 * g + 2, 3 * g + 3}));
+}
+
+TEST(SummaryGraph, QueryBeyondTheTableIsEmpty) {
+  RuntimeInfo info;
+  const PageId g = RuntimeInfo::kGroupPages;
+  info.RecordReference(0, 10 * g);
+  std::vector<PageId> out{7};
+  info.ReachablePages(10 * g, 3, 100, out);  // a target, never a source
+  EXPECT_TRUE(out.empty());
+  info.ReachablePages(1'000'000 * g, 3, 100, out);
+  EXPECT_TRUE(out.empty());
+}
+
+TEST(SummaryGraph, ReachableOrderIsBreadthFirstInInsertionOrder) {
+  RuntimeInfo info;
+  const PageId g = RuntimeInfo::kGroupPages;
+  // 1 -> {7, 3}, 7 -> {2, 3}, 3 -> {9}; edges recorded out of group order.
+  info.RecordReference(3 * g, 9 * g);
+  info.RecordReference(1 * g, 7 * g);
+  info.RecordReference(7 * g, 2 * g);
+  info.RecordReference(1 * g, 3 * g);
+  info.RecordReference(7 * g, 3 * g);
+  std::vector<PageId> out;
+  info.ReachablePages(1 * g, 2, 100, out);
+  std::vector<PageId> groups;
+  for (std::size_t i = 0; i < out.size(); i += g) groups.push_back(out[i] / g);
+  // Hop 1 in insertion order (7, 3), then hop 2 from 7 (2; 3 was seen) and
+  // from 3 (9).
+  EXPECT_EQ(groups, (std::vector<PageId>{7, 3, 2, 9}));
+  EXPECT_EQ(out.size(), 4 * g);
+  // The cap cuts inside a group, keeping page order.
+  info.ReachablePages(1 * g, 2, 6, out);
+  EXPECT_EQ(out, (std::vector<PageId>{7 * g, 7 * g + 1, 7 * g + 2, 7 * g + 3,
+                                      3 * g, 3 * g + 1}));
+}
+
 TEST(SummaryGraph, NoEdgesMeansNoPages) {
   RuntimeInfo info;
   std::vector<PageId> out{1, 2, 3};
