@@ -5,6 +5,10 @@
 // timeliness budget and the pressured hot-page scan tick).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "cgroup/cgroup.h"
 #include "common/rng.h"
 #include "mem/lru.h"
@@ -174,9 +178,19 @@ BENCHMARK(BM_LeapOnFault);
 static void BM_SummaryGraphReachable(benchmark::State& state) {
   runtime::RuntimeInfo info;
   Rng rng(4);
-  for (int i = 0; i < 20000; ++i)
-    info.RecordReference(rng.NextBounded(1u << 16),
-                         rng.NextBounded(1u << 16));
+  std::vector<std::pair<PageId, PageId>> refs(20000);
+  for (auto& [from, to] : refs) {
+    from = rng.NextBounded(1u << 16);
+    to = rng.NextBounded(1u << 16);
+  }
+  // Record in source-group order, as a heap built in address order does;
+  // the stable sort keeps each group's insertion order, so the graph is
+  // the one the draw order gives.
+  std::stable_sort(refs.begin(), refs.end(), [](const auto& a, const auto& b) {
+    return runtime::RuntimeInfo::GroupOf(a.first) <
+           runtime::RuntimeInfo::GroupOf(b.first);
+  });
+  for (const auto& [from, to] : refs) info.RecordReference(from, to);
   std::vector<PageId> out;
   for (auto _ : state) {
     info.ReachablePages(rng.NextBounded(1u << 16), 3, 32, out);

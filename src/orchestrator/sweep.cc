@@ -33,7 +33,7 @@ RunResult SweepEngine::ExecuteOne(const RunSpec& spec) {
       CgroupId cg = sys.cgroup_of(i);
       a.sched_drops = sys.scheduler().drops_for(cg);
       a.alloc_latency_mean_ns =
-          sys.partition(i).allocator().alloc_latency().Mean();
+          sys.partition(i).allocator().mean_alloc_time();
       a.ingress_bytes = sys.nic().cgroup_bytes(cg, rdma::Direction::kIngress);
       a.egress_bytes = sys.nic().cgroup_bytes(cg, rdma::Direction::kEgress);
       r.apps.push_back(std::move(a));

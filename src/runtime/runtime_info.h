@@ -36,15 +36,26 @@ class RuntimeInfo {
   }
 
   // --- thread map ---
-  void RegisterThread(ThreadId tid, ThreadKind kind) { threads_[tid] = kind; }
+  /// Registering a tid again replaces its kind.
+  void RegisterThread(ThreadId tid, ThreadKind kind);
   ThreadKind KindOf(ThreadId tid) const;
-  std::size_t app_thread_count() const;
+  std::size_t app_thread_count() const { return app_threads_; }
 
   // --- write-barrier summary graph ---
   /// Record a reference from an object on page `from` to one on page `to`
   /// (invoked for every a.f = b crossing page groups, like the paper's
   /// write barrier).
+  /// Appends in place when `from`'s group is the last source group so far
+  /// (or beyond it); an earlier group takes an O(groups) insert.
   void RecordReference(PageId from, PageId to);
+
+  /// Record `degree` references out of each of the `count` pages from
+  /// `first` on: page first + i refers to targets[i * degree + j]. The
+  /// graph is the one RecordReference over those edges in that order
+  /// builds, in one pass when `first`'s group is the last source group so
+  /// far (or beyond it), as it is for a heap built in address order.
+  void RecordPageEdges(PageId first, PageId count, std::uint32_t degree,
+                       const PageId* targets);
 
   /// Pages reachable within `hops` page-group hops of `page`'s group, up to
   /// `max_pages`, excluding the faulting group itself. Cycles are not
@@ -52,7 +63,7 @@ class RuntimeInfo {
   void ReachablePages(PageId page, int hops, std::size_t max_pages,
                       std::vector<PageId>& out) const;
 
-  std::size_t edge_count() const { return edge_count_; }
+  std::size_t edge_count() const { return targets_.size(); }
 
   // --- large-array registry (search tree over [start, start+len) pages) ---
   void RegisterLargeArray(PageId start_page, PageId num_pages);
@@ -63,12 +74,24 @@ class RuntimeInfo {
   const std::map<PageId, PageId>& large_arrays() const { return arrays_; }
 
  private:
+  /// Source groups with a (possibly empty) adjacency range.
+  std::size_t group_count() const {
+    return offsets_.empty() ? 0 : offsets_.size() - 1;
+  }
+  /// Extend the table so that `g` is its last group.
+  void OpenGroup(std::uint32_t g);
+  /// Whether group `g`'s adjacency range already holds `target`.
+  bool HasEdge(std::uint32_t g, std::uint32_t target) const;
+
   std::unordered_map<ThreadId, ThreadKind> threads_;
-  // group -> neighbouring groups (deduplicated adjacency, insertion order).
-  // Indexed by group: a tenant's pages are dense from 0, so a vector sized
-  // to the highest source group seen costs one slot per group.
-  std::vector<std::vector<std::uint32_t>> graph_;
-  std::size_t edge_count_ = 0;
+  std::size_t app_threads_ = 0;
+  // group -> neighbouring groups (deduplicated adjacency, insertion order),
+  // as one CSR table: group g's targets are
+  // targets_[offsets_[g], offsets_[g + 1]). A tenant's pages are dense from
+  // 0 and its heap records its edges in address order, so the table grows
+  // at its end; both arrays stay empty until the first edge.
+  std::vector<std::uint32_t> offsets_;
+  std::vector<std::uint32_t> targets_;
   // start page -> length (pages); non-overlapping by construction.
   std::map<PageId, PageId> arrays_;
 };

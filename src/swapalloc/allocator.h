@@ -58,21 +58,27 @@ class SwapEntryAllocator {
   // --- shared statistics ---
   std::uint64_t allocations() const { return allocations_; }
   SimDuration total_alloc_time() const { return total_alloc_time_; }
-  const LatencyRecorder& alloc_latency() const { return alloc_latency_; }
+  /// Mean wait + hold per allocation in ns (0 before the first). Equal bit
+  /// for bit to a LatencyRecorder's Mean() over the same samples while the
+  /// total stays below 2^53 ns: the recorder's double sum of integers is
+  /// then exact.
+  double mean_alloc_time() const {
+    return allocations_
+               ? double(total_alloc_time_) / double(allocations_)
+               : 0.0;
+  }
   const TimeSeries& alloc_series() const { return alloc_series_; }
 
  protected:
   void RecordAlloc(SimTime now, const AllocResult& r) {
     ++allocations_;
     total_alloc_time_ += r.wait + r.hold;
-    alloc_latency_.Add(double(r.wait + r.hold));
     alloc_series_.Add(now, 1.0);
   }
 
  private:
   std::uint64_t allocations_ = 0;
   SimDuration total_alloc_time_ = 0;
-  LatencyRecorder alloc_latency_;
   TimeSeries alloc_series_{100 * kMillisecond};
 };
 

@@ -36,12 +36,15 @@ inline const char* AllocatorKindName(AllocatorKind k) {
 /// this entry is enqueued; kTimeNever means no prefetch outstanding (a
 /// faulting thread then blocks instead of reissuing). `valid` is cleared by
 /// a rescuing thread so the stale prefetch discards itself on return.
+///
+/// Fields are ordered widest first so the struct packs into 16 bytes: one
+/// per swap entry of every partition.
 struct EntryMeta {
   SimTime prefetch_ts = kTimeNever;
-  bool valid = true;
   /// Content version of the data last written to this entry (the chaos
   /// suite's no-stale-read oracle; see mem::Page::content_version).
   std::uint32_t content_version = 0;
+  bool valid = true;
   /// The entry's data was last written via the local-disk fallback backend;
   /// a swap-in must be served from the disk, not remote memory.
   bool on_disk = false;
@@ -50,6 +53,7 @@ struct EntryMeta {
   /// backing level at a time.
   bool on_tier = false;
 };
+static_assert(sizeof(EntryMeta) == 16);
 
 class SwapPartition {
  public:

@@ -67,23 +67,25 @@ HeapGraph::HeapGraph(Region region, std::uint32_t out_degree,
     : region_(region), degree_(std::max(out_degree, 1u)) {
   Rng rng(seed);
   edges_.resize(std::size_t(region.len) * degree_);
+  PageId* edge = edges_.data();
   for (PageId p = 0; p < region.len; ++p) {
+    // Mild locality: half the references stay within a 256-page
+    // neighbourhood (allocation locality), half go anywhere in the heap.
+    // Each reference draws a fair coin, then its target. The coin is
+    // rng.NextBool(0.5) computed exactly in integers (the draw is below
+    // 2^63), and masks pick base and span, so it never steers a branch:
+    // as a branch it mispredicted half the time.
+    const PageId lo = p > 128 ? p - 128 : 0;
+    const PageId near_span = std::min<PageId>(p + 128, region.len - 1) - lo + 1;
     for (std::uint32_t d = 0; d < degree_; ++d) {
-      // Mild locality: half the references stay within a 256-page
-      // neighbourhood (allocation locality), half go anywhere in the heap.
-      PageId target;
-      if (rng.NextBool(0.5)) {
-        auto lo = p > 128 ? p - 128 : 0;
-        auto hi = std::min<PageId>(p + 128, region.len - 1);
-        target = lo + rng.NextBounded(hi - lo + 1);
-      } else {
-        target = rng.NextBounded(region.len);
-      }
-      edges_[std::size_t(p) * degree_ + d] = region.start + target;
-      if (info)
-        info->RecordReference(region.start + p, region.start + target);
+      const PageId near_mask = PageId(0) - PageId(rng.Next() < (1ull << 63));
+      const PageId base = lo & near_mask;
+      const PageId span = region.len ^ ((region.len ^ near_span) & near_mask);
+      *edge++ = region.start + base + rng.NextBounded(span);
     }
   }
+  if (info)
+    info->RecordPageEdges(region.start, region.len, degree_, edges_.data());
 }
 
 PageId HeapGraph::Step(PageId page, Rng& rng) const {

@@ -1,6 +1,11 @@
 // Unit tests for swap partitions and the entry-allocator family.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
+#include "common/rng.h"
+#include "common/stats.h"
 #include "sim/simulator.h"
 #include "swapalloc/cluster.h"
 #include "swapalloc/freelist.h"
@@ -217,7 +222,7 @@ TEST(Cluster, ContentionGrowsWithCoreCount) {
     };
     for (CoreId c = 0; c < cores; ++c) churn(c, 60);
     sim.Run();
-    return a.alloc_latency().Mean();
+    return a.mean_alloc_time();
   };
   double t8 = mean_alloc_ns(8);
   double t48 = mean_alloc_ns(48);
@@ -250,6 +255,9 @@ TEST(Partition, EntryMetadataPersists) {
   EXPECT_TRUE(p.meta(4).valid);
 }
 
+// One per swap entry of every partition: field order packs it.
+static_assert(sizeof(EntryMeta) == 16);
+
 TEST(Partition, AllocatorKindNames) {
   EXPECT_STREQ(AllocatorKindName(AllocatorKind::kFreelist), "freelist");
   EXPECT_STREQ(AllocatorKindName(AllocatorKind::kCluster), "cluster");
@@ -263,6 +271,35 @@ TEST(Allocators, AllocSeriesRecordsRate) {
   for (int i = 0; i < 10; ++i) a.Allocate(0, [](AllocResult) {});
   sim.Run();
   EXPECT_DOUBLE_EQ(a.alloc_series().Total(), 10.0);
+}
+
+/// Feeds allocation results straight into the shared statistics.
+class RecordingAllocator : public SwapEntryAllocator {
+ public:
+  void Allocate(CoreId, Done) override {}
+  void Free(SwapEntryId) override {}
+  std::uint64_t capacity() const override { return 0; }
+  std::uint64_t used() const override { return 0; }
+  using SwapEntryAllocator::RecordAlloc;
+};
+
+TEST(Allocators, MeanAllocTimeMatchesLatencyRecorderBitForBit) {
+  RecordingAllocator a;
+  LatencyRecorder ref;
+  EXPECT_EQ(a.mean_alloc_time(), ref.Mean());  // both 0 when empty
+  Rng rng(20231);
+  for (int i = 0; i < 5000; ++i) {
+    AllocResult r;
+    // Mostly short uncontended holds, some long lock queues.
+    r.wait = rng.NextBool(0.2) ? rng.NextBounded(2'000'000) : 0;
+    r.hold = 50 + rng.NextBounded(rng.NextBool(0.1) ? 100'000 : 400);
+    a.RecordAlloc(SimTime(i) * 1000, r);
+    ref.Add(double(r.wait + r.hold));
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(a.mean_alloc_time()),
+              std::bit_cast<std::uint64_t>(ref.Mean()))
+        << "after " << i + 1 << " samples";
+  }
+  EXPECT_EQ(a.allocations(), ref.count());
 }
 
 }  // namespace

@@ -2,8 +2,10 @@
 // models.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
+#include <vector>
 
 #include "cgroup/cgroup.h"
 #include "workload/apps.h"
@@ -143,6 +145,40 @@ TEST(HeapGraph, EdgesStayInRegion) {
     cur = g.Step(cur, rng);
     EXPECT_GE(cur, 1000u);
     EXPECT_LT(cur, 1500u);
+  }
+}
+
+// The draw loop picks base and span by mask; it must draw exactly what the
+// branching form (coin by NextBool, then one bounded draw) drew, and record
+// the summary graph RecordReference over the same edges builds.
+TEST(HeapGraph, DrawsWhatTheBranchingLoopDrew) {
+  for (std::uint32_t degree : {1u, 3u, 4u}) {
+    for (Region r : {Region{491, 1500}, Region{0, 200}, Region{7, 1}}) {
+      runtime::RuntimeInfo info, ref_info;
+      HeapGraph g(r, degree, 99 + degree, &info);
+      Rng rng(99 + degree);
+      for (PageId p = 0; p < r.len; ++p) {
+        for (std::uint32_t d = 0; d < degree; ++d) {
+          PageId target;
+          if (rng.NextBool(0.5)) {
+            PageId lo = p > 128 ? p - 128 : 0;
+            PageId hi = std::min<PageId>(p + 128, r.len - 1);
+            target = lo + rng.NextBounded(hi - lo + 1);
+          } else {
+            target = rng.NextBounded(r.len);
+          }
+          ASSERT_EQ(g.Neighbors(r.start + p)[d], r.start + target);
+          ref_info.RecordReference(r.start + p, r.start + target);
+        }
+      }
+      ASSERT_EQ(info.edge_count(), ref_info.edge_count());
+      std::vector<PageId> got, want;
+      for (PageId p = r.start; p < r.end(); p += 3) {
+        info.ReachablePages(p, 2, 1000, got);
+        ref_info.ReachablePages(p, 2, 1000, want);
+        ASSERT_EQ(got, want);
+      }
+    }
   }
 }
 
