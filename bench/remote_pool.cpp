@@ -200,7 +200,7 @@ TierResult RunTiered(const std::string& tier_name, double scale,
       out.disk_reads = sys.disk()->reads();
       out.disk_writes = sys.disk()->writes();
       const trace::LogHistogram& target =
-          sys.tier() ? sys.tier()->latency() : sys.disk()->latency();
+          (sys.tier() ? &sys.tier()->device() : sys.disk())->latency();
       out.failover_p50_ns = target.Percentile(50);
       out.failover_p99_ns = target.Percentile(99);
     } else {

@@ -32,22 +32,6 @@ struct CgroupSpec {
   std::uint32_t cores = 1;
 };
 
-/// Which backend the cgroup's swap-outs currently target (DESIGN.md §8).
-/// Healthy cgroups write to remote memory; after sustained RDMA failure
-/// the swap system fails the cgroup over to the hybrid local tier when one
-/// is configured (DESIGN.md §14) — the graceful middle stop — else to the
-/// simulated local disk, and back once the fabric recovers.
-enum class SwapBackend : std::uint8_t { kRemote, kLocalDisk, kLocalTier };
-
-inline const char* SwapBackendName(SwapBackend b) {
-  switch (b) {
-    case SwapBackend::kRemote: return "remote";
-    case SwapBackend::kLocalDisk: return "local-disk";
-    case SwapBackend::kLocalTier: return "local-tier";
-  }
-  return "?";
-}
-
 /// Runtime accounting for one cgroup.
 class Cgroup {
  public:
@@ -57,6 +41,7 @@ class Cgroup {
   const CgroupSpec& spec() const { return spec_; }
 
   // --- failover state (transitions driven by core::SwapSystem) ---
+  /// Where the cgroup's swap-outs currently go (DESIGN.md §8).
   SwapBackend backend() const { return backend_; }
   void SetBackend(SwapBackend b) { backend_ = b; }
   /// Consecutive retry-exhausted requests since the last success (reset on

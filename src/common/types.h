@@ -51,6 +51,14 @@ using CoreId = std::uint32_t;
 
 inline constexpr std::uint32_t kPageSize = 4096;
 
+/// A swap backend: where a page's copy of record lives (mem::Page::home,
+/// swapalloc::EntryMeta::home), which device served a request
+/// (rdma::Request::served_by), and where a cgroup's writebacks go
+/// (Cgroup::backend). Healthy cgroups write to remote memory; after
+/// sustained RDMA failure a cgroup fails over to the hybrid local tier when
+/// one is configured (DESIGN.md §14), else to the local disk (§8).
+enum class SwapBackend : std::uint8_t { kRemote, kLocalTier, kLocalDisk };
+
 /// Pretty-print a simulated time, e.g. "12.345ms".
 std::string FormatTime(SimTime t);
 

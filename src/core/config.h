@@ -8,9 +8,9 @@
 #include <string_view>
 #include <vector>
 
-#include "fault/disk_backend.h"
 #include "fault/fault_plan.h"
 #include "fault/injector.h"
+#include "fault/local_device.h"
 #include "rdma/nic.h"
 #include "remote/pool.h"
 #include "sched/timeliness.h"
@@ -81,7 +81,7 @@ struct SystemConfig {
   /// Seed for the injector's RNG stream (CQE draws + backoff jitter).
   std::uint64_t fault_seed = 0x1234'5678'9abc'def0ull;
   fault::RecoveryConfig recovery;
-  fault::DiskBackend::Config disk;
+  fault::LocalDevice::Config disk;
 
   // --- remote memory-server pool (DESIGN.md §11) ---
   /// Server topology behind the NIC. The default (no servers) is

@@ -209,14 +209,15 @@ void WriteJson(std::ostream& os, const SwapSystem& system,
       demotions += r.metrics.tier_demotions;
       tier_failovers += r.metrics.tier_failovers;
     }
+    const fault::LocalDevice& dev = t->device();
     os << "  \"tier\": {\n"
        << "    \"preset\": \"" << JsonEscape(t->config().name)
        << "\",\n    \"capacity_pages\": " << t->config().capacity_pages
        << ",\n    \"used_pages\": " << t->used_pages()
        << ",\n    \"peak_used_pages\": " << t->peak_used()
        << ",\n    \"cgroup_quota_pages\": " << t->quota()
-       << ",\n    \"reads\": " << t->reads()
-       << ",\n    \"writes\": " << t->writes()
+       << ",\n    \"reads\": " << dev.reads()
+       << ",\n    \"writes\": " << dev.writes()
        << ",\n    \"admits\": " << t->admits()
        << ",\n    \"releases\": " << t->releases()
        << ",\n    \"rejects\": " << t->rejects()
@@ -225,8 +226,8 @@ void WriteJson(std::ostream& os, const SwapSystem& system,
        << ",\n    \"failovers\": " << tier_failovers
        << ",\n    \"fetch_p50_ns\": " << tier_merged.Percentile(50)
        << ",\n    \"fetch_p99_ns\": " << tier_merged.Percentile(99)
-       << ",\n    \"device_p50_ns\": " << t->latency().Percentile(50)
-       << ",\n    \"device_p99_ns\": " << t->latency().Percentile(99)
+       << ",\n    \"device_p50_ns\": " << dev.latency().Percentile(50)
+       << ",\n    \"device_p99_ns\": " << dev.latency().Percentile(99)
        << "\n  },\n";
   }
   // Object-granularity section (schema v5): present only when the

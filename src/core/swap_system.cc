@@ -143,7 +143,8 @@ SwapSystem::SwapSystem(sim::Simulator& sim, SystemConfig cfg,
   nic_->AttachTracer(&tracer_);
 
   // --- remote memory-server pool (DESIGN.md §11) and disk backstop ---
-  disk_ = std::make_unique<fault::DiskBackend>(sim_, cfg_.disk);
+  disk_ = std::make_unique<fault::LocalDevice>(sim_, SwapBackend::kLocalDisk,
+                                               cfg_.disk);
   pool_ = std::make_unique<remote::ServerPool>(sim_, cfg_.remote);
   pool_->AttachTracer(&tracer_);
   pool_->SetSlabEvictedHandler(
@@ -616,7 +617,7 @@ bool SwapSystem::Quiescent() const {
   if (!waiters_.empty()) return false;
   if (nic_ && nic_->pending_retries() != 0) return false;
   if (disk_->inflight() != 0) return false;
-  if (tier_ && tier_->inflight() != 0) return false;
+  if (tier_ && tier_->device().inflight() != 0) return false;
   for (const auto& app : apps_) {
     if (!app) continue;
     if (!app->frame_waiters.empty()) return false;
@@ -702,7 +703,7 @@ void SwapSystem::FreeEntry(AppState& app, mem::Page& p) {
   part.allocator().Free(p.entry);
   CgroupFor(app, p).UnchargeRemote();
   p.entry = kInvalidEntry;
-  p.disk_backed = false;
+  p.home = SwapBackend::kRemote;
 }
 
 void SwapSystem::CheckSwapInOracle(AppState& app, mem::Page& p,
@@ -711,14 +712,13 @@ void SwapSystem::CheckSwapInOracle(AppState& app, mem::Page& p,
     const auto& m = PartitionFor(app, p).meta(r.entry);
     // The copy just served must carry the content version recorded at the
     // last writeback and must have come from the backend that holds it.
-    if (m.content_version != p.content_version ||
-        m.on_disk != r.served_by_disk || m.on_tier != r.served_by_tier)
+    if (m.content_version != p.content_version || m.home != r.served_by)
       ++app.metrics.stale_reads;
   }
   // A completed remote transfer proves the fabric works again: reset the
   // cgroup's consecutive-failure streak (tier- and disk-served requests
   // never touched the fabric, so they prove nothing).
-  if (!r.served_by_disk && !r.served_by_tier)
+  if (r.served_by == SwapBackend::kRemote)
     cgroups_.Get(app.cg).NoteRemoteSuccess();
 }
 
@@ -757,16 +757,13 @@ void SwapSystem::OnFabricDown(int server) {
       // Blackout failover ordering (DESIGN.md §14): the local tier is the
       // first stop — device latency, not disk latency — with per-request
       // spill to the disk backstop when it is full, frozen, or over quota.
-      mem::Page& p = owner.pages[r->page];
-      if (tier_ && !p.shared &&
-          tier_->Admit(WaiterKey(owner, r->page), owner.cg)) {
-        ++owner.metrics.tier_swapouts;
-        tier_->Submit(std::move(r));
-      } else {
-        if (tier_ && !p.shared) ++owner.metrics.tier_rejects;
-        ++owner.metrics.disk_swapouts;
-        disk_->Submit(std::move(r));
-      }
+      bool tierable = tier_ && !owner.pages[r->page].shared;
+      bool admitted =
+          tierable && tier_->Admit(WaiterKey(owner, r->page), owner.cg);
+      if (tierable && !admitted) ++owner.metrics.tier_rejects;
+      SubmitLocal(owner,
+                  admitted ? SwapBackend::kLocalTier : SwapBackend::kLocalDisk,
+                  std::move(r));
     } else if (r->on_drop) {
       // Prefetch: the drop handler unwinds the in-flight page state and
       // rescues any waiters, exactly as a scheduler drop would.
@@ -799,15 +796,11 @@ void SwapSystem::NoteExhausted(AppState& app) {
 void SwapSystem::FailoverApp(AppState& app) {
   Cgroup& cg = cgroups_.Get(app.cg);
   if (cg.backend() != SwapBackend::kRemote) return;
-  if (tier_) {
-    // First failover stop (DESIGN.md §14): the tier absorbs redirected
-    // writebacks at slow-memory latency; IssueSwapOut spills individual
-    // rejections to the disk backstop.
-    cg.SetBackend(SwapBackend::kLocalTier);
-    ++app.metrics.tier_failovers;
-  } else {
-    cg.SetBackend(SwapBackend::kLocalDisk);
-  }
+  // First failover stop (DESIGN.md §14): a tier absorbs redirected
+  // writebacks at slow-memory latency; IssueSwapOut spills individual
+  // rejections to the disk backstop.
+  cg.SetBackend(tier_ ? SwapBackend::kLocalTier : SwapBackend::kLocalDisk);
+  if (tier_) ++app.metrics.tier_failovers;
   ++app.metrics.failovers;
   tracer_.Instant(std::uint32_t(app.index), trace::kCgroupTrack,
                   trace::Name::kFailover, sim_.Now());
@@ -847,10 +840,7 @@ void SwapSystem::ReissueDemand(AppState& app, rdma::RequestPtr req) {
     // The slab was evicted (harvest or server failover) while this read was
     // burning retries: the data now lives on the disk backend, so reissuing
     // remotely would spin forever. Route it home.
-    ++app.metrics.disk_swapins;
-    req->attempts = 0;
-    req->status = rdma::RequestStatus::kOk;
-    disk_->Submit(std::move(req));
+    SubmitLocal(app, SwapBackend::kLocalDisk, std::move(req));
     return;
   }
   ++app.metrics.demand_reissues;
@@ -873,6 +863,14 @@ bool SwapSystem::SlabOnDisk(const rdma::Request& r) const {
          pool_->OnDisk(r.partition, r.entry);
 }
 
+SwapBackend SwapSystem::WrittenHome(const rdma::Request& r) const {
+  // A remote writeback whose slab was harvested mid-flight landed on a
+  // server that immediately forwarded it to disk.
+  return r.served_by == SwapBackend::kRemote && SlabOnDisk(r)
+             ? SwapBackend::kLocalDisk
+             : r.served_by;
+}
+
 void SwapSystem::StampPool(AppState& app, const mem::Page& p,
                            rdma::Request& req, bool place) {
   if (req.entry == kInvalidEntry) return;
@@ -892,7 +890,8 @@ void SwapSystem::OnSlabEvicted(std::uint32_t pid, std::uint64_t lo,
   //    Tier-resident entries are untouched: their copy of record lives in
   //    the local tier, not on the harvested server.
   for (std::uint64_t e = lo; e < hi; ++e)
-    if (!part->meta(e).on_tier) part->meta(e).on_disk = true;
+    if (part->meta(e).home != SwapBackend::kLocalTier)
+      part->meta(e).home = SwapBackend::kLocalDisk;
 
   // 2. Redirect page backing, and collect in-flight reads whose remote
   //    completion would now trip the copy-of-record oracle.
@@ -907,8 +906,8 @@ void SwapSystem::OnSlabEvicted(std::uint32_t pid, std::uint64_t lo,
       mem::Page& p = app->pages[i];
       if (p.entry == kInvalidEntry || p.entry < lo || p.entry >= hi) continue;
       if (&PartitionFor(*app, p) != part) continue;
-      if (p.tier_backed) continue;  // the tier copy is unaffected
-      p.disk_backed = true;
+      if (p.home == SwapBackend::kLocalTier) continue;  // tier copy unaffected
+      p.home = SwapBackend::kLocalDisk;
       if (p.state == mem::PageState::kSwapCache && p.in_flight &&
           !p.under_writeback)
         rescues.push_back({app.get(), i});
@@ -926,15 +925,13 @@ void SwapSystem::OnSlabEvicted(std::uint32_t pid, std::uint64_t lo,
     if (!ownp) continue;  // reaped tenants have no queued requests
     AppState& owner = *ownp;
     if (r->op == rdma::Op::kSwapOut) {
-      ++owner.metrics.disk_swapouts;
-      disk_->Submit(std::move(r));
+      SubmitLocal(owner, SwapBackend::kLocalDisk, std::move(r));
     } else if (r->op == rdma::Op::kDemandIn) {
       redirected.push_back(WaiterKey(owner, r->page));
-      ++owner.metrics.disk_swapins;
-      disk_->Submit(std::move(r));
+      SubmitLocal(owner, SwapBackend::kLocalDisk, std::move(r));
     } else if (r->on_drop) {
       // Prefetch: the drop handler unwinds the page or converts it to a
-      // rescue demand, which now routes to the disk (disk_backed is set).
+      // rescue demand, which now routes to the disk (the page's home).
       redirected.push_back(WaiterKey(owner, r->page));
       r->on_drop(*r);
     }
@@ -961,10 +958,10 @@ void SwapSystem::OnSlabEvicted(std::uint32_t pid, std::uint64_t lo,
 // ---------------------------------------------------------------------------
 
 void SwapSystem::ReleaseTierResidency(AppState& app, mem::Page& p) {
-  if (!tier_ || !p.tier_backed) return;
+  if (p.home != SwapBackend::kLocalTier) return;
   PageId page = PageId(&p - app.pages.data());
   tier_->Release(WaiterKey(app, page));
-  p.tier_backed = false;
+  p.home = SwapBackend::kRemote;
 }
 
 void SwapSystem::NoteTierHeat(AppState& app, PageId page) {
@@ -985,7 +982,7 @@ void SwapSystem::NoteTierHeat(AppState& app, PageId page) {
 void SwapSystem::MaybePromoteToTier(AppState& app, PageId page,
                                     mem::Page& p) {
   if (!tier_ || p.shared || p.entry == kInvalidEntry) return;
-  if (p.tier_backed || p.disk_backed) return;
+  if (p.home != SwapBackend::kRemote) return;
   std::uint32_t g = runtime::RuntimeInfo::GroupOf(page);
   bool group_hot = g < app.group_faults.size() &&
                    app.group_faults[g] >= cfg_.tier.promote_group_faults;
@@ -998,10 +995,8 @@ void SwapSystem::MaybePromoteToTier(AppState& app, PageId page,
   // The fetched bytes are in hand (this runs at demand-read completion), so
   // copying them into the tier is a pure data-state change: the tier
   // becomes the copy of record at the *same* content version.
-  p.tier_backed = true;
-  auto& m = PartitionFor(app, p).meta(p.entry);
-  m.on_tier = true;
-  m.on_disk = false;
+  p.home = SwapBackend::kLocalTier;
+  PartitionFor(app, p).meta(p.entry).home = SwapBackend::kLocalTier;
   ++app.metrics.tier_promotions;
 }
 
@@ -1043,7 +1038,8 @@ void SwapSystem::TierPolicyTick() {
     // dead fabric would defeat the failover).
     if (cgroups_.Get(app.cg).backend() != SwapBackend::kRemote) continue;
     mem::Page& p = app.pages[page];
-    if (!p.tier_backed || p.entry == kInvalidEntry) continue;
+    if (p.home != SwapBackend::kLocalTier || p.entry == kInvalidEntry)
+      continue;
     if (p.in_flight || p.under_writeback) continue;  // busy: next tick
     // A dirty resident page will rewrite its tier copy at the next
     // writeback anyway; demoting the stale version buys nothing.
@@ -1071,7 +1067,7 @@ void SwapSystem::IssueTierDemotion(AppState& app, PageId page) {
     if (rr) rr->demoting = false;
     // A blackout drain can bounce the demotion back into the tier itself:
     // nothing moved, the tier keeps the copy of record.
-    if (r.served_by_tier) {
+    if (r.served_by == SwapBackend::kLocalTier) {
       --a->metrics.tier_demotions;
       return;
     }
@@ -1081,23 +1077,20 @@ void SwapSystem::IssueTierDemotion(AppState& app, PageId page) {
     // newer version exists), or a fetch/writeback is in flight whose
     // completion still expects the tier copy. In all cases the tier stays
     // the copy of record and a later tick may retry.
-    if (!rr || pg.entry != entry || !pg.tier_backed || pg.in_flight ||
-        pg.under_writeback) {
+    if (!rr || pg.entry != entry || pg.home != SwapBackend::kLocalTier ||
+        pg.in_flight || pg.under_writeback) {
       --a->metrics.tier_demotions;
       return;
     }
     auto& m = PartitionFor(*a, pg).meta(entry);
-    if (m.content_version != version || !m.on_tier) {
+    if (m.content_version != version || m.home != SwapBackend::kLocalTier) {
       --a->metrics.tier_demotions;
       return;
     }
-    bool on_disk_now = r.served_by_disk || SlabOnDisk(r);
-    m.on_tier = false;
-    m.on_disk = on_disk_now;
-    pg.tier_backed = false;
-    pg.disk_backed = on_disk_now;
+    m.home = pg.home = WrittenHome(r);
     tier_->Release(k);
-    if (!r.served_by_disk) cgroups_.Get(a->cg).NoteRemoteSuccess();
+    if (r.served_by == SwapBackend::kRemote)
+      cgroups_.Get(a->cg).NoteRemoteSuccess();
   };
   req->on_error = [this, a = &app, page](rdma::RequestPtr) {
     // The remote path gave up: the tier keeps the copy of record; clear
@@ -1430,7 +1423,7 @@ void SwapSystem::DemandSwapIn(AppState& app, ThreadCtx& th,
           return;
         }
         LandRead(*a, page, r);
-        if (tier_ && !r.served_by_tier && !r.served_by_disk)
+        if (r.served_by == SwapBackend::kRemote)
           MaybePromoteToTier(*a, page, pg2);
         sim_.Schedule(cfg_.map_cost, [this, a, t, acc, expected] {
           PageId page = acc.page;
@@ -1483,7 +1476,7 @@ void SwapSystem::IssuePrefetches(AppState& app,
     if (cand >= app.pages.size()) continue;
     mem::Page& p = app.pages[cand];
     if (p.state != mem::PageState::kRemote || p.shared) continue;
-    if (p.entry == kInvalidEntry || p.disk_backed || p.tier_backed) continue;
+    if (p.entry == kInvalidEntry || p.home != SwapBackend::kRemote) continue;
     // Prefetches may transiently overshoot the memory budget by one reclaim
     // batch (kernel watermark slack); background reclaim below pushes the
     // usage back down by evicting LRU pages — prefetched data displacing
@@ -1608,32 +1601,40 @@ rdma::RequestPtr SwapSystem::NewRequest(AppState& app, PageId page,
 }
 
 void SwapSystem::SubmitRead(AppState& app, PageId page, rdma::RequestPtr req) {
-  const mem::Page& p = app.pages[page];
-  if (tier_ && p.tier_backed) {
-    // The copy of record lives in the local tier: fetch it at slow-memory
-    // latency, never touching the fabric.
-    ++app.metrics.tier_swapins;
-    tier_->Submit(std::move(req));
-  } else if (p.disk_backed) {
-    // The current copy lives on the local-disk fallback.
-    ++app.metrics.disk_swapins;
-    disk_->Submit(std::move(req));
-  } else {
-    // A demand read's only copy is remote, so it cannot fail over: it is
-    // reissued until the fabric heals. Async reads are dropped instead.
-    if (req->op == rdma::Op::kDemandIn)
-      req->on_error = [this, a = &app](rdma::RequestPtr r) {
-        ReissueDemand(*a, std::move(r));
-      };
-    scheduler_->Enqueue(std::move(req));
+  SwapBackend home = app.pages[page].home;
+  if (home != SwapBackend::kRemote) {
+    // The copy of record lives in the local tier (slow-memory latency) or
+    // on the local-disk fallback: fetch it there, never touching the fabric.
+    SubmitLocal(app, home, std::move(req));
+    return;
   }
+  // A demand read's only copy is remote, so it cannot fail over: it is
+  // reissued until the fabric heals. Async reads are dropped instead.
+  if (req->op == rdma::Op::kDemandIn)
+    req->on_error = [this, a = &app](rdma::RequestPtr r) {
+      ReissueDemand(*a, std::move(r));
+    };
+  scheduler_->Enqueue(std::move(req));
+}
+
+void SwapSystem::SubmitLocal(AppState& app, SwapBackend to,
+                             rdma::RequestPtr req) {
+  bool out = req->op == rdma::Op::kSwapOut;
+  AppMetrics& m = app.metrics;
+  if (to == SwapBackend::kLocalTier) {
+    ++(out ? m.tier_swapouts : m.tier_swapins);
+    tier_->Submit(std::move(req));
+    return;
+  }
+  ++(out ? m.disk_swapouts : m.disk_swapins);
+  disk_->Submit(std::move(req));
 }
 
 void SwapSystem::LandRead(AppState& app, PageId page, const rdma::Request& r) {
   mem::Page& p = app.pages[page];
   CheckSwapInOracle(app, p, r);
   // Always-on tier-latency sample (report percentiles, like fault_latency).
-  if (tier_ && r.served_by_tier)
+  if (r.served_by == SwapBackend::kLocalTier)
     app.metrics.tier_latency.Add(std::uint64_t(r.completed - r.created));
   // A pinned page stays cache-locked until its behaviour releases it
   // (DESIGN.md §16); pins are always zero with the registry off.
@@ -1781,7 +1782,7 @@ void SwapSystem::StepObjectPage(AppState& app, PageId page,
       // fetched cooperatively: the tier backend never drops, so the batch
       // continuation is safe there.)
       if (app.retiring || p.shared || p.entry == kInvalidEntry ||
-          p.disk_backed ||
+          p.home == SwapBackend::kLocalDisk ||
           (injector_ &&
            (injector_->FabricDown(sim_.Now()) ||
             cgroups_.Get(app.cg).backend() != SwapBackend::kRemote))) {
@@ -1837,7 +1838,6 @@ void SwapSystem::IssueCooperativeFetch(AppState& app, PageId page) {
 
   auto req = NewRequest(app, page, p.entry, rdma::Op::kPrefetchIn, app.cg,
                         /*place=*/false);
-  req->cooperative = true;
   req->on_complete = [this, a = &app, page, expected](const rdma::Request& r) {
     if (a->prefetch_inflight > 0) --a->prefetch_inflight;
     mem::Page& pg = a->pages[page];
@@ -2094,72 +2094,54 @@ void SwapSystem::IssueSwapOut(AppState& app, PageId victim,
     pg.under_writeback = false;
     pg.entry = entry;
     pg.dirty = false;
-    // Where does the data live *now*? A remote writeback whose slab was
-    // harvested mid-flight landed on a server that immediately forwarded it
-    // to disk — record the disk as the copy of record in that case. A
-    // tier-served writeback makes the local tier the copy of record.
-    bool on_tier_now = r.served_by_tier;
-    bool on_disk_now = !on_tier_now && (r.served_by_disk || SlabOnDisk(r));
-    pg.disk_backed = on_disk_now;
-    pg.tier_backed = on_tier_now;
+    // Where does the data live *now*?
     auto& m = PartitionFor(*a, pg).meta(entry);
     m.content_version = version;
-    m.on_disk = on_disk_now;
-    m.on_tier = on_tier_now;
-    if (tier_ && !on_tier_now)
+    m.home = pg.home = WrittenHome(r);
+    if (tier_ && pg.home != SwapBackend::kLocalTier)
       // A residency claimed at admission (or left over from an earlier
       // epoch) whose data landed elsewhere is stale: drop it.
       tier_->Release(WaiterKey(*a, victim));
-    if (!r.served_by_disk && !r.served_by_tier)
+    if (r.served_by == SwapBackend::kRemote)
       cgroups_.Get(a->cg).NoteRemoteSuccess();
     ++a->metrics.swapouts;
     GrantFrames(*a);
     WakeWaiters(*a, victim);  // threads that faulted during writeback
   };
-  bool to_disk = cgroups_.Get(app.cg).backend() == SwapBackend::kLocalDisk;
-  if (!to_disk && SlabOnDisk(*req))
-    // The entry's slab is disk-homed (evicted by harvest pressure or a
-    // server outage): write straight to the copy of record.
-    to_disk = true;
+  // A failed-over cgroup's writebacks, and those into a disk-homed slab
+  // (evicted by harvest pressure or a server outage), go to the disk.
+  SwapBackend failed_to = cgroups_.Get(app.cg).backend();
+  SwapBackend to = failed_to == SwapBackend::kLocalDisk || SlabOnDisk(*req)
+                       ? SwapBackend::kLocalDisk
+                       : SwapBackend::kRemote;
   // Hybrid local tier (DESIGN.md §14): evictions land in the nearest level
   // first. Under the capacity and per-cgroup quota the tier absorbs the
   // writeback (proactive demotion keeps headroom); already-resident pages
   // rewrite their tier copy in place. Disk-homed entries keep their copy of
   // record on disk, and shared pages stay out (their frames alias across
   // applications, which the per-app residency key cannot express).
-  bool to_tier = false;
-  if (tier_ && !to_disk && !p.shared) {
+  if (tier_ && to == SwapBackend::kRemote && !p.shared) {
     if (tier_->Admit(WaiterKey(app, victim), app.cg)) {
-      to_tier = true;
+      to = SwapBackend::kLocalTier;
     } else {
       ++app.metrics.tier_rejects;
       // Failed over onto the tier and refused: spill to the disk backstop.
-      if (cgroups_.Get(app.cg).backend() == SwapBackend::kLocalTier)
-        to_disk = true;
+      if (failed_to == SwapBackend::kLocalTier) to = SwapBackend::kLocalDisk;
     }
   }
-  if (to_tier) {
-    ++app.metrics.tier_swapouts;
-    tier_->Submit(std::move(req));
-  } else if (to_disk) {
-    // Failed-over cgroup (or disk-homed slab): writebacks are absorbed by
-    // the local disk.
-    ++app.metrics.disk_swapouts;
-    disk_->Submit(std::move(req));
-  } else {
-    if (tier_) StampPool(app, p, *req, /*place=*/true);
-    req->on_error = [this, a = &app](rdma::RequestPtr r) {
-      // The remote path gave up on this writeback; the disk always
-      // accepts it (and the failure streak may fail the cgroup over).
-      ++a->metrics.rdma_exhausted;
-      NoteExhausted(*a);
-      r->attempts = 0;
-      r->status = rdma::RequestStatus::kOk;
-      ++a->metrics.disk_swapouts;
-      disk_->Submit(std::move(r));
-    };
-    scheduler_->Enqueue(std::move(req));
+  if (to != SwapBackend::kRemote) {
+    SubmitLocal(app, to, std::move(req));
+    return;
   }
+  if (tier_) StampPool(app, p, *req, /*place=*/true);
+  req->on_error = [this, a = &app](rdma::RequestPtr r) {
+    // The remote path gave up on this writeback; the disk always accepts
+    // it (and the failure streak may fail the cgroup over).
+    ++a->metrics.rdma_exhausted;
+    NoteExhausted(*a);
+    SubmitLocal(*a, SwapBackend::kLocalDisk, std::move(r));
+  };
+  scheduler_->Enqueue(std::move(req));
 }
 
 std::size_t SwapSystem::StripKeptEntries(AppState& app, std::size_t n) {

@@ -156,7 +156,7 @@ class SwapSystem {
   /// Fault injector (null unless SystemConfig::fault_plan is set).
   const fault::FaultInjector* injector() const { return injector_.get(); }
   /// Local-disk backstop for failover and evicted slabs; never null.
-  const fault::DiskBackend* disk() const { return disk_.get(); }
+  const fault::LocalDevice* disk() const { return disk_.get(); }
   /// Hybrid local tier (DESIGN.md §14); null unless SystemConfig::tier
   /// names an enabled preset.
   const tier::TierBackend* tier() const { return tier_.get(); }
@@ -177,6 +177,10 @@ class SwapSystem {
   }
   const sched::DispatchScheduler& scheduler() const { return *scheduler_; }
   const swapalloc::SwapPartition& partition(std::size_t app) const;
+  /// The partition holding shared pages' entries (test oracles).
+  const swapalloc::SwapPartition& shared_partition() const {
+    return *global_partition_;
+  }
   const mem::SwapCache& cache(std::size_t app) const;
   const swapalloc::ReservationManager* reservation(std::size_t app) const;
   const SystemConfig& config() const { return cfg_; }
@@ -345,6 +349,9 @@ class SwapSystem {
   /// Route a read to the tier or disk copy of record, else to the scheduler;
   /// only a remote demand read is reissued when its retries run out.
   void SubmitRead(AppState& app, PageId page, rdma::RequestPtr req);
+  /// Submit to the local device `to` (kLocalTier or kLocalDisk), counting
+  /// the request as that device's swap-in or swap-out.
+  void SubmitLocal(AppState& app, SwapBackend to, rdma::RequestPtr req);
   /// Finish a read that still owns its page: oracle, tier latency sample,
   /// unlock unless pinned, clear the in-flight marks.
   void LandRead(AppState& app, PageId page, const rdma::Request& r);
@@ -387,6 +394,9 @@ class SwapSystem {
   void ReissueDemand(AppState& app, rdma::RequestPtr req);
   /// True when the pool slab holding `r`'s entry was evicted to disk.
   bool SlabOnDisk(const rdma::Request& r) const;
+  /// Home of a completed writeback's copy: the device that served it, or
+  /// the disk when a remote write landed in a slab evicted meanwhile.
+  SwapBackend WrittenHome(const rdma::Request& r) const;
   /// No-stale-read oracle: the served copy's recorded content version and
   /// backing location must match the page's. Violations count as
   /// `stale_reads` (always zero — checked by the chaos suite).
@@ -399,7 +409,7 @@ class SwapSystem {
   void StampPool(AppState& app, const mem::Page& p, rdma::Request& req,
                  bool place);
   /// A slab's entries [lo, hi) moved to the disk backend (harvest pressure
-  /// or server failover). Flips entry metadata and page backing flags,
+  /// or server failover). Rehomes entry metadata and pages to the disk,
   /// drains queued requests for the range to the disk, and rescues
   /// in-flight reads through the incarnation (seq-bump) protocol.
   void OnSlabEvicted(std::uint32_t pid, std::uint64_t lo, std::uint64_t hi);
@@ -482,7 +492,7 @@ class SwapSystem {
   sched::TwoDimScheduler* two_dim_ = nullptr;  // borrowed view
   std::unique_ptr<rdma::Nic> nic_;
   std::unique_ptr<fault::FaultInjector> injector_;
-  std::unique_ptr<fault::DiskBackend> disk_;
+  std::unique_ptr<fault::LocalDevice> disk_;
   std::unique_ptr<tier::TierBackend> tier_;
   std::unique_ptr<remote::ServerPool> pool_;
   /// Partitions indexed by their pool partition id (registration order).

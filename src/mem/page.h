@@ -41,14 +41,10 @@ struct Page {
   /// been mapped; used for contribution/accuracy accounting.
   bool prefetched_unused = false;
 
-  /// The page's current remote copy lives on the local-disk fallback
-  /// backend (failover path, DESIGN.md §8) instead of remote memory; the
-  /// next swap-in must be routed to the disk.
-  bool disk_backed = false;
-  /// The page's current remote copy lives in the hybrid local tier
-  /// (DESIGN.md §14); the next swap-in must be routed there. Mutually
-  /// exclusive with disk_backed (single-home invariant).
-  bool tier_backed = false;
+  /// Where the page's swapped copy of record lives: remote memory, the
+  /// hybrid local tier (DESIGN.md §14) or the local-disk fallback (§8).
+  /// The next swap-in is routed there.
+  SwapBackend home = SwapBackend::kRemote;
 
   /// Hot-page detection (§5.1): count of consecutive active-list scans that
   /// found this page near the head (mod 256), and the scan generation that
@@ -97,7 +93,6 @@ struct Page {
   PageId lru_prev = kInvalidPage;
   PageId lru_next = kInvalidPage;
 
-  bool HasRemoteCopy() const { return entry != kInvalidEntry; }
   bool NeedsWriteback() const { return dirty || entry == kInvalidEntry; }
 };
 

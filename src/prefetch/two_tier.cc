@@ -103,7 +103,7 @@ void TwoTierPrefetcher::AppTier(AppState& st, const FaultInfo& fault,
   }
   // Reference-based: traverse the summary graph up to 3 hops.
   std::size_t before = out.size();
-  std::vector<PageId> reach;
+  thread_local std::vector<PageId> reach;  // reused across faults
   info.ReachablePages(fault.page, cfg_.ref_hops, cfg_.ref_max_pages, reach);
   out.insert(out.end(), reach.begin(), reach.end());
   ref_pf_ += out.size() - before;

@@ -84,18 +84,9 @@ struct Request {
   /// Backoff delay applied before the most recent retry (diagnostics and
   /// the monotonic-backoff property test).
   SimDuration last_backoff = 0;
-  /// Issued through the cooperative object channel (behaviour scheduler,
-  /// DESIGN.md §16) rather than by a speculative prefetcher. Rides on
-  /// Op::kPrefetchIn — the NIC and schedulers treat both identically; the
-  /// flag exists for tracing and accounting.
-  bool cooperative = false;
-
-  /// Stamped by the local-disk backend so completion handlers can tag the
-  /// page's backing location.
-  bool served_by_disk = false;
-  /// Stamped by the hybrid local tier backend (DESIGN.md §14); mutually
-  /// exclusive with served_by_disk.
-  bool served_by_tier = false;
+  /// Stamped by the local device (tier or disk) that served the request,
+  /// so completion handlers can tag the page's home; kRemote otherwise.
+  SwapBackend served_by = SwapBackend::kRemote;
 
   // --- remote memory-server pool routing (DESIGN.md §11) ---
   /// ServerPool partition id of `entry` (kNoPoolPartition = unpooled; the

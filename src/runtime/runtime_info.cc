@@ -1,9 +1,9 @@
 #include "runtime/runtime_info.h"
 
 #include <algorithm>
-#include <deque>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
 namespace canvas::runtime {
 
@@ -109,17 +109,28 @@ void RuntimeInfo::ReachablePages(PageId page, int hops, std::size_t max_pages,
                                  std::vector<PageId>& out) const {
   out.clear();
   std::uint32_t start = GroupOf(page);
-  std::unordered_set<std::uint32_t> visited{start};
-  std::deque<std::pair<std::uint32_t, int>> frontier{{start, 0}};
-  while (!frontier.empty() && out.size() < max_pages) {
-    auto [g, depth] = frontier.front();
-    frontier.pop_front();
+  // A group past the table has no successors: nothing is reachable.
+  if (hops <= 0 || start >= group_count()) return;
+  // Scratch reused across calls, one per thread: a RuntimeInfo shared by
+  // runs on several sweep threads stays read-only. Every group this call
+  // marks enters the frontier, which unmarks them all at the end.
+  thread_local std::vector<std::uint8_t> visited;
+  thread_local std::vector<std::pair<std::uint32_t, int>> frontier;
+  if (visited.size() < group_count()) visited.resize(group_count(), 0);
+  visited[start] = 1;
+  frontier.assign(1, {start, 0});
+  for (std::size_t head = 0; head < frontier.size() && out.size() < max_pages;
+       ++head) {
+    auto [g, depth] = frontier[head];
     if (depth >= hops) continue;
     if (g >= group_count()) continue;
     for (std::uint32_t i = offsets_[g]; i < offsets_[std::size_t(g) + 1];
          ++i) {
       std::uint32_t next = targets_[i];
-      if (!visited.insert(next).second) continue;
+      // Targets need not be sources, so they can lie past the table.
+      if (next >= visited.size()) visited.resize(std::size_t(next) + 1, 0);
+      if (visited[next]) continue;
+      visited[next] = 1;
       for (PageId p = PageId(next) * kGroupPages;
            p < PageId(next + 1) * kGroupPages && out.size() < max_pages; ++p) {
         out.push_back(p);
@@ -127,6 +138,7 @@ void RuntimeInfo::ReachablePages(PageId page, int hops, std::size_t max_pages,
       frontier.emplace_back(next, depth + 1);
     }
   }
+  for (const auto& [g, depth] : frontier) visited[g] = 0;
 }
 
 void RuntimeInfo::RegisterLargeArray(PageId start_page, PageId num_pages) {

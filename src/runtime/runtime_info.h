@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <map>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/types.h"

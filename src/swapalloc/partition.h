@@ -45,13 +45,9 @@ struct EntryMeta {
   /// suite's no-stale-read oracle; see mem::Page::content_version).
   std::uint32_t content_version = 0;
   bool valid = true;
-  /// The entry's data was last written via the local-disk fallback backend;
-  /// a swap-in must be served from the disk, not remote memory.
-  bool on_disk = false;
-  /// The entry's copy of record lives in the hybrid local tier (DESIGN.md
-  /// §14). Mutually exclusive with on_disk: a page resides in exactly one
-  /// backing level at a time.
-  bool on_tier = false;
+  /// Where the entry's copy of record lives (mirrors mem::Page::home); a
+  /// swap-in must be served by that backend.
+  SwapBackend home = SwapBackend::kRemote;
 };
 static_assert(sizeof(EntryMeta) == 16);
 

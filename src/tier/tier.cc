@@ -49,7 +49,11 @@ std::vector<std::pair<std::string, std::string>> TierConfig::ListTiers() {
 
 TierBackend::TierBackend(sim::Simulator& sim, TierConfig cfg,
                          std::shared_ptr<const fault::FaultPlan> plan)
-    : sim_(sim), cfg_(std::move(cfg)), quota_(cfg_.CgroupQuota()) {
+    : sim_(sim),
+      cfg_(std::move(cfg)),
+      quota_(cfg_.CgroupQuota()),
+      device_(sim, SwapBackend::kLocalTier,
+              {cfg_.bandwidth_bytes_per_sec, cfg_.latency}) {
   if (plan) {
     latency_windows_ = plan->tier_latency_spikes();
     freeze_windows_ = plan->tier_freezes();
@@ -98,25 +102,6 @@ void TierBackend::Release(std::uint64_t key) {
   residents_.Erase(key);
   if (cg < cg_used_.size() && cg_used_[cg] > 0) --cg_used_[cg];
   ++releases_;
-}
-
-void TierBackend::Submit(rdma::RequestPtr req) {
-  SimTime now = sim_.Now();
-  if (req->op == rdma::Op::kSwapOut) ++writes_; else ++reads_;
-  ++inflight_;
-  req->dispatched = now;
-  req->served_by_tier = true;
-  auto ser = SimDuration(double(req->bytes) / cfg_.bandwidth_bytes_per_sec *
-                         double(kSecond));
-  busy_until_ = std::max(busy_until_, now) + ser;
-  SimTime completion = busy_until_ + cfg_.latency + ExtraLatency(now);
-  sim_.ScheduleAt(completion, [this, owned = std::move(req)]() mutable {
-    owned->completed = sim_.Now();
-    owned->status = rdma::RequestStatus::kOk;
-    --inflight_;
-    latency_hist_.Add(std::uint64_t(owned->completed - owned->created));
-    if (owned->on_complete) owned->on_complete(*owned);
-  });
 }
 
 }  // namespace canvas::tier

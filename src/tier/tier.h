@@ -5,19 +5,20 @@
 // emulated slow node: same address space as DRAM (no page faults to reach
 // it in real hardware; here it serves swap traffic an order of magnitude
 // faster than the remote fabric and two orders faster than the disk
-// backstop). It is modeled like fault::DiskBackend — one serialization lane
-// at the configured bandwidth plus a fixed load-to-use latency, DES-clock
-// driven — but unlike the disk it has *finite capacity* and per-cgroup
-// quotas, so Canvas's isolation story extends to the new level, and it
-// keeps a resident index so the swap system always knows which backing
-// level owns a page's copy of record.
+// backstop). Its device is the disk's: one fault::LocalDevice lane at the
+// configured bandwidth plus a fixed load-to-use latency, DES-clock driven.
+// Unlike the disk it has *finite capacity* and per-cgroup quotas, so
+// Canvas's isolation story extends to the new level, and it keeps a
+// resident index so the swap system always knows which backing level owns
+// a page's copy of record.
 //
 // Residency protocol (single-home invariant): a page's current remote copy
 // lives in exactly one of {tier, server pool, disk}. `Admit` claims tier
 // residency for a (app, page) key under capacity + quota; `Release` drops
-// it. The SwapSystem mirrors residency into `mem::Page::tier_backed` and
-// `swapalloc::EntryMeta::on_tier`, and the `content_version` oracle extends
-// across promotion/demotion/failover unchanged.
+// it. The SwapSystem mirrors residency into `mem::Page::home` and
+// `swapalloc::EntryMeta::home` (SwapBackend::kLocalTier), and the
+// `content_version` oracle extends across promotion/demotion/failover
+// unchanged.
 //
 // Tier-targeted fault windows (`tier-latency`, `tier-freeze` in the
 // FaultPlan grammar) are evaluated as pure functions of simulated time —
@@ -34,9 +35,9 @@
 #include "common/flat_map.h"
 #include "common/types.h"
 #include "fault/fault_plan.h"
+#include "fault/local_device.h"
 #include "rdma/request.h"
 #include "sim/simulator.h"
-#include "trace/histogram.h"
 
 namespace canvas::tier {
 
@@ -83,7 +84,7 @@ struct TierConfig {
   bool operator==(const TierConfig&) const = default;
 };
 
-/// DES-clock-driven slow-memory device + residency/quota bookkeeping.
+/// Slow-memory device + residency/quota bookkeeping + tier fault windows.
 class TierBackend {
  public:
   /// Residency record for one (app, page) key.
@@ -112,26 +113,25 @@ class TierBackend {
     residents_.ForEach(fn);
   }
 
-  /// Submit a page transfer; stamps `served_by_tier` and fires
-  /// req->on_complete when done. Always succeeds (residency was checked by
-  /// the caller; a freeze window delays service, it does not lose data).
-  void Submit(rdma::RequestPtr req);
+  /// Submit a page transfer to the tier's device, plus any tier-latency
+  /// spike covering now. Always succeeds (residency was checked by the
+  /// caller; a freeze window delays service, it does not lose data).
+  void Submit(rdma::RequestPtr req) {
+    device_.Submit(std::move(req), ExtraLatency(sim_.Now()));
+  }
 
   const TierConfig& config() const { return cfg_; }
+  /// The slow-memory device: read/write/inflight counters and the
+  /// completion latency distribution.
+  const fault::LocalDevice& device() const { return device_; }
   std::uint64_t used_pages() const { return residents_.size(); }
   std::uint64_t quota() const { return quota_; }
   std::uint64_t cgroup_used(CgroupId cg) const;
 
-  std::uint64_t reads() const { return reads_; }
-  std::uint64_t writes() const { return writes_; }
-  std::uint64_t inflight() const { return inflight_; }
   std::uint64_t admits() const { return admits_; }
   std::uint64_t releases() const { return releases_; }
   std::uint64_t rejects() const { return rejects_; }
   std::uint64_t peak_used() const { return peak_used_; }
-
-  /// Device-level completion latency distribution (every request, ns).
-  const trace::LogHistogram& latency() const { return latency_hist_; }
 
   /// True while a tier-freeze fault window covers `t`.
   bool Frozen(SimTime t) const;
@@ -142,7 +142,7 @@ class TierBackend {
   sim::Simulator& sim_;
   TierConfig cfg_;
   std::uint64_t quota_ = 0;
-  SimTime busy_until_ = 0;
+  fault::LocalDevice device_;
 
   FlatMap64<Resident> residents_;
   /// Per-cgroup residency counts, indexed by cgroup id (ids are small
@@ -153,14 +153,10 @@ class TierBackend {
   std::vector<fault::TierLatencySpike> latency_windows_;
   std::vector<fault::TierFreeze> freeze_windows_;
 
-  std::uint64_t reads_ = 0;
-  std::uint64_t writes_ = 0;
-  std::uint64_t inflight_ = 0;
   std::uint64_t admits_ = 0;
   std::uint64_t releases_ = 0;
   std::uint64_t rejects_ = 0;
   std::uint64_t peak_used_ = 0;
-  trace::LogHistogram latency_hist_;
 };
 
 }  // namespace canvas::tier

@@ -1,23 +1,30 @@
 // Hybrid local tier test suite (DESIGN.md §14): preset registry, report
 // schema gating (tier-off output must stay byte-for-byte schema v2),
-// tiered determinism, and the tier invariants — single residency (a page's
-// remote copy lives in exactly one of {tier, pool, disk}, mirrored
-// consistently across mem::Page, swapalloc::EntryMeta and the tier's
-// resident index), per-cgroup quotas never exceeded, and the
+// tiered determinism, and the tier invariants — single home (a page's
+// swapped copy lives in exactly one of {tier, pool, disk}: mem::Page::home
+// and swapalloc::EntryMeta::home agree, and the tier's resident index holds
+// exactly the tier-homed pages; the disk half is also checked on runs
+// without a tier), per-cgroup quotas never exceeded, and the
 // content_version oracle holding across promotion / demotion / blackout
-// failover. Plus the --jobs byte-identity differential on tiered pooled
-// sweeps.
+// failover. Plus the local device's lane arithmetic and the --jobs
+// byte-identity differential on tiered pooled sweeps.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/flat_map.h"
 #include "core/experiment.h"
 #include "core/report.h"
 #include "fault/fault_plan.h"
+#include "fault/local_device.h"
 #include "orchestrator/sweep.h"
+#include "remote/pool.h"
+#include "sim/simulator.h"
 #include "tier/tier.h"
 #include "workload/apps.h"
 
@@ -74,7 +81,7 @@ TEST(TierConfig, PresetRegistry) {
   EXPECT_GT(nvm.capacity_pages, cxl.capacity_pages);
   // Both presets stay far below the disk backstop's service latency, so
   // failover-to-tier beats failover-to-disk by construction.
-  fault::DiskBackend::Config disk;
+  fault::LocalDevice::Config disk;
   EXPECT_LT(cxl.latency, disk.latency);
   EXPECT_LT(nvm.latency, disk.latency);
 
@@ -133,7 +140,7 @@ TEST(TierReport, EnabledTierEmitsSchemaV3) {
   ASSERT_NE(e.system().tier(), nullptr);
   // The tier actually absorbed writebacks (it is first in the writeback
   // path, not a dead config knob).
-  EXPECT_GT(e.system().tier()->writes(), 0u);
+  EXPECT_GT(e.system().tier()->device().writes(), 0u);
 }
 
 // --- determinism ------------------------------------------------------------
@@ -165,42 +172,41 @@ TEST(TierDeterminism, SameSeedSameBytes) {
 
 // --- tier invariants --------------------------------------------------------
 
-/// Walk every page of every app and check the single-residency mirrors:
-/// tier_backed implies not disk_backed, the entry metadata agrees, and the
-/// tier's resident index matches page state exactly.
-void CheckResidencyMirrors(const SwapSystem& sys) {
+/// Walk every page of every app and check the single-home mirrors: a page
+/// with a swap entry has the home its entry metadata records, a tier-homed
+/// page has an entry and is never shared, and the tier's resident index
+/// (when there is a tier) is exactly the set of tier-homed pages. Returns
+/// how many pages with an entry are homed on each backend, indexed by
+/// SwapBackend, so a caller can check the walk was not vacuous.
+std::array<std::uint64_t, 3> CheckResidencyMirrors(const SwapSystem& sys) {
   const tier::TierBackend* t = sys.tier();
-  ASSERT_NE(t, nullptr);
-  std::uint64_t tier_backed_pages = 0;
+  std::array<std::uint64_t, 3> homed{};
+  std::uint64_t tier_homed = 0;
   for (std::size_t app = 0; app < sys.app_count(); ++app) {
     for (PageId p = 0; p < sys.page_count(app); ++p) {
       const mem::Page& pg = sys.page(app, p);
-      std::uint64_t key = PackAppPage(CgroupId(app), p);
-      if (pg.shared) {
-        // Shared pages are never tier residents.
-        EXPECT_FALSE(pg.tier_backed) << "app " << app << " page " << p;
-        EXPECT_FALSE(t->Contains(key)) << "app " << app << " page " << p;
-        continue;
-      }
-      EXPECT_EQ(t->Contains(key), pg.tier_backed)
+      bool on_tier = pg.home == SwapBackend::kLocalTier;
+      EXPECT_EQ(t && t->Contains(PackAppPage(CgroupId(app), p)), on_tier)
           << "app " << app << " page " << p;
-      if (pg.tier_backed) {
-        ++tier_backed_pages;
-        EXPECT_FALSE(pg.disk_backed) << "app " << app << " page " << p;
-        ASSERT_NE(pg.entry, kInvalidEntry) << "app " << app << " page " << p;
+      if (on_tier) {
+        ++tier_homed;
+        EXPECT_FALSE(pg.shared) << "app " << app << " page " << p;
+        EXPECT_NE(pg.entry, kInvalidEntry) << "app " << app << " page " << p;
       }
-      if (pg.entry != kInvalidEntry) {
-        const swapalloc::EntryMeta& m = sys.partition(app).meta(pg.entry);
-        EXPECT_EQ(m.on_tier, pg.tier_backed)
-            << "app " << app << " page " << p;
-        EXPECT_FALSE(m.on_tier && m.on_disk)
-            << "app " << app << " page " << p;
-      }
+      if (pg.entry == kInvalidEntry) continue;
+      const swapalloc::SwapPartition& part =
+          pg.shared ? sys.shared_partition() : sys.partition(app);
+      EXPECT_EQ(part.meta(pg.entry).home, pg.home)
+          << "app " << app << " page " << p;
+      ++homed[std::size_t(pg.home)];
     }
   }
-  EXPECT_EQ(t->used_pages(), tier_backed_pages);
-  EXPECT_LE(t->used_pages(), t->config().capacity_pages);
-  EXPECT_LE(t->peak_used(), t->config().capacity_pages);
+  if (t) {
+    EXPECT_EQ(t->used_pages(), tier_homed);
+    EXPECT_LE(t->used_pages(), t->config().capacity_pages);
+    EXPECT_LE(t->peak_used(), t->config().capacity_pages);
+  }
+  return homed;
 }
 
 TEST(TierProperty, SingleResidencyMirrorsAfterChurn) {
@@ -299,6 +305,113 @@ TEST(TierProperty, OracleHoldsAcrossPromotionDemotionFailover) {
   for (std::size_t i = 0; i < e.system().app_count(); ++i)
     EXPECT_EQ(e.system().cgroup(i).backend(), SwapBackend::kRemote)
         << e.system().app_name(i);
+}
+
+TEST(HomeMirror, DiskHalfHoldsWithoutATier) {
+  // No tier, so every moved copy goes to the disk: a server-0 blackout on
+  // pool2 evicts that server's slabs there (per-server failover), and an
+  // untargeted blackout on `single` fails every cgroup over to it. Pages
+  // and entries must agree on the new home.
+  struct Case {
+    const char* topology;
+    int server;
+  };
+  for (Case c : {Case{"pool2", 0}, Case{"single", fault::kAllServers}}) {
+    SCOPED_TRACE(c.topology);
+    SystemConfig cfg = SystemConfig::CanvasFull();
+    cfg.remote = remote::PoolConfig::FromName(c.topology);
+    auto plan = std::make_shared<fault::FaultPlan>();
+    plan->AddBlackout(1 * kMillisecond, 8 * kMillisecond, c.server);
+    cfg.fault_plan = plan;
+    Experiment e(cfg, Corun(0.05, 7));
+    ASSERT_TRUE(e.Run());
+    Settle(e);
+    EXPECT_TRUE(e.system().Quiescent());
+    ASSERT_EQ(e.system().tier(), nullptr);
+    std::uint64_t stale = 0;
+    for (std::size_t i = 0; i < e.system().app_count(); ++i)
+      stale += e.system().metrics(i).stale_reads;
+    EXPECT_EQ(stale, 0u);
+    std::array<std::uint64_t, 3> homed = CheckResidencyMirrors(e.system());
+    EXPECT_GT(homed[std::size_t(SwapBackend::kLocalDisk)], 0u);
+    EXPECT_EQ(homed[std::size_t(SwapBackend::kLocalTier)], 0u);
+  }
+}
+
+// --- the local device ---------------------------------------------------------
+
+/// Submit one page transfer of `op` to `submit`, recording its completion
+/// time and the backend it was stamped with.
+template <typename Submit>
+void SubmitPage(sim::Simulator& sim, rdma::Op op, Submit&& submit,
+                std::vector<std::pair<SimTime, SwapBackend>>& done) {
+  auto req = std::make_unique<rdma::Request>();
+  req->op = op;
+  req->created = sim.Now();
+  req->on_complete = [&done](const rdma::Request& r) {
+    done.emplace_back(r.completed, r.served_by);
+  };
+  submit(std::move(req));
+}
+
+TEST(LocalDevice, OneLaneCompletionStampAndCounters) {
+  sim::Simulator sim;
+  // 4 MiB/s: one 4 KiB page serializes in 976,562.5 ns, truncated.
+  fault::LocalDevice dev(sim, SwapBackend::kLocalDisk,
+                         {4096.0 * 1024, 10 * kMicrosecond});
+  constexpr SimDuration kSer = 976'562;
+  std::vector<std::pair<SimTime, SwapBackend>> done;
+  auto submit = [&dev](rdma::RequestPtr r) { dev.Submit(std::move(r)); };
+  // Two back-to-back transfers at t=0: the second queues behind the first.
+  SubmitPage(sim, rdma::Op::kDemandIn, submit, done);
+  SubmitPage(sim, rdma::Op::kSwapOut, submit, done);
+  EXPECT_EQ(dev.reads(), 1u);
+  EXPECT_EQ(dev.writes(), 1u);
+  EXPECT_EQ(dev.inflight(), 2u);
+  sim.Run();
+  EXPECT_EQ(dev.inflight(), 0u);
+  ASSERT_EQ(done.size(), 2u);
+  EXPECT_EQ(done[0].first, kSer + 10 * kMicrosecond);
+  EXPECT_EQ(done[1].first, 2 * kSer + 10 * kMicrosecond);
+  // An idle lane starts at now, and `extra` lands on top of the latency.
+  SimTime now = sim.Now();
+  auto late = [&dev](rdma::RequestPtr r) {
+    dev.Submit(std::move(r), 5 * kMicrosecond);
+  };
+  SubmitPage(sim, rdma::Op::kPrefetchIn, late, done);
+  EXPECT_EQ(dev.reads(), 2u);
+  sim.Run();
+  ASSERT_EQ(done.size(), 3u);
+  EXPECT_EQ(done[2].first, now + kSer + 15 * kMicrosecond);
+  for (const auto& d : done) EXPECT_EQ(d.second, SwapBackend::kLocalDisk);
+  EXPECT_EQ(dev.latency().count(), 3u);
+  EXPECT_EQ(dev.latency().max(), 2 * kSer + 10 * kMicrosecond);
+}
+
+TEST(LocalDevice, TierAddsItsLatencySpikeOnlyInsideTheWindow) {
+  sim::Simulator sim;
+  tier::TierConfig cfg = tier::TierConfig::FromName("cxl");
+  cfg.bandwidth_bytes_per_sec = 4096.0 * 1024;
+  constexpr SimDuration kSer = 976'562;
+  auto plan = std::make_shared<fault::FaultPlan>();
+  plan->AddTierLatencySpike(0, 1 * kMillisecond, 7 * kMicrosecond);
+  tier::TierBackend t(sim, cfg, plan);
+  std::vector<std::pair<SimTime, SwapBackend>> done;
+  auto submit = [&t](rdma::RequestPtr r) { t.Submit(std::move(r)); };
+  SubmitPage(sim, rdma::Op::kSwapOut, submit, done);
+  // Past the window: no extra.
+  constexpr SimTime kLater = 2 * kMillisecond;
+  sim.ScheduleAt(kLater, [&] {
+    SubmitPage(sim, rdma::Op::kDemandIn, submit, done);
+  });
+  sim.Run();
+  ASSERT_EQ(done.size(), 2u);
+  EXPECT_EQ(done[0].first, kSer + cfg.latency + 7 * kMicrosecond);
+  EXPECT_EQ(done[1].first, kLater + kSer + cfg.latency);
+  for (const auto& d : done) EXPECT_EQ(d.second, SwapBackend::kLocalTier);
+  EXPECT_EQ(t.device().reads(), 1u);
+  EXPECT_EQ(t.device().writes(), 1u);
+  EXPECT_EQ(t.device().inflight(), 0u);
 }
 
 // --- jobs differential -------------------------------------------------------
