@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # One-command correctness + performance smoke: configure, build, run the
 # tier-1 test suite, then run the simulator throughput harness (which
-# writes BENCH_simulator.json next to the build tree).
+# writes BENCH_simulator.json next to the build tree), and end by checking
+# that the committed BENCH_*.json artifacts are fresh.
 #
 # Environment knobs:
 #   BUILD_DIR        build tree (default: <repo>/build)
@@ -115,5 +116,10 @@ CANVAS_CLUSTER_JSON="${CANVAS_CLUSTER_JSON:-$BUILD/BENCH_cluster.json}" \
 # byte-identical).
 CANVAS_OBJECT_JSON="${CANVAS_OBJECT_JSON:-$BUILD/BENCH_object.json}" \
   "$BUILD/bench/object_granularity" ${HARNESS_ARGS[@]+"${HARNESS_ARGS[@]}"}
+
+# Freshness of the committed BENCH_{remote,cluster,object,serving}.json:
+# regenerate each in full mode from this build and byte-compare it with the
+# committed file, so a local run catches simulated-output drift.
+BUILD_DIR="$BUILD" "$ROOT/scripts/check_bench_fresh.sh"
 
 echo "check.sh: all green"

@@ -41,6 +41,13 @@ enum class SchedulerKind : std::uint8_t {
   kTwoDim,    // Canvas VQPs: vertical WFQ + horizontal priority
 };
 
+/// Pages one background reclaim pass evicts (SWAP_CLUSTER_MAX); prefetches
+/// may also overshoot the memory budget by this much (watermark slack).
+inline constexpr std::uint32_t kReclaimBatch = 32;
+/// Cap on outstanding prefetch requests per application (the kernel bounds
+/// readahead the same way via the window size).
+inline constexpr std::uint32_t kMaxInflightPrefetch = 96;
+
 struct SystemConfig {
   std::string name = "custom";
 
@@ -60,9 +67,6 @@ struct SystemConfig {
   /// Prefetcher detector state shared across apps (true for the shared swap
   /// systems; Canvas always uses per-cgroup state).
   bool prefetcher_shared_state = true;
-  /// Cap on outstanding prefetch requests per application (the kernel
-  /// bounds readahead the same way via the window size).
-  std::uint32_t max_inflight_prefetch = 96;
   /// Per-VMA readahead state (the policy the paper tunes Linux 5.5 with);
   /// false models older kernels' single readahead context (Infiniswap).
   bool per_vma_readahead = true;
@@ -80,7 +84,6 @@ struct SystemConfig {
   std::shared_ptr<const fault::FaultPlan> fault_plan;
   /// Seed for the injector's RNG stream (CQE draws + backoff jitter).
   std::uint64_t fault_seed = 0x1234'5678'9abc'def0ull;
-  fault::RecoveryConfig recovery;
   fault::LocalDevice::Config disk;
 
   // --- remote memory-server pool (DESIGN.md §11) ---
@@ -106,16 +109,6 @@ struct SystemConfig {
   /// page-granular apps run unchanged either way.
   struct ObjectConfig {
     bool enabled = false;
-    /// Behaviours fetched ahead of the running one, per thread.
-    std::uint32_t lookahead = 2;
-    /// Per-cgroup cap on concurrently pinned pages across open behaviours
-    /// (0 = 1/4 of the cgroup's local memory). The front behaviour is
-    /// always admitted, so the cap gates lookahead only.
-    std::uint64_t max_pinned_pages = 0;
-    /// Registry quotas applied to each app's registry at admission
-    /// (0 = unbounded): live objects and total span pages per cgroup.
-    std::uint64_t max_objects = 0;
-    std::uint64_t max_object_pages = 0;
 
     bool operator==(const ObjectConfig&) const = default;
   };
@@ -131,25 +124,9 @@ struct SystemConfig {
   /// fault-latency histograms are independent of this switch.
   trace::TraceConfig trace;
 
-  // --- fault-path cost model (ns) ---
-  SimDuration fault_entry_cost = 800;   // trap + swap-cache lookup
-  SimDuration map_cost = 600;           // map a cached page (minor fault)
-  SimDuration first_touch_cost = 900;   // zero-fill a new page
-  SimDuration evict_page_cost = 250;    // per victim: scan + unmap
-  std::uint32_t reclaim_batch = 32;     // SWAP_CLUSTER_MAX
   /// kswapd watermark: background reclaim keeps this many frames free so
   /// faulting threads rarely enter direct reclaim.
   std::uint32_t kswapd_headroom = 16;
-  SimDuration kswapd_period = 500 * 1000;  // 500us
-  /// Entries stripped from clean resident pages when the partition is full
-  /// (Linux 5.5 entry-keeping release).
-  std::uint32_t strip_batch = 64;
-  /// Entry-keeping for clean pages is enabled only while the partition's
-  /// free fraction exceeds this threshold (Appendix B: "entry keeping
-  /// starts when the percentage of available swap entries exceeds this
-  /// threshold"); below it, swap-in frees the entry. Not used by the
-  /// adaptive (reservation) allocator, which manages entries itself.
-  double entry_keep_free_threshold = 0.25;
 
   // --- presets (the systems of Figures 9-11) ---
   static SystemConfig Linux55();

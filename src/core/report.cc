@@ -251,7 +251,7 @@ void WriteJson(std::ostream& os, const SwapSystem& system,
       if (system.app_alive(i)) fold(system.metrics(i));
     for (const RetiredAppRecord& r : system.retired()) fold(r.metrics);
     os << "  \"objects\": {\n"
-       << "    \"lookahead\": " << system.config().objects.lookahead
+       << "    \"lookahead\": " << object::BehaviourScheduler::kLookahead
        << ",\n    \"behaviours_declared\": " << agg.behaviours_declared
        << ",\n    \"behaviours_dispatched\": " << agg.behaviours_dispatched
        << ",\n    \"behaviours_completed\": " << agg.behaviours_completed

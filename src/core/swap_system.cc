@@ -17,31 +17,45 @@ constexpr std::uint32_t kDirectReclaimBudget = 4;
 /// Retirement reap-poll cadence (DESIGN.md §15). Armed only while
 /// retirements are pending, so fixed-tenant runs schedule zero poll events.
 constexpr SimDuration kReapPollPeriod = 50 * kMicrosecond;
+
+// --- fault-path cost model (ns) ---
+constexpr SimDuration kFaultEntryCost = 800;  // trap + swap-cache lookup
+constexpr SimDuration kMapCost = 600;         // map a cached page (minor fault)
+constexpr SimDuration kFirstTouchCost = 900;  // zero-fill a new page
+constexpr SimDuration kEvictPageCost = 250;   // per victim: scan + unmap
+constexpr SimDuration kKswapdPeriod = 500 * kMicrosecond;
+/// Entries stripped from clean resident pages when the partition is full
+/// (Linux 5.5 entry-keeping release).
+constexpr std::size_t kStripBatch = 64;
+/// Entry-keeping for clean pages is enabled only while the partition's free
+/// fraction exceeds this threshold (Appendix B: "entry keeping starts when
+/// the percentage of available swap entries exceeds this threshold");
+/// below it, swap-in frees the entry. Not used by the adaptive
+/// (reservation) allocator, which manages entries itself.
+constexpr double kEntryKeepFreeThreshold = 0.25;
+
+// --- failover/failback state machine (DESIGN.md §8) ---
+/// Consecutive retry-exhausted requests before a cgroup fails over to a
+/// local backend (each exhausted request already represents max_retries
+/// failed attempts, so the first one triggers it).
+constexpr std::uint32_t kFailoverAfterExhausted = 1;
+/// How long a failed-over cgroup waits before probing the remote path
+/// again. Blackout recovery also fails back at once via the injector's
+/// server-up callback.
+constexpr SimDuration kFailbackDelay = 5 * kMillisecond;
+/// Pause before a retry-exhausted demand read is re-enqueued.
+constexpr SimDuration kDemandReissueDelay = 100 * kMicrosecond;
 }  // namespace
 
-/// CooperativePort implementation (DESIGN.md §16): the mechanism boundary
-/// the behaviour scheduler issues object-granular batches through.
-class SwapSystem::ObjectPort : public object::CooperativePort {
- public:
-  ObjectPort(SwapSystem& sys, AppState& app) : sys_(sys), app_(app) {}
-  void FetchAndPin(const std::vector<PageId>& pages,
-                   std::function<void()> ready) override {
-    sys_.CooperativeFetchAndPin(app_, pages, std::move(ready));
-  }
-  void Release(const std::vector<PageId>& pages) override {
-    sys_.CooperativeRelease(app_, pages);
-  }
-
- private:
-  SwapSystem& sys_;
-  AppState& app_;
-};
-
-/// In-flight state of one FetchAndPin batch. `pending` starts at 1 (a scan
-/// sentinel) so `ready` cannot fire while the issue loop is still running.
+/// In-flight state of one CooperativeFetchAndPin batch. `pending` starts at
+/// 1 (a scan sentinel) so `ready` cannot fire while the issue loop is still
+/// running.
 struct SwapSystem::CoopBatch {
   std::size_t pending = 1;
   std::function<void()> ready;
+  void Done() {
+    if (--pending == 0 && ready) ready();
+  }
 };
 
 SwapSystem::SwapSystem(sim::Simulator& sim, SystemConfig cfg,
@@ -197,6 +211,7 @@ std::size_t SwapSystem::AddApp(AppSpec spec) {
   assert(!apps_[idx]);
 
   auto app = std::make_unique<AppState>();
+  AppState* a = app.get();  // callbacks capture the tenant's stable address
   app->index = idx;
   app->name = spec.workload.name;
   app->managed = spec.workload.managed;
@@ -243,7 +258,6 @@ std::size_t SwapSystem::AddApp(AppSpec spec) {
       // A reservation cancel that drops the entry holding the clean
       // remote copy must also drop tier residency (single-home
       // invariant: the resident index never outlives the entry).
-      AppState* a = app.get();
       app->reservation->SetEntryLostHook(
           [this, a](mem::Page& p) { ReleaseTierResidency(*a, p); });
     }
@@ -278,19 +292,19 @@ std::size_t SwapSystem::AddApp(AppSpec spec) {
   // apps run unchanged even with the subsystem on.
   if (cfg_.objects.enabled && spec.workload.objects) {
     app->objects = spec.workload.objects;
-    if (cfg_.objects.max_objects || cfg_.objects.max_object_pages)
-      app->objects->SetQuota(object::RegistryConfig{
-          cfg_.objects.max_objects, cfg_.objects.max_object_pages});
-    app->object_port = std::make_unique<ObjectPort>(*this, *app);
-    object::SchedulerConfig sc;
-    sc.lookahead = std::max<std::uint32_t>(cfg_.objects.lookahead, 1);
-    sc.max_pinned_pages = cfg_.objects.max_pinned_pages
-                              ? cfg_.objects.max_pinned_pages
-                              : spec.cgroup.local_mem_pages / 4;
+    // Open behaviours may pin up to a quarter of the cgroup's local memory.
     app->behaviours = std::make_unique<object::BehaviourScheduler>(
-        app->objects.get(), app->object_port.get(), sc);
+        app->objects.get(),
+        [this, a](const std::vector<PageId>& pages,
+                  std::function<void()> ready) {
+          CooperativeFetchAndPin(*a, pages, std::move(ready));
+        },
+        [this, a](const std::vector<PageId>& pages) {
+          CooperativeRelease(*a, pages);
+        },
+        spec.cgroup.local_mem_pages / 4);
     app->behaviours->SetReadyCallback(
-        [this, a = app.get()](ThreadId tid) { OnBehaviourReady(*a, tid); });
+        [this, a](ThreadId tid) { OnBehaviourReady(*a, tid); });
     // Read-sets arrive through the cooperative channel: the speculative
     // tiers stand down for this cgroup.
     if (two_tier_) two_tier_->SetCooperative(app->cg, true);
@@ -310,11 +324,10 @@ std::size_t SwapSystem::AddApp(AppSpec spec) {
   active_high_water_ = std::max(active_high_water_, active_apps_);
   if (idx < sampler_last_bytes_.size())
     sampler_last_bytes_[idx] = {{0.0, 0.0}};
-  AppState* raw = app.get();
   apps_[idx] = std::move(app);
   if (started_) {
     lifecycle_active_ = true;
-    StartApp(*raw);
+    StartApp(*a);
   }
   return idx;
 }
@@ -327,8 +340,7 @@ void SwapSystem::Start() {
   pool_->Start([this] { return RunActive(); });
   for (auto& app : apps_)
     if (app) StartApp(*app);
-  if (tier_)
-    sim_.Schedule(cfg_.tier.policy_period, [this] { TierPolicyTick(); });
+  if (tier_) sim_.Schedule(tier::kPolicyPeriod, [this] { TierPolicyTick(); });
   if (tracer_.enabled() && cfg_.trace.sampler) {
     sampler_last_bytes_.assign(apps_.size(), {{0.0, 0.0}});
     sim_.Schedule(cfg_.trace.sample_period, [this] { SampleTick(); });
@@ -343,7 +355,7 @@ void SwapSystem::StartApp(AppState& app) {
       RunThread(*a, *t);
     });
   }
-  sim_.Schedule(cfg_.kswapd_period, [this, a = &app] { KswapdTick(*a); });
+  sim_.Schedule(kKswapdPeriod, [this, a = &app] { KswapdTick(*a); });
 }
 
 void SwapSystem::SampleTick() {
@@ -405,7 +417,7 @@ std::vector<std::string> SwapSystem::AppNames() const {
 void SwapSystem::KswapdTick(AppState& app) {
   if (app.reaped) return;  // stale tick captured a retired tenant's shell
   if (app.threads_done == app.threads.size()) return;  // stop ticking
-  sim_.Schedule(cfg_.kswapd_period, [this, a = &app] { KswapdTick(*a); });
+  sim_.Schedule(kKswapdPeriod, [this, a = &app] { KswapdTick(*a); });
   Cgroup& cg = cgroups_.Get(app.cg);
   // Background reclaim keeps a free-frame watermark ahead of demand so
   // faulting threads rarely block in direct reclaim (kswapd).
@@ -413,7 +425,7 @@ void SwapSystem::KswapdTick(AppState& app) {
       app.active_reclaimers == 0) {
     ++app.active_reclaimers;
     ReclaimLoop(app, app.threads.empty() ? 0 : app.threads.front().core,
-                cfg_.reclaim_batch);
+                kReclaimBatch);
   }
 }
 
@@ -548,7 +560,6 @@ void SwapSystem::ReapApp(AppState& app) {
   // unpinned at thread finish; Clear() bumps the registry generation so
   // handles that outlive the tenant fail Find/Pin safely.
   app.behaviours.reset();
-  app.object_port.reset();
   if (app.objects) {
     app.objects->Clear();
     app.objects.reset();
@@ -665,6 +676,32 @@ mem::SwapCache& SwapSystem::CacheFor(AppState& app, const mem::Page& p) {
 Cgroup& SwapSystem::CgroupFor(AppState& app, const mem::Page& p) {
   return p.shared && cfg_.isolated_caches ? cgroups_.Get(shared_cg_)
                                           : cgroups_.Get(app.cg);
+}
+
+bool SwapSystem::RemotePathDown(AppState& app) {
+  return injector_ &&
+         (injector_->FabricDown(sim_.Now()) ||
+          cgroups_.Get(app.cg).backend() != SwapBackend::kRemote);
+}
+
+void SwapSystem::TouchResident(AppState& app, workload::Access acc) {
+  app.lru->Touch(acc.page);
+  if (acc.write) MarkDirty(app, app.pages[acc.page]);
+  ++app.metrics.accesses;
+}
+
+void SwapSystem::ZeroFill(AppState& app, PageId page) {
+  mem::Page& p = app.pages[page];
+  p.state = mem::PageState::kResident;
+  p.dirty = true;  // anonymous page with no backing store yet
+  ++p.content_version;
+  cgroups_.Get(app.cg).ChargeResident();
+  app.lru->AddActive(page);
+}
+
+void SwapSystem::ClearPrefetchTs(AppState& app, const mem::Page& p) {
+  if (p.entry != kInvalidEntry)
+    PartitionFor(app, p).meta(p.entry).prefetch_ts = kTimeNever;
 }
 
 std::uint64_t SwapSystem::WaiterKey(const AppState& app, PageId page) const {
@@ -789,7 +826,7 @@ void SwapSystem::OnFabricUp(int server) {
 
 void SwapSystem::NoteExhausted(AppState& app) {
   Cgroup& cg = cgroups_.Get(app.cg);
-  if (cg.NoteExhausted() >= cfg_.recovery.failover_after_exhausted)
+  if (cg.NoteExhausted() >= kFailoverAfterExhausted)
     FailoverApp(app);
 }
 
@@ -818,7 +855,7 @@ void SwapSystem::FailbackApp(AppState& app) {
 }
 
 void SwapSystem::ScheduleFailbackProbe(AppState& app) {
-  sim_.Schedule(cfg_.recovery.failback_delay, [this, a = &app] {
+  sim_.Schedule(kFailbackDelay, [this, a = &app] {
     if (a->reaped) return;  // the tenant (and its cgroup id) is gone
     Cgroup& cg = cgroups_.Get(a->cg);
     if (cg.backend() == SwapBackend::kRemote) return;  // already back
@@ -848,7 +885,7 @@ void SwapSystem::ReissueDemand(AppState& app, rdma::RequestPtr req) {
   req->status = rdma::RequestStatus::kOk;
   // Moved into the event so an abandoned run (deadline miss) still frees
   // the in-flight request when the simulator tears down its queue.
-  sim_.Schedule(cfg_.recovery.demand_reissue_delay,
+  sim_.Schedule(kDemandReissueDelay,
                 [this, r = std::move(req)]() mutable {
                   scheduler_->Enqueue(std::move(r));
                 });
@@ -940,15 +977,12 @@ void SwapSystem::OnSlabEvicted(std::uint32_t pid, std::uint64_t lo,
   // 4. Reads already on the wire: take the page over via the incarnation
   //    (seq-bump) protocol so the stale remote completion discards itself,
   //    and fetch the authoritative copy from the disk instead.
-  auto was_redirected = [&redirected](std::uint64_t key) {
-    for (std::uint64_t k : redirected)
-      if (k == key) return true;
-    return false;
-  };
   for (const Rescue& rs : rescues) {
     mem::Page& p = rs.app->pages[rs.page];
     if (p.state != mem::PageState::kSwapCache || !p.in_flight) continue;
-    if (was_redirected(WaiterKey(*rs.app, rs.page))) continue;
+    if (std::find(redirected.begin(), redirected.end(),
+                  WaiterKey(*rs.app, rs.page)) != redirected.end())
+      continue;
     IssueRescueDemand(*rs.app, rs.page);
   }
 }
@@ -985,7 +1019,7 @@ void SwapSystem::MaybePromoteToTier(AppState& app, PageId page,
   if (p.home != SwapBackend::kRemote) return;
   std::uint32_t g = runtime::RuntimeInfo::GroupOf(page);
   bool group_hot = g < app.group_faults.size() &&
-                   app.group_faults[g] >= cfg_.tier.promote_group_faults;
+                   app.group_faults[g] >= tier::kPromoteGroupFaults;
   bool scan_hot = app.lru->ScanHits(page) >= 2;
   if (!group_hot && !scan_hot) return;
   if (!tier_->Admit(WaiterKey(app, page), app.cg)) {
@@ -1002,10 +1036,10 @@ void SwapSystem::MaybePromoteToTier(AppState& app, PageId page,
 
 void SwapSystem::TierPolicyTick() {
   if (!RunActive()) return;  // stop ticking once the co-run drains
-  sim_.Schedule(cfg_.tier.policy_period, [this] { TierPolicyTick(); });
+  sim_.Schedule(tier::kPolicyPeriod, [this] { TierPolicyTick(); });
   SimTime now = sim_.Now();
   std::uint64_t watermark = std::uint64_t(double(cfg_.tier.capacity_pages) *
-                                          cfg_.tier.demote_watermark);
+                                          tier::kDemoteWatermark);
   if (tier_->used_pages() <= watermark) return;
   // Proactive cold-page demotion ahead of eviction (Memtrade-style): scan
   // the resident index for pages whose page group went cold. FlatMap
@@ -1029,7 +1063,7 @@ void SwapSystem::TierPolicyTick() {
   std::sort(cold.begin(), cold.end());
   std::uint32_t issued = 0;
   for (std::uint64_t key : cold) {
-    if (issued >= cfg_.tier.demote_batch) break;
+    if (issued >= tier::kDemoteBatch) break;
     AppState& app = *apps_[std::size_t(key >> 48)];
     if (app.retiring) continue;  // reap releases residency wholesale
     PageId page = PageId(key & ((std::uint64_t(1) << 48) - 1));
@@ -1065,29 +1099,25 @@ void SwapSystem::IssueTierDemotion(AppState& app, PageId page) {
     std::uint64_t k = WaiterKey(*a, page);
     tier::TierBackend::Resident* rr = tier_->Find(k);
     if (rr) rr->demoting = false;
-    // A blackout drain can bounce the demotion back into the tier itself:
-    // nothing moved, the tier keeps the copy of record.
-    if (r.served_by == SwapBackend::kLocalTier) {
-      --a->metrics.tier_demotions;
-      return;
-    }
     mem::Page& pg = a->pages[page];
-    // Re-validate against every race demotion can lose: the residency was
-    // dropped, the entry was freed or re-used, the page was re-dirtied (a
-    // newer version exists), or a fetch/writeback is in flight whose
-    // completion still expects the tier copy. In all cases the tier stays
-    // the copy of record and a later tick may retry.
-    if (!rr || pg.entry != entry || pg.home != SwapBackend::kLocalTier ||
-        pg.in_flight || pg.under_writeback) {
+    // A blackout drain can bounce the demotion back into the tier itself:
+    // nothing moved. Otherwise re-validate against every race demotion can
+    // lose: the residency was dropped, the entry was freed or re-used, the
+    // page was re-dirtied (a newer version exists), or a fetch/writeback is
+    // in flight whose completion still expects the tier copy. In all cases
+    // the tier stays the copy of record and a later tick may retry.
+    auto* m = r.served_by != SwapBackend::kLocalTier && rr &&
+                      pg.entry == entry &&
+                      pg.home == SwapBackend::kLocalTier && !pg.in_flight &&
+                      !pg.under_writeback
+                  ? &PartitionFor(*a, pg).meta(entry)
+                  : nullptr;
+    if (!m || m->content_version != version ||
+        m->home != SwapBackend::kLocalTier) {
       --a->metrics.tier_demotions;
       return;
     }
-    auto& m = PartitionFor(*a, pg).meta(entry);
-    if (m.content_version != version || m.home != SwapBackend::kLocalTier) {
-      --a->metrics.tier_demotions;
-      return;
-    }
-    m.home = pg.home = WrittenHome(r);
+    m->home = pg.home = WrittenHome(r);
     tier_->Release(k);
     if (r.served_by == SwapBackend::kRemote)
       cgroups_.Get(a->cg).NoteRemoteSuccess();
@@ -1150,11 +1180,8 @@ void SwapSystem::RunThread(AppState& app, ThreadCtx& th) {
     elapsed += acc->compute_ns;
     app.metrics.busy_time += acc->compute_ns;
     if (acc->page >= app.pages.size()) continue;  // defensive clamp
-    mem::Page& p = app.pages[acc->page];
-    if (p.state == mem::PageState::kResident) {
-      app.lru->Touch(acc->page);
-      if (acc->write) MarkDirty(app, p);
-      ++app.metrics.accesses;
+    if (app.pages[acc->page].state == mem::PageState::kResident) {
+      TouchResident(app, *acc);
       continue;
     }
     // Fault: hand off to the fault path at the access instant.
@@ -1172,15 +1199,26 @@ void SwapSystem::FinishThread(AppState& app, ThreadCtx& th,
   sim_.Schedule(elapsed, [this, a = &app, t = &th] {
     t->done = true;
     t->finish = sim_.Now();
-    ++a->threads_done;
-    a->metrics.finish_time = std::max(a->metrics.finish_time, t->finish);
+    // Threads finish in time order, so the last one sets the app's finish;
+    // an app with an unfinished thread keeps finish_time == 0.
+    if (++a->threads_done == a->threads.size())
+      a->metrics.finish_time = t->finish;
     if (a->behaviours) {
       // Unpin everything the thread still holds (open + lookahead
       // behaviours) so the pages rejoin normal eviction and the tenant can
       // quiesce for reap.
       a->behaviours->ReleaseThread(t->tid);
       t->behaviour = object::kNoBehaviour;
-      SyncObjectMetrics(*a);
+      // Mirror scheduler/registry counters into AppMetrics.
+      const object::BehaviourStats& st = a->behaviours->stats();
+      AppMetrics& m = a->metrics;
+      m.behaviours_declared = st.declared;
+      m.behaviours_dispatched = st.dispatched;
+      m.behaviours_completed = st.completed;
+      m.object_stale_handles = st.stale_reads;
+      m.behaviour_deferrals = st.budget_deferrals;
+      m.object_pins = a->objects->pins_issued();
+      m.object_unpins = a->objects->pins_released();
     }
   });
 }
@@ -1196,13 +1234,10 @@ void SwapSystem::ResumeThread(AppState& app, ThreadCtx& th, PageId page) {
 
 void SwapSystem::HandleFault(AppState& app, ThreadCtx& th,
                              workload::Access acc, bool retry) {
-  mem::Page& p = app.pages[acc.page];
-  switch (p.state) {
+  switch (app.pages[acc.page].state) {
     case mem::PageState::kResident: {
       // Raced with another thread that faulted the page in.
-      app.lru->Touch(acc.page);
-      if (acc.write) MarkDirty(app, p);
-      ++app.metrics.accesses;
+      TouchResident(app, acc);
       sim_.Schedule(kSpuriousFaultCost, [this, a = &app, t = &th,
                                          page = acc.page] {
         ResumeThread(*a, *t, page);
@@ -1214,19 +1249,14 @@ void SwapSystem::HandleFault(AppState& app, ThreadCtx& th,
         ++app.metrics.first_touches;
       }
       EnsureFrame(app, th.core, [this, a = &app, t = &th, acc] {
-        mem::Page& pg = a->pages[acc.page];
-        if (pg.state != mem::PageState::kUntouched) {
+        if (a->pages[acc.page].state != mem::PageState::kUntouched) {
           // Another thread first-touched the page while we waited.
           HandleFault(*a, *t, acc, /*retry=*/true);
           return;
         }
-        pg.state = mem::PageState::kResident;
-        pg.dirty = true;  // anonymous page with no backing store yet
-        ++pg.content_version;
-        cgroups_.Get(a->cg).ChargeResident();
-        a->lru->AddActive(acc.page);
+        ZeroFill(*a, acc.page);
         ++a->metrics.accesses;
-        sim_.Schedule(cfg_.first_touch_cost, [this, a, t, page = acc.page] {
+        sim_.Schedule(kFirstTouchCost, [this, a, t, page = acc.page] {
           ResumeThread(*a, *t, page);
         });
       });
@@ -1305,16 +1335,8 @@ void SwapSystem::FaultOnCachedPage(AppState& app, ThreadCtx& th,
   // Plain minor fault: map the cached page. The fault is still
   // kernel-visible (the PTE was unmapped), so it feeds the prefetcher —
   // this is how readahead windows keep growing across their own hits.
-  sim_.Schedule(cfg_.map_cost, [this, a = &app, t = &th, acc] {
-    mem::Page& pg = a->pages[acc.page];
-    if (pg.state == mem::PageState::kSwapCache && !pg.in_flight &&
-        !pg.under_writeback) {
-      tracer_.Span(std::uint32_t(a->index), ThreadTrack(*t),
-                   trace::Name::kMap, sim_.Now() - cfg_.map_cost, sim_.Now(),
-                   acc.page);
-      MapCachedPage(*a, acc.page);
-      if (acc.write) MarkDirty(*a, pg);
-      ++a->metrics.accesses;
+  sim_.Schedule(kMapCost, [this, a = &app, t = &th, acc] {
+    if (MapIfIdle(*a, *t, acc)) {
       IssuePrefetches(*a,
                       prefetch::FaultInfo{a->cg, acc.page, t->tid, sim_.Now(),
                                           /*cache_hit=*/true});
@@ -1324,6 +1346,19 @@ void SwapSystem::FaultOnCachedPage(AppState& app, ThreadCtx& th,
       HandleFault(*a, *t, acc, /*retry=*/true);
     }
   });
+}
+
+bool SwapSystem::MapIfIdle(AppState& app, ThreadCtx& th, workload::Access acc) {
+  mem::Page& p = app.pages[acc.page];
+  if (p.state != mem::PageState::kSwapCache || p.in_flight ||
+      p.under_writeback)
+    return false;
+  tracer_.Span(std::uint32_t(app.index), ThreadTrack(th), trace::Name::kMap,
+               sim_.Now() - kMapCost, sim_.Now(), acc.page);
+  MapCachedPage(app, acc.page);
+  if (acc.write) MarkDirty(app, p);
+  ++app.metrics.accesses;
+  return true;
 }
 
 void SwapSystem::MapCachedPage(AppState& app, PageId page) {
@@ -1356,7 +1391,7 @@ void SwapSystem::MapCachedPage(AppState& app, PageId page) {
   if (!app.reservation && p.entry != kInvalidEntry &&
       p.entry != p.reserved) {
     double free_frac = 1.0 - PartitionFor(app, p).allocator().Utilization();
-    if (free_frac < cfg_.entry_keep_free_threshold) {
+    if (free_frac < kEntryKeepFreeThreshold) {
       FreeEntry(app, p);
       p.dirty = true;  // no backing copy: next eviction writes back
     }
@@ -1373,12 +1408,12 @@ void SwapSystem::DemandSwapIn(AppState& app, ThreadCtx& th,
   NoteTierHeat(app, acc.page);
   tracer_.Span(std::uint32_t(app.index), ThreadTrack(th),
                trace::Name::kSwapCacheLookup, sim_.Now(),
-               sim_.Now() + cfg_.fault_entry_cost, acc.page);
+               sim_.Now() + kFaultEntryCost, acc.page);
   // The trap/lookup cost precedes the charge + I/O issue. The closures carry
   // only the fault instant; the prefetcher's FaultInfo is rebuilt from it
   // (keeping each hop inside InlineCallback's buffer).
-  sim_.Schedule(cfg_.fault_entry_cost, [this, a = &app, t = &th, acc,
-                                        fault_at = sim_.Now()] {
+  sim_.Schedule(kFaultEntryCost, [this, a = &app, t = &th, acc,
+                                  fault_at = sim_.Now()] {
     mem::Page& p = a->pages[acc.page];
     if (p.state != mem::PageState::kRemote) {
       // Another thread started (or finished) handling this page meanwhile.
@@ -1398,8 +1433,7 @@ void SwapSystem::DemandSwapIn(AppState& app, ThreadCtx& th,
       pg.in_flight = true;
       pg.in_flight_prefetch = false;
       std::uint32_t expected = ++pg.seq;
-      if (pg.entry != kInvalidEntry)
-        PartitionFor(*a, pg).meta(pg.entry).prefetch_ts = kTimeNever;
+      ClearPrefetchTs(*a, pg);
 
       auto req = NewRequest(*a, acc.page, pg.entry, rdma::Op::kDemandIn,
                             pg.shared ? shared_cg_ : a->cg, /*place=*/false);
@@ -1425,24 +1459,14 @@ void SwapSystem::DemandSwapIn(AppState& app, ThreadCtx& th,
         LandRead(*a, page, r);
         if (r.served_by == SwapBackend::kRemote)
           MaybePromoteToTier(*a, page, pg2);
-        sim_.Schedule(cfg_.map_cost, [this, a, t, acc, expected] {
-          PageId page = acc.page;
-          mem::Page& pg3 = a->pages[page];
-          if (pg3.seq == expected &&
-              pg3.state == mem::PageState::kSwapCache && !pg3.in_flight &&
-              !pg3.under_writeback) {
-            tracer_.Span(std::uint32_t(a->index), ThreadTrack(*t),
-                         trace::Name::kMap, sim_.Now() - cfg_.map_cost,
-                         sim_.Now(), page);
-            MapCachedPage(*a, page);
-            if (acc.write) MarkDirty(*a, pg3);
-            ++a->metrics.accesses;
-            WakeWaiters(*a, page);
-            ResumeThread(*a, *t, page);
-            return;
-          }
-          WakeWaiters(*a, page);
-          HandleFault(*a, *t, acc, /*retry=*/true);
+        sim_.Schedule(kMapCost, [this, a, t, acc, expected] {
+          bool mapped =
+              a->pages[acc.page].seq == expected && MapIfIdle(*a, *t, acc);
+          WakeWaiters(*a, acc.page);
+          if (mapped)
+            ResumeThread(*a, *t, acc.page);
+          else
+            HandleFault(*a, *t, acc, /*retry=*/true);
         });
       };
       SubmitRead(*a, acc.page, std::move(req));
@@ -1464,15 +1488,13 @@ void SwapSystem::IssuePrefetches(AppState& app,
   // traffic keeps the detectors warm for recovery. A server-targeted
   // blackout leaves the fabric up: its pages are disk-backed, and the
   // candidate loop below skips those.
-  if (injector_ && (injector_->FabricDown(sim_.Now()) ||
-                    cgroups_.Get(app.cg).backend() != SwapBackend::kRemote))
-    return;
+  if (RemotePathDown(app)) return;
   prefetch_buf_.clear();
   prefetcher_->OnFault(info, prefetch_buf_);
   Cgroup& cg = cgroups_.Get(app.cg);
   bool charged_over = false;
   for (PageId cand : prefetch_buf_) {
-    if (app.prefetch_inflight >= cfg_.max_inflight_prefetch) break;
+    if (app.prefetch_inflight >= kMaxInflightPrefetch) break;
     if (cand >= app.pages.size()) continue;
     mem::Page& p = app.pages[cand];
     if (p.state != mem::PageState::kRemote || p.shared) continue;
@@ -1481,86 +1503,94 @@ void SwapSystem::IssuePrefetches(AppState& app,
     // batch (kernel watermark slack); background reclaim below pushes the
     // usage back down by evicting LRU pages — prefetched data displacing
     // resident pages is the cache-pollution dynamic of §3.
-    if (cg.charged_pages() + 1 >
-        cg.spec().local_mem_pages + cfg_.reclaim_batch)
+    if (cg.charged_pages() + 1 > cg.spec().local_mem_pages + kReclaimBatch)
       break;
     if (cg.charged_pages() + 1 > cg.spec().local_mem_pages)
       charged_over = true;
-
-    cg.ChargeCache();
-    app.cache->Insert(app.cg, cand, /*locked=*/true, /*prefetched=*/true,
-                      sim_.Now());
-    p.state = mem::PageState::kSwapCache;
-    p.in_flight = true;
-    p.in_flight_prefetch = true;
-    p.prefetched_unused = true;
-    std::uint32_t expected = ++p.seq;
-    auto& pmeta = PartitionFor(app, p).meta(p.entry);
-    pmeta.prefetch_ts = sim_.Now();
-    pmeta.valid = true;
-    ++app.metrics.prefetch_issued;
-    ++app.prefetch_inflight;
-    tracer_.Instant(std::uint32_t(app.index), trace::kCgroupTrack,
-                    trace::Name::kPrefetchIssue, sim_.Now(), cand);
-
-    auto req = NewRequest(app, cand, p.entry, rdma::Op::kPrefetchIn, app.cg,
-                          /*place=*/false);
-    req->on_complete = [this, a = &app, cand,
-                        expected](const rdma::Request& r) {
-      if (a->prefetch_inflight > 0) --a->prefetch_inflight;
-      mem::Page& pg = a->pages[cand];
-      if (pg.seq != expected) return;  // page moved on
-      if (pg.entry != kInvalidEntry) {
-        auto& m = PartitionFor(*a, pg).meta(pg.entry);
-        if (!m.valid) {
-          // A rescuing demand request took over this page (§5.3): the stale
-          // prefetch discards itself.
-          m.valid = true;
-          ++a->metrics.prefetch_discarded;
-          tracer_.Instant(std::uint32_t(a->index), trace::kCgroupTrack,
-                          trace::Name::kPrefetchDiscard, sim_.Now(), cand);
-          return;
-        }
-      }
-      if (pg.state != mem::PageState::kSwapCache || !pg.in_flight) return;
-      ++a->metrics.prefetch_completed;
-      LandRead(*a, cand, r);
-      WakeWaiters(*a, cand);
-      // Enforce the cache budget after arrival.
-      ShrinkCache(*a, a->cache->capacity());
-    };
-    req->on_drop = [this, a = &app, cand, expected](const rdma::Request&) {
-      if (a->prefetch_inflight > 0) --a->prefetch_inflight;
-      mem::Page& pg = a->pages[cand];
-      ++a->metrics.prefetch_dropped;
-      tracer_.Instant(std::uint32_t(a->index), trace::kCgroupTrack,
-                      trace::Name::kPrefetchDrop, sim_.Now(), cand);
-      if (pg.seq != expected) return;  // a rescue demand owns the page now
-      auto key = WaiterKey(*a, cand);
-      if (waiters_.Contains(key)) {
-        // Threads already block on this page: convert to a demand fetch.
-        IssueRescueDemand(*a, cand);
-        return;
-      }
-      // Nobody needs it yet: unwind the in-flight state entirely.
-      a->cache->Remove(a->cg, cand);
-      CgroupFor(*a, pg).UnchargeCache();
-      pg.state = mem::PageState::kRemote;
-      pg.in_flight = false;
-      pg.in_flight_prefetch = false;
-      pg.prefetched_unused = false;
-      if (pg.entry != kInvalidEntry)
-        PartitionFor(*a, pg).meta(pg.entry).prefetch_ts = kTimeNever;
-      GrantFrames(*a);
-    };
-    SubmitRead(app, cand, std::move(req));
+    IssueAsyncRead(app, cand, /*speculative=*/true);
   }
   // kswapd analogue: bring usage back under the limit in the background.
   if (charged_over && app.active_reclaimers == 0) {
     ++app.active_reclaimers;
     ReclaimLoop(app, app.threads.empty() ? 0 : app.threads.front().core,
-                cfg_.reclaim_batch);
+                kReclaimBatch);
   }
+}
+
+void SwapSystem::IssueAsyncRead(AppState& app, PageId page, bool speculative) {
+  // Callers guarantee: kRemote, not shared, entry valid, remote path up.
+  // StepObjectPage checked the page was not disk-backed, but its slab may
+  // have gone to disk while it waited for a frame; SubmitRead then reads
+  // the disk. A tier-homed page is read from the tier, which always
+  // completes, so on_drop stays unused there.
+  mem::Page& p = app.pages[page];
+  cgroups_.Get(app.cg).ChargeCache();
+  app.cache->Insert(app.cg, page, /*locked=*/true, speculative, sim_.Now());
+  p.state = mem::PageState::kSwapCache;
+  p.in_flight = true;
+  p.in_flight_prefetch = true;  // async class: §5.3 drop and rescue apply
+  p.prefetched_unused = speculative;  // a declared read keeps accuracy clean
+  std::uint32_t expected = ++p.seq;
+  auto& pmeta = PartitionFor(app, p).meta(p.entry);
+  pmeta.prefetch_ts = sim_.Now();
+  pmeta.valid = true;
+  ++(speculative ? app.metrics.prefetch_issued : app.metrics.object_fetches);
+  // Declared reads skip the kMaxInflightPrefetch cap (the pin budget bounds
+  // them) but still count here for reap quiescence.
+  ++app.prefetch_inflight;
+  tracer_.Instant(std::uint32_t(app.index), trace::kCgroupTrack,
+                  trace::Name::kPrefetchIssue, sim_.Now(), page);
+
+  auto req = NewRequest(app, page, p.entry, rdma::Op::kPrefetchIn, app.cg,
+                        /*place=*/false);
+  req->on_complete = [this, a = &app, page, expected,
+                      speculative](const rdma::Request& r) {
+    if (a->prefetch_inflight > 0) --a->prefetch_inflight;
+    mem::Page& pg = a->pages[page];
+    if (pg.seq != expected) return;  // page moved on
+    if (pg.entry != kInvalidEntry) {
+      auto& m = PartitionFor(*a, pg).meta(pg.entry);
+      if (!m.valid) {
+        // A rescuing demand request took over this page (§5.3): the stale
+        // read discards itself.
+        m.valid = true;
+        ++a->metrics.prefetch_discarded;
+        tracer_.Instant(std::uint32_t(a->index), trace::kCgroupTrack,
+                        trace::Name::kPrefetchDiscard, sim_.Now(), page);
+        return;
+      }
+    }
+    if (pg.state != mem::PageState::kSwapCache || !pg.in_flight) return;
+    if (speculative) ++a->metrics.prefetch_completed;
+    LandRead(*a, page, r);
+    WakeWaiters(*a, page);  // a declared read's batch continuation re-steps
+    // Enforce the cache budget after arrival.
+    ShrinkCache(*a, a->cache->capacity());
+  };
+  req->on_drop = [this, a = &app, page, expected](const rdma::Request&) {
+    if (a->prefetch_inflight > 0) --a->prefetch_inflight;
+    mem::Page& pg = a->pages[page];
+    ++a->metrics.prefetch_dropped;
+    tracer_.Instant(std::uint32_t(a->index), trace::kCgroupTrack,
+                    trace::Name::kPrefetchDrop, sim_.Now(), page);
+    if (pg.seq != expected) return;  // a rescue demand owns the page now
+    if (waiters_.Contains(WaiterKey(*a, page))) {
+      // Threads (or a declared read's batch) already block on this page:
+      // convert to a demand fetch.
+      IssueRescueDemand(*a, page);
+      return;
+    }
+    // Nobody needs it yet: unwind the in-flight state entirely.
+    a->cache->Remove(a->cg, page);
+    CgroupFor(*a, pg).UnchargeCache();
+    pg.state = mem::PageState::kRemote;
+    pg.in_flight = false;
+    pg.in_flight_prefetch = false;
+    pg.prefetched_unused = false;
+    ClearPrefetchTs(*a, pg);
+    GrantFrames(*a);
+  };
+  SubmitRead(app, page, std::move(req));
 }
 
 void SwapSystem::IssueRescueDemand(AppState& app, PageId page) {
@@ -1568,8 +1598,7 @@ void SwapSystem::IssueRescueDemand(AppState& app, PageId page) {
   assert(p.state == mem::PageState::kSwapCache && p.in_flight);
   p.in_flight_prefetch = false;
   p.prefetched_unused = false;
-  if (p.entry != kInvalidEntry)
-    PartitionFor(app, p).meta(p.entry).prefetch_ts = kTimeNever;
+  ClearPrefetchTs(app, p);
   tracer_.Instant(std::uint32_t(app.index), trace::kCgroupTrack,
                   trace::Name::kRescue, sim_.Now(), page);
   std::uint32_t expected = ++p.seq;  // take over from the stale prefetch
@@ -1647,10 +1676,6 @@ void SwapSystem::LandRead(AppState& app, PageId page, const rdma::Request& r) {
 // Object-granularity cooperative swapping (DESIGN.md §16)
 // ---------------------------------------------------------------------------
 
-void SwapSystem::CoopDone(CoopBatch& batch) {
-  if (--batch.pending == 0 && batch.ready) batch.ready();
-}
-
 bool SwapSystem::PumpBehaviours(AppState& app, ThreadCtx& th) {
   std::uint64_t next = th.stream->NextBehaviour();
   if (th.behaviour != object::kNoBehaviour && th.behaviour != next) {
@@ -1660,7 +1685,6 @@ bool SwapSystem::PumpBehaviours(AppState& app, ThreadCtx& th) {
   }
   if (next == object::kNoBehaviour) {
     // Unstructured (or drained) stream: plain page-granular execution.
-    SyncObjectMetrics(app);
     return false;
   }
   if (th.behaviour == next) return false;  // still inside the behaviour
@@ -1672,19 +1696,16 @@ bool SwapSystem::PumpBehaviours(AppState& app, ThreadCtx& th) {
     // The scheduler declined to declare (no resolvable read-set): run the
     // behaviour page-granular so the thread keeps making progress.
     th.behaviour = next;
-    SyncObjectMetrics(app);
     return false;
   }
   if (app.behaviours->FrontReady(th.tid)) {
     app.behaviours->Dispatch(th.tid);
     th.behaviour = next;
-    SyncObjectMetrics(app);
     return false;
   }
   // Read-set still arriving: park until the batch's `ready` fires.
   th.parked = true;
   th.park_started = sim_.Now();
-  SyncObjectMetrics(app);
   return true;
 }
 
@@ -1720,46 +1741,37 @@ void SwapSystem::CooperativeFetchAndPin(AppState& app,
     ++batch->pending;
     StepObjectPage(app, page, batch);
   }
-  CoopDone(*batch);  // release the scan sentinel
+  batch->Done();  // release the scan sentinel
 }
 
 void SwapSystem::StepObjectPage(AppState& app, PageId page,
                                 std::shared_ptr<CoopBatch> batch) {
   if (app.reaped) {
-    CoopDone(*batch);
+    batch->Done();
     return;
   }
   mem::Page& p = app.pages[page];
+  CoreId core = app.threads.empty() ? 0 : app.threads.front().core;
   switch (p.state) {
     case mem::PageState::kUntouched: {
       // MAP_POPULATE-style preparation: commit the zero-fill frame ahead
       // of dispatch so the behaviour's first touch is a plain resident
       // access instead of a direct-reclaim stall mid-behaviour. Any
       // reclaim this triggers overlaps the previous behaviour's compute.
-      CoreId core = app.threads.empty() ? 0 : app.threads.front().core;
       EnsureFrame(app, core, [this, a = &app, page, batch] {
-        if (a->reaped) {
-          CoopDone(*batch);
+        if (a->reaped || a->pages[page].state != mem::PageState::kUntouched) {
+          StepObjectPage(*a, page, batch);  // reaped or touched meanwhile
           return;
         }
-        mem::Page& pg = a->pages[page];
-        if (pg.state != mem::PageState::kUntouched) {
-          StepObjectPage(*a, page, batch);  // touched while we waited
-          return;
-        }
-        pg.state = mem::PageState::kResident;
-        pg.dirty = true;  // anonymous page with no backing store yet
-        ++pg.content_version;
+        ZeroFill(*a, page);
         ++a->metrics.first_touches;
-        cgroups_.Get(a->cg).ChargeResident();
-        a->lru->AddActive(page);
-        CoopDone(*batch);
+        batch->Done();
       });
       return;
     }
     case mem::PageState::kResident:
       // Local already.
-      CoopDone(*batch);
+      batch->Done();
       return;
     case mem::PageState::kSwapCache:
       if (p.in_flight || p.under_writeback) {
@@ -1772,7 +1784,7 @@ void SwapSystem::StepObjectPage(AppState& app, PageId page,
       }
       // Cached and idle: the pin keeps the entry locked against shrinking.
       if (p.pins != 0) CacheFor(app, p).Lock(app.cg, page);
-      CoopDone(*batch);
+      batch->Done();
       return;
     case mem::PageState::kRemote: {
       // Blackout / failover / disk-homed / shared copies stay with the
@@ -1782,21 +1794,13 @@ void SwapSystem::StepObjectPage(AppState& app, PageId page,
       // fetched cooperatively: the tier backend never drops, so the batch
       // continuation is safe there.)
       if (app.retiring || p.shared || p.entry == kInvalidEntry ||
-          p.home == SwapBackend::kLocalDisk ||
-          (injector_ &&
-           (injector_->FabricDown(sim_.Now()) ||
-            cgroups_.Get(app.cg).backend() != SwapBackend::kRemote))) {
-        CoopDone(*batch);
+          p.home == SwapBackend::kLocalDisk || RemotePathDown(app)) {
+        batch->Done();
         return;
       }
-      CoreId core = app.threads.empty() ? 0 : app.threads.front().core;
       EnsureFrame(app, core, [this, a = &app, page, batch] {
-        if (a->reaped) {
-          CoopDone(*batch);
-          return;
-        }
-        mem::Page& pg = a->pages[page];
-        if (pg.state != mem::PageState::kRemote || pg.in_flight) {
+        if (a->reaped || a->pages[page].state != mem::PageState::kRemote ||
+            a->pages[page].in_flight) {
           StepObjectPage(*a, page, batch);  // raced: re-examine from the top
           return;
         }
@@ -1805,69 +1809,11 @@ void SwapSystem::StepObjectPage(AppState& app, PageId page,
         // demand (§5.3) whose completion wakes this batch.
         waiters_[WaiterKey(*a, page)].push_back(
             [this, a, page, batch] { StepObjectPage(*a, page, batch); });
-        IssueCooperativeFetch(*a, page);
+        IssueAsyncRead(*a, page, /*speculative=*/false);
       });
       return;
     }
   }
-}
-
-void SwapSystem::IssueCooperativeFetch(AppState& app, PageId page) {
-  // Caller (StepObjectPage) guarantees: kRemote, not in flight, entry
-  // valid, healthy fabric, batch waiter registered. The page was not
-  // disk-backed when the caller checked, but its slab may have gone to
-  // disk while it waited for a frame; SubmitRead then reads the disk.
-  mem::Page& p = app.pages[page];
-  cgroups_.Get(app.cg).ChargeCache();
-  app.cache->Insert(app.cg, page, /*locked=*/true, /*prefetched=*/false,
-                    sim_.Now());
-  p.state = mem::PageState::kSwapCache;
-  p.in_flight = true;
-  p.in_flight_prefetch = true;  // async class: §5.3 rescue applies
-  p.prefetched_unused = false;  // declared, not speculative: accuracy clean
-  std::uint32_t expected = ++p.seq;
-  auto& pmeta = PartitionFor(app, p).meta(p.entry);
-  pmeta.prefetch_ts = sim_.Now();
-  pmeta.valid = true;
-  ++app.metrics.object_fetches;
-  // Reap-quiescence accounting; no max_inflight_prefetch cap — the pin
-  // budget already bounds cooperative in-flight pages.
-  ++app.prefetch_inflight;
-  tracer_.Instant(std::uint32_t(app.index), trace::kCgroupTrack,
-                  trace::Name::kPrefetchIssue, sim_.Now(), page);
-
-  auto req = NewRequest(app, page, p.entry, rdma::Op::kPrefetchIn, app.cg,
-                        /*place=*/false);
-  req->on_complete = [this, a = &app, page, expected](const rdma::Request& r) {
-    if (a->prefetch_inflight > 0) --a->prefetch_inflight;
-    mem::Page& pg = a->pages[page];
-    if (pg.seq != expected) return;  // page moved on (a rescue owns it)
-    if (pg.entry != kInvalidEntry) {
-      auto& m = PartitionFor(*a, pg).meta(pg.entry);
-      if (!m.valid) {
-        // A rescuing demand took over (§5.3): stale data discards itself.
-        m.valid = true;
-        ++a->metrics.prefetch_discarded;
-        return;
-      }
-    }
-    if (pg.state != mem::PageState::kSwapCache || !pg.in_flight) return;
-    LandRead(*a, page, r);
-    WakeWaiters(*a, page);  // the batch continuation re-steps here
-    ShrinkCache(*a, a->cache->capacity());
-  };
-  req->on_drop = [this, a = &app, page, expected](const rdma::Request&) {
-    if (a->prefetch_inflight > 0) --a->prefetch_inflight;
-    mem::Page& pg = a->pages[page];
-    ++a->metrics.prefetch_dropped;
-    if (pg.seq != expected) return;
-    // The batch continuation is always a registered waiter, so a drop
-    // converts to a rescue demand rather than unwinding in-flight state.
-    IssueRescueDemand(*a, page);
-  };
-  // A tier-homed page is read from the tier, which always completes, so
-  // on_drop stays unused there.
-  SubmitRead(app, page, std::move(req));
 }
 
 void SwapSystem::CooperativeRelease(AppState& app,
@@ -1883,21 +1829,6 @@ void SwapSystem::CooperativeRelease(AppState& app,
     if (p.state == mem::PageState::kSwapCache && !p.in_flight &&
         !p.under_writeback)
       CacheFor(app, p).Unlock(app.cg, page);
-  }
-}
-
-void SwapSystem::SyncObjectMetrics(AppState& app) {
-  if (!app.behaviours) return;
-  const object::BehaviourStats& s = app.behaviours->stats();
-  AppMetrics& m = app.metrics;
-  m.behaviours_declared = s.declared;
-  m.behaviours_dispatched = s.dispatched;
-  m.behaviours_completed = s.completed;
-  m.object_stale_handles = s.stale_reads;
-  m.behaviour_deferrals = s.budget_deferrals;
-  if (app.objects) {
-    m.object_pins = app.objects->pins_issued();
-    m.object_unpins = app.objects->pins_released();
   }
 }
 
@@ -2007,7 +1938,7 @@ void SwapSystem::ReclaimLoop(AppState& app, CoreId core,
   CgroupFor(app, p).ChargeCache();
   CacheFor(app, p).Insert(app.cg, v, /*locked=*/true,
                           /*prefetched=*/false, sim_.Now());
-  sim_.Schedule(cfg_.evict_page_cost, [this, a = &app, v, core, budget] {
+  sim_.Schedule(kEvictPageCost, [this, a = &app, v, core, budget] {
     AllocateEntryAndWriteback(*a, v, core, /*attempts=*/3, budget);
   });
 }
@@ -2040,14 +1971,14 @@ void SwapSystem::AllocateEntryAndWriteback(AppState& app, PageId victim,
       // Partition full: reclaim kept entries / reservations, then retry.
       std::size_t freed = 0;
       if (a->reservation)
-        freed = a->reservation->EmergencyReclaim(cfg_.strip_batch);
-      if (freed == 0) freed = StripKeptEntries(*a, cfg_.strip_batch);
+        freed = a->reservation->EmergencyReclaim(kStripBatch);
+      if (freed == 0) freed = StripKeptEntries(*a, kStripBatch);
       if (freed == 0) {
         // Shared partition: strip from co-runners too.
         for (auto& other : apps_) {
           if (!other || other.get() == a) continue;
           if (other->partition != a->partition) continue;
-          freed += StripKeptEntries(*other, cfg_.strip_batch);
+          freed += StripKeptEntries(*other, kStripBatch);
           if (freed) break;
         }
       }
@@ -2180,8 +2111,7 @@ bool SwapSystem::ReleaseColdestCachePage(AppState& app) {
   if (p.prefetched_unused) {
     p.prefetched_unused = false;
     ++owner.metrics.prefetch_wasted;
-    if (p.entry != kInvalidEntry)
-      PartitionFor(owner, p).meta(p.entry).prefetch_ts = kTimeNever;
+    ClearPrefetchTs(owner, p);
     if (prefetcher_) prefetcher_->OnPrefetchWasted(owner.cg, victim.page);
   }
   GrantFrames(owner);

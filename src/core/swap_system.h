@@ -254,12 +254,11 @@ class SwapSystem {
     bool reclaim_retry_scheduled = false;
     PageId strip_cursor = 0;
     std::uint32_t prefetch_inflight = 0;
-    /// Object-granularity cooperative swapping (DESIGN.md §16): registry,
-    /// port, and behaviour scheduler. All null unless
+    /// Object-granularity cooperative swapping (DESIGN.md §16): registry
+    /// and behaviour scheduler. Both null unless
     /// SystemConfig::objects.enabled and the workload ships a registry, so
     /// the classic path never pays for them.
     std::shared_ptr<object::ObjectRegistry> objects;
-    std::unique_ptr<object::CooperativePort> object_port;
     std::unique_ptr<object::BehaviourScheduler> behaviours;
     /// Hybrid-tier policy state (sized only when the tier is enabled):
     /// per-page-group demand-fault heat for Memtrade-style cold detection
@@ -299,8 +298,7 @@ class SwapSystem {
   void KswapdTick(AppState& app);
 
   // --- object-granularity cooperative swapping (DESIGN.md §16) ---
-  class ObjectPort;   // CooperativePort implementation over this system
-  struct CoopBatch;   // in-flight state of one FetchAndPin batch
+  struct CoopBatch;   // in-flight state of one CooperativeFetchAndPin batch
   /// Behaviour pump at dispatch: retire a finished behaviour, declare +
   /// fetch lookahead read-sets, dispatch the front once its batch is
   /// local. Returns true when the thread parked waiting for the batch
@@ -309,22 +307,16 @@ class SwapSystem {
   /// Scheduler ready callback: unpark `tid` if it waits on its front
   /// behaviour, charging the wait to behaviour_stall.
   void OnBehaviourReady(AppState& app, ThreadId tid);
-  /// CooperativePort mechanism: pin one behaviour's deduplicated page
-  /// batch and make every page local; `ready` fires once when done.
+  /// Behaviour fetch callback: pin one behaviour's deduplicated page batch
+  /// and make every page local; `ready` fires once when done.
   void CooperativeFetchAndPin(AppState& app, const std::vector<PageId>& pages,
                               std::function<void()> ready);
-  /// Balance FetchAndPin: unpin, re-exposing the pages to eviction.
+  /// Behaviour release callback: unpin, re-exposing the pages to eviction.
   void CooperativeRelease(AppState& app, const std::vector<PageId>& pages);
   /// Drive one pinned page toward residency (waiter-chained through
   /// writeback/fetch completions); counts down the batch when local.
   void StepObjectPage(AppState& app, PageId page,
                       std::shared_ptr<CoopBatch> batch);
-  /// Issue one object-granular fetch through the cooperative channel
-  /// (async class; the §5.3 drop -> rescue conversion keeps it alive).
-  void IssueCooperativeFetch(AppState& app, PageId page);
-  void CoopDone(CoopBatch& batch);
-  /// Mirror scheduler/registry counters into AppMetrics.
-  void SyncObjectMetrics(AppState& app);
 
   // --- fault path ---
   // A fault's only continuation is ResumeThread on the faulting thread, so
@@ -334,8 +326,13 @@ class SwapSystem {
   void FaultOnCachedPage(AppState& app, ThreadCtx& th, workload::Access acc,
                          bool retry);
   void MapCachedPage(AppState& app, PageId page);
+  /// Map `acc.page` and complete the access if it sits idle in the cache.
+  bool MapIfIdle(AppState& app, ThreadCtx& th, workload::Access acc);
   void DemandSwapIn(AppState& app, ThreadCtx& th, workload::Access acc);
   void IssuePrefetches(AppState& app, const prefetch::FaultInfo& info);
+  /// One async-class read of remote `page`: a prefetch, or a declared object
+  /// read when not `speculative`. Holds the only §5.3 drop/discard/rescue.
+  void IssueAsyncRead(AppState& app, PageId page, bool speculative);
   /// Take an in-flight page over from its stale async fetch (§5.3) and
   /// issue a demand read for it.
   void IssueRescueDemand(AppState& app, PageId page);
@@ -436,6 +433,12 @@ class SwapSystem {
   void ReleaseTierResidency(AppState& app, mem::Page& p);
 
   // --- helpers ---
+  /// Fabric dark or cgroup failed over: async reads stay off the fabric.
+  bool RemotePathDown(AppState& app);
+  void TouchResident(AppState& app, workload::Access acc);
+  /// First touch: a dirty zero-filled resident frame.
+  void ZeroFill(AppState& app, PageId page);
+  void ClearPrefetchTs(AppState& app, const mem::Page& p);
   swapalloc::SwapPartition& PartitionFor(AppState& app, const mem::Page& p);
   mem::SwapCache& CacheFor(AppState& app, const mem::Page& p);
   Cgroup& CgroupFor(AppState& app, const mem::Page& p);

@@ -22,25 +22,6 @@
 
 namespace canvas::fault {
 
-/// Knobs for the swap system's failover/failback state machine (the
-/// injector provides the signals; SwapSystem owns the transitions).
-struct RecoveryConfig {
-  /// Consecutive retry-exhausted requests before a cgroup fails over to the
-  /// local-disk backend (1 = the first exhausted request triggers it; each
-  /// exhausted request already represents max_retries failed attempts).
-  std::uint32_t failover_after_exhausted = 1;
-  /// How long a failed-over cgroup waits before probing the remote path
-  /// again (fail back). Blackout recovery also fails back immediately via
-  /// the injector's server-up callback.
-  SimDuration failback_delay = 5 * kMillisecond;
-  /// Pause before a retry-exhausted demand read is re-enqueued. Demand
-  /// swap-ins cannot fail over — the only copy of the page is remote — so
-  /// they are reissued until the fabric heals.
-  SimDuration demand_reissue_delay = 100 * kMicrosecond;
-
-  bool operator==(const RecoveryConfig&) const = default;
-};
-
 class FaultInjector {
  public:
   struct Stats {

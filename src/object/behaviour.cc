@@ -6,7 +6,7 @@ namespace canvas::object {
 
 void BehaviourScheduler::Pump(ThreadId tid, const PeekFn& peek) {
   std::deque<Behaviour>& q = queues_[tid];
-  while (q.size() < cfg_.lookahead) {
+  while (q.size() < kLookahead) {
     std::vector<ObjectHandle> reads;
     if (!peek(q.size(), reads)) break;
 
@@ -32,8 +32,8 @@ void BehaviourScheduler::Pump(ThreadId tid, const PeekFn& peek) {
 
     // The front behaviour is always admitted (the thread cannot make
     // progress otherwise); lookahead beyond it respects the pin budget.
-    if (!q.empty() && cfg_.max_pinned_pages &&
-        open_pages_ + b.pages.size() > cfg_.max_pinned_pages) {
+    if (!q.empty() && pin_budget_ &&
+        open_pages_ + b.pages.size() > pin_budget_) {
       ++stats_.budget_deferrals;
       break;
     }
@@ -45,11 +45,11 @@ void BehaviourScheduler::Pump(ThreadId tid, const PeekFn& peek) {
     ++stats_.declared;
     q.push_back(std::move(b));
 
-    // Issue after enqueue: the port may invoke `ready` synchronously when
+    // Issue after enqueue: the fetch may invoke `ready` synchronously when
     // every page is already local.
     Behaviour& issued = q.back();
     BehaviourId id = issued.id;
-    port_->FetchAndPin(issued.pages, [this, tid, id] {
+    fetch_(issued.pages, [this, tid, id] {
       auto it = queues_.find(tid);
       if (it == queues_.end()) return;  // thread released meanwhile
       for (Behaviour& cand : it->second) {
@@ -86,7 +86,7 @@ BehaviourId BehaviourScheduler::Dispatch(ThreadId tid) {
 
 void BehaviourScheduler::Unwind(Behaviour& b) {
   for (ObjectHandle h : b.objects) registry_->Unpin(h);
-  port_->Release(b.pages);
+  release_(b.pages);
   open_pages_ -= b.pages.size();
 }
 

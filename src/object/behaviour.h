@@ -6,14 +6,14 @@
 // of dispatch and the work never takes a demand fault. The scheduler keeps
 // a per-thread FIFO of declared behaviours, resolves each read-set to pages
 // through the ObjectRegistry (generation-checked), issues one object-
-// granular fetch batch per behaviour through the CooperativePort, pins the
+// granular fetch batch per behaviour through its fetch callback, pins the
 // objects for the behaviour's duration, and unpins at completion so normal
 // writeback/eviction resumes.
 //
 // The scheduler is policy only: it owns no pages and issues no I/O itself.
-// The port — implemented by core::SwapSystem — is the mechanism boundary,
-// which is what keeps this library free of core dependencies (common ->
-// runtime -> object -> workload -> core).
+// Its fetch and release callbacks — bound by core::SwapSystem — are the
+// mechanism boundary, which is what keeps this library free of core
+// dependencies (common -> runtime -> object -> workload -> core).
 #pragma once
 
 #include <cstdint>
@@ -26,33 +26,6 @@
 #include "object/registry.h"
 
 namespace canvas::object {
-
-/// Mechanism boundary into the swap core. Both calls operate on the
-/// deduplicated page set of one behaviour.
-class CooperativePort {
- public:
-  virtual ~CooperativePort() = default;
-
-  /// Make every page local and pinned (remote pages are fetched through the
-  /// cooperative channel; local/cached pages are pinned in place). Invokes
-  /// `ready` exactly once when the whole batch is local — immediately when
-  /// nothing needs fetching. The pages stay pinned until Release.
-  virtual void FetchAndPin(const std::vector<PageId>& pages,
-                           std::function<void()> ready) = 0;
-
-  /// Balance a completed FetchAndPin: unpin the pages so they rejoin the
-  /// normal eviction/writeback lifecycle.
-  virtual void Release(const std::vector<PageId>& pages) = 0;
-};
-
-struct SchedulerConfig {
-  /// Behaviours fetched ahead of the one running (>= 1).
-  std::uint32_t lookahead = 2;
-  /// Pinned-page budget across all open behaviours; 0 = unbounded. The
-  /// front behaviour of a thread is always admitted (progress guarantee) —
-  /// the budget gates only the lookahead.
-  std::uint64_t max_pinned_pages = 0;
-};
 
 struct BehaviourStats {
   std::uint64_t declared = 0;
@@ -74,14 +47,33 @@ class BehaviourScheduler {
   /// Fired when the *front* behaviour of `tid` becomes ready while a
   /// consumer may be parked on it.
   using ReadyFn = std::function<void(ThreadId tid)>;
+  /// Make every page of one behaviour's deduplicated set local and pinned
+  /// (remote pages are fetched through the cooperative channel; local and
+  /// cached pages are pinned in place). Invokes `ready` exactly once when
+  /// the whole batch is local — immediately when nothing needs fetching.
+  /// The pages stay pinned until the release callback.
+  using FetchFn =
+      std::function<void(const std::vector<PageId>&, std::function<void()>)>;
+  /// Balance a completed fetch: unpin the pages so they rejoin the normal
+  /// eviction/writeback lifecycle.
+  using ReleaseFn = std::function<void(const std::vector<PageId>&)>;
 
-  BehaviourScheduler(ObjectRegistry* registry, CooperativePort* port,
-                     SchedulerConfig cfg)
-      : cfg_(cfg), registry_(registry), port_(port) {}
+  /// Behaviours fetched ahead of the one running, per thread.
+  static constexpr std::size_t kLookahead = 2;
+
+  /// `pin_budget` caps pinned pages across all open behaviours (0 =
+  /// unbounded). The front behaviour of a thread is always admitted
+  /// (progress guarantee), so the budget gates only the lookahead.
+  BehaviourScheduler(ObjectRegistry* registry, FetchFn fetch,
+                     ReleaseFn release, std::uint64_t pin_budget)
+      : registry_(registry),
+        fetch_(std::move(fetch)),
+        release_(std::move(release)),
+        pin_budget_(pin_budget) {}
 
   void SetReadyCallback(ReadyFn fn) { on_ready_ = std::move(fn); }
 
-  /// Declare + fetch up to `lookahead` behaviours ahead of the dispatch
+  /// Declare + fetch up to kLookahead behaviours ahead of the dispatch
   /// point for `tid`, pulling read-sets through `peek`.
   void Pump(ThreadId tid, const PeekFn& peek);
 
@@ -92,7 +84,7 @@ class BehaviourScheduler {
   /// Mark the front behaviour running; returns its id.
   BehaviourId Dispatch(ThreadId tid);
   /// Retire the running front behaviour: unpin its objects and release its
-  /// pages through the port.
+  /// pages through the release callback.
   void CompleteFront(ThreadId tid);
   /// Thread finished or tenant retiring: complete/abandon every open
   /// behaviour of `tid`, releasing all pins.
@@ -114,9 +106,10 @@ class BehaviourScheduler {
 
   void Unwind(Behaviour& b);
 
-  SchedulerConfig cfg_;
   ObjectRegistry* registry_;
-  CooperativePort* port_;
+  FetchFn fetch_;
+  ReleaseFn release_;
+  std::uint64_t pin_budget_;
   ReadyFn on_ready_;
   BehaviourId next_id_ = 0;
   /// Ordered map for deterministic teardown; per-thread declaration FIFOs.

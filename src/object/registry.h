@@ -62,11 +62,6 @@ class ObjectRegistry {
  public:
   explicit ObjectRegistry(RegistryConfig cfg = {}) : cfg_(cfg) {}
 
-  /// Replace the quotas (tenant admission applies SystemConfig limits to a
-  /// registry the workload built). Already-registered objects are kept even
-  /// if they exceed the new maxima; only future Registers are gated.
-  void SetQuota(RegistryConfig cfg) { cfg_ = cfg; }
-
   /// Register [first, first+pages) as one object. Returns an invalid handle
   /// if the span is empty, overlaps a live object, or would exceed a quota.
   ObjectHandle Register(PageId first, std::uint32_t pages);

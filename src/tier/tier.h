@@ -41,6 +41,18 @@
 
 namespace canvas::tier {
 
+// --- TierPolicy constants (promotion / demotion engine) ---
+/// Period of the demotion scan.
+inline constexpr SimDuration kPolicyPeriod = 1 * kMillisecond;
+/// Demotion starts only above this occupancy fraction (leave headroom for
+/// failover bursts below it).
+inline constexpr double kDemoteWatermark = 0.75;
+/// Max demotions issued per policy tick.
+inline constexpr std::uint32_t kDemoteBatch = 8;
+/// Promote a remote-served demand fault once its page group has taken this
+/// many demand faults (or the page is LRU-scan hot).
+inline constexpr std::uint32_t kPromoteGroupFaults = 2;
+
 struct TierConfig {
   /// Capacity in 4KB pages; 0 disables the subsystem entirely (the swap
   /// system never constructs a backend and output is byte-identical to
@@ -54,20 +66,10 @@ struct TierConfig {
   /// hold more than max(1, capacity_pages * quota_frac) tier pages.
   double quota_frac = 0.5;
 
-  // --- TierPolicy knobs (promotion / demotion engine) ---
-  /// Period of the demotion scan.
-  SimDuration policy_period = 1 * kMillisecond;
-  /// A tier-resident page whose group saw no fault for this long is cold
-  /// (Memtrade-style cold-page detection over page-group summaries).
+  /// TierPolicy: a tier-resident page whose group saw no fault for this
+  /// long is cold (Memtrade-style cold-page detection over page-group
+  /// summaries).
   SimDuration cold_age = 10 * kMillisecond;
-  /// Demotion starts only above this occupancy fraction (leave headroom
-  /// for failover bursts below it).
-  double demote_watermark = 0.75;
-  /// Max demotions issued per policy tick.
-  std::uint32_t demote_batch = 8;
-  /// Promote a remote-served demand fault once its page group has taken
-  /// this many demand faults (or the page is LRU-scan hot).
-  std::uint32_t promote_group_faults = 2;
 
   /// Name of the tier preset this config came from ("none", "cxl", "nvm").
   std::string name = "none";

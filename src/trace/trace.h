@@ -31,7 +31,7 @@ namespace canvas::trace {
 enum class Name : std::uint16_t {
   // --- page-fault lifecycle spans ---
   kFault,            ///< whole fault stall of one thread (outermost span)
-  kSwapCacheLookup,  ///< trap + swap-cache lookup (fault_entry_cost)
+  kSwapCacheLookup,  ///< trap + swap-cache lookup (kFaultEntryCost)
   kRdmaQueue,        ///< request created -> dispatched (scheduler queueing)
   kRdmaDma,          ///< request dispatched -> completion (DMA + wire)
   kMap,              ///< mapping a swap-cache page into the page table

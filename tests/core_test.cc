@@ -113,7 +113,7 @@ TEST(SwapSystem, MemoryLimitRespected) {
   const Cgroup& cg = e.system().cgroup(0);
   // Transient prefetch overshoot is bounded by one reclaim batch.
   EXPECT_LE(cg.charged_pages(),
-            limit + e.system().config().reclaim_batch);
+            limit + kReclaimBatch);
 }
 
 TEST(SwapSystem, RemoteChargesMatchPartitionUse) {

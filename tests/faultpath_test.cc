@@ -161,7 +161,7 @@ TEST(FaultPath, KswapdKeepsHeadroom) {
   const Cgroup& cg = e.system().cgroup(0);
   // After quiescence, background reclaim has restored the watermark.
   EXPECT_LE(cg.charged_pages() + cfg.kswapd_headroom,
-            cg.spec().local_mem_pages + cfg.reclaim_batch);
+            cg.spec().local_mem_pages + kReclaimBatch);
 }
 
 TEST(FaultPath, TinyCacheStillCompletes) {

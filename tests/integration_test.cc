@@ -4,6 +4,7 @@
 
 #include "core/experiment.h"
 #include "workload/apps.h"
+#include "workload/patterns.h"
 
 namespace canvas::core {
 namespace {
@@ -171,6 +172,64 @@ TEST(Corun, FiftyPercentMemoryHelpsTheLatencySensitiveApp) {
   // parallelism artifact (see EXPERIMENTS.md), so only an envelope holds.
   EXPECT_LT(rich.FinishTime(1), poor.FinishTime(1));
   EXPECT_LT(double(rich.FinishTime(0)), double(poor.FinishTime(0)) * 2.5);
+}
+
+/// A scan thread that records when it drained its stream.
+class DrainFlagStream : public workload::ThreadStream {
+ public:
+  DrainFlagStream(workload::SequentialScanStream::Params p, bool* drained)
+      : scan_(p), drained_(drained) {}
+  std::optional<workload::Access> Next() override {
+    auto acc = scan_.Next();
+    if (!acc) *drained_ = true;
+    return acc;
+  }
+
+ private:
+  workload::SequentialScanStream scan_;
+  bool* drained_;
+};
+
+TEST(Experiment, PartlyFinishedAppReportsNoFinishTime) {
+  // One app, two scan threads: a short one over 8 pages and a long one of
+  // 20 passes over 512 pages with a quarter of them local.
+  auto run = [](SimTime deadline, bool* short_done, bool* long_done) {
+    workload::AppWorkload w;
+    w.name = "two-threads";
+    w.footprint_pages = 520;
+    w.runtime = std::make_shared<runtime::RuntimeInfo>();
+    workload::SequentialScanStream::Params sp;
+    sp.region = {0, 8};
+    w.threads.push_back(std::make_unique<DrainFlagStream>(sp, short_done));
+    sp.region = {8, 512};
+    sp.passes = 20;
+    w.threads.push_back(std::make_unique<DrainFlagStream>(sp, long_done));
+    CgroupSpec cg;
+    cg.name = w.name;
+    cg.local_mem_pages = 128;
+    cg.swap_entry_limit = 1024;
+    cg.swap_cache_pages = 64;
+    cg.cores = 2;
+    std::vector<AppSpec> apps;
+    apps.push_back(AppSpec{std::move(w), std::move(cg)});
+    auto e = std::make_unique<Experiment>(SystemConfig::CanvasFull(),
+                                          std::move(apps), deadline);
+    e->Run();
+    return e;
+  };
+  bool short_done = false, long_done = false;
+  auto full = run(600 * kSecond, &short_done, &long_done);
+  ASSERT_TRUE(short_done && long_done);
+  SimTime finish = full->FinishTime(0);
+  ASSERT_GT(finish, 1 * kMillisecond);
+
+  // A deadline after the short thread drained but before the long one did.
+  short_done = long_done = false;
+  auto cut = run(1 * kMillisecond, &short_done, &long_done);
+  ASSERT_TRUE(short_done);
+  ASSERT_FALSE(long_done);
+  EXPECT_FALSE(cut->system().AllFinished());
+  EXPECT_EQ(cut->FinishTime(0), 0u);
 }
 
 }  // namespace

@@ -272,6 +272,31 @@ TEST(ObjectRun, DiskHomedCooperativeReadsSkipTheDeadServer) {
   EXPECT_EQ(e.system().nic().timeouts(), 15u);
 }
 
+TEST(ObjectRun, DroppedDeclaredReadsConvertToRescues) {
+  // An untargeted blackout drains every queued async read, declared object
+  // reads included. Each drop finds its batch continuation waiting on the
+  // page and converts to a demand read, so the behaviours still complete.
+  core::SystemConfig cfg = core::SystemConfig::CanvasFull();
+  cfg.objects.enabled = true;
+  auto plan = std::make_shared<fault::FaultPlan>();
+  plan->AddBlackout(1 * kMillisecond, 2 * kMillisecond);
+  cfg.fault_plan = plan;
+  core::Experiment e(cfg, [] {
+    std::vector<core::AppSpec> apps;
+    apps.push_back(ChaseSpec(0.05, 7));
+    return apps;
+  }());
+  ASSERT_TRUE(e.Run());  // every thread finished
+  const core::AppMetrics& m = e.system().metrics(0);
+  // The speculative tiers stand down for a cooperative cgroup, so every
+  // dropped read was a declared one.
+  EXPECT_EQ(m.prefetch_issued, 0u);
+  EXPECT_GT(m.object_fetches, 0u);
+  EXPECT_GT(m.prefetch_dropped, 0u);
+  EXPECT_EQ(m.object_pins, m.object_unpins);
+  EXPECT_EQ(m.stale_reads, 0u);
+}
+
 TEST(ObjectRun, RegistryOnSweepIsByteIdenticalAcrossJobs) {
   orchestrator::ScenarioSpec sc;
   sc.topologies = {"pool4"};

@@ -60,14 +60,14 @@ TEST_P(SwapInvariants, AccountingBalances) {
   const Cgroup& cg = s.cgroup(0);
   // Frames: charged never exceeds limit + one reclaim batch of slack.
   EXPECT_LE(cg.charged_pages(),
-            cg.spec().local_mem_pages + s.config().reclaim_batch);
+            cg.spec().local_mem_pages + kReclaimBatch);
   // Remote entries: the cgroup's charge matches the partition (isolated
   // mode) or is bounded by it (shared mode).
   EXPECT_LE(cg.remote_entries(), s.partition(0).allocator().used());
   // Swap cache within its (post-shrink) capacity plus in-flight lockables.
   EXPECT_LE(s.cache(0).size(),
-            s.cache(0).capacity() + s.config().max_inflight_prefetch +
-                s.config().reclaim_batch);
+            s.cache(0).capacity() + kMaxInflightPrefetch +
+                kReclaimBatch);
 }
 
 TEST_P(SwapInvariants, MetricsIdentities) {
