@@ -150,7 +150,7 @@ static void BM_ClusterAllocate(benchmark::State& state) {
 BENCHMARK(BM_ClusterAllocate);
 
 static void BM_ReadaheadOnFault(benchmark::State& state) {
-  prefetch::ReadaheadPrefetcher p({prefetch::ContextMode::kPerApp, 8, 1024});
+  prefetch::ReadaheadPrefetcher p({prefetch::ContextMode::kPerApp, 1024});
   std::vector<PageId> out;
   PageId page = 0;
   for (auto _ : state) {
@@ -163,7 +163,7 @@ static void BM_ReadaheadOnFault(benchmark::State& state) {
 BENCHMARK(BM_ReadaheadOnFault);
 
 static void BM_LeapOnFault(benchmark::State& state) {
-  prefetch::LeapPrefetcher p({prefetch::ContextMode::kPerApp, 32, 16, 8});
+  prefetch::LeapPrefetcher p({prefetch::ContextMode::kPerApp, 8});
   std::vector<PageId> out;
   Rng rng(3);
   for (auto _ : state) {

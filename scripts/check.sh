@@ -73,6 +73,16 @@ if [ -z "${CANVAS_SANITIZE:-}" ] && [ "${CANVAS_NO_TSAN:-0}" != "1" ]; then
     --output-on-failure -j"$JOBS"
 fi
 
+# The repository benchmark (perfbench/) compiles against the simulator's
+# types and mirrors serving::RunServing and orchestrator::RunChurn step for
+# step. Build it in its own Release tree and run its driver_equivalence
+# self-test, so a src/ change that breaks its build or its mirrors fails
+# here rather than only when the benchmark runs.
+PERF_BUILD="$BUILD-perfbench"
+cmake -B "$PERF_BUILD" -S "$ROOT/perfbench" -DCMAKE_BUILD_TYPE=Release
+cmake --build "$PERF_BUILD" -j"$JOBS"
+ctest --test-dir "$PERF_BUILD" -R driver_equivalence --output-on-failure
+
 HARNESS_ARGS=()
 [ "${CANVAS_QUICK:-0}" = "1" ] && HARNESS_ARGS+=(--quick)
 CANVAS_BENCH_JSON="${CANVAS_BENCH_JSON:-$BUILD/BENCH_simulator.json}" \

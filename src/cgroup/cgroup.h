@@ -44,10 +44,9 @@ class Cgroup {
   /// Where the cgroup's swap-outs currently go (DESIGN.md §8).
   SwapBackend backend() const { return backend_; }
   void SetBackend(SwapBackend b) { backend_ = b; }
-  /// Consecutive retry-exhausted requests since the last success (reset on
-  /// any completed remote transfer; crossing the configured threshold
-  /// triggers failover).
-  std::uint32_t consecutive_exhausted() const { return consecutive_exhausted_; }
+  /// Counts consecutive retry-exhausted requests since the last success
+  /// (reset on any completed remote transfer; crossing the failover
+  /// threshold triggers failover) and returns the count.
   std::uint32_t NoteExhausted() { return ++consecutive_exhausted_; }
   void NoteRemoteSuccess() { consecutive_exhausted_ = 0; }
 

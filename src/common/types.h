@@ -25,6 +25,18 @@ inline constexpr SimDuration kMicrosecond = 1'000;
 inline constexpr SimDuration kMillisecond = 1'000'000;
 inline constexpr SimDuration kSecond = 1'000'000'000;
 
+/// Largest time the text parsers accept (2^62 ns, ~146 years; the sum of
+/// two still fits in a SimTime).
+inline constexpr double kMaxParsedNs = 0x1p62;
+/// `value` `unit`s as a SimTime; false for NaN, negative values and values
+/// past kMaxParsedNs, whose conversion would be undefined.
+inline bool ToSimTime(double value, SimDuration unit, SimTime* out) {
+  double ns = value * double(unit);
+  if (!(ns >= 0 && ns <= kMaxParsedNs)) return false;
+  *out = SimTime(ns);
+  return true;
+}
+
 /// Index of a 4KB virtual page within one application's address space.
 using PageId = std::uint64_t;
 inline constexpr PageId kInvalidPage = std::numeric_limits<PageId>::max();

@@ -10,12 +10,10 @@
 
 #include "fault/fault_plan.h"
 #include "fault/injector.h"
-#include "fault/local_device.h"
 #include "rdma/nic.h"
 #include "remote/pool.h"
 #include "sched/timeliness.h"
 #include "swapalloc/partition.h"
-#include "swapalloc/reservation.h"
 #include "tier/tier.h"
 #include "trace/trace.h"
 
@@ -58,9 +56,6 @@ struct SystemConfig {
   // --- swap entry allocation (§5.1) ---
   swapalloc::AllocatorKind allocator = swapalloc::AllocatorKind::kFreelist;
   bool adaptive_alloc = false;  // Canvas reservation scheme
-  swapalloc::ReservationManager::Config reservation;
-  swapalloc::FreelistAllocator::Config freelist;
-  swapalloc::ClusterAllocator::Config cluster;
 
   // --- prefetching (§5.2) ---
   PrefetcherKind prefetcher = PrefetcherKind::kReadahead;
@@ -84,7 +79,6 @@ struct SystemConfig {
   std::shared_ptr<const fault::FaultPlan> fault_plan;
   /// Seed for the injector's RNG stream (CQE draws + backoff jitter).
   std::uint64_t fault_seed = 0x1234'5678'9abc'def0ull;
-  fault::LocalDevice::Config disk;
 
   // --- remote memory-server pool (DESIGN.md §11) ---
   /// Server topology behind the NIC. The default (no servers) is

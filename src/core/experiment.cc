@@ -40,16 +40,16 @@ Experiment::Experiment(const ExperimentSpec& spec)
 
 bool Experiment::Run() {
   system_->Start();
-  // Advance in slices so the run can stop as soon as every application has
-  // finished (periodic maintenance events would otherwise keep the queue
+  // Advance in slices so the run can stop as soon as it is no longer
+  // active (periodic maintenance events would otherwise keep the queue
   // non-empty until the deadline).
   constexpr SimTime kSlice = 20 * kMillisecond;
   while (sim_.Now() < deadline_) {
     SimTime next = std::min(deadline_, sim_.Now() + kSlice);
     bool drained = sim_.RunUntil(next);
-    if (system_->AllFinished() || drained) break;
+    if (!system_->RunActive() || drained) break;
   }
-  return system_->AllFinished();
+  return !system_->RunActive();
 }
 
 }  // namespace canvas::core

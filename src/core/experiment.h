@@ -65,7 +65,10 @@ class Experiment {
   /// Spec-driven construction: materializes every AppBuild via BuildApps.
   explicit Experiment(const ExperimentSpec& spec);
 
-  /// Run to completion. Returns true if all applications finished.
+  /// Run until the system is no longer active (SwapSystem::RunActive: all
+  /// applications finished and, under a lifecycle hook, no lifecycle event
+  /// still coming) or the deadline passes. Returns true if it stopped
+  /// inactive.
   bool Run();
 
   sim::Simulator& simulator() { return sim_; }

@@ -69,10 +69,6 @@ SwapSystem::SwapSystem(sim::Simulator& sim, SystemConfig cfg,
     total_cache += spec.cgroup.swap_cache_pages;
   }
 
-  part_cfg_.kind = cfg_.allocator;
-  part_cfg_.freelist = cfg_.freelist;
-  part_cfg_.cluster = cfg_.cluster;
-
   // Churn runs (DESIGN.md §15) construct with zero apps and admit tenants
   // mid-run; the shared pools then need a non-degenerate floor.
   if (specs.empty()) {
@@ -82,16 +78,13 @@ SwapSystem::SwapSystem(sim::Simulator& sim, SystemConfig cfg,
 
   if (!cfg_.isolated_partitions) {
     global_partition_ = std::make_unique<swapalloc::SwapPartition>(
-        sim_, "shared", total_entries, part_cfg_);
+        sim_, "shared", total_entries, cfg_.allocator);
   } else {
     // Global partition for shared pages uses the original lock-based
     // allocator (§4 "Handling of Shared Pages").
-    swapalloc::SwapPartition::Config shared_cfg;
-    shared_cfg.kind = swapalloc::AllocatorKind::kFreelist;
-    shared_cfg.freelist = cfg_.freelist;
     global_partition_ = std::make_unique<swapalloc::SwapPartition>(
         sim_, "cgroup-shared", std::max<std::uint64_t>(total_entries / 8, 4096),
-        shared_cfg);
+        swapalloc::AllocatorKind::kFreelist);
   }
   if (!cfg_.isolated_caches) {
     global_cache_ = std::make_unique<mem::SwapCache>("shared", total_cache);
@@ -112,7 +105,7 @@ SwapSystem::SwapSystem(sim::Simulator& sim, SystemConfig cfg,
           prefetch::ReadaheadPrefetcher::Config{
               cfg_.prefetcher_shared_state ? prefetch::ContextMode::kGlobal
                                            : prefetch::ContextMode::kPerApp,
-              8, cfg_.per_vma_readahead ? PageId(1024) : PageId(0)});
+              cfg_.per_vma_readahead ? PageId(1024) : PageId(0)});
       break;
     case PrefetcherKind::kLeap: {
       prefetch::LeapPrefetcher::Config lc;
@@ -157,8 +150,8 @@ SwapSystem::SwapSystem(sim::Simulator& sim, SystemConfig cfg,
   nic_->AttachTracer(&tracer_);
 
   // --- remote memory-server pool (DESIGN.md §11) and disk backstop ---
-  disk_ = std::make_unique<fault::LocalDevice>(sim_, SwapBackend::kLocalDisk,
-                                               cfg_.disk);
+  disk_ = std::make_unique<fault::LocalDevice>(
+      sim_, SwapBackend::kLocalDisk, fault::LocalDevice::Config{});
   pool_ = std::make_unique<remote::ServerPool>(sim_, cfg_.remote);
   pool_->AttachTracer(&tracer_);
   pool_->SetSlabEvictedHandler(
@@ -238,7 +231,7 @@ std::size_t SwapSystem::AddApp(AppSpec spec) {
 
   if (cfg_.isolated_partitions) {
     app->owned_partition = std::make_unique<swapalloc::SwapPartition>(
-        sim_, app->name, spec.cgroup.swap_entry_limit, part_cfg_);
+        sim_, app->name, spec.cgroup.swap_entry_limit, cfg_.allocator);
     app->partition = app->owned_partition.get();
   } else {
     app->partition = global_partition_.get();
@@ -253,7 +246,7 @@ std::size_t SwapSystem::AddApp(AppSpec spec) {
   if (cfg_.adaptive_alloc && cfg_.isolated_partitions) {
     app->reservation = std::make_unique<swapalloc::ReservationManager>(
         sim_, app->pages, *app->lru, *app->partition, cgroups_.Get(app->cg),
-        cfg_.reservation);
+        swapalloc::ReservationManager::Config{});
     if (tier_) {
       // A reservation cancel that drops the entry holding the clean
       // remote copy must also drop tier residency (single-home
@@ -343,7 +336,7 @@ void SwapSystem::Start() {
   if (tier_) sim_.Schedule(tier::kPolicyPeriod, [this] { TierPolicyTick(); });
   if (tracer_.enabled() && cfg_.trace.sampler) {
     sampler_last_bytes_.assign(apps_.size(), {{0.0, 0.0}});
-    sim_.Schedule(cfg_.trace.sample_period, [this] { SampleTick(); });
+    sim_.Schedule(trace::kSamplePeriod, [this] { SampleTick(); });
   }
 }
 
@@ -360,9 +353,9 @@ void SwapSystem::StartApp(AppState& app) {
 
 void SwapSystem::SampleTick() {
   if (!RunActive()) return;  // stop sampling once the co-run drains
-  sim_.Schedule(cfg_.trace.sample_period, [this] { SampleTick(); });
+  sim_.Schedule(trace::kSamplePeriod, [this] { SampleTick(); });
   SimTime now = sim_.Now();
-  double period_sec = double(cfg_.trace.sample_period) / double(kSecond);
+  double period_sec = double(trace::kSamplePeriod) / double(kSecond);
   if (sampler_last_bytes_.size() < apps_.size())
     sampler_last_bytes_.resize(apps_.size(), {{0.0, 0.0}});
   for (auto& app : apps_) {

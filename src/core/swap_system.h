@@ -141,6 +141,12 @@ class SwapSystem {
 
   /// True when every thread of every app has drained its stream.
   bool AllFinished() const;
+  /// AllFinished extended by the lifecycle hook: the run (and its periodic
+  /// machinery) goes on while the churn driver has more lifecycle events
+  /// coming. Without a hook, exactly !AllFinished().
+  bool RunActive() const {
+    return !AllFinished() || (lifecycle_hook_ && lifecycle_hook_());
+  }
 
   // --- results ---
   std::size_t app_count() const { return apps_.size(); }
@@ -283,11 +289,6 @@ class SwapSystem {
   void ReapApp(AppState& app);
   /// Owner lookup tolerant of reaped slots (drain paths).
   AppState* AppFor(std::uint32_t owner);
-  /// AllFinished extended by the lifecycle hook: periodic machinery keeps
-  /// ticking while the churn driver has more arrivals scheduled.
-  bool RunActive() const {
-    return !AllFinished() || (lifecycle_hook_ && lifecycle_hook_());
-  }
 
   // --- thread execution ---
   void RunThread(AppState& app, ThreadCtx& th);
@@ -473,8 +474,6 @@ class SwapSystem {
   /// freed — a shell is O(threads), not O(pages).
   std::vector<std::unique_ptr<AppState>> retired_shells_;
   std::vector<RetiredAppRecord> retired_ledger_;
-  /// Partition config echo for mid-run AddApp.
-  swapalloc::SwapPartition::Config part_cfg_;
   std::function<bool()> lifecycle_hook_;
   std::size_t active_apps_ = 0;
   std::size_t active_high_water_ = 0;

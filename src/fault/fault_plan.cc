@@ -114,17 +114,19 @@ std::optional<FaultPlan> FaultPlan::Parse(const std::string& text,
     if (!(ls >> kind)) continue;  // blank / comment-only line
 
     double start_us = 0, end_us = 0;
-    if (!(ls >> start_us >> end_us) || end_us < start_us || start_us < 0) {
+    SimTime start = 0, end = 0;
+    if (!(ls >> start_us >> end_us) || end_us <= start_us ||
+        !ToSimTime(start_us, kMicrosecond, &start) ||
+        !ToSimTime(end_us, kMicrosecond, &end)) {
       SetError(err, line_no, line, "bad window");
       return std::nullopt;
     }
-    SimTime start = SimTime(start_us * double(kMicrosecond));
-    SimTime end = SimTime(end_us * double(kMicrosecond));
 
     if (kind == "latency") {
       double extra_us = 0;
+      SimDuration extra = 0;
       std::string d;
-      if (!(ls >> extra_us) || extra_us < 0) {
+      if (!(ls >> extra_us) || !ToSimTime(extra_us, kMicrosecond, &extra)) {
         SetError(err, line_no, line, "bad extra latency");
         return std::nullopt;
       }
@@ -139,9 +141,7 @@ std::optional<FaultPlan> FaultPlan::Parse(const std::string& text,
         SetError(err, line_no, line, "bad direction");
         return std::nullopt;
       }
-      plan.AddLatencySpike(start, end,
-                           SimDuration(extra_us * double(kMicrosecond)), dir,
-                           server);
+      plan.AddLatencySpike(start, end, extra, dir, server);
     } else if (kind == "bandwidth") {
       double factor = 1.0;
       std::string d;
@@ -194,16 +194,20 @@ std::optional<FaultPlan> FaultPlan::Parse(const std::string& text,
       plan.AddBlackout(start, end, server);
     } else if (kind == "tier-latency") {
       double extra_us = 0;
-      if (!(ls >> extra_us) || extra_us < 0) {
+      SimDuration extra = 0;
+      if (!(ls >> extra_us) || !ToSimTime(extra_us, kMicrosecond, &extra)) {
         SetError(err, line_no, line, "bad extra latency");
         return std::nullopt;
       }
-      plan.AddTierLatencySpike(start, end,
-                               SimDuration(extra_us * double(kMicrosecond)));
+      plan.AddTierLatencySpike(start, end, extra);
     } else if (kind == "tier-freeze") {
       plan.AddTierFreeze(start, end);
     } else {
       SetError(err, line_no, line, "unknown fault kind");
+      return std::nullopt;
+    }
+    if (std::string extra; ls >> extra) {
+      SetError(err, line_no, line, "unexpected trailing token");
       return std::nullopt;
     }
   }

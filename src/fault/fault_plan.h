@@ -151,8 +151,10 @@ class FaultPlan {
   /// count, see CheckServerTargets); omitted means every server, so
   /// pre-pool plan files parse to identical plans.
   ///
-  /// Returns nullopt on malformed input and, when `err` is non-null, a
-  /// message naming the offending line.
+  /// Every window must end after it starts, no time may be negative or
+  /// exceed kMaxParsedNs, and nothing may follow a line's fields. Returns
+  /// nullopt on malformed input and, when `err` is non-null, a message
+  /// naming the offending line.
   static std::optional<FaultPlan> Parse(const std::string& text,
                                         std::string* err = nullptr);
 

@@ -27,8 +27,6 @@ class LocalDevice {
     double bandwidth_bytes_per_sec = 2.0e9;
     /// Fixed submission -> completion overhead (queueing + media).
     SimDuration latency = 80 * kMicrosecond;
-
-    bool operator==(const Config&) const = default;
   };
 
   LocalDevice(sim::Simulator& sim, SwapBackend kind, Config cfg)

@@ -108,10 +108,4 @@ void BehaviourScheduler::ReleaseThread(ThreadId tid) {
   queues_.erase(it);
 }
 
-std::size_t BehaviourScheduler::open_behaviours() const {
-  std::size_t n = 0;
-  for (const auto& [tid, q] : queues_) n += q.size();
-  return n;
-}
-
 }  // namespace canvas::object

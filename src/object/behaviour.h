@@ -91,9 +91,6 @@ class BehaviourScheduler {
   void ReleaseThread(ThreadId tid);
 
   const BehaviourStats& stats() const { return stats_; }
-  /// Deduplicated pages currently held by open behaviours.
-  std::uint64_t open_pinned_pages() const { return open_pages_; }
-  std::size_t open_behaviours() const;
 
  private:
   struct Behaviour {

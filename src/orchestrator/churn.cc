@@ -2,6 +2,7 @@
 
 #include <exception>
 
+#include "core/experiment.h"
 #include "core/report.h"
 #include "workload/apps.h"
 
@@ -29,8 +30,9 @@ ChurnResult RunChurn(const ChurnRunSpec& spec) {
     std::vector<workload::TenantTemplate> templates = spec.churn.templates;
     if (templates.empty()) templates.emplace_back();
 
-    sim::Simulator sim;
-    core::SwapSystem system(sim, spec.config, {});
+    core::Experiment e(spec.config, {}, spec.deadline);
+    sim::Simulator& sim = e.simulator();
+    core::SwapSystem& system = e.system();
 
     // Keeps pool harvest/control ticks and the trace sampler alive across
     // gaps where every current tenant drained but arrivals are still due.
@@ -67,21 +69,10 @@ ChurnResult RunChurn(const ChurnRunSpec& spec) {
       });
     }
 
-    system.Start();
-    constexpr SimTime kSlice = 20 * kMillisecond;
-    while (sim.Now() < spec.deadline) {
-      SimTime next = std::min(spec.deadline, sim.Now() + kSlice);
-      bool drained = sim.RunUntil(next);
-      if ((remaining == 0 && system.AllFinished() &&
-           system.pending_retirements() == 0) ||
-          drained)
-        break;
-    }
-
-    bool done = remaining == 0 && system.AllFinished() &&
-                system.pending_retirements() == 0;
-    r.status = done ? ChurnResult::Status::kOk
-                    : ChurnResult::Status::kDeadline;
+    // The hook makes the run active until every arrival and departure has
+    // fired and every retirement is reaped.
+    r.status = e.Run() ? ChurnResult::Status::kOk
+                       : ChurnResult::Status::kDeadline;
 
     // --- deterministic snapshot ---
     r.tenants_retired = system.retired_count();

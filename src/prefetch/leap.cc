@@ -35,7 +35,7 @@ void LeapPrefetcher::OnFault(const FaultInfo& fault,
   if (st.last_page != kInvalidPage) {
     st.deltas.push_back(std::int64_t(fault.page) -
                         std::int64_t(st.last_page));
-    if (st.deltas.size() > cfg_.history) st.deltas.pop_front();
+    if (st.deltas.size() > kHistory) st.deltas.pop_front();
   }
   st.last_page = fault.page;
   if (st.deltas.size() < 4) return;
@@ -43,7 +43,7 @@ void LeapPrefetcher::OnFault(const FaultInfo& fault,
   std::int64_t trend = MajorityDelta(st.deltas);
   if (trend != 0) {
     ++trend_hits_;
-    st.window = std::min(st.window * 2, cfg_.max_window);
+    st.window = std::min(st.window * 2, kMaxWindow);
     for (std::uint32_t i = 1; i <= st.window; ++i) {
       auto next = std::int64_t(fault.page) + trend * std::int64_t(i);
       if (next < 0) break;

@@ -19,8 +19,6 @@ class LeapPrefetcher : public Prefetcher {
  public:
   struct Config {
     ContextMode mode = ContextMode::kGlobal;
-    std::uint32_t history = 32;      // delta window H
-    std::uint32_t max_window = 16;   // prefetch window cap
     std::uint32_t fallback_run = 8;  // contiguous pages when no majority
     /// Leap's no-pattern fallback reads pages at contiguous *swap offsets*.
     /// On a partition shared by co-running applications, swap-entry
@@ -28,7 +26,6 @@ class LeapPrefetcher : public Prefetcher {
     /// adjacency — so the fallback lands on effectively unrelated pages.
     /// Modeled as a deterministic jittered run near the faulting page.
     bool shared_partition_fallback = false;
-    std::uint64_t jitter_seed = 0x1EAF;
   };
 
   explicit LeapPrefetcher(Config cfg) : cfg_(cfg) {}
@@ -43,6 +40,11 @@ class LeapPrefetcher : public Prefetcher {
   std::uint64_t fallbacks() const { return fallbacks_; }
 
  private:
+  static constexpr std::uint32_t kHistory = 32;    // delta window H
+  static constexpr std::uint32_t kMaxWindow = 16;  // prefetch window cap
+  /// Seed of the shared-partition fallback's jitter stream.
+  static constexpr std::uint64_t kJitterSeed = 0x1EAF;
+
   struct State {
     PageId last_page = kInvalidPage;
     std::deque<std::int64_t> deltas;
@@ -56,7 +58,7 @@ class LeapPrefetcher : public Prefetcher {
 
   Config cfg_;
   FlatMap64<State> states_;  // keyed by cgroup (0 in global mode)
-  Rng jitter_{0x1EAF};
+  Rng jitter_{kJitterSeed};
   std::uint64_t trend_hits_ = 0;
   std::uint64_t fallbacks_ = 0;
 };

@@ -28,11 +28,6 @@ void ReadaheadPrefetcher::Forget(CgroupId app) {
   for (std::uint64_t key : keys) states_.Erase(key);
 }
 
-std::uint32_t ReadaheadPrefetcher::WindowFor(CgroupId app, PageId page) const {
-  const State* st = states_.Find(KeyFor(app, page));
-  return st ? st->window : 1;
-}
-
 void ReadaheadPrefetcher::OnFault(const FaultInfo& fault,
                                   std::vector<PageId>& out) {
   State& st = StateFor(fault.app, fault.page);
@@ -42,7 +37,7 @@ void ReadaheadPrefetcher::OnFault(const FaultInfo& fault,
   }
   auto delta = std::int64_t(fault.page) - std::int64_t(st.last_page);
   if (delta != 0 && delta == st.last_delta) {
-    st.window = std::min(st.window == 0 ? 1 : st.window * 2, cfg_.max_window);
+    st.window = std::min(st.window == 0 ? 1 : st.window * 2, kMaxWindow);
     for (std::uint32_t i = 1; i <= st.window; ++i) {
       auto next = std::int64_t(fault.page) + delta * std::int64_t(i);
       if (next < 0) break;

@@ -16,7 +16,6 @@ class ReadaheadPrefetcher : public Prefetcher {
  public:
   struct Config {
     ContextMode mode = ContextMode::kGlobal;
-    std::uint32_t max_window = 8;
     /// Per-VMA readahead (the "per-VMA prefetching policy" the paper tunes
     /// Linux 5.5 with): detector state is additionally keyed by a
     /// `vma_zone_pages` region of the address space, so each thread's
@@ -25,13 +24,14 @@ class ReadaheadPrefetcher : public Prefetcher {
     PageId vma_zone_pages = 1024;
   };
 
+  /// Readahead window cap (pages).
+  static constexpr std::uint32_t kMaxWindow = 8;
+
   explicit ReadaheadPrefetcher(Config cfg) : cfg_(cfg) {}
 
   void OnFault(const FaultInfo& fault, std::vector<PageId>& out) override;
   void Forget(CgroupId app) override;
   const char* name() const override { return "readahead"; }
-
-  std::uint32_t WindowFor(CgroupId app, PageId page = 0) const;
 
  private:
   struct State {

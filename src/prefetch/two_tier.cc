@@ -2,10 +2,21 @@
 
 namespace canvas::prefetch {
 
+namespace {
+/// A fault is "ineffective" if the kernel tier produced fewer candidates
+/// than this.
+constexpr std::size_t kIneffectiveThreshold = 1;
+/// Reference-based analysis: summary-graph hops and page cap (§5.2).
+constexpr int kRefHops = 3;
+constexpr std::size_t kRefMaxPages = 32;
+/// Thread-based analysis: per-thread delta window and prefetch window cap.
+constexpr std::uint32_t kThreadHistory = 16;
+constexpr std::uint32_t kThreadMaxWindow = 8;
+}  // namespace
+
 TwoTierPrefetcher::TwoTierPrefetcher(Config cfg)
     : cfg_(cfg),
-      kernel_tier_(ReadaheadPrefetcher::Config{ContextMode::kPerApp,
-                                               cfg.kernel_max_window}) {}
+      kernel_tier_(ReadaheadPrefetcher::Config{ContextMode::kPerApp}) {}
 
 void TwoTierPrefetcher::RegisterApp(CgroupId app,
                                     const runtime::RuntimeInfo* info,
@@ -20,11 +31,6 @@ bool TwoTierPrefetcher::IsForwarding(CgroupId app) const {
 
 void TwoTierPrefetcher::SetCooperative(CgroupId app, bool on) {
   if (AppState* st = apps_.Find(app)) st->cooperative = on;
-}
-
-bool TwoTierPrefetcher::IsCooperative(CgroupId app) const {
-  const AppState* st = apps_.Find(app);
-  return st && st->cooperative;
 }
 
 void TwoTierPrefetcher::NoteCooperativeBatch(CgroupId, std::size_t pages) {
@@ -44,7 +50,7 @@ void TwoTierPrefetcher::OnFault(const FaultInfo& fault,
   if (!found) return;  // no runtime attached: kernel tier only
   AppState& st = *found;
 
-  if (kernel_pages >= cfg_.ineffective_threshold) {
+  if (kernel_pages >= kIneffectiveThreshold) {
     // Kernel tier effective again: stop forwarding (it is free, the app
     // tier costs compute).
     st.ineffective_streak = 0;
@@ -104,7 +110,7 @@ void TwoTierPrefetcher::AppTier(AppState& st, const FaultInfo& fault,
   // Reference-based: traverse the summary graph up to 3 hops.
   std::size_t before = out.size();
   thread_local std::vector<PageId> reach;  // reused across faults
-  info.ReachablePages(fault.page, cfg_.ref_hops, cfg_.ref_max_pages, reach);
+  info.ReachablePages(fault.page, kRefHops, kRefMaxPages, reach);
   out.insert(out.end(), reach.begin(), reach.end());
   ref_pf_ += out.size() - before;
 }
@@ -115,7 +121,7 @@ void TwoTierPrefetcher::ThreadBased(const FaultInfo& fault,
   if (ts.last_page != kInvalidPage) {
     ts.deltas.push_back(std::int64_t(fault.page) -
                         std::int64_t(ts.last_page));
-    if (ts.deltas.size() > cfg_.thread_history) ts.deltas.pop_front();
+    if (ts.deltas.size() > kThreadHistory) ts.deltas.pop_front();
   }
   ts.last_page = fault.page;
   if (ts.deltas.size() < 4) return;
@@ -141,7 +147,7 @@ void TwoTierPrefetcher::ThreadBased(const FaultInfo& fault,
     ts.window = std::max<std::uint32_t>(ts.window / 2, 1);
     return;  // conservative: no pattern, no prefetch
   }
-  ts.window = std::min(ts.window * 2, cfg_.thread_max_window);
+  ts.window = std::min(ts.window * 2, kThreadMaxWindow);
   for (std::uint32_t i = 1; i <= ts.window; ++i) {
     auto next = std::int64_t(fault.page) + candidate * std::int64_t(i);
     if (next < 0) break;

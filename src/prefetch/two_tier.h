@@ -1,11 +1,11 @@
 // Canvas two-tier adaptive prefetcher (§5.2).
 //
 // Kernel tier: a per-cgroup VMA readahead instance (cheap, runs on the
-// faulting core). Its effectiveness is monitored per application: if fewer
-// than `ineffective_threshold` pages were prefetched at each of the last N
-// (=3) faults, the faulting addresses start being forwarded — via the
-// modified userfaultfd channel — to the application tier. Forwarding stops
-// as soon as the kernel tier is effective again.
+// faulting core). Its effectiveness is monitored per application: if it
+// prefetched no page at each of the last N (=3) faults, the faulting
+// addresses start being forwarded — via the modified userfaultfd channel —
+// to the application tier. Forwarding stops as soon as the kernel tier is
+// effective again.
 //
 // Application tier (runs in the language runtime): chooses between two
 // semantic analyses per fault, following the paper's policy:
@@ -31,18 +31,10 @@ namespace canvas::prefetch {
 class TwoTierPrefetcher : public Prefetcher {
  public:
   struct Config {
-    std::uint32_t kernel_max_window = 8;
-    /// A fault is "ineffective" if the kernel tier produced fewer
-    /// candidates than this.
-    std::uint32_t ineffective_threshold = 1;
     /// Consecutive ineffective faults before forwarding starts (paper N=3).
     std::uint32_t consecutive_faults = 3;
     /// "Many threads" bar for choosing the thread-based analysis.
     std::size_t many_threads = 8;
-    int ref_hops = 3;
-    std::size_t ref_max_pages = 32;
-    std::uint32_t thread_history = 16;
-    std::uint32_t thread_max_window = 8;
     /// Accuracy gate: the app tier pauses when fewer than this fraction of
     /// its recent prefetches were used (semantic patterns absent), and
     /// re-probes every `reprobe_interval` forwarded faults.
@@ -65,7 +57,6 @@ class TwoTierPrefetcher : public Prefetcher {
   /// channel's batches are recorded instead. Never set by default, keeping
   /// classic runs byte-identical.
   void SetCooperative(CgroupId app, bool on);
-  bool IsCooperative(CgroupId app) const;
   /// Account one object-granular fetch batch injected through the
   /// cooperative channel (pages = deduplicated batch size).
   void NoteCooperativeBatch(CgroupId app, std::size_t pages);

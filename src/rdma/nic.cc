@@ -8,6 +8,12 @@
 
 namespace canvas::rdma {
 
+namespace {
+/// Per-attempt timeout, measured from dispatch. Generous relative to the
+/// healthy ~4us round trip so it only fires under injected degradation.
+constexpr SimDuration kAttemptTimeout = 500 * kMicrosecond;
+}  // namespace
+
 SimDuration ComputeBackoff(const RetryPolicy& policy, std::uint32_t attempt,
                            double u) {
   if (attempt == 0) attempt = 1;
@@ -148,11 +154,11 @@ void Nic::Pump(Direction dir) {
     if (injector_->BlackoutOverlaps(now, completion, req->server)) {
       // The server never answers: the attempt dies by timeout.
       outcome = RequestStatus::kTimeout;
-      event_at = now + cfg_.retry.timeout;
-    } else if (completion - now > cfg_.retry.timeout) {
+      event_at = now + kAttemptTimeout;
+    } else if (completion - now > kAttemptTimeout) {
       // Injected degradation pushed service past the per-attempt deadline.
       outcome = RequestStatus::kTimeout;
-      event_at = now + cfg_.retry.timeout;
+      event_at = now + kAttemptTimeout;
     } else if (injector_->DrawCompletionError(int(req->op), now)) {
       outcome = RequestStatus::kCqeError;
     }
@@ -198,7 +204,7 @@ void Nic::HandleAttemptFailure(RequestPtr req, RequestStatus status) {
                          ? trace::Name::kTimeoutEvt
                          : trace::Name::kCqeErrorEvt,
                      sim_.Now(), req->attempts);
-  std::uint32_t max_retries = cfg_.retry.MaxRetries(req->op);
+  std::uint32_t max_retries = MaxRetries(req->op);
   if (req->attempts <= max_retries) {
     double u = injector_ ? injector_->JitterDraw() : 0.0;
     SimDuration backoff = ComputeBackoff(cfg_.retry, req->attempts, u);

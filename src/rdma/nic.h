@@ -46,35 +46,30 @@ class RequestSource {
   virtual RequestPtr Dequeue(Direction dir, SimTime now) = 0;
 };
 
-/// Per-attempt timeout and bounded-retry parameters for the robust swap
-/// path. Backoff for retry n (1-based) is
+/// Retry budget per op class for the robust swap path (only consulted when
+/// a fault injector is attached). Demand reads are fault-critical and get
+/// the deepest budget; prefetches are speculative and fail fast (their
+/// unwind path already handles loss).
+constexpr std::uint32_t MaxRetries(Op op) {
+  switch (op) {
+    case Op::kDemandIn: return 6;
+    case Op::kPrefetchIn: return 0;
+    case Op::kSwapOut: return 4;
+  }
+  return 0;
+}
+
+/// Backoff parameters for the robust swap path. Backoff for retry n
+/// (1-based) is
 ///   min(backoff_cap, backoff_base * 2^(n-1) * (1 + jitter_frac * u)),
 /// u uniform in [0,1) from the injector's seeded stream. With
 /// jitter_frac < 1 the delays are monotonically non-decreasing per attempt
 /// (the doubling outruns the worst-case jitter), which the property suite
 /// asserts.
 struct RetryPolicy {
-  /// Per-attempt timeout, measured from dispatch. Generous relative to the
-  /// healthy ~4us round trip so it only fires under injected degradation.
-  SimDuration timeout = 500 * kMicrosecond;
-  /// Retry budgets per op class. Demand reads are fault-critical and get
-  /// the deepest budget; prefetches are speculative and fail fast (their
-  /// unwind path already handles loss).
-  std::uint32_t max_retries_demand = 6;
-  std::uint32_t max_retries_swapout = 4;
-  std::uint32_t max_retries_prefetch = 0;
   SimDuration backoff_base = 20 * kMicrosecond;
   SimDuration backoff_cap = 2 * kMillisecond;
   double jitter_frac = 0.25;  ///< must stay < 1.0 (monotonic backoff)
-
-  std::uint32_t MaxRetries(Op op) const {
-    switch (op) {
-      case Op::kDemandIn: return max_retries_demand;
-      case Op::kPrefetchIn: return max_retries_prefetch;
-      case Op::kSwapOut: return max_retries_swapout;
-    }
-    return 0;
-  }
 
   bool operator==(const RetryPolicy&) const = default;
 };
@@ -95,8 +90,8 @@ class Nic {
     SimDuration base_latency = 3 * kMicrosecond;
     /// Width of bandwidth accounting buckets.
     SimDuration series_bucket = 100 * kMillisecond;
-    /// Timeout/retry/backoff parameters (only consulted when a fault
-    /// injector is attached).
+    /// Backoff parameters (only consulted when a fault injector is
+    /// attached).
     RetryPolicy retry;
 
     bool operator==(const Config&) const = default;

@@ -51,15 +51,6 @@ enum class RequestStatus : std::uint8_t {
   kTimeout,   // no completion within the per-attempt timeout (blackout)
 };
 
-inline const char* RequestStatusName(RequestStatus s) {
-  switch (s) {
-    case RequestStatus::kOk: return "ok";
-    case RequestStatus::kCqeError: return "cqe-error";
-    case RequestStatus::kTimeout: return "timeout";
-  }
-  return "?";
-}
-
 struct Request {
   Op op = Op::kDemandIn;
   CgroupId cgroup = kInvalidCgroup;

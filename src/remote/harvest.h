@@ -43,22 +43,14 @@ struct HarvestConfig {
   // --- closed-loop controller (DESIGN.md §15) ---
   // Supply/demand control replacing the open-loop seeded schedule: the pool
   // tracks an EWMA of its own occupancy (allocation pressure) and steers
-  // per-server capacity toward the [target_lo, target_hi] band — occupancy
-  // above target_hi returns harvested capacity to the tenants, occupancy
-  // below target_lo lets the producer reclaim more. No RNG is consumed, so
-  // churn runs stay bit-for-bit deterministic at any thread count.
+  // per-server capacity toward a fixed occupancy band (ServerPool's
+  // controller constants) — occupancy above the band returns harvested
+  // capacity to the tenants, occupancy below it lets the producer reclaim
+  // more. No RNG is consumed, so churn runs stay bit-for-bit deterministic
+  // at any thread count.
   /// Control-tick period; 0 disables the controller. When set, it replaces
   /// the seeded generator above (explicit `events` still apply).
   SimDuration control_period = 0;
-  /// EWMA smoothing factor for the occupancy signal, in (0, 1].
-  double ewma_alpha = 0.3;
-  /// Occupancy band the controller steers toward.
-  double target_lo = 0.45;
-  double target_hi = 0.75;
-  /// Capacity moved per control action (slabs).
-  std::uint64_t control_step_slabs = 4;
-  /// Floor the controller never harvests a server below (slabs).
-  std::uint64_t min_capacity_slabs = 16;
 
   bool closed_loop() const { return control_period > 0; }
   bool active() const {

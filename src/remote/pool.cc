@@ -11,6 +11,21 @@ namespace canvas::remote {
 
 namespace {
 
+constexpr std::uint64_t kPlacementSeed = 0xc0ffee'5eedull;
+/// Bulk-copy rate for live slab migration between servers.
+constexpr double kMigrationBandwidthBytesPerSec = 2.4e9;
+
+// Closed-loop harvest controller (DESIGN.md §15).
+/// EWMA smoothing factor for the occupancy signal, in (0, 1].
+constexpr double kEwmaAlpha = 0.3;
+/// Occupancy band the controller steers toward.
+constexpr double kTargetLo = 0.45;
+constexpr double kTargetHi = 0.75;
+/// Capacity moved per control action (slabs).
+constexpr std::uint64_t kControlStepSlabs = 4;
+/// Floor the controller never harvests a server below (slabs).
+constexpr std::uint64_t kMinCapacitySlabs = 16;
+
 PoolConfig MakePool(int n) {
   // Per-server link slightly below the NIC rate so fan-in to one server can
   // saturate its destination even when the initiator NIC has headroom —
@@ -61,7 +76,7 @@ ServerPool::ServerPool(sim::Simulator& sim, PoolConfig cfg)
     : sim_(sim),
       cfg_(std::move(cfg)),
       policy_(MakePlacementPolicy(cfg_.placement)),
-      placement_rng_(cfg_.placement_seed),
+      placement_rng_(kPlacementSeed),
       harvest_rng_(cfg_.harvest.seed) {
   if (cfg_.single())
     servers_.emplace_back(ServerConfig{.name = "ms0"}, cfg_.series_bucket);
@@ -331,7 +346,7 @@ void ServerPool::MigrateSlab(ServerId src, ServerId dst, SlabRef ref) {
   slab.last_remote = dst;
   if (tracer_) {
     SimTime begin = std::max(sim_.Now(), from.migration_busy_until);
-    double bw = cfg_.migration_bandwidth_bytes_per_sec;
+    double bw = kMigrationBandwidthBytesPerSec;
     auto bytes = double(cfg_.slab_entries) * double(kPageSize);
     auto dur = SimDuration(std::max(1.0, bytes / bw * double(kSecond)));
     from.migration_busy_until = begin + dur;
@@ -402,16 +417,15 @@ void ServerPool::ScheduleControlTick() {
 
 void ServerPool::ControlTick() {
   if (active_ && !active_()) return;  // workload drained: stop the loop
-  const HarvestConfig& h = cfg_.harvest;
   ++control_ticks_;
   double occ = Occupancy();
   if (!ewma_primed_) {
     util_ewma_ = occ;
     ewma_primed_ = true;
   } else {
-    util_ewma_ = h.ewma_alpha * occ + (1.0 - h.ewma_alpha) * util_ewma_;
+    util_ewma_ = kEwmaAlpha * occ + (1.0 - kEwmaAlpha) * util_ewma_;
   }
-  if (util_ewma_ > h.target_hi) {
+  if (util_ewma_ > kTargetHi) {
     // Demand outstrips supply: give back harvested capacity to the most
     // harvested server (smallest current capacity relative to configured;
     // ties on the lowest id).
@@ -429,20 +443,20 @@ void ServerPool::ControlTick() {
       }
     }
     if (victim != kNoServer) {
-      ReturnCapacity(victim, std::min<std::uint64_t>(h.control_step_slabs,
+      ReturnCapacity(victim, std::min<std::uint64_t>(kControlStepSlabs,
                                                      best_deficit));
       ++control_returns_;
     }
-  } else if (util_ewma_ < h.target_lo) {
+  } else if (util_ewma_ < kTargetLo) {
     // Supply exceeds demand: the producer reclaims from the emptiest
-    // server (largest free share; ties on the lowest id), never below the
-    // configured floor.
+    // server (largest free share; ties on the lowest id), never below
+    // kMinCapacitySlabs.
     ServerId victim = kNoServer;
     std::uint64_t best_free = 0;
     for (std::size_t i = 0; i < servers_.size(); ++i) {
       const ServerState& s = servers_[i];
       if (s.cfg.capacity_slabs == 0 || s.down) continue;
-      if (s.capacity_slabs <= h.min_capacity_slabs) continue;
+      if (s.capacity_slabs <= kMinCapacitySlabs) continue;
       std::uint64_t free_slabs = s.capacity_slabs > s.slabs_held
                                      ? s.capacity_slabs - s.slabs_held
                                      : 0;
@@ -453,8 +467,8 @@ void ServerPool::ControlTick() {
     }
     if (victim != kNoServer) {
       std::uint64_t headroom =
-          servers_[std::size_t(victim)].capacity_slabs - h.min_capacity_slabs;
-      std::uint64_t take = std::min(h.control_step_slabs, headroom);
+          servers_[std::size_t(victim)].capacity_slabs - kMinCapacitySlabs;
+      std::uint64_t take = std::min(kControlStepSlabs, headroom);
       if (take > 0) {
         ApplyHarvest({sim_.Now(), victim, -std::int64_t(take)});
         ++control_harvests_;

@@ -47,9 +47,6 @@ struct PoolConfig {
   /// Slab size in swap entries (4096 entries = 16 MiB of pages).
   std::uint64_t slab_entries = 4096;
   PlacementKind placement = PlacementKind::kPowerOfTwo;
-  std::uint64_t placement_seed = 0xc0ffee'5eedull;
-  /// Bulk-copy rate for live slab migration between servers.
-  double migration_bandwidth_bytes_per_sec = 2.4e9;
   HarvestConfig harvest;
   /// Name of the topology preset this config came from ("single", ...).
   std::string topology = "single";
@@ -198,9 +195,8 @@ class ServerPool {
   void ScheduleNextHarvest();
   void ReturnCapacity(ServerId id, std::uint64_t slabs);
   /// Closed-loop supply/demand controller (DESIGN.md §15): periodic tick
-  /// that EWMA-smooths Occupancy() and moves `control_step_slabs` of
-  /// capacity per action to steer it into the configured band. Consumes no
-  /// RNG.
+  /// that EWMA-smooths Occupancy() and moves a fixed step of capacity per
+  /// action to steer it into a fixed band. Consumes no RNG.
   void ScheduleControlTick();
   void ControlTick();
 

@@ -8,6 +8,23 @@
 
 namespace canvas::serving {
 
+namespace {
+/// Shed fraction added to best-effort tenants per violated window (and
+/// released per heal step), capped at kShedMax.
+constexpr double kShedStep = 0.25;
+constexpr double kShedMax = 0.9;
+/// Weight multiplier per violated window; total boost capped at kBoostCap
+/// times the base weight.
+constexpr double kBoostFactor = 2.0;
+constexpr double kBoostCap = 8.0;
+/// Slabs migrated off the victim tenant's hottest server per violation.
+constexpr std::uint64_t kMigrateSlabs = 4;
+/// Clean judged windows before escalation starts unwinding.
+constexpr std::uint64_t kHealWindows = 4;
+/// How far a violation pushes a still-waiting tenant's admission gate.
+constexpr SimDuration kAdmissionDefer = 100 * kMillisecond;
+}  // namespace
+
 void QosPlane::AddTenant(QosTenant t) {
   trackers_.emplace_back(t.slo);
   stats_.emplace_back();
@@ -32,8 +49,6 @@ void QosPlane::Tick() {
   // The supply curve rescales every tenant's SLO bounds for this window
   // (1.0 with the default empty curve, leaving the verdicts untouched).
   double scale = cfg_.supply.ScaleAt(sim_->Now());
-  last_scale_ = scale;
-  if (scale != 1.0) ++scaled_ticks_;
   // Judge every tenant's window (best-effort included, for reporting), then
   // act on protected violations. Judging first keeps each tracker's window
   // aligned to the tick even when several tenants violate at once.
@@ -45,7 +60,7 @@ void QosPlane::Tick() {
     if (tenants_[i].best_effort || !cfg_.escalate) continue;
     if (violated[i]) {
       Escalate(i);
-    } else if (trackers_[i].clean_run() >= cfg_.heal_windows) {
+    } else if (trackers_[i].clean_run() >= kHealWindows) {
       Heal(i);
     }
   }
@@ -59,8 +74,8 @@ void QosPlane::Escalate(std::size_t victim) {
   // 1. WFQ weight boost for the victim.
   if (sched::TwoDimScheduler* wfq = sys_->two_dim_scheduler()) {
     CgroupId cg = sys_->cgroup_of(t.app);
-    double cap = base_weight_[victim] * cfg_.boost_cap;
-    double w = std::min(cap, wfq->Weight(cg) * cfg_.boost_factor);
+    double cap = base_weight_[victim] * kBoostCap;
+    double w = std::min(cap, wfq->Weight(cg) * kBoostFactor);
     if (w > wfq->Weight(cg)) {
       wfq->SetWeight(cg, w);
       ++stats_[victim].weight_boosts;
@@ -71,19 +86,19 @@ void QosPlane::Escalate(std::size_t victim) {
   for (std::size_t j = 0; j < tenants_.size(); ++j) {
     if (!tenants_[j].best_effort || !tenants_[j].control) continue;
     workload::LoadControl& ctl = *tenants_[j].control;
-    if (ctl.shed_fraction < cfg_.shed_max) {
+    if (ctl.shed_fraction < kShedMax) {
       ctl.shed_fraction =
-          std::min(cfg_.shed_max, ctl.shed_fraction + cfg_.shed_step);
+          std::min(kShedMax, ctl.shed_fraction + kShedStep);
       ++stats_[j].shed_steps;
     }
     if (ctl.admit_time > now) {
-      ctl.admit_time += cfg_.admission_defer;
+      ctl.admit_time += kAdmissionDefer;
       ++stats_[j].deferrals;
     }
   }
   // 4. Spread the victim's slabs off its hottest server.
   stats_[victim].slabs_migrated += sys_->mutable_pool()->RebalanceTenant(
-        sys_->partition(t.app).pool_id(), cfg_.migrate_slabs);
+        sys_->partition(t.app).pool_id(), kMigrateSlabs);
 }
 
 void QosPlane::Heal(std::size_t tenant) {
@@ -92,14 +107,14 @@ void QosPlane::Heal(std::size_t tenant) {
   if (sched::TwoDimScheduler* wfq = sys_->two_dim_scheduler()) {
     CgroupId cg = sys_->cgroup_of(tenants_[tenant].app);
     double w = std::max(base_weight_[tenant],
-                        wfq->Weight(cg) / cfg_.boost_factor);
+                        wfq->Weight(cg) / kBoostFactor);
     wfq->SetWeight(cg, w);
     stats_[tenant].current_weight = wfq->Weight(cg);
   }
   for (std::size_t j = 0; j < tenants_.size(); ++j) {
     if (!tenants_[j].best_effort || !tenants_[j].control) continue;
     workload::LoadControl& ctl = *tenants_[j].control;
-    ctl.shed_fraction = std::max(0.0, ctl.shed_fraction - cfg_.shed_step);
+    ctl.shed_fraction = std::max(0.0, ctl.shed_fraction - kShedStep);
   }
 }
 

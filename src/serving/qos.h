@@ -16,8 +16,8 @@
 //                      slabs off its hottest server (per-server queueing is
 //                      the congestion the NIC-level WFQ cannot see).
 //
-// After `heal_windows` consecutive clean windows the escalation unwinds one
-// step per tick (weights decay toward base, shed fractions release).
+// After kHealWindows (4) consecutive clean windows the escalation unwinds
+// one step per tick (weights decay toward base, shed fractions release).
 //
 // Determinism: the controller is an ordinary event on the run's DES clock
 // and RebalanceTenant draws no placement RNG, so serving runs replay
@@ -47,20 +47,6 @@ struct QosConfig {
   /// WFQ weight, shed and defer best-effort load, and migrate the victim's
   /// slabs. Off, the plane only judges windows.
   bool escalate = true;
-  /// Shed fraction added to best-effort tenants per violated window (and
-  /// released per heal step), capped at `shed_max`.
-  double shed_step = 0.25;
-  double shed_max = 0.9;
-  /// Weight multiplier per violated window; total boost capped at
-  /// `boost_cap` times the base weight.
-  double boost_factor = 2.0;
-  double boost_cap = 8.0;
-  /// Slabs migrated off the victim tenant's hottest server per violation.
-  std::uint64_t migrate_slabs = 4;
-  /// Clean judged windows before escalation starts unwinding.
-  std::uint64_t heal_windows = 4;
-  /// How far a violation pushes a still-waiting tenant's admission gate.
-  SimDuration admission_defer = 100 * kMillisecond;
   /// Optional per-window latency/supply curve (Memtrade cmanager_latency
   /// style): each tick the current scale multiplies every tenant's SLO
   /// bounds before the window is judged, so escalation thresholds track
@@ -108,13 +94,7 @@ class QosPlane {
   const TenantStats& stats(std::size_t tenant) const {
     return stats_.at(tenant);
   }
-  std::size_t tenant_count() const { return tenants_.size(); }
   std::uint64_t ticks() const { return ticks_; }
-  /// Supply-curve scale applied at the most recent tick (1.0 before the
-  /// first tick or with an empty curve).
-  double last_scale() const { return last_scale_; }
-  /// Ticks whose windows were judged under a non-1.0 supply scale.
-  std::uint64_t scaled_ticks() const { return scaled_ticks_; }
 
  private:
   void Tick();
@@ -129,8 +109,6 @@ class QosPlane {
   std::vector<TenantStats> stats_;
   std::vector<double> base_weight_;
   std::uint64_t ticks_ = 0;
-  double last_scale_ = 1.0;
-  std::uint64_t scaled_ticks_ = 0;
 };
 
 }  // namespace canvas::serving

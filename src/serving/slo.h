@@ -10,6 +10,7 @@
 // meaningful p99.9.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 
 #include "common/types.h"
@@ -50,8 +51,9 @@ class SloTracker {
     std::uint64_t p99_bound = std::uint64_t(cfg_.p99_ns);
     std::uint64_t p999_bound = std::uint64_t(cfg_.p999_ns);
     if (bound_scale != 1.0) {
-      p99_bound = std::uint64_t(double(p99_bound) * bound_scale);
-      p999_bound = std::uint64_t(double(p999_bound) * bound_scale);
+      // Saturate: a supply-curve scale may be any positive value.
+      p99_bound = std::uint64_t(std::min(p99_bound * bound_scale, 0x1p63));
+      p999_bound = std::uint64_t(std::min(p999_bound * bound_scale, 0x1p63));
     }
     bool violated = window.Percentile(99.0) > p99_bound ||
                     window.Percentile(99.9) > p999_bound;
@@ -64,7 +66,6 @@ class SloTracker {
       ++clean_run_;
     }
     last_window_p99_ = window.Percentile(99.0);
-    last_window_p999_ = window.Percentile(99.9);
     return violated;
   }
 
@@ -77,7 +78,6 @@ class SloTracker {
   /// Consecutive clean *judged* windows ending now.
   std::uint64_t clean_run() const { return clean_run_; }
   std::uint64_t last_window_p99() const { return last_window_p99_; }
-  std::uint64_t last_window_p999() const { return last_window_p999_; }
   /// Fraction of judged windows that violated (0 when none judged).
   double ViolationRate() const {
     return windows_judged_
@@ -94,7 +94,6 @@ class SloTracker {
   std::uint64_t violation_run_ = 0;
   std::uint64_t clean_run_ = 0;
   std::uint64_t last_window_p99_ = 0;
-  std::uint64_t last_window_p999_ = 0;
 };
 
 }  // namespace canvas::serving

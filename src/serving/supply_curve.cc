@@ -37,19 +37,25 @@ std::optional<SupplyCurve> SupplyCurve::Parse(const std::string& text,
     auto hash = line.find('#');
     if (hash != std::string::npos) line.resize(hash);
     std::replace(line.begin(), line.end(), ',', ' ');
+    if (line.find_first_not_of(" \t\r\v\f") == std::string::npos)
+      continue;  // blank / comment-only line
     std::istringstream ls(line);
     double at_ms = 0;
-    if (!(ls >> at_ms)) continue;  // blank / comment-only line
+    if (!(ls >> at_ms)) {
+      SetError(err, line_no, line, "bad time");
+      return std::nullopt;
+    }
     double scale = 0;
-    if (!(ls >> scale) || scale <= 0) {
-      SetError(err, line_no, line, "bad scale");
+    if (std::string extra; !(ls >> scale) || scale <= 0 || ls >> extra) {
+      SetError(err, line_no, line, "bad scale (want time_ms,scale)");
       return std::nullopt;
     }
-    if (at_ms < 0) {
-      SetError(err, line_no, line, "negative time");
+    SimTime at = 0;
+    if (!ToSimTime(at_ms, kMillisecond, &at)) {
+      SetError(err, line_no, line,
+               at_ms < 0 ? "negative time" : "time out of range");
       return std::nullopt;
     }
-    SimTime at = SimTime(at_ms * double(kMillisecond));
     if (!curve.points.empty() && at < curve.points.back().at) {
       SetError(err, line_no, line, "time goes backwards");
       return std::nullopt;

@@ -36,10 +36,12 @@ struct SupplyCurve {
   /// `now`; 1.0 before the first point or when the curve is empty.
   double ScaleAt(SimTime now) const;
 
-  /// Parse `time_ms,scale` CSV text: one point per line, commas or
-  /// whitespace as separators, `#` starts a comment, blank lines are
-  /// skipped. Times must be nondecreasing and nonnegative, scales
-  /// positive. Returns nullopt and fills `err` on malformed input.
+  /// Parse `time_ms,scale` CSV text: one point (exactly two fields) per
+  /// line, commas or whitespace as separators, `#` starts a comment, blank
+  /// lines are skipped. Times must be nondecreasing, nonnegative and at
+  /// most kMaxParsedNs, scales positive. Returns nullopt and fills `err` on
+  /// malformed input, including a line whose time is not a number: a
+  /// header line such as `time_ms,scale` must start with `#`.
   static std::optional<SupplyCurve> Parse(const std::string& text,
                                           std::string* err = nullptr);
 

@@ -5,10 +5,32 @@
 
 namespace canvas::swapalloc {
 
+namespace {
+/// Critical section for an allocation within an owned cluster.
+constexpr SimDuration kClusterHold = 400;  // 0.4us
+/// Critical section for taking the global lock to switch clusters.
+constexpr SimDuration kGlobalHold = 800;  // 0.8us
+/// Extra scan time when falling back to a shared, fragmented cluster.
+constexpr SimDuration kSharedScanHold = 2 * kMicrosecond;
+/// Every allocation briefly takes the swap_info lock (si->lock /
+/// swap_avail_lock) for counter updates even on the per-core cluster
+/// fast path — the serializer that makes per-entry cost grow
+/// super-linearly with core count in Figures 13(b)/16(b).
+constexpr SimDuration kSiLockHold = 250;
+/// Mild scan lengthening as the partition fills; the dominant cost is
+/// contention, not utilization (clusters keep free-slot counters).
+constexpr double kUtilScanCoeff = 0.1;
+constexpr SimDuration kMaxHold = 60 * kMicrosecond;
+constexpr double kContentionAlpha = 0.25;
+constexpr std::uint64_t kRngSeed = 42;
+/// Extra scan time per additional batched entry while holding the lock.
+constexpr double kBatchScanCoeff = 0.08;
+}  // namespace
+
 ClusterAllocator::ClusterAllocator(sim::Simulator& sim, std::uint64_t capacity,
                                    Config cfg)
-    : sim_(sim), capacity_(capacity), cfg_(cfg), rng_(cfg.rng_seed),
-      global_mutex_(sim, cfg.contention_alpha) {
+    : sim_(sim), capacity_(capacity), cfg_(cfg), rng_(kRngSeed),
+      global_mutex_(sim, kContentionAlpha) {
   auto num_clusters =
       std::uint32_t((capacity + cfg.cluster_size - 1) / cfg.cluster_size);
   clusters_.resize(num_clusters);
@@ -18,7 +40,7 @@ ClusterAllocator::ClusterAllocator(sim::Simulator& sim, std::uint64_t capacity,
     std::uint64_t hi = std::min<std::uint64_t>(lo + cfg.cluster_size, capacity);
     cl.free.reserve(hi - lo);
     for (std::uint64_t e = hi; e-- > lo;) cl.free.push_back(e);
-    cl.mutex = std::make_unique<sim::SimMutex>(sim, cfg.contention_alpha);
+    cl.mutex = std::make_unique<sim::SimMutex>(sim, kContentionAlpha);
     cl.in_free_list = true;
     free_clusters_.push_back(c);
   }
@@ -52,10 +74,10 @@ void ClusterAllocator::Allocate(CoreId core, Done done) {
   if (!core_cache_[core].empty()) {
     SwapEntryId e = core_cache_[core].back();
     core_cache_[core].pop_back();
-    sim_.Schedule(cfg_.cache_pop_cost, [this, e, slot] {
+    sim_.Schedule(kCachePopCost, [this, e, slot] {
       AllocResult r;
       r.entry = e;
-      r.hold = cfg_.cache_pop_cost;
+      r.hold = kCachePopCost;
       RecordAlloc(sim_.Now(), r);
       Finish(slot, r);
     });
@@ -63,8 +85,8 @@ void ClusterAllocator::Allocate(CoreId core, Done done) {
   }
   // si->lock: brief global critical section on every allocation path
   // (availability counters), before the per-cluster work.
-  global_mutex_.Execute(cfg_.si_lock_hold, [this, slot](SimDuration wait,
-                                                        SimDuration hold) {
+  global_mutex_.Execute(kSiLockHold, [this, slot](SimDuration wait,
+                                                  SimDuration hold) {
     std::uint32_t ci = core_cluster_[pending_[slot].core];
     if (ci != kNoCluster && !clusters_[ci].free.empty()) {
       AllocateFromCluster(slot, ci, wait, hold);
@@ -89,17 +111,17 @@ void ClusterAllocator::AllocateFromCluster(std::uint32_t slot,
   // A cluster shared by several cores costs more per allocation: its free
   // slots are interleaved with other cores' allocations, and the scan
   // lengthens further as the partition fills (fewer free slots to find).
-  SimDuration hold = cfg_.cluster_hold;
+  SimDuration hold = kClusterHold;
   if (cl.owners > 1) {
     double util = Utilization();
     double factor =
-        1.0 + cfg_.util_scan_coeff * (1.0 / std::max(0.02, 1.0 - util) - 1.0);
-    hold = std::min(SimDuration(double(cfg_.shared_scan_hold) * factor),
-                    cfg_.max_hold);
+        1.0 + kUtilScanCoeff * (1.0 / std::max(0.02, 1.0 - util) - 1.0);
+    hold = std::min(SimDuration(double(kSharedScanHold) * factor),
+                    kMaxHold);
   }
   if (cfg_.batch_size > 1)
     hold = SimDuration(double(hold) *
-                       (1.0 + cfg_.batch_scan_coeff * (cfg_.batch_size - 1)));
+                       (1.0 + kBatchScanCoeff * (cfg_.batch_size - 1)));
   cl.mutex->Execute(hold, [this, slot, ci, prior_wait,
                            prior_hold](SimDuration wait,
                                        SimDuration hold_actual) {
@@ -148,8 +170,8 @@ void ClusterAllocator::SwitchCluster(std::uint32_t slot, SimDuration wait,
                                      SimDuration hold) {
   pending_[slot].carry_wait += wait;
   pending_[slot].carry_hold += hold;
-  global_mutex_.Execute(cfg_.global_hold, [this, slot](SimDuration wait,
-                                                       SimDuration hold) {
+  global_mutex_.Execute(kGlobalHold, [this, slot](SimDuration wait,
+                                                  SimDuration hold) {
     CoreId core = pending_[slot].core;
     // A concurrent allocation from this core may have attached a cluster
     // while we queued on the global lock: use it instead of switching.

@@ -24,33 +24,13 @@ class ClusterAllocator : public SwapEntryAllocator {
  public:
   struct Config {
     std::uint32_t cluster_size = 256;
-    /// Critical section for an allocation within an owned cluster.
-    SimDuration cluster_hold = 400;  // 0.4us
-    /// Critical section for taking the global lock to switch clusters.
-    SimDuration global_hold = 800;  // 0.8us
-    /// Extra scan time when falling back to a shared, fragmented cluster.
-    SimDuration shared_scan_hold = 2 * kMicrosecond;
-    /// Every allocation briefly takes the swap_info lock (si->lock /
-    /// swap_avail_lock) for counter updates even on the per-core cluster
-    /// fast path — the serializer that makes per-entry cost grow
-    /// super-linearly with core count in Figures 13(b)/16(b).
-    SimDuration si_lock_hold = 250;
-    /// Mild scan lengthening as the partition fills; the dominant cost is
-    /// contention, not utilization (clusters keep free-slot counters).
-    double util_scan_coeff = 0.1;
-    SimDuration max_hold = 60 * kMicrosecond;
-    double contention_alpha = 0.25;
-    std::uint64_t rng_seed = 42;
     /// Entries grabbed per lock acquisition (Intel batch patch [46]).
     /// 1 disables batching; the "Linux 5.14" configuration uses 8-64.
     std::uint32_t batch_size = 1;
-    /// Extra scan time per additional batched entry while holding the lock.
-    double batch_scan_coeff = 0.08;
-    /// Cost of popping a pre-batched entry from the per-core cache.
-    SimDuration cache_pop_cost = 60;
-
-    bool operator==(const Config&) const = default;
   };
+
+  /// Cost of popping a pre-batched entry from the per-core cache.
+  static constexpr SimDuration kCachePopCost = 60;
 
   ClusterAllocator(sim::Simulator& sim, std::uint64_t capacity, Config cfg);
 

@@ -17,16 +17,8 @@ namespace canvas::swapalloc {
 class FreelistAllocator : public SwapEntryAllocator {
  public:
   struct Config {
-    /// Uncontended allocation critical section at an empty partition.
-    SimDuration base_hold = 1500;  // 1.5us
-    /// Scan-lengthening coefficient as the partition fills.
-    double scan_coeff = 1.5;
     /// Cap on the modeled critical section.
     SimDuration max_hold = 25 * kMicrosecond;
-    /// SimMutex cacheline-bouncing factor.
-    double contention_alpha = 0.15;
-
-    bool operator==(const Config&) const = default;
   };
 
   FreelistAllocator(sim::Simulator& sim, std::uint64_t capacity, Config cfg);

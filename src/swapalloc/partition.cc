@@ -3,26 +3,17 @@
 namespace canvas::swapalloc {
 
 SwapPartition::SwapPartition(sim::Simulator& sim, std::string name,
-                             std::uint64_t capacity, Config cfg)
+                             std::uint64_t capacity, AllocatorKind kind)
     : name_(std::move(name)), capacity_(capacity), meta_(capacity) {
-  switch (cfg.kind) {
-    case AllocatorKind::kFreelist:
-      allocator_ =
-          std::make_unique<FreelistAllocator>(sim, capacity, cfg.freelist);
-      break;
-    case AllocatorKind::kCluster: {
-      auto c = cfg.cluster;
-      c.batch_size = 1;
-      allocator_ = std::make_unique<ClusterAllocator>(sim, capacity, c);
-      break;
-    }
-    case AllocatorKind::kClusterBatch: {
-      auto c = cfg.cluster;
-      if (c.batch_size <= 1) c.batch_size = 16;
-      allocator_ = std::make_unique<ClusterAllocator>(sim, capacity, c);
-      break;
-    }
+  if (kind == AllocatorKind::kFreelist) {
+    allocator_ = std::make_unique<FreelistAllocator>(
+        sim, capacity, FreelistAllocator::Config{});
+    return;
   }
+  ClusterAllocator::Config c;
+  // Linux 5.14 batch allocation: 16 entries per lock acquisition.
+  if (kind == AllocatorKind::kClusterBatch) c.batch_size = 16;
+  allocator_ = std::make_unique<ClusterAllocator>(sim, capacity, c);
 }
 
 }  // namespace canvas::swapalloc

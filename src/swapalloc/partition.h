@@ -53,14 +53,8 @@ static_assert(sizeof(EntryMeta) == 16);
 
 class SwapPartition {
  public:
-  struct Config {
-    AllocatorKind kind = AllocatorKind::kCluster;
-    FreelistAllocator::Config freelist;
-    ClusterAllocator::Config cluster;
-  };
-
   SwapPartition(sim::Simulator& sim, std::string name, std::uint64_t capacity,
-                Config cfg);
+                AllocatorKind kind);
 
   const std::string& name() const { return name_; }
   std::uint64_t capacity() const { return capacity_; }

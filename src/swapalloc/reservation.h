@@ -49,8 +49,6 @@ class ReservationManager {
     /// Fraction of partition capacity kept free by proactive cancellation
     /// so first-time swap-outs rarely hit a full partition.
     double free_slack = 0.05;
-
-    bool operator==(const Config&) const = default;
   };
 
   ReservationManager(sim::Simulator& sim, std::vector<mem::Page>& pages,

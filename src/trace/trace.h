@@ -151,15 +151,18 @@ class TraceBuffer {
   std::uint64_t dropped_ = 0;
 };
 
+/// Sim-time period of the per-cgroup counter sampler.
+inline constexpr SimDuration kSamplePeriod = kMillisecond;
+
 /// Runtime configuration (a member of core::SystemConfig, so any experiment
 /// can toggle tracing without rebuilding).
 struct TraceConfig {
   bool enabled = false;
   /// Ring capacity in records (40 bytes each; the default retains ~10MB).
   std::size_t ring_capacity = std::size_t(1) << 18;
-  /// Emit per-cgroup counter time series on the DES clock.
+  /// Emit per-cgroup counter time series every kSamplePeriod on the DES
+  /// clock.
   bool sampler = true;
-  SimDuration sample_period = kMillisecond;
 
   bool operator==(const TraceConfig&) const = default;
 };

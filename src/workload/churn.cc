@@ -102,6 +102,25 @@ ChurnSchedule Generate(const ChurnSpec& spec) {
   return Admit(spec, std::move(tenants));
 }
 
+[[noreturn]] void BadRow(std::size_t lineno, const std::string& what) {
+  throw std::invalid_argument("churn trace line " + std::to_string(lineno) +
+                              ": " + what);
+}
+
+/// The whole of `field` (blanks around it allowed) as a number.
+double Number(const std::string& field, std::size_t lineno) {
+  std::size_t used = 0;
+  double v = 0;
+  try {
+    v = std::stod(field, &used);
+  } catch (const std::exception&) {  // not a number, or out of range
+    used = 0;
+  }
+  if (used == 0 || field.find_first_not_of(" \t", used) != std::string::npos)
+    BadRow(lineno, "bad number '" + field + "'");
+  return v;
+}
+
 }  // namespace
 
 const char* ChurnKindName(ChurnKind kind) {
@@ -140,24 +159,24 @@ ChurnSchedule LoadChurnTrace(const ChurnSpec& spec, std::istream& in) {
     std::string field;
     std::vector<std::string> fields;
     while (std::getline(row, field, ',')) fields.push_back(field);
-    if (fields.size() < 3)
-      throw std::invalid_argument("churn trace line " +
-                                  std::to_string(lineno) +
-                                  ": want arrive_ms,lifetime_ms,template");
+    if (fields.size() < 3 || fields.size() > 4)
+      BadRow(lineno, "want arrive_ms,lifetime_ms,template[,scale]");
     ChurnTenant t;
-    t.arrive = SimTime(std::stod(fields[0]) * double(kMillisecond));
-    t.depart =
-        t.arrive + SimDuration(std::stod(fields[1]) * double(kMillisecond));
+    SimDuration life = 0;
+    if (!ToSimTime(Number(fields[0], lineno), kMillisecond, &t.arrive) ||
+        !ToSimTime(Number(fields[1], lineno), kMillisecond, &life))
+      BadRow(lineno, "times must lie in [0, 2^62 ns]");
+    t.depart = t.arrive + life;
     // Template by index or by app name.
     bool numeric = !fields[2].empty() &&
                    fields[2].find_first_not_of("0123456789") ==
                        std::string::npos;
     if (numeric) {
-      std::size_t idx = std::stoul(fields[2]);
+      // Longer digit strings cannot index a template (and overflow stoul).
+      std::size_t idx = fields[2].size() <= 9 ? std::stoul(fields[2])
+                                              : std::size_t(-1);
       if (idx >= std::max<std::size_t>(spec.templates.size(), 1))
-        throw std::invalid_argument("churn trace line " +
-                                    std::to_string(lineno) +
-                                    ": template index out of range");
+        BadRow(lineno, "template index out of range");
       t.tmpl = std::uint32_t(idx);
     } else {
       bool found = false;
@@ -168,12 +187,13 @@ ChurnSchedule LoadChurnTrace(const ChurnSpec& spec, std::istream& in) {
           break;
         }
       }
-      if (!found)
-        throw std::invalid_argument("churn trace line " +
-                                    std::to_string(lineno) +
-                                    ": unknown template '" + fields[2] + "'");
+      if (!found) BadRow(lineno, "unknown template '" + fields[2] + "'");
     }
-    if (fields.size() > 3) t.scale_override = std::stod(fields[3]);
+    if (fields.size() > 3) {
+      t.scale_override = Number(fields[3], lineno);
+      if (!(t.scale_override > 0 && std::isfinite(t.scale_override)))
+        BadRow(lineno, "scale must be positive and finite");
+    }
     tenants.push_back(t);
   }
   std::stable_sort(tenants.begin(), tenants.end(),

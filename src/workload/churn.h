@@ -108,7 +108,9 @@ ChurnSchedule BuildChurnSchedule(const ChurnSpec& spec);
 /// Trace-loader core, exposed for tests: parses "arrive_ms,lifetime_ms,
 /// template[,scale]" rows (template by index or by app name; '#' comments
 /// and blank lines ignored) and applies the same admission control as the
-/// generators.
+/// generators. Times must be non-negative numbers at most kMaxParsedNs and
+/// a given scale positive and finite; any malformed row throws
+/// std::invalid_argument naming its line.
 ChurnSchedule LoadChurnTrace(const ChurnSpec& spec, std::istream& in);
 
 }  // namespace canvas::workload

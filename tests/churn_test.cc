@@ -7,10 +7,13 @@
 // scripts/check.sh.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <random>
 #include <sstream>
 
 #include "cgroup/cgroup.h"
 #include "core/report.h"
+#include "mutate.h"
 #include "orchestrator/churn.h"
 #include "workload/churn.h"
 
@@ -170,6 +173,71 @@ TEST(Schedule, TraceLoaderRejectsBadRows) {
   std::istringstream bad_name("1,2,no-such-app\n");
   EXPECT_THROW(workload::LoadChurnTrace(c, bad_name),
                std::invalid_argument);
+  // A fifth field, out-of-range numbers, negative or NaN times,
+  // non-positive or NaN scales and a number with a suffix are malformed
+  // rows too.
+  for (const char* row :
+       {"1,2,0,0.5,9\n", "1e400,2,0\n", "1,-2,0\n", "nan,2,0\n",
+        "1,2,99999999999999999999\n", "99999999999999999999,2,0\n",
+        "1,2,0,-0.5\n", "1,2,0,nan\n", "1x,2,0\n"}) {
+    std::istringstream in(row);
+    EXPECT_THROW(workload::LoadChurnTrace(c, in), std::invalid_argument)
+        << row;
+  }
+}
+
+// Seeded mutations of the valid trace above: each case either throws
+// std::invalid_argument or yields tenants in arrival order that depart no
+// earlier than they arrive, name an existing template, and carry a
+// positive, finite scale override when they carry one; the events are the
+// two per tenant, in time order.
+TEST(Schedule, TraceLoaderSeededMutationsRejectOrKeepInvariants) {
+  workload::ChurnSpec c = SmallChurn();
+  workload::TenantTemplate snappy;
+  snappy.app = "snappy";
+  c.templates.push_back(snappy);
+  const std::string valid[] = {
+      "# arrive_ms,lifetime_ms,template[,scale]\n"
+      "0,20,0\n"
+      "5,20,snappy,0.02\n"
+      "\n"
+      "10,20,1\n",
+      "0,20,memcached\n"
+      "3,7,1,0.5\n",
+  };
+  std::mt19937_64 rng(0xC4A2'5EED);
+  int accepted = 0, rejected = 0;
+  for (int i = 0; i < 3000; ++i) {
+    std::string text = test::Mutate(valid[i % 2], rng);
+    SCOPED_TRACE("case " + std::to_string(i) + ":\n" + text);
+    std::istringstream in(text);
+    workload::ChurnSchedule s;
+    try {
+      s = workload::LoadChurnTrace(c, in);
+    } catch (const std::invalid_argument&) {
+      ++rejected;
+      continue;
+    }
+    ++accepted;
+    for (std::size_t k = 0; k < s.tenants.size(); ++k) {
+      const workload::ChurnTenant& t = s.tenants[k];
+      if (k > 0) {
+        EXPECT_GE(t.arrive, s.tenants[k - 1].arrive);
+      }
+      EXPECT_LE(double(t.arrive), kMaxParsedNs);
+      EXPECT_GE(t.depart, t.arrive);
+      EXPECT_LT(t.tmpl, c.templates.size());
+      if (t.scale_override != 0.0) {
+        EXPECT_GT(t.scale_override, 0.0);
+        EXPECT_TRUE(std::isfinite(t.scale_override));
+      }
+    }
+    ASSERT_EQ(s.events.size(), 2 * s.tenants.size());
+    for (std::size_t k = 1; k < s.events.size(); ++k)
+      EXPECT_GE(s.events[k].at, s.events[k - 1].at);
+  }
+  EXPECT_GT(accepted, 300);
+  EXPECT_GT(rejected, 300);
 }
 
 ChurnRunSpec SmallRun(const std::string& topology = "pool4",

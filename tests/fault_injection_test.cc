@@ -11,6 +11,7 @@
 #include "core/experiment.h"
 #include "core/report.h"
 #include "fault/fault_plan.h"
+#include "mutate.h"
 #include "workload/apps.h"
 #include "workload/patterns.h"
 
@@ -156,12 +157,95 @@ TEST(FaultPlanParse, RejectsMalformedInput) {
   EXPECT_FALSE(fault::FaultPlan::Parse("error 0 10 -0.1\n"));
   EXPECT_FALSE(fault::FaultPlan::Parse("frobnicate 0 10\n"));
   EXPECT_FALSE(fault::FaultPlan::Parse("blackout 0\n"));
+  // Bandwidth windows take no server target; it must not be ignored.
+  EXPECT_FALSE(fault::FaultPlan::Parse("bandwidth 0 10 0.5 in server=2\n"));
+  EXPECT_FALSE(fault::FaultPlan::Parse("blackout 500 500\n"));  // empty
+  // 1e20 us is 1e23 ns: converting it to a SimTime would be undefined.
+  EXPECT_FALSE(fault::FaultPlan::Parse("blackout 0 99999999999999999999\n"));
+  EXPECT_FALSE(fault::FaultPlan::Parse("latency 0 10 1e300\n"));
+  EXPECT_FALSE(fault::FaultPlan::Parse("tier-latency 0 10 1e300\n"));
 }
 
 TEST(FaultPlanParse, EmptyTextIsEmptyPlan) {
   auto plan = fault::FaultPlan::Parse("  \n# only comments\n");
   ASSERT_TRUE(plan.has_value());
   EXPECT_TRUE(plan->empty());
+}
+
+// Seeded mutations of the valid plans above: each case is either rejected
+// with a message or parses to a plan whose every window is non-empty, in
+// range, and whose filters and factors are in their documented domains.
+TEST(FaultPlanParse, SeededMutationsRejectOrKeepInvariants) {
+  const std::string valid[] = {
+      "# comment line\n"
+      "latency 100 200 50 in\n"
+      "bandwidth 100 300 0.25 both\n"
+      "error 0 1000 0.5 demand\n"
+      "stall 400 450 out\n"
+      "blackout 500 900\n",
+      "latency 10 20 5 in server=2\n"
+      "latency 10 20 5 server=1\n"
+      "stall 30 40 server=0\n"
+      "blackout 50 60 server=3\n",
+      "tier-latency 2000 4000 3\n"
+      "tier-freeze 5000 6000\n"
+      "error 10 20 0.1 swapout\n",
+  };
+  auto window_ok = [](const fault::TimeWindow& w) {
+    return w.start < w.end && double(w.end) <= kMaxParsedNs;
+  };
+  auto dir_ok = [](int d) { return d >= fault::kBothDirections && d <= 1; };
+  std::mt19937_64 rng(0xFA17'5EED);
+  int accepted = 0, rejected = 0;
+  for (int i = 0; i < 3000; ++i) {
+    std::string text = test::Mutate(valid[i % 3], rng);
+    SCOPED_TRACE("case " + std::to_string(i) + ":\n" + text);
+    std::string err;
+    std::optional<fault::FaultPlan> plan = fault::FaultPlan::Parse(text, &err);
+    if (!plan) {
+      EXPECT_FALSE(err.empty());
+      ++rejected;
+      continue;
+    }
+    ++accepted;
+    for (const auto& x : plan->latency_spikes()) {
+      EXPECT_TRUE(window_ok(x.window));
+      EXPECT_LE(double(x.extra), kMaxParsedNs);
+      EXPECT_TRUE(dir_ok(x.dir));
+      EXPECT_GE(x.server, fault::kAllServers);
+    }
+    for (const auto& x : plan->bandwidth_degrades()) {
+      EXPECT_TRUE(window_ok(x.window));
+      EXPECT_GT(x.factor, 0.0);
+      EXPECT_LE(x.factor, 1.0);
+      EXPECT_TRUE(dir_ok(x.dir));
+    }
+    for (const auto& x : plan->error_bursts()) {
+      EXPECT_TRUE(window_ok(x.window));
+      EXPECT_GE(x.probability, 0.0);
+      EXPECT_LE(x.probability, 1.0);
+      EXPECT_GE(x.op, fault::kAllOps);
+      EXPECT_LE(x.op, 2);
+    }
+    for (const auto& x : plan->qp_stalls()) {
+      EXPECT_TRUE(window_ok(x.window));
+      EXPECT_TRUE(dir_ok(x.dir));
+      EXPECT_GE(x.server, fault::kAllServers);
+    }
+    for (const auto& x : plan->blackouts()) {
+      EXPECT_TRUE(window_ok(x.window));
+      EXPECT_GE(x.server, fault::kAllServers);
+    }
+    for (const auto& x : plan->tier_latency_spikes()) {
+      EXPECT_TRUE(window_ok(x.window));
+      EXPECT_LE(double(x.extra), kMaxParsedNs);
+    }
+    for (const auto& x : plan->tier_freezes())
+      EXPECT_TRUE(window_ok(x.window));
+  }
+  // Both outcomes occur, so the mutations reach past the first token.
+  EXPECT_GT(accepted, 100);
+  EXPECT_GT(rejected, 1000);
 }
 
 // --- chaos runs ------------------------------------------------------------

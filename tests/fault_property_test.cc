@@ -157,7 +157,6 @@ TEST(FaultProperty, RandomPlansPreserveSwapInvariants) {
     cfg.adaptive_alloc = false;
     cfg.fault_plan = RandomPlan(rng);
     cfg.fault_seed = seed;
-    const rdma::RetryPolicy policy = cfg.nic.retry;
 
     Experiment e(cfg, One(CustomApp(ScanThreads(2, 512, 2), 512, 128, 600)));
 
@@ -173,7 +172,7 @@ TEST(FaultProperty, RandomPlansPreserveSwapInvariants) {
     std::uint64_t monotonic_violations = 0;
     e.system().mutable_nic().SetRetryObserver(
         [&](const rdma::Request& r, SimDuration backoff) {
-          if (r.attempts > policy.MaxRetries(r.op) + 1) ++budget_violations;
+          if (r.attempts > rdma::MaxRetries(r.op) + 1) ++budget_violations;
           Cycle& c = cycles[&r];
           if (r.attempts == 1) c = Cycle{};
           if (backoff > 0) {  // 0 signals retry-budget exhaustion, not a wait

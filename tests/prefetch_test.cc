@@ -22,7 +22,7 @@ std::vector<PageId> Fire(Prefetcher& p, CgroupId app, PageId page,
 // --- Readahead ---
 
 TEST(Readahead, SequentialPatternPrefetchesAhead) {
-  ReadaheadPrefetcher p({ContextMode::kPerApp, 8, 0});
+  ReadaheadPrefetcher p({ContextMode::kPerApp, 0});
   Fire(p, 1, 100);
   Fire(p, 1, 101);
   auto out = Fire(p, 1, 102);
@@ -31,7 +31,7 @@ TEST(Readahead, SequentialPatternPrefetchesAhead) {
 }
 
 TEST(Readahead, WindowDoublesUpToMax) {
-  ReadaheadPrefetcher p({ContextMode::kPerApp, 8, 0});
+  ReadaheadPrefetcher p({ContextMode::kPerApp, 0});
   std::size_t prev = 0;
   PageId page = 0;
   Fire(p, 1, page++);
@@ -40,11 +40,11 @@ TEST(Readahead, WindowDoublesUpToMax) {
     EXPECT_GE(out.size(), prev);
     prev = out.size();
   }
-  EXPECT_EQ(prev, 8u);  // capped at max_window
+  EXPECT_EQ(prev, 8u);  // capped at kMaxWindow
 }
 
 TEST(Readahead, StridedPatternDetected) {
-  ReadaheadPrefetcher p({ContextMode::kPerApp, 8, 0});
+  ReadaheadPrefetcher p({ContextMode::kPerApp, 0});
   Fire(p, 1, 0);
   Fire(p, 1, 7);
   auto out = Fire(p, 1, 14);
@@ -54,7 +54,7 @@ TEST(Readahead, StridedPatternDetected) {
 }
 
 TEST(Readahead, BrokenPatternShrinksToNothing) {
-  ReadaheadPrefetcher p({ContextMode::kPerApp, 8, 0});
+  ReadaheadPrefetcher p({ContextMode::kPerApp, 0});
   Fire(p, 1, 0);
   Fire(p, 1, 1);
   Fire(p, 1, 2);
@@ -67,7 +67,7 @@ TEST(Readahead, BrokenPatternShrinksToNothing) {
 }
 
 TEST(Readahead, NegativeStrideClampsAtZero) {
-  ReadaheadPrefetcher p({ContextMode::kPerApp, 8, 0});
+  ReadaheadPrefetcher p({ContextMode::kPerApp, 0});
   Fire(p, 1, 10);
   Fire(p, 1, 5);
   auto out = Fire(p, 1, 0);
@@ -78,8 +78,8 @@ TEST(Readahead, NegativeStrideClampsAtZero) {
 TEST(Readahead, GlobalModeMixesApplications) {
   // The shared-detector interference of Figure 3: interleaved faults from
   // two apps destroy each other's sequential patterns.
-  ReadaheadPrefetcher global({ContextMode::kGlobal, 8, 0});
-  ReadaheadPrefetcher isolated({ContextMode::kPerApp, 8, 0});
+  ReadaheadPrefetcher global({ContextMode::kGlobal, 0});
+  ReadaheadPrefetcher isolated({ContextMode::kPerApp, 0});
   std::size_t global_pf = 0, isolated_pf = 0;
   Rng rng(3);
   PageId a = 0, b = 50000;
@@ -97,8 +97,8 @@ TEST(Readahead, GlobalModeMixesApplications) {
 TEST(Readahead, VmaZonesSeparateThreadRegions) {
   // Two threads scanning different 1024-page zones of the SAME app keep
   // independent detectors under the per-VMA policy.
-  ReadaheadPrefetcher zoned({ContextMode::kPerApp, 8, 1024});
-  ReadaheadPrefetcher flat({ContextMode::kPerApp, 8, 0});
+  ReadaheadPrefetcher zoned({ContextMode::kPerApp, 1024});
+  ReadaheadPrefetcher flat({ContextMode::kPerApp, 0});
   std::size_t zoned_pf = 0, flat_pf = 0;
   PageId a = 0, b = 8192;
   for (int i = 0; i < 100; ++i) {
@@ -115,7 +115,7 @@ TEST(Readahead, VmaZonesSeparateThreadRegions) {
 // --- Leap ---
 
 TEST(Leap, MajorityVoteFindsStride) {
-  LeapPrefetcher p({ContextMode::kPerApp, 32, 16, 8});
+  LeapPrefetcher p({ContextMode::kPerApp, 8});
   PageId page = 0;
   std::vector<PageId> out;
   for (int i = 0; i < 8; ++i) {
@@ -130,7 +130,7 @@ TEST(Leap, MajorityVoteFindsStride) {
 }
 
 TEST(Leap, SurvivesMinorityNoise) {
-  LeapPrefetcher p({ContextMode::kPerApp, 32, 16, 8});
+  LeapPrefetcher p({ContextMode::kPerApp, 8});
   Rng rng(9);
   PageId page = 1000;
   std::vector<PageId> out;
@@ -147,7 +147,7 @@ TEST(Leap, SurvivesMinorityNoise) {
 }
 
 TEST(Leap, AggressiveFallbackWithoutPattern) {
-  LeapPrefetcher p({ContextMode::kPerApp, 32, 16, 8});
+  LeapPrefetcher p({ContextMode::kPerApp, 8});
   Rng rng(7);
   std::size_t total = 0;
   for (int i = 0; i < 50; ++i)
@@ -159,7 +159,7 @@ TEST(Leap, AggressiveFallbackWithoutPattern) {
 }
 
 TEST(Leap, FallbackPrefetchesContiguousRun) {
-  LeapPrefetcher p({ContextMode::kPerApp, 32, 16, 4});
+  LeapPrefetcher p({ContextMode::kPerApp, 4});
   Rng rng(7);
   std::vector<PageId> out;
   PageId last = 0;
@@ -173,7 +173,7 @@ TEST(Leap, FallbackPrefetchesContiguousRun) {
 }
 
 TEST(Leap, GlobalModePollutedByCorunners) {
-  LeapPrefetcher global({ContextMode::kGlobal, 32, 16, 8});
+  LeapPrefetcher global({ContextMode::kGlobal, 8});
   PageId a = 0;
   Rng rng(13);
   std::uint64_t trend_hits_before;

@@ -16,6 +16,8 @@
 //     byte-identity of the deterministic report.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -23,6 +25,7 @@
 #include <vector>
 
 #include "fault/fault_plan.h"
+#include "mutate.h"
 #include "orchestrator/sweep.h"
 #include "serving/harness.h"
 #include "serving/slo.h"
@@ -148,6 +151,21 @@ TEST(SupplyCurve, RejectsMalformedRows) {
   EXPECT_FALSE(serving::SupplyCurve::Parse("10, 0\n", &err).has_value());
   EXPECT_NE(err.find("bad scale"), std::string::npos);
   EXPECT_FALSE(serving::SupplyCurve::Parse("10\n", &err).has_value());
+  EXPECT_FALSE(serving::SupplyCurve::Parse("10, 1.0, 2.0\n", &err).has_value());
+  // A row whose time is not a number is malformed, not blank.
+  EXPECT_FALSE(serving::SupplyCurve::Parse("x10, 1.0\n", &err).has_value());
+  EXPECT_NE(err.find("bad time"), std::string::npos);
+  // So is an uncommented CSV header; a header must start with `#`.
+  EXPECT_FALSE(
+      serving::SupplyCurve::Parse("time_ms,scale\n0,1.0\n", &err).has_value());
+  EXPECT_NE(err.find("bad time"), std::string::npos);
+  auto headed = serving::SupplyCurve::Parse("# time_ms,scale\n0,1.0\n", &err);
+  ASSERT_TRUE(headed.has_value());
+  EXPECT_EQ(headed->points.size(), 1u);
+  EXPECT_FALSE(serving::SupplyCurve::Parse("1e400, 1.0\n", &err).has_value());
+  EXPECT_FALSE(serving::SupplyCurve::Parse("99999999999999999999, 1.0\n", &err)
+                   .has_value());
+  EXPECT_NE(err.find("out of range"), std::string::npos);
   EXPECT_FALSE(serving::SupplyCurve::Parse("-5, 1.0\n", &err).has_value());
   EXPECT_NE(err.find("negative time"), std::string::npos);
   EXPECT_FALSE(
@@ -157,6 +175,66 @@ TEST(SupplyCurve, RejectsMalformedRows) {
       serving::SupplyCurve::LoadFile("/nonexistent/curve.csv", &err)
           .has_value());
   EXPECT_NE(err.find("cannot open"), std::string::npos);
+}
+
+TEST(SloTracker, HugeSupplyScaleSaturatesTheBound) {
+  SloConfig cfg;
+  cfg.p99_ns = 10 * kMicrosecond;
+  cfg.p999_ns = 50 * kMicrosecond;
+  cfg.min_window_samples = 1;
+  SloTracker t(cfg);
+  trace::LogHistogram h;
+  h.Add(1'000'000);
+  // 50 us * 1e300 leaves the uint64 range: the bound saturates, so even a
+  // 1 ms fault meets it.
+  EXPECT_FALSE(t.Observe(h, 1e300));
+}
+
+// Seeded mutations of the valid curves above: each case is either rejected
+// with a message or parses to one point per non-blank line, with
+// nondecreasing, in-range times and positive, finite scales.
+TEST(SupplyCurve, SeededMutationsRejectOrKeepInvariants) {
+  const std::string valid[] = {
+      "# latency headroom trace (Memtrade cmanager_latency shape)\n"
+      "0, 1.0\n"
+      "100, 2.0   # spot supply arrives: loosen the bounds\n"
+      "\n"
+      "250 0.5\n",
+      "200,3.0\n",
+      "0, 1000000000\n",
+  };
+  std::mt19937_64 rng(0x5C41'E5EED);
+  int accepted = 0, rejected = 0;
+  for (int i = 0; i < 3000; ++i) {
+    std::string text = test::Mutate(valid[i % 3], rng);
+    SCOPED_TRACE("case " + std::to_string(i) + ":\n" + text);
+    std::string err;
+    auto curve = serving::SupplyCurve::Parse(text, &err);
+    if (!curve) {
+      EXPECT_FALSE(err.empty());
+      ++rejected;
+      continue;
+    }
+    ++accepted;
+    std::size_t rows = 0;
+    std::istringstream lines(text);
+    for (std::string l; std::getline(lines, l);) {
+      l.resize(std::min(l.size(), l.find('#')));
+      if (l.find_first_not_of(" ,\t\r\v\f") != std::string::npos) ++rows;
+    }
+    EXPECT_EQ(curve->points.size(), rows);
+    for (std::size_t k = 0; k < curve->points.size(); ++k) {
+      const serving::SupplyCurve::Point& p = curve->points[k];
+      EXPECT_LE(double(p.at), kMaxParsedNs);
+      if (k > 0) {
+        EXPECT_GE(p.at, curve->points[k - 1].at);
+      }
+      EXPECT_GT(p.scale, 0.0);
+      EXPECT_TRUE(std::isfinite(p.scale));
+    }
+  }
+  EXPECT_GT(accepted, 300);
+  EXPECT_GT(rejected, 300);
 }
 
 // --- end-to-end serving runs ------------------------------------------------

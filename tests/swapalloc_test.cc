@@ -192,10 +192,10 @@ TEST(Cluster, BatchModeUsesPerCoreCache) {
   ASSERT_EQ(results.size(), 8u);
   // First allocation takes locks; the next 7 come from the core cache with
   // only the pop cost and no wait.
-  EXPECT_GT(results[0].hold, cfg.cache_pop_cost);
+  EXPECT_GT(results[0].hold, ClusterAllocator::kCachePopCost);
   for (int i = 1; i < 8; ++i) {
     EXPECT_EQ(results[std::size_t(i)].wait, 0u);
-    EXPECT_EQ(results[std::size_t(i)].hold, cfg.cache_pop_cost);
+    EXPECT_EQ(results[std::size_t(i)].hold, ClusterAllocator::kCachePopCost);
   }
   std::set<SwapEntryId> unique;
   for (auto& r : results) unique.insert(r.entry);
@@ -233,9 +233,7 @@ TEST(Partition, ConstructsEachKind) {
   sim::Simulator sim;
   for (auto kind : {AllocatorKind::kFreelist, AllocatorKind::kCluster,
                     AllocatorKind::kClusterBatch}) {
-    SwapPartition::Config cfg;
-    cfg.kind = kind;
-    SwapPartition p(sim, "t", 512, cfg);
+    SwapPartition p(sim, "t", 512, kind);
     EXPECT_EQ(p.capacity(), 512u);
     SwapEntryId got = kInvalidEntry;
     p.allocator().Allocate(0, [&](AllocResult r) { got = r.entry; });
@@ -246,7 +244,7 @@ TEST(Partition, ConstructsEachKind) {
 
 TEST(Partition, EntryMetadataPersists) {
   sim::Simulator sim;
-  SwapPartition p(sim, "t", 16, {});
+  SwapPartition p(sim, "t", 16, AllocatorKind::kCluster);
   p.meta(3).prefetch_ts = 12345;
   p.meta(3).valid = false;
   EXPECT_EQ(p.meta(3).prefetch_ts, 12345u);

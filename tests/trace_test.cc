@@ -552,7 +552,7 @@ TEST(TraceIntegration, RecordsFaultLifecycleSpans) {
 TEST(TraceIntegration, SamplerFiresOnTheConfiguredPeriod) {
   auto e = RunTraced(true);
   const auto& sys = e->system();
-  SimDuration period = sys.config().trace.sample_period;
+  SimDuration period = trace::kSamplePeriod;
   // Consecutive RSS samples for app 0 must be exactly one period apart.
   std::vector<SimTime> stamps;
   sys.tracer().buffer().ForEach([&](const trace::TraceRecord& r) {
