@@ -12,7 +12,7 @@
 //   canvasctl serve [options] [tenant[:rate[:mods]] ...]
 //                                               online-serving tail-latency
 //                                               grid (open-loop load,
-//                                               per-tenant SLOs, QoS plane)
+//                                               per-tenant SLO windows)
 //   canvasctl churn [options] [template[:scale[:weight]] ...]
 //                                               cluster-day tenant churn
 //                                               grid (DESIGN.md §15)
@@ -60,7 +60,6 @@
 #include "orchestrator/sweep.h"
 #include "remote/harvest.h"
 #include "remote/pool.h"
-#include "serving/supply_curve.h"
 #include "tier/tier.h"
 #include "workload/apps.h"
 
@@ -144,8 +143,8 @@ struct Axis {
 
 struct Options {
   explicit Options(Command c) : cmd(c) {
-    // Serving and churn pair with a server pool (the QoS migration lever
-    // and slab release need one).
+    // Serving and churn default to a pool of servers (churn's slab release
+    // needs one).
     if (c == Command::kServe || c == Command::kChurn)
       topologies.values = {"pool4"};
   }
@@ -183,7 +182,6 @@ struct Options {
   double horizon_sec = 2.0;
   // serve
   bool qos = true;
-  std::string qos_curve_path;  // serving::SupplyCurve CSV, `time_ms,scale`
   serving::SloConfig slo;
   std::vector<serving::TenantSpec> tenants;
   // churn
@@ -213,7 +211,7 @@ int Usage(FILE* to, int code) {
       "       canvasctl serve [shared options] [grid options]\n"
       "                       [--arrivals=poisson,diurnal,flash]\n"
       "                       [--horizon=SEC] [--slo-p99-us=N]\n"
-      "                       [--slo-p999-us=N] [--no-qos] [--qos-curve=FILE]\n"
+      "                       [--slo-p999-us=N] [--no-qos]\n"
       "                       [--ratio=R] [tenant[:rate_rps[:mods]] ...]\n"
       "       canvasctl churn [shared options] [grid options]\n"
       "                       [--harvests=none,steady,bursty,closed-loop]\n"
@@ -237,6 +235,8 @@ int Usage(FILE* to, int code) {
       "         serve and churn default to --topologies=pool4.\n"
       "serve:   tenant mods are `be` (best-effort) and `load` (arrival\n"
       "         axis target), joined with '+': e.g. frontend:150000:load\n"
+      "         The QoS plane only judges SLO windows; --no-qos skips\n"
+      "         that, and the tenants see the same run.\n"
       "churn:   templates are app names with optional footprint scale and\n"
       "         arrival weight, e.g. `memcached:0.02:3 snappy:0.01:1`\n");
   return code;
@@ -308,8 +308,6 @@ bool ParseFlag(const Arg& a, Options& opt) {
     opt.slo.p999_ns = SimTime(Parse<double>(a.key, a.value) * 1e3);
   } else if (serve && flag("--no-qos")) {
     opt.qos = false;
-  } else if (serve && option("--qos-curve")) {
-    opt.qos_curve_path = a.value;
   } else if (churn && option("--churn-kind")) {
     auto kind = workload::ChurnKindFromName(a.value);
     if (!kind)
@@ -472,17 +470,10 @@ orchestrator::ServingScenarioSpec ServingScenario(const Options& opt) {
   orchestrator::ServingScenarioSpec sc;
   sc.arrivals = opt.arrivals.values;
   sc.qos_enabled = opt.qos;
-  if (!opt.qos_curve_path.empty()) {
-    std::string err;
-    auto curve = serving::SupplyCurve::LoadFile(opt.qos_curve_path, &err);
-    if (!curve)
-      Fail("bad supply curve '" + opt.qos_curve_path + "': " + err);
-    sc.qos.supply = std::move(*curve);
-  }
   sc.tenants = opt.tenants;
   if (sc.tenants.empty()) {
     // Default co-run: a latency-sensitive frontend carrying the arrival
-    // axis plus a best-effort batch tenant the QoS plane may shed.
+    // axis plus a best-effort batch tenant.
     serving::TenantSpec fe;
     fe.name = "frontend";
     fe.arrival.rate_rps = 150000;

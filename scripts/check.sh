@@ -25,7 +25,7 @@ ctest --test-dir "$BUILD" --output-on-failure -j"$JOBS"
 # retry/failover paths where request-lifetime bugs would hide, the trace
 # suite exercises the ring and exporters, the orchestrator suite runs
 # multi-threaded sweeps, the remote suite churns slab migration/eviction
-# under harvesting, the serving suite runs the open-loop QoS plane, the
+# under harvesting, the serving suite runs the open-loop SLO observer, the
 # tier suite promotes/demotes pages across the hybrid local tier, and the
 # churn suite retires and reaps tenants mid-run (where stale-slot
 # use-after-frees would hide), and the object suite churns the object
@@ -103,12 +103,26 @@ CANVAS_REMOTE_JSON="${CANVAS_REMOTE_JSON:-$BUILD/BENCH_remote.json}" \
   "$BUILD/bench/remote_pool" ${HARNESS_ARGS[@]+"${HARNESS_ARGS[@]}"}
 
 # Online-serving tail-latency benchmark: {poisson, flash} x {pool4,
-# pool4-harvest} with the QoS plane on vs observe-only, plus fault-plan
-# grid points (blackout + latency spike on the harvested topology), with
-# hard checks (all runs ok, QoS never worse than observe-only — healthy
-# and faulted — levers engaged, frontend served throughout the fault).
+# pool4-harvest} plus fault-plan grid points (blackout + latency spike on
+# the harvested topology), with the QoS plane judging SLO windows and hard
+# checks (all runs ok, frontend served throughout the fault).
 CANVAS_SERVING_JSON="${CANVAS_SERVING_JSON:-$BUILD/BENCH_serving.json}" \
   "$BUILD/bench/serving_bench" ${HARNESS_ARGS[@]+"${HARNESS_ARGS[@]}"}
+
+# The same checks across workload seeds 1-11 in quick mode (~0.3 s each),
+# so a verdict that holds only at the default seed fails here.
+SEED_TMP="$(mktemp -d)"
+for seed in $(seq 1 11); do
+  log="$SEED_TMP/serving_$seed.log"
+  if ! CANVAS_SEED="$seed" CANVAS_SERVING_JSON="$SEED_TMP/serving_$seed.json" \
+      "$BUILD/bench/serving_bench" --quick >"$log" 2>&1; then
+    cat "$log" >&2
+    rm -rf "$SEED_TMP"
+    echo "check.sh: serving_bench failed at CANVAS_SEED=$seed" >&2
+    exit 1
+  fi
+done
+rm -rf "$SEED_TMP"
 
 # Cluster-day churn benchmark: ~1000 tenants arrive and depart on a
 # diurnal schedule over {steady, closed-loop} harvests, with hard checks

@@ -169,11 +169,6 @@ class SwapSystem {
   /// Remote memory-server pool (DESIGN.md §11); never null. The default
   /// `single` topology is a pool of one transparent server.
   const remote::ServerPool* pool() const { return pool_.get(); }
-  /// Mutable pool access (QoS plane: SLO-driven slab rebalancing).
-  remote::ServerPool* mutable_pool() { return pool_.get(); }
-  /// The WFQ scheduler when the configured kind has one (QoS plane: runtime
-  /// weight boosts); null for FIFO/Fastswap-style schedulers.
-  sched::TwoDimScheduler* two_dim_scheduler() { return two_dim_; }
   /// Raw page metadata (test oracles: content versions, backing location).
   const mem::Page& page(std::size_t app, PageId p) const {
     return apps_.at(app)->pages.at(p);

@@ -290,43 +290,6 @@ void ServerPool::RemovePlaced(ServerId id, SlabRef ref) {
   }
 }
 
-std::uint64_t ServerPool::RebalanceTenant(std::uint32_t pid,
-                                          std::uint64_t max_slabs) {
-  if (pid >= partitions_.size() || max_slabs == 0) return 0;
-  // Most loaded server *for this tenant* (ties: lowest id).
-  std::vector<std::uint64_t> held(servers_.size(), 0);
-  for (const SlabInfo& s : partitions_[pid].slabs)
-    if (s.home >= 0) ++held[std::size_t(s.home)];
-  ServerId src = kNoServer;
-  for (std::size_t i = 0; i < servers_.size(); ++i)
-    if (!servers_[i].down && held[i] > 0 &&
-        (src == kNoServer || held[i] > held[std::size_t(src)]))
-      src = ServerId(i);
-  if (src == kNoServer) return 0;
-
-  std::uint64_t moved = 0;
-  while (moved < max_slabs) {
-    // Least-occupied other server with room (ties: lowest id). Recomputed
-    // per slab so the destination choice tracks the moves themselves.
-    ServerId dst = kNoServer;
-    for (std::size_t i = 0; i < servers_.size(); ++i) {
-      if (ServerId(i) == src || !servers_[i].HasRoom()) continue;
-      if (dst == kNoServer ||
-          servers_[i].slabs_held < servers_[std::size_t(dst)].slabs_held)
-        dst = ServerId(i);
-    }
-    if (dst == kNoServer) break;
-    // Victim: the tenant's newest slab on src (cold slabs stay put).
-    const auto& list = placed_[std::size_t(src)];
-    auto it = std::find_if(list.rbegin(), list.rend(),
-                           [&](const SlabRef& r) { return r.pid == pid; });
-    if (it == list.rend()) break;
-    MigrateSlab(src, dst, *it);
-    ++moved;
-  }
-  return moved;
-}
-
 void ServerPool::MigrateSlab(ServerId src, ServerId dst, SlabRef ref) {
   ServerState& from = servers_[std::size_t(src)];
   ServerState& to = servers_[std::size_t(dst)];

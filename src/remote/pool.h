@@ -129,15 +129,6 @@ class ServerPool {
   /// tests; the seeded generator calls this internally.
   void ApplyHarvest(const HarvestEvent& e);
 
-  /// QoS lever (DESIGN.md §13): spread partition `pid`'s slabs away from
-  /// its most loaded server. Moves up to `max_slabs` of the partition's
-  /// newest slabs from the server holding most of them onto the
-  /// least-occupied server with room, and returns how many actually moved
-  /// (0 when the tenant has no remote slabs or nowhere to go). Fully
-  /// deterministic: victim order is placement order, ties break on the
-  /// lowest server id, and no placement RNG draws are consumed.
-  std::uint64_t RebalanceTenant(std::uint32_t pid, std::uint64_t max_slabs);
-
   // --- metrics ---
 
   const PoolConfig& config() const { return cfg_; }

@@ -51,21 +51,6 @@ class TwoDimScheduler : public DispatchScheduler {
   /// Declare a cgroup with its fair-share weight (must precede Enqueue).
   void RegisterCgroup(CgroupId cg, double weight);
 
-  /// Retune a registered cgroup's weight at runtime (the QoS plane's
-  /// weight-boost lever, DESIGN.md §13). Takes effect from the next
-  /// dequeue: virtual finish tags already assigned are left untouched, so
-  /// in-queue requests keep their rank and determinism is preserved.
-  void SetWeight(CgroupId cg, double weight) {
-    auto it = vqps_.find(cg);
-    if (it != vqps_.end()) it->second.weight = weight > 0 ? weight : 1.0;
-  }
-
-  /// Current weight (base 1.0 for unregistered cgroups).
-  double Weight(CgroupId cg) const {
-    auto it = vqps_.find(cg);
-    return it != vqps_.end() ? it->second.weight : 1.0;
-  }
-
   void Enqueue(rdma::RequestPtr req) override;
   rdma::RequestPtr Dequeue(rdma::Direction dir, SimTime now) override;
   std::vector<rdma::RequestPtr> DrainMatching(

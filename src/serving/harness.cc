@@ -67,9 +67,7 @@ ServingResult RunServing(const ServingSpec& spec) {
     for (std::size_t i = 0; i < spec.tenants.size(); ++i) {
       QosTenant qt;
       qt.app = i;
-      qt.control = controls[i];
       qt.slo = spec.tenants[i].slo;
-      qt.best_effort = spec.tenants[i].best_effort;
       qos.AddTenant(std::move(qt));
     }
     if (spec.qos_enabled) qos.Attach(e.simulator(), e.system());
@@ -87,7 +85,6 @@ ServingResult RunServing(const ServingSpec& spec) {
       tr.name = spec.tenants[i].name;
       tr.best_effort = spec.tenants[i].best_effort;
       tr.offered = ctl.offered;
-      tr.shed = ctl.shed;
       tr.deferred = ctl.deferred;
       tr.served = ctl.served;
       tr.max_lag = ctl.max_lag;
@@ -101,11 +98,6 @@ ServingResult RunServing(const ServingSpec& spec) {
         tr.windows_skipped = trk.windows_skipped();
         tr.windows_violated = trk.windows_violated();
         tr.violation_rate = trk.ViolationRate();
-        const QosPlane::TenantStats& st = qos.stats(i);
-        tr.weight_boosts = st.weight_boosts;
-        tr.shed_steps = st.shed_steps;
-        tr.deferrals = st.deferrals;
-        tr.slabs_migrated = st.slabs_migrated;
       }
       tr.finish_ns = m.finish_time;
       r.tenants.push_back(std::move(tr));
@@ -149,7 +141,7 @@ void WriteServingJson(std::ostream& os,
         const TenantResult& t = r.tenants[j];
         os << (j ? ", " : "") << "{\"name\": \"" << JsonEscape(t.name)
            << "\", \"best_effort\": " << (t.best_effort ? "true" : "false")
-           << ", \"offered\": " << t.offered << ", \"shed\": " << t.shed
+           << ", \"offered\": " << t.offered
            << ", \"deferred\": " << t.deferred << ", \"served\": " << t.served
            << ", \"max_lag_ns\": " << t.max_lag
            << ", \"faults\": " << t.faults
@@ -160,10 +152,6 @@ void WriteServingJson(std::ostream& os,
            << ", \"windows_skipped\": " << t.windows_skipped
            << ", \"windows_violated\": " << t.windows_violated
            << ", \"slo_violation_rate\": " << t.violation_rate
-           << ", \"weight_boosts\": " << t.weight_boosts
-           << ", \"shed_steps\": " << t.shed_steps
-           << ", \"deferrals\": " << t.deferrals
-           << ", \"slabs_migrated\": " << t.slabs_migrated
            << ", \"finish_ns\": " << t.finish_ns << "}";
       }
       os << "]";

@@ -6,10 +6,9 @@
 // cgroup limits), and a QoS configuration. RunServing materializes the
 // tenants as AppWorkloads of OpenLoopZipfStream threads, runs them through
 // the standard core::Experiment path (so fault plans and topologies apply
-// unchanged), attaches the QosPlane,
-// and snapshots a deterministic per-tenant result: offered/shed/served
-// request counts, cumulative fault-latency percentiles, windowed SLO
-// violation rates, and the QoS actions taken.
+// unchanged), attaches the QosPlane, and snapshots a deterministic
+// per-tenant result: offered/deferred/served request counts, cumulative
+// fault-latency percentiles and windowed SLO violation rates.
 //
 // Like RunSpec/RunResult, everything here is a plain value: a serving
 // sweep report is a pure function of its ServingSpecs, byte-identical
@@ -45,7 +44,7 @@ struct TenantSpec {
   double ratio = 0.25;
   std::uint32_t cores = 4;
   SloConfig slo;
-  /// Best-effort tenants get no SLO protection and absorb shed/defer.
+  /// Marks the tenant best-effort in the report; no effect on the run.
   bool best_effort = false;
   /// Initial admission gate (0 = admitted from the start).
   SimTime admit_after = 0;
@@ -71,7 +70,6 @@ struct TenantResult {
   bool best_effort = false;
   // --- open-loop load ---
   std::uint64_t offered = 0;
-  std::uint64_t shed = 0;
   std::uint64_t deferred = 0;
   std::uint64_t served = 0;
   SimDuration max_lag = 0;
@@ -85,12 +83,14 @@ struct TenantResult {
   std::uint64_t windows_skipped = 0;
   std::uint64_t windows_violated = 0;
   double violation_rate = 0;
-  // --- QoS actions ---
+  SimTime finish_ns = 0;
+  // Always zero and not written to the report; kept only for perfbench/,
+  // which reads them (ROADMAP item 9).
+  std::uint64_t shed = 0;
   std::uint64_t weight_boosts = 0;
   std::uint64_t shed_steps = 0;
   std::uint64_t deferrals = 0;
   std::uint64_t slabs_migrated = 0;
-  SimTime finish_ns = 0;
 };
 
 struct ServingResult : RunRecord {

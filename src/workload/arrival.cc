@@ -89,13 +89,6 @@ std::optional<Access> OpenLoopZipfStream::NextAt(SimTime now) {
     if (t >= p_.horizon) return std::nullopt;
     if (ctl) {
       ++ctl->offered;
-      // Probabilistic shedding: the request arrives but is dropped before
-      // it touches memory. Draw only when the valve is open so healthy
-      // runs consume the identical RNG stream as control-free ones.
-      if (ctl->shed_fraction > 0 && rng_.NextBool(ctl->shed_fraction)) {
-        ++ctl->shed;
-        continue;
-      }
       // Admission deferral: requests arriving before admit_time queue up
       // and are served at the gate; ones deferred past the horizon drop.
       if (t < ctl->admit_time) {

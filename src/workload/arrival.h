@@ -13,11 +13,10 @@
 // back-to-back and records the lag instead of silently stretching the
 // schedule.
 //
-// LoadControl is the one-way valve the QoS plane (src/serving) turns:
-// admission deferral and probabilistic shedding, plus the offered/shed/
-// served counters the serving report aggregates. Both sides run on the
-// same DES clock, so every control read/write is at a deterministic point
-// in virtual time.
+// LoadControl is a tenant's admission gate plus the offered/deferred/served
+// counters the serving report aggregates. The streams update it on the DES
+// clock, so every read and write is at a deterministic point in virtual
+// time.
 #pragma once
 
 #include <memory>
@@ -79,18 +78,16 @@ class ArrivalProcess {
   SimTime clock_ = 0;
 };
 
-/// Control block shared between a tenant's open-loop streams and the QoS
-/// plane. Plain struct, no locking: one run is one thread.
+/// Control block shared by a tenant's open-loop streams and read by the
+/// serving report. Plain struct, no locking: one run is one thread.
 struct LoadControl {
-  // --- knobs (written by the QoS plane) ---
   /// Requests arriving before this instant are deferred to it.
   SimTime admit_time = 0;
-  /// Probability an arriving request is shed (dropped unserved).
-  double shed_fraction = 0.0;
 
   // --- counters (written by the streams) ---
   std::uint64_t offered = 0;   ///< arrivals generated inside the horizon
-  std::uint64_t shed = 0;      ///< dropped by admission control
+  /// Always zero; kept only for perfbench/, which reads it (ROADMAP item 9).
+  std::uint64_t shed = 0;
   std::uint64_t deferred = 0;  ///< pushed to admit_time before serving
   std::uint64_t served = 0;    ///< accesses actually emitted
   /// Worst observed service lag: how far behind its arrival schedule the
@@ -116,7 +113,8 @@ class OpenLoopZipfStream : public ThreadStream {
     std::uint32_t service_ns = 300;
     double write_fraction = 0.1;
     std::uint64_t seed = 1;
-    /// Optional QoS valve + stats; shared across the tenant's threads.
+    /// Optional admission gate + counters; shared across the tenant's
+    /// threads.
     std::shared_ptr<LoadControl> control;
   };
 

@@ -218,47 +218,6 @@ TEST(Pool, MarkServerDownEvictsEverythingItHeld) {
   EXPECT_TRUE(pool.Audit(&err)) << err;
 }
 
-TEST(Pool, RebalanceTenantMovesNewestSlabsToTheEmptiestServer) {
-  sim::Simulator sim;
-  PoolConfig cfg = TwoServerPool(8);
-  cfg.servers.push_back(Finite("ms2", 8));
-  ServerPool pool(sim, cfg);
-  std::uint32_t hot = pool.RegisterPartition(16 * 8);
-  std::uint32_t cold = pool.RegisterPartition(16 * 8);
-  // First-fit stacks everything on server 0: 1 cold slab under 4 hot ones.
-  pool.EnsurePlaced(cold, 0);
-  for (std::uint64_t slab = 0; slab < 4; ++slab)
-    pool.EnsurePlaced(hot, slab * 16);
-  ASSERT_EQ(pool.servers()[0].slabs_held, 5u);
-  // Move up to 2 of the hot tenant's slabs; servers 1 and 2 are both empty,
-  // so the lowest id wins the tie each round.
-  EXPECT_EQ(pool.RebalanceTenant(hot, 2), 2u);
-  EXPECT_EQ(pool.servers()[0].slabs_held, 3u);
-  EXPECT_EQ(pool.servers()[1].slabs_held, 1u);
-  EXPECT_EQ(pool.servers()[2].slabs_held, 1u);
-  // Newest hot slabs moved; the cold tenant and oldest hot slab stayed.
-  EXPECT_EQ(pool.HomeOf(cold, 0), 0);
-  EXPECT_EQ(pool.HomeOf(hot, 0), 0);
-  EXPECT_NE(pool.HomeOf(hot, 3 * 16), 0);
-  EXPECT_EQ(pool.migrations(), 2u);
-  std::string err;
-  EXPECT_TRUE(pool.Audit(&err)) << err;
-  // No remote slabs for an unknown tenant, nothing to do.
-  EXPECT_EQ(pool.RebalanceTenant(99, 4), 0u);
-}
-
-TEST(Pool, RebalanceTenantStopsWhenNoServerHasRoom) {
-  sim::Simulator sim;
-  ServerPool pool(sim, TwoServerPool(2));
-  std::uint32_t pid = pool.RegisterPartition(16 * 4);
-  for (std::uint64_t slab = 0; slab < 4; ++slab)
-    pool.EnsurePlaced(pid, slab * 16);  // both servers at capacity
-  EXPECT_EQ(pool.RebalanceTenant(pid, 4), 0u);
-  EXPECT_EQ(pool.migrations(), 0u);
-  std::string err;
-  EXPECT_TRUE(pool.Audit(&err)) << err;
-}
-
 // --- fault-plan server targeting --------------------------------------
 
 TEST(FaultPlanServers, UntargetedLinesParseExactlyAsBefore) {

@@ -394,10 +394,6 @@ class ReferenceTwoDim {
   void Register(CgroupId cg, double weight) {
     vqps_[cg].weight = weight > 0 ? weight : 1.0;
   }
-  void SetWeight(CgroupId cg, double weight) {
-    auto it = vqps_.find(cg);
-    if (it != vqps_.end()) it->second.weight = weight > 0 ? weight : 1.0;
-  }
   bool Backlogged(CgroupId cg) const {
     auto it = vqps_.find(cg);
     return it != vqps_.end() && (it->second.Backlogged(0) ||
@@ -504,10 +500,6 @@ class BacklogDifferential {
     s_.RegisterCgroup(cg, w);
     ref_.Register(cg, w);
   }
-  void SetWeight(CgroupId cg, double w) {
-    s_.SetWeight(cg, w);
-    ref_.SetWeight(cg, w);
-  }
   void Enqueue(CgroupId cg, rdma::Op op, SimTime created,
                std::uint32_t bytes) {
     PageId tag = next_tag_++;
@@ -564,7 +556,7 @@ class BacklogDifferential {
   std::size_t served_ = 0;
 };
 
-// Random enqueue / dequeue / drain / reweight / forget-and-reuse sequences
+// Random enqueue / dequeue / drain / forget-and-reuse sequences
 // over a few cgroup populations. Byte sizes come from a small set, so equal
 // finish tags (where the lowest cgroup id must win) are common, and stale
 // prefetches empty VQPs in the middle of a dequeue.
@@ -606,7 +598,6 @@ TEST(TwoDimBacklog, DifferentialAgainstIdOrderWalk) {
             break;
           case 10:
             if (rng() % 8 == 0) d.Drain(2 + rng() % 5);
-            else d.SetWeight(busy(), 0.5 + double(rng() % 4));
             break;
           default: {
             // Retire an id and re-register it (ids are recycled).

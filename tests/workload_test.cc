@@ -575,7 +575,7 @@ TEST(OpenLoop, PacesAgainstTheClockAndFinishesAtHorizon) {
     ++served;
   }
   EXPECT_EQ(served, ctl->served);
-  EXPECT_EQ(ctl->offered, ctl->served);  // no shedding configured
+  EXPECT_EQ(ctl->offered, ctl->served);
   // ~10k arrivals expected over the horizon at 1 rps/us.
   EXPECT_GT(served, 8'000u);
   EXPECT_LT(served, 12'000u);
@@ -600,18 +600,6 @@ TEST(OpenLoop, LaggingConsumerRecordsLagNotSlowdown) {
   EXPECT_EQ(served, ctl->offered);
   EXPECT_GT(served, 8'000u);
   EXPECT_GT(ctl->max_lag, 10 * kMillisecond);
-}
-
-TEST(OpenLoop, SheddingDropsRoughlyTheRequestedFraction) {
-  auto ctl = std::make_shared<LoadControl>();
-  ctl->shed_fraction = 0.5;
-  OpenLoopZipfStream s(ServeParams(ctl));
-  SimTime now = 0;
-  while (auto a = s.NextAt(now)) now += a->compute_ns;
-  ASSERT_GT(ctl->offered, 8'000u);
-  EXPECT_EQ(ctl->offered, ctl->served + ctl->shed);
-  double shed_frac = double(ctl->shed) / double(ctl->offered);
-  EXPECT_NEAR(shed_frac, 0.5, 0.05);
 }
 
 TEST(OpenLoop, AdmissionDeferralQueuesArrivalsAtTheGate) {
