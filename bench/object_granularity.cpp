@@ -2,11 +2,13 @@
 //
 // Head-to-head on the behaviour-structured pointer-chasing workload
 // (`chase`): classic page-granular demand swapping versus cooperative
-// object-granular fetching, across the {pool4, pool4-harvest} topology
-// axis and the {none, cxl} local-tier axis. Every grid point pairs a
-// `page` run with an `object` run that differs ONLY in
-// SystemConfig::objects.enabled — same preset, same topology, same tier,
-// same seed — so the deltas isolate the granularity switch.
+// object-granular fetching, on the pool4 topology across the {none, cxl}
+// local-tier axis. Every grid point pairs a `page` run with an `object`
+// run that differs ONLY in SystemConfig::objects.enabled — same preset,
+// same topology, same tier, same seed — so the deltas isolate the
+// granularity switch. There is no harvest axis: a pool4-harvest grid
+// point differed from its pool4 twin only in sim_events (the harvest
+// ticks), so it showed nothing about granularity.
 //
 // The committed BENCH_object.json holds the deterministic sweep payload
 // only (per-app counters + fault percentiles), so the artifact is stable
@@ -43,7 +45,7 @@ namespace {
 orchestrator::ScenarioSpec Scenario(bool quick, std::uint64_t seed) {
   orchestrator::ScenarioSpec sc;
   sc.systems = {"canvas"};
-  sc.topologies = {"pool4", "pool4-harvest"};
+  sc.topologies = {"pool4"};
   sc.tiers = {"none", "cxl"};
   // The axis under test. Expansion nests granularity innermost of the
   // environment axes, so runs come out as adjacent (page, object) pairs.

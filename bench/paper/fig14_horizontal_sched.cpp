@@ -8,8 +8,6 @@
 
 namespace canvas::paper {
 
-static std::string Us(double ns) { return FormatTime(SimTime(ns)); }
-
 struct Fig14Horizontal : Figure {
   std::vector<std::size_t> runs;  // two-tier off/on, then leap off/on
 
@@ -37,10 +35,11 @@ struct Fig14Horizontal : Figure {
       const core::AppMetrics& m = grid.App(runs[i]);
       table.AddRow(
           {i < 2 ? "two-tier" : "leap", i % 2 ? "on" : "off",
-           Us(r.demand_latency.Percentile(99)),
-           Us(r.prefetch_latency.Percentile(50)),
-           Us(r.prefetch_latency.Percentile(90)),
-           Us(r.prefetch_latency.Percentile(99)), Pct(m.ContributionPct()),
+           FormatTime(r.demand_latency.Percentile(99)),
+           FormatTime(r.prefetch_latency.Percentile(50)),
+           FormatTime(r.prefetch_latency.Percentile(90)),
+           FormatTime(r.prefetch_latency.Percentile(99)),
+           Pct(m.ContributionPct()),
            Pct(m.AccuracyPct()), std::to_string(r.sched_drops),
            TablePrinter::Num(double(m.finish_time) / double(kSecond) * 1000,
                              0) +

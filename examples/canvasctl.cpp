@@ -487,6 +487,10 @@ orchestrator::ServingScenarioSpec ServingScenario(const Options& opt) {
   for (serving::TenantSpec& t : sc.tenants) {
     t.slo = opt.slo;
     t.horizon = SimTime(opt.horizon_sec * 1e9);
+    // Keep the flash burst inside the horizon at any --horizon (the
+    // arrival defaults place it at 1-1.5 s, the window of a 2 s run).
+    t.arrival.flash_start = t.horizon / 2;
+    t.arrival.flash_duration = t.horizon / 4;
     t.ratio = opt.ratios.values.front();
   }
   return sc;
@@ -526,10 +530,8 @@ int RunOne(const Options& opt, const orchestrator::RunSpec& spec) {
     }
     t.Print();
     std::printf("RDMA in %.0fMB/s out %.0fMB/s, WMMR %.2f\n",
-                sys.nic().bytes_series(rdma::Direction::kIngress).MeanRate() /
-                    1e6,
-                sys.nic().bytes_series(rdma::Direction::kEgress).MeanRate() /
-                    1e6,
+                sys.nic().mean_rate(rdma::Direction::kIngress) / 1e6,
+                sys.nic().mean_rate(rdma::Direction::kEgress) / 1e6,
                 sys.Wmmr(rdma::Direction::kIngress));
   }
   return finished ? 0 : 1;

@@ -72,11 +72,9 @@ int main(int argc, char** argv) {
                              "x"
                        : "-");
     }
-    row.push_back(FormatBytes(e.system()
-                                  .nic()
-                                  .bytes_series(rdma::Direction::kIngress)
-                                  .MeanRate()) +
-                  "/s");
+    row.push_back(
+        FormatBytes(e.system().nic().mean_rate(rdma::Direction::kIngress)) +
+        "/s");
     row.push_back(
         TablePrinter::Num(e.system().Wmmr(rdma::Direction::kIngress), 2));
     row.push_back(std::to_string(e.system().scheduler().drops()));

@@ -133,8 +133,8 @@ CANVAS_CLUSTER_JSON="${CANVAS_CLUSTER_JSON:-$BUILD/BENCH_cluster.json}" \
   "$BUILD/bench/cluster_day" ${HARNESS_ARGS[@]+"${HARNESS_ARGS[@]}"}
 
 # Object-granularity showdown: page-demand vs cooperative-object on the
-# behaviour-structured pointer-chasing workload across {pool4,
-# pool4-harvest} x {none, cxl}, with hard checks (cooperative-object
+# behaviour-structured pointer-chasing workload on pool4 across {none,
+# cxl} local tiers, with hard checks (cooperative-object
 # beats page-demand on BOTH p99 fault-stall latency and demand-fault
 # count on every grid point, and --jobs=1 vs --jobs=4 reports stay
 # byte-identical).

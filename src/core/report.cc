@@ -119,9 +119,9 @@ void WriteJson(std::ostream& os, const SwapSystem& system,
      << "  \"scheduler_drops\": " << system.scheduler().drops() << ",\n"
      << "  \"rdma\": {\n"
      << "    \"ingress_mean_Bps\": "
-     << system.nic().bytes_series(rdma::Direction::kIngress).MeanRate()
+     << system.nic().mean_rate(rdma::Direction::kIngress)
      << ",\n    \"egress_mean_Bps\": "
-     << system.nic().bytes_series(rdma::Direction::kEgress).MeanRate()
+     << system.nic().mean_rate(rdma::Direction::kEgress)
      << ",\n    \"demand_p50_ns\": "
      << system.nic().latency(rdma::Op::kDemandIn).Percentile(50)
      << ",\n    \"demand_p99_ns\": "

@@ -42,9 +42,8 @@ RunResult SweepEngine::ExecuteOne(const RunSpec& spec) {
     r.sched_drops = sys.scheduler().drops();
     r.sim_events = e.simulator().events_executed();
     const rdma::Nic& nic = sys.nic();
-    r.ingress_mean_rate =
-        nic.bytes_series(rdma::Direction::kIngress).MeanRate();
-    r.egress_mean_rate = nic.bytes_series(rdma::Direction::kEgress).MeanRate();
+    r.ingress_mean_rate = nic.mean_rate(rdma::Direction::kIngress);
+    r.egress_mean_rate = nic.mean_rate(rdma::Direction::kEgress);
     r.demand_latency = nic.latency(rdma::Op::kDemandIn);
     r.prefetch_latency = nic.latency(rdma::Op::kPrefetchIn);
   } catch (const std::exception& ex) {

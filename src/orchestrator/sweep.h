@@ -23,9 +23,9 @@
 #include <vector>
 
 #include "common/run.h"
-#include "common/stats.h"
 #include "core/metrics.h"
 #include "orchestrator/scenario.h"
+#include "trace/histogram.h"
 
 namespace canvas::orchestrator {
 
@@ -61,8 +61,8 @@ struct RunResult : RunRecord {
   // report leaves them out.
   double ingress_mean_rate = 0;      ///< bytes/s over the run
   double egress_mean_rate = 0;       ///< bytes/s over the run
-  LatencyRecorder demand_latency;    ///< per-request, demand reads
-  LatencyRecorder prefetch_latency;  ///< per-request, prefetch reads
+  trace::LogHistogram demand_latency;    ///< per-request, demand reads
+  trace::LogHistogram prefetch_latency;  ///< per-request, prefetch reads
 };
 
 /// Deterministic snapshot of one churn run (DESIGN.md §15). kOk means the

@@ -25,8 +25,7 @@ SimDuration ComputeBackoff(const RetryPolicy& policy, std::uint32_t attempt,
 }
 
 Nic::Nic(sim::Simulator& sim, Config cfg, RequestSource& source)
-    : sim_(sim), cfg_(cfg), source_(source),
-      dir_series_{TimeSeries(cfg.series_bucket), TimeSeries(cfg.series_bucket)} {}
+    : sim_(sim), cfg_(cfg), source_(source) {}
 
 void Nic::Kick(Direction dir) { Pump(dir); }
 
@@ -54,9 +53,12 @@ SimDuration Nic::EstimateServiceDelay(Direction dir, SimTime now) const {
   return queue_wait + ser + cfg_.base_latency + extra;
 }
 
-const TimeSeries* Nic::cgroup_series(CgroupId cg, Direction dir) const {
-  auto it = cg_series_.find({cg, dir});
-  return it == cg_series_.end() ? nullptr : &it->second;
+double Nic::mean_rate(Direction dir) const {
+  std::uint64_t buckets = dir_buckets_[std::size_t(dir)];
+  if (buckets == 0) return 0.0;
+  // Exact while the byte total stays below 2^53.
+  return double(dir_bytes_[std::size_t(dir)]) * double(kSecond) /
+         (double(cfg_.series_bucket) * double(buckets));
 }
 
 double Nic::cgroup_bytes(CgroupId cg, Direction dir) const {
@@ -68,10 +70,8 @@ std::array<double, 2> Nic::ReleaseCgroup(CgroupId cg) {
   std::array<double, 2> totals = {
       cgroup_bytes(cg, Direction::kIngress),
       cgroup_bytes(cg, Direction::kEgress)};
-  for (Direction dir : {Direction::kIngress, Direction::kEgress}) {
+  for (Direction dir : {Direction::kIngress, Direction::kEgress})
     cg_bytes_.erase({cg, dir});
-    cg_series_.erase({cg, dir});
-  }
   return totals;
 }
 
@@ -166,11 +166,9 @@ void Nic::Pump(Direction dir) {
 
   // Account bandwidth at serialization time (failed attempts still burn
   // wire time — that is the cost the retry path pays).
-  dir_series_[std::size_t(dir)].Add(now, double(req->bytes));
-  auto key = std::make_pair(req->cgroup, dir);
-  auto [it, inserted] = cg_series_.try_emplace(key, cfg_.series_bucket);
-  it->second.Add(now, double(req->bytes));
-  cg_bytes_[key] += double(req->bytes);
+  dir_bytes_[std::size_t(dir)] += req->bytes;
+  dir_buckets_[std::size_t(dir)] = now / cfg_.series_bucket + 1;
+  cg_bytes_[{req->cgroup, dir}] += double(req->bytes);
 
   sim_.ScheduleAt(event_at, [this, outcome, owned = std::move(req)]() mutable {
     // Balance the server's inflight depth at the attempt's terminal event
@@ -179,8 +177,7 @@ void Nic::Pump(Direction dir) {
     owned->completed = sim_.Now();
     owned->status = outcome;
     if (outcome == RequestStatus::kOk) {
-      latency_[std::size_t(owned->op)].Add(
-          double(owned->completed - owned->created));
+      latency_[std::size_t(owned->op)].Add(owned->completed - owned->created);
       ++completed_[std::size_t(owned->op)];
       if (owned->on_complete) owned->on_complete(*owned);
     } else {

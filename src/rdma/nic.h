@@ -17,8 +17,8 @@
 // on_error. Without an injector none of this logic executes — the healthy
 // fast path is unchanged.
 //
-// The NIC is also the metrics point for per-op latency recorders and
-// per-cgroup bandwidth time series (paper Figures 5, 6, 14).
+// The NIC is also the metrics point for per-op latency histograms and
+// per-direction / per-cgroup byte counts (paper Figures 5, 6, 14).
 #pragma once
 
 #include <array>
@@ -26,10 +26,10 @@
 #include <map>
 #include <vector>
 
-#include "common/stats.h"
 #include "fault/injector.h"
 #include "rdma/request.h"
 #include "sim/simulator.h"
+#include "trace/histogram.h"
 #include "trace/trace.h"
 
 namespace canvas::remote {
@@ -88,7 +88,8 @@ class Nic {
     double bandwidth_bytes_per_sec = 4.8e9;
     /// Fixed one-way request latency (DMA + wire + remote memory).
     SimDuration base_latency = 3 * kMicrosecond;
-    /// Width of bandwidth accounting buckets.
+    /// Time granularity of mean_rate(): the rate averages over whole
+    /// buckets from t = 0 through the one holding the last dispatch.
     SimDuration series_bucket = 100 * kMillisecond;
     /// Backoff parameters (only consulted when a fault injector is
     /// attached).
@@ -130,20 +131,23 @@ class Nic {
   const Config& config() const { return cfg_; }
 
   // --- metrics ---
-  const LatencyRecorder& latency(Op op) const {
+  /// created -> completed latency of every successful request of `op`.
+  const trace::LogHistogram& latency(Op op) const {
     return latency_[std::size_t(op)];
   }
-  /// Bytes transferred per direction over time (total across cgroups).
-  const TimeSeries& bytes_series(Direction dir) const {
-    return dir_series_[std::size_t(dir)];
+  /// Bytes dispatched in `dir`, across cgroups (failed attempts included).
+  std::uint64_t bytes(Direction dir) const {
+    return dir_bytes_[std::size_t(dir)];
   }
-  /// Per-cgroup per-direction byte series (for WMMR / per-app bandwidth).
-  const TimeSeries* cgroup_series(CgroupId cg, Direction dir) const;
+  /// Mean bytes/s in `dir` over whole `series_bucket`s from t = 0 through
+  /// the bucket of the last dispatch; 0 before the first dispatch.
+  double mean_rate(Direction dir) const;
+  /// Per-cgroup per-direction bytes (for WMMR / per-app bandwidth).
   double cgroup_bytes(CgroupId cg, Direction dir) const;
-  /// Tenant retirement (DESIGN.md §15): drop `cg`'s byte/series accounting
-  /// and return the final {ingress, egress} totals for the run ledger.
-  /// Cgroup ids are recycled, so the next tenant on this id must start
-  /// from zero. The direction-total series are unaffected.
+  /// Tenant retirement (DESIGN.md §15): drop `cg`'s byte accounting and
+  /// return the final {ingress, egress} totals for the run ledger. Cgroup
+  /// ids are recycled, so the next tenant on this id must start from zero.
+  /// The direction totals are unaffected.
   std::array<double, 2> ReleaseCgroup(CgroupId cg);
   std::uint64_t completed_count(Op op) const {
     return completed_[std::size_t(op)];
@@ -184,10 +188,11 @@ class Nic {
   remote::ServerPool* pool_ = nullptr;
   std::array<Lane, 2> lanes_;
   std::array<std::deque<RequestPtr>, 2> retry_q_;
-  std::array<LatencyRecorder, 3> latency_;
-  std::array<TimeSeries, 2> dir_series_;
+  std::array<trace::LogHistogram, 3> latency_;
+  std::array<std::uint64_t, 2> dir_bytes_{};
+  /// Buckets spanned by each direction's dispatches (0 = none yet).
+  std::array<std::uint64_t, 2> dir_buckets_{};
   std::array<std::uint64_t, 3> completed_{};
-  std::map<std::pair<CgroupId, Direction>, TimeSeries> cg_series_;
   std::map<std::pair<CgroupId, Direction>, double> cg_bytes_;
   std::uint64_t retries_ = 0;
   std::uint64_t timeouts_ = 0;

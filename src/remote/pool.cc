@@ -79,9 +79,8 @@ ServerPool::ServerPool(sim::Simulator& sim, PoolConfig cfg)
       placement_rng_(kPlacementSeed),
       harvest_rng_(cfg_.harvest.seed) {
   if (cfg_.single())
-    servers_.emplace_back(ServerConfig{.name = "ms0"}, cfg_.series_bucket);
-  for (const ServerConfig& s : cfg_.servers)
-    servers_.emplace_back(s, cfg_.series_bucket);
+    servers_.emplace_back(ServerConfig{.name = "ms0"});
+  for (const ServerConfig& s : cfg_.servers) servers_.emplace_back(s);
   placed_.resize(servers_.size());
 }
 
@@ -217,7 +216,6 @@ SimTime ServerPool::BeginService(ServerId id, int dir, std::uint64_t bytes,
   ++s.inflight;
   s.peak_inflight = std::max(s.peak_inflight, s.inflight);
   s.bytes[std::size_t(dir)] += double(bytes);
-  s.bytes_series[std::size_t(dir)].Add(start, double(bytes));
   return done;
 }
 

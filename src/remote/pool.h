@@ -50,7 +50,6 @@ struct PoolConfig {
   HarvestConfig harvest;
   /// Name of the topology preset this config came from ("single", ...).
   std::string topology = "single";
-  SimDuration series_bucket = 100 * kMillisecond;
 
   /// True for the default `single` topology. Its reports keep their
   /// pre-pool shape: no "remote" section and no pool fields.

@@ -16,7 +16,6 @@
 #include <limits>
 #include <string>
 
-#include "common/stats.h"
 #include "common/types.h"
 
 namespace canvas::remote {
@@ -53,12 +52,11 @@ struct ServerConfig {
 
 /// Live per-server state owned by the ServerPool.
 struct ServerState {
-  explicit ServerState(const ServerConfig& c, SimDuration series_bucket)
+  explicit ServerState(const ServerConfig& c)
       : cfg(c),
         capacity_slabs(c.capacity_slabs == 0
                            ? std::numeric_limits<std::uint64_t>::max()
-                           : c.capacity_slabs),
-        bytes_series{TimeSeries(series_bucket), TimeSeries(series_bucket)} {}
+                           : c.capacity_slabs) {}
 
   ServerConfig cfg;
   /// Current capacity (harvesting removes and returns slabs over time).
@@ -78,7 +76,6 @@ struct ServerState {
   // --- metrics ---
   std::uint64_t requests_served = 0;
   std::array<double, 2> bytes{0.0, 0.0};
-  std::array<TimeSeries, 2> bytes_series;
   std::uint64_t harvest_events = 0;
   std::uint64_t slabs_harvested = 0;
   std::uint64_t migrations_out = 0;

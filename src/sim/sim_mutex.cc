@@ -19,13 +19,11 @@ void SimMutex::Grant(Request req) {
   ++acquisitions_;
   SimDuration wait = sim_.Now() - req.enqueued;
   total_wait_ += wait;
-  wait_stats_.Add(double(wait));
   // Contention penalty is computed from the queue length at acquisition:
   // every waiter is a core spinning on the lock cacheline.
   double factor =
       std::min(1.0 + alpha_ * double(queue_.size()), max_factor_);
   auto hold = SimDuration(double(req.base_hold) * factor);
-  hold_stats_.Add(double(hold));
   std::uint32_t slot = holders_.Put(std::move(req.done));
   sim_.Schedule(hold, [this, wait, hold, slot] {
     held_ = false;

@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <deque>
 
-#include "common/stats.h"
 #include "common/types.h"
 #include "sim/inline_callback.h"
 #include "sim/simulator.h"
@@ -42,8 +41,6 @@ class SimMutex {
   std::size_t waiters() const { return queue_.size(); }
   bool held() const { return held_; }
 
-  const StreamingStats& wait_stats() const { return wait_stats_; }
-  const StreamingStats& hold_stats() const { return hold_stats_; }
   std::uint64_t acquisitions() const { return acquisitions_; }
   /// Total virtual time any requester spent blocked on this mutex.
   SimDuration total_wait() const { return total_wait_; }
@@ -67,8 +64,6 @@ class SimMutex {
   /// granted.
   SlotPool<Done> holders_;
   std::deque<Request> queue_;
-  StreamingStats wait_stats_;
-  StreamingStats hold_stats_;
   std::uint64_t acquisitions_ = 0;
   SimDuration total_wait_ = 0;
 };

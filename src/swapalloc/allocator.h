@@ -20,7 +20,6 @@
 #include <cstdint>
 #include <memory>
 
-#include "common/stats.h"
 #include "common/types.h"
 #include "sim/inline_callback.h"
 #include "sim/simulator.h"
@@ -59,27 +58,24 @@ class SwapEntryAllocator {
   std::uint64_t allocations() const { return allocations_; }
   SimDuration total_alloc_time() const { return total_alloc_time_; }
   /// Mean wait + hold per allocation in ns (0 before the first). Equal bit
-  /// for bit to a LatencyRecorder's Mean() over the same samples while the
-  /// total stays below 2^53 ns: the recorder's double sum of integers is
+  /// for bit to an insertion-order double sum of the samples over their
+  /// count while the total stays below 2^53 ns: that sum of integers is
   /// then exact.
   double mean_alloc_time() const {
     return allocations_
                ? double(total_alloc_time_) / double(allocations_)
                : 0.0;
   }
-  const TimeSeries& alloc_series() const { return alloc_series_; }
 
  protected:
-  void RecordAlloc(SimTime now, const AllocResult& r) {
+  void RecordAlloc(const AllocResult& r) {
     ++allocations_;
     total_alloc_time_ += r.wait + r.hold;
-    alloc_series_.Add(now, 1.0);
   }
 
  private:
   std::uint64_t allocations_ = 0;
   SimDuration total_alloc_time_ = 0;
-  TimeSeries alloc_series_{100 * kMillisecond};
 };
 
 }  // namespace canvas::swapalloc

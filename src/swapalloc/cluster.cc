@@ -78,7 +78,7 @@ void ClusterAllocator::Allocate(CoreId core, Done done) {
       AllocResult r;
       r.entry = e;
       r.hold = kCachePopCost;
-      RecordAlloc(sim_.Now(), r);
+      RecordAlloc(r);
       Finish(slot, r);
     });
     return;
@@ -143,7 +143,7 @@ void ClusterAllocator::AllocateFromCluster(std::uint32_t slot,
         cl2.free.pop_back();
         ++used_;
       }
-      RecordAlloc(sim_.Now(), r);
+      RecordAlloc(r);
       Finish(slot, r);
       return;
     }

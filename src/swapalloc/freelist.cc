@@ -43,7 +43,7 @@ void FreelistAllocator::Allocate(CoreId /*core*/, Done done) {
       r.entry = free_.back();
       free_.pop_back();
       ++used_;
-      RecordAlloc(sim_.Now(), r);
+      RecordAlloc(r);
     }
     pending_.Take(slot)(r);
   });

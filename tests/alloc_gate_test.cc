@@ -114,10 +114,11 @@ TEST(AllocGate, CanvasCorun) {
   Report("canvas co-run", c);
   EXPECT_EQ(c.events, 293395u);
   EXPECT_EQ(c.faults, 30361u);
-  // Measured 0.0527 (0.0674 before the reference prefetcher reused its
-  // traversal scratch, 0.2586 before rdma::Request was pooled): waiter
-  // lists, workload buffers and the request pool's growth to its peak.
-  EXPECT_LE(c.AllocsPerEvent(), 0.062);
+  // Measured 0.0525 (0.0527 while the NIC kept exact latency multisets,
+  // 0.0674 before the reference prefetcher reused its traversal scratch,
+  // 0.2586 before rdma::Request was pooled): waiter lists, workload
+  // buffers and the request pool's growth to its peak.
+  EXPECT_LE(c.AllocsPerEvent(), 0.0615);
 }
 
 // Building the co-run's workloads and constructing its experiment. The
@@ -201,16 +202,18 @@ TEST(AllocGate, Pool4Churn) {
   Report("pool4 churn", run.cost);
   EXPECT_EQ(run.cost.events, 642605u);
   EXPECT_EQ(run.cost.faults, 50558u);
-  // Measured 0.0460 when run alone, 0.0451 after the co-run has warmed
-  // this thread's request pool (0.2194 before requests were pooled),
-  // tenant construction included.
-  EXPECT_LE(run.cost.AllocsPerEvent(), 0.057);
+  // Measured 0.0454 when run alone, 0.0445 after the co-run has warmed
+  // this thread's request pool (0.0460 / 0.0449 while the NIC kept a
+  // byte series per tenant and exact latency multisets, 0.2194 before
+  // requests were pooled), tenant construction included.
+  EXPECT_LE(run.cost.AllocsPerEvent(), 0.053);
 }
 
 // O(active tenants) memory (DESIGN.md §15): with the concurrency cap fixed,
 // admitting 4x the tenants may grow the peak live heap only by what the
 // run keeps per retired tenant — its ledger record and the reaped shell —
-// plus latency statistics that grow with distinct values, not samples.
+// plus latency histograms that grow with their highest bucket, not with
+// samples.
 TEST(AllocGate, Pool4ChurnRetainedHeapPerTenant) {
   ChurnRun small = RunPool4Churn(60, 200 * kMillisecond);
   ChurnRun large = RunPool4Churn(240, 800 * kMillisecond);
@@ -231,17 +234,16 @@ TEST(AllocGate, Pool4ChurnRetainedHeapPerTenant) {
               double(large.peak_live_bytes) / 1024,
               (unsigned long long)large.result.tenants_retired,
               per_tenant / 1024);
-  // Measured 19.1-20.0 KiB, depending on which tests ran earlier in the
-  // process (113 KiB while every retired tenant kept two full-range
-  // fault histograms and the NIC kept every latency sample). The request
-  // pool keeps its peak, but both runs share the same concurrency cap.
-  // About 11 KiB of it is the NIC's latency multisets, which grow with the
-  // run's distinct swap-out latencies (19k -> 64k) rather than with
-  // tenants; 3-6 KB the ledger record's fault histogram (300-450 buckets
-  // plus growth slack); ~1.5 KiB the 576-byte record and the 856-byte
-  // shell with its threads/frame_waiters capacity; the rest is ledger
-  // growth slack and other state that scales with run length.
-  EXPECT_LE(per_tenant, 21.0 * 1024);
+  // Measured 5.3-5.9 KiB, depending on which tests ran earlier in the
+  // process (19.1-20.1 KiB while the NIC kept exact latency multisets that
+  // grew with the run's distinct swap-out latencies, 113 KiB while every
+  // retired tenant kept two full-range fault histograms and the NIC kept
+  // every latency sample). The request pool keeps its peak, but both runs
+  // share the same concurrency cap. Most of it is the ledger record's
+  // fault histogram (300-450 buckets plus growth slack) and ~1.5 KiB the
+  // 576-byte record and the 856-byte shell with its threads/frame_waiters
+  // capacity; the rest is ledger growth slack.
+  EXPECT_LE(per_tenant, 7.0 * 1024);
 }
 
 }  // namespace

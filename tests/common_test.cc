@@ -192,265 +192,6 @@ TEST(StreamingStats, MergeWithEmpty) {
   EXPECT_DOUBLE_EQ(b.mean(), 3.0);
 }
 
-TEST(LatencyRecorder, PercentilesOnKnownData) {
-  LatencyRecorder r;
-  for (int i = 1; i <= 100; ++i) r.Add(i);
-  EXPECT_NEAR(r.Percentile(0), 1.0, 1e-9);
-  EXPECT_NEAR(r.Percentile(100), 100.0, 1e-9);
-  EXPECT_NEAR(r.Percentile(50), 50.5, 1.0);
-  EXPECT_NEAR(r.Percentile(99), 99.0, 1.1);
-}
-
-TEST(LatencyRecorder, EmptyIsZero) {
-  LatencyRecorder r;
-  EXPECT_EQ(r.Percentile(50), 0.0);
-  EXPECT_EQ(r.Mean(), 0.0);
-  EXPECT_EQ(r.FractionBelow(1.0), 0.0);
-}
-
-TEST(LatencyRecorder, FractionBelow) {
-  LatencyRecorder r;
-  for (int i = 1; i <= 10; ++i) r.Add(i);
-  EXPECT_DOUBLE_EQ(r.FractionBelow(5.0), 0.5);
-  EXPECT_DOUBLE_EQ(r.FractionBelow(0.5), 0.0);
-  EXPECT_DOUBLE_EQ(r.FractionBelow(100.0), 1.0);
-}
-
-TEST(LatencyRecorder, CdfMonotonic) {
-  LatencyRecorder r;
-  Rng rng(4);
-  for (int i = 0; i < 1000; ++i) r.Add(double(rng.NextBounded(10000)));
-  auto cdf = r.Cdf(50);
-  ASSERT_EQ(cdf.size(), 50u);
-  for (std::size_t i = 1; i < cdf.size(); ++i) {
-    EXPECT_GE(cdf[i].first, cdf[i - 1].first);
-    EXPECT_GT(cdf[i].second, cdf[i - 1].second);
-  }
-  EXPECT_DOUBLE_EQ(cdf.back().second, 1.0);
-}
-
-// Differential: LatencyRecorder keeps a value -> count multiset; the
-// reference below is the full-sample recorder it replaced (every sample in a
-// vector, sorted on query). Every answer must be the same double.
-class FullSampleRecorder {
- public:
-  void Add(double v) { samples_.push_back(v); sorted_ = false; }
-  std::uint64_t count() const { return samples_.size(); }
-  double Percentile(double p) const {
-    if (samples_.empty()) return 0.0;
-    EnsureSorted();
-    double rank = p / 100.0 * double(samples_.size() - 1);
-    auto lo = std::size_t(rank);
-    auto hi = std::min(lo + 1, samples_.size() - 1);
-    double frac = rank - double(lo);
-    return samples_[lo] * (1.0 - frac) + samples_[hi] * frac;
-  }
-  double Mean() const {
-    if (samples_.empty()) return 0.0;
-    double s = 0;
-    for (double v : samples_) s += v;
-    return s / double(samples_.size());
-  }
-  double Max() const {
-    if (samples_.empty()) return 0.0;
-    EnsureSorted();
-    return samples_.back();
-  }
-  double FractionBelow(double threshold) const {
-    if (samples_.empty()) return 0.0;
-    EnsureSorted();
-    auto it = std::upper_bound(samples_.begin(), samples_.end(), threshold);
-    return double(it - samples_.begin()) / double(samples_.size());
-  }
-  std::vector<std::pair<double, double>> Cdf(int points) const {
-    std::vector<std::pair<double, double>> out;
-    if (samples_.empty() || points <= 0) return out;
-    EnsureSorted();
-    for (int i = 1; i <= points; ++i) {
-      double frac = double(i) / double(points);
-      auto idx = std::size_t(frac * double(samples_.size() - 1));
-      out.emplace_back(samples_[idx], frac);
-    }
-    return out;
-  }
-  /// Distinct sample values, ascending.
-  std::vector<double> Distinct() const {
-    EnsureSorted();
-    std::vector<double> d(samples_);
-    d.erase(std::unique(d.begin(), d.end()), d.end());
-    return d;
-  }
-
- private:
-  void EnsureSorted() const {
-    if (!sorted_) {
-      std::sort(samples_.begin(), samples_.end());
-      sorted_ = true;
-    }
-  }
-  mutable std::vector<double> samples_;
-  mutable bool sorted_ = true;
-};
-
-void ExpectSameAnswers(const LatencyRecorder& got,
-                       const FullSampleRecorder& want) {
-  ASSERT_EQ(got.count(), want.count());
-  EXPECT_EQ(got.empty(), want.count() == 0);
-  // Mean first: the reference sums in insertion order until a query sorts
-  // it, and after that in sorted order — equal sums for integral samples.
-  EXPECT_EQ(got.Mean(), want.Mean());
-  for (double p : {0.0, 0.1, 1.0, 50.0, 99.0, 99.9, 100.0})
-    EXPECT_EQ(got.Percentile(p), want.Percentile(p)) << "p" << p;
-  EXPECT_EQ(got.Max(), want.Max());
-  EXPECT_EQ(got.Cdf(100), want.Cdf(100));
-  std::vector<double> distinct = want.Distinct();
-  std::vector<double> thresholds;
-  if (!distinct.empty()) {
-    thresholds.push_back(distinct.front() - 1);
-    thresholds.push_back(distinct.back() + 1);
-  }
-  for (std::size_t i = 0; i < distinct.size(); ++i) {
-    thresholds.push_back(distinct[i]);
-    if (i + 1 < distinct.size())
-      thresholds.push_back((distinct[i] + distinct[i + 1]) / 2);
-  }
-  for (double t : thresholds)
-    EXPECT_EQ(got.FractionBelow(t), want.FractionBelow(t)) << "t=" << t;
-}
-
-TEST(LatencyRecorderDiff, EmptyMatchesReference) {
-  LatencyRecorder got;
-  FullSampleRecorder want;
-  ExpectSameAnswers(got, want);
-  EXPECT_TRUE(got.Cdf(100).empty());
-}
-
-TEST(LatencyRecorderDiff, SingleSample) {
-  LatencyRecorder got;
-  FullSampleRecorder want;
-  got.Add(4242);
-  want.Add(4242);
-  ExpectSameAnswers(got, want);
-}
-
-TEST(LatencyRecorderDiff, HeavyDuplicationMatchesReference) {
-  // Latency-shaped: a few hundred distinct integral values repeated tens of
-  // thousands of times, plus a sparse long tail.
-  LatencyRecorder got;
-  FullSampleRecorder want;
-  Rng rng(17);
-  for (int i = 0; i < 40'000; ++i) {
-    double v = rng.NextBounded(100) < 98
-                   ? double(3000 + 10 * rng.NextBounded(300))
-                   : double(rng.NextBounded(5'000'000));
-    got.Add(v);
-    want.Add(v);
-  }
-  ExpectSameAnswers(got, want);
-}
-
-TEST(LatencyRecorderDiff, AddInterleavedWithQueries) {
-  // Every query rebuilds the rank table lazily; adds between queries must
-  // show up in the next answer.
-  LatencyRecorder got;
-  FullSampleRecorder want;
-  Rng rng(23);
-  for (int i = 1; i <= 1500; ++i) {
-    double v = double(rng.NextBounded(i < 700 ? 40 : 4000));
-    got.Add(v);
-    want.Add(v);
-    if (i % 97 == 0 || i < 5) ExpectSameAnswers(got, want);
-  }
-  ExpectSameAnswers(got, want);
-}
-
-TEST(LatencyRecorderDiff, NonIntegralSamplesBeforeAndAfterSorting) {
-  LatencyRecorder got;
-  FullSampleRecorder want;
-  Rng rng(31);
-  for (int i = 0; i < 3000; ++i) {
-    double v = rng.NextDouble() * 1e3;
-    got.Add(v);
-    want.Add(v);
-  }
-  // Unsorted reference: both sum in insertion order, so Mean is exact for
-  // any data.
-  EXPECT_EQ(got.Mean(), want.Mean());
-  for (double p : {0.0, 0.1, 1.0, 50.0, 99.0, 99.9, 100.0})
-    EXPECT_EQ(got.Percentile(p), want.Percentile(p)) << "p" << p;
-  EXPECT_EQ(got.Max(), want.Max());
-  EXPECT_EQ(got.Cdf(100), want.Cdf(100));
-  for (double t : {0.0, 1.5, 250.25, 999.0, 1e4})
-    EXPECT_EQ(got.FractionBelow(t), want.FractionBelow(t)) << "t=" << t;
-}
-
-TEST(LatencyRecorderDiff, NegativeZeroIsRecordedAsZero) {
-  LatencyRecorder got;
-  FullSampleRecorder want;
-  for (double v : {-0.0, 0.0, 5.0, -0.0, -3.0}) {
-    got.Add(v);
-    want.Add(v);
-  }
-  ExpectSameAnswers(got, want);
-  EXPECT_FALSE(std::signbit(got.Percentile(25)));
-  EXPECT_EQ(got.Percentile(25), 0.0);
-  EXPECT_EQ(got.FractionBelow(-0.0), 0.8);
-  // Only negative zeros: every answer is +0.0.
-  LatencyRecorder neg;
-  neg.Add(-0.0);
-  neg.Add(-0.0);
-  EXPECT_FALSE(std::signbit(neg.Max()));
-  EXPECT_FALSE(std::signbit(neg.Percentile(50)));
-  EXPECT_FALSE(std::signbit(neg.Mean()));
-}
-
-TEST(LatencyRecorderDiff, RejectsNaN) {
-  LatencyRecorder r;
-  r.Add(1.0);
-  EXPECT_THROW(r.Add(std::numeric_limits<double>::quiet_NaN()),
-               std::invalid_argument);
-  EXPECT_EQ(r.count(), 1u);
-  EXPECT_EQ(r.Mean(), 1.0);
-  EXPECT_EQ(r.Max(), 1.0);
-}
-
-TEST(Histogram, BucketsAndClamping) {
-  Histogram h(0, 100, 10);
-  h.Add(5);    // bucket 0
-  h.Add(95);   // bucket 9
-  h.Add(-10);  // clamps to 0
-  h.Add(500);  // clamps to 9
-  EXPECT_EQ(h.BucketCount(0), 2u);
-  EXPECT_EQ(h.BucketCount(9), 2u);
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_DOUBLE_EQ(h.BucketLow(1), 10.0);
-}
-
-TEST(TimeSeries, BucketsAccumulate) {
-  TimeSeries ts(100);  // 100ns buckets
-  ts.Add(0, 5);
-  ts.Add(50, 5);
-  ts.Add(150, 3);
-  EXPECT_EQ(ts.num_buckets(), 2u);
-  EXPECT_DOUBLE_EQ(ts.Bucket(0), 10.0);
-  EXPECT_DOUBLE_EQ(ts.Bucket(1), 3.0);
-  EXPECT_DOUBLE_EQ(ts.Total(), 13.0);
-}
-
-TEST(TimeSeries, RateScalesToPerSecond) {
-  TimeSeries ts(kMillisecond);
-  ts.Add(0, 1000.0);  // 1000 bytes in 1ms -> 1MB/s
-  EXPECT_DOUBLE_EQ(ts.Rate(0), 1e6);
-  EXPECT_DOUBLE_EQ(ts.PeakRate(), 1e6);
-}
-
-TEST(TimeSeries, MeanRateOverExtent) {
-  TimeSeries ts(kMillisecond);
-  ts.Add(0, 100.0);
-  ts.Add(3 * kMillisecond, 100.0);  // 4 buckets, 200 total
-  EXPECT_DOUBLE_EQ(ts.MeanRate(), 200.0 * 1000.0 / 4.0);
-}
-
 TEST(Table, RendersAlignedColumns) {
   TablePrinter t({"name", "value"});
   t.AddRow({"a", "1"});

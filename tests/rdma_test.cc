@@ -2,13 +2,18 @@
 // accounting, late-binding dispatch.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cmath>
 #include <deque>
 #include <memory>
+#include <vector>
 
 #if defined(__SANITIZE_ADDRESS__)
 #include <sanitizer/asan_interface.h>
 #endif
 
+#include "common/rng.h"
 #include "rdma/nic.h"
 #include "sim/simulator.h"
 
@@ -128,11 +133,10 @@ TEST(Nic, PerCgroupByteAccounting) {
   EXPECT_DOUBLE_EQ(nic.cgroup_bytes(7, Direction::kIngress), 3.0 * kPageSize);
   EXPECT_DOUBLE_EQ(nic.cgroup_bytes(8, Direction::kEgress), 2.0 * kPageSize);
   EXPECT_DOUBLE_EQ(nic.cgroup_bytes(7, Direction::kEgress), 0.0);
-  EXPECT_NE(nic.cgroup_series(7, Direction::kIngress), nullptr);
-  EXPECT_EQ(nic.cgroup_series(9, Direction::kIngress), nullptr);
+  EXPECT_DOUBLE_EQ(nic.cgroup_bytes(9, Direction::kIngress), 0.0);
 }
 
-TEST(Nic, LatencyRecorderPerOp) {
+TEST(Nic, LatencyHistogramPerOp) {
   sim::Simulator sim;
   TestSource src;
   Nic nic(sim, TestConfig(), src);
@@ -165,11 +169,61 @@ TEST(Nic, BytesSeriesTracksThroughput) {
   auto cfg = TestConfig();
   cfg.series_bucket = 10 * kMicrosecond;
   Nic nic(sim, cfg, src);
+  EXPECT_EQ(nic.mean_rate(Direction::kIngress), 0.0);  // nothing dispatched
+  // Five pages dispatched 1us apart in bucket 0, a sixth at 25us (bucket 2):
+  // the rate averages six pages over three whole 10us buckets.
   for (int i = 0; i < 5; ++i) src.Push(MakeReq(Op::kDemandIn, 1, sim));
   nic.Kick(Direction::kIngress);
+  sim.ScheduleAt(25 * kMicrosecond, [&] {
+    src.Push(MakeReq(Op::kDemandIn, 1, sim));
+    nic.Kick(Direction::kIngress);
+  });
   sim.Run();
-  EXPECT_DOUBLE_EQ(nic.bytes_series(Direction::kIngress).Total(),
-                   5.0 * kPageSize);
+  EXPECT_EQ(nic.bytes(Direction::kIngress), 6u * kPageSize);
+  EXPECT_EQ(nic.mean_rate(Direction::kIngress),
+            double(6 * kPageSize) * double(kSecond) /
+                (double(10 * kMicrosecond) * 3.0));
+  EXPECT_EQ(nic.bytes(Direction::kEgress), 0u);
+  EXPECT_EQ(nic.mean_rate(Direction::kEgress), 0.0);
+}
+
+TEST(Nic, LatencyHistogramTracksExactOrderStatistics) {
+  // Seeded arrivals of every op so the lanes queue and latencies spread
+  // over many histogram buckets. The requests' own created -> completed
+  // latencies are the exact reference.
+  sim::Simulator sim;
+  TestSource src;
+  Nic nic(sim, TestConfig(), src);
+  std::array<std::vector<SimDuration>, 3> exact;
+  Rng rng(11);
+  for (int i = 0; i < 600; ++i) {
+    auto op = Op(rng.NextBounded(3));
+    SimTime at = rng.NextBounded(300) * kMicrosecond;
+    sim.ScheduleAt(at, [&, op] {
+      src.Push(MakeReq(op, 1, sim, [&](const Request& r) {
+        exact[std::size_t(r.op)].push_back(r.completed - r.created);
+      }));
+      nic.Kick(DirectionOf(op));
+    });
+  }
+  sim.Run();
+  for (Op op : {Op::kDemandIn, Op::kPrefetchIn, Op::kSwapOut}) {
+    std::vector<SimDuration>& v = exact[std::size_t(op)];
+    const trace::LogHistogram& h = nic.latency(op);
+    ASSERT_FALSE(v.empty());
+    EXPECT_EQ(h.count(), nic.completed_count(op));
+    EXPECT_EQ(h.count(), v.size());
+    std::sort(v.begin(), v.end());
+    for (double p : {50.0, 99.0}) {
+      // LogHistogram's rank: ceil(p% of n), 1-based.
+      auto rank = std::max<std::size_t>(
+          1, std::size_t(std::ceil(p / 100.0 * double(v.size()))));
+      SimDuration want = v[rank - 1];
+      SimDuration got = h.Percentile(p);
+      EXPECT_LE(want, got) << "p" << p;
+      EXPECT_LE(got - want, want / 32) << "p" << p;  // one sub-bucket
+    }
+  }
 }
 
 TEST(DirectionOf, MapsOps) {

@@ -28,8 +28,7 @@ std::vector<ServerState> States(std::vector<std::uint64_t> capacities,
                                 std::vector<std::uint64_t> held) {
   std::vector<ServerState> out;
   for (std::size_t i = 0; i < capacities.size(); ++i) {
-    out.emplace_back(Finite("ms" + std::to_string(i), capacities[i]),
-                     SimDuration(100));
+    out.emplace_back(Finite("ms" + std::to_string(i), capacities[i]));
     out.back().slabs_held = held[i];
   }
   return out;
