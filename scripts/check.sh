@@ -59,8 +59,10 @@ fi
 # `object`) race their sweeps at --jobs=1 vs a wider pool with
 # byte-identity differentials on the deterministic report; the `sim` /
 # `determinism` labels pull in the event-order and repeat-run checks.
-# TSan cannot be combined with ASan — separate build. CANVAS_NO_TSAN=1
-# skips it.
+# Label `workload` covers the open-loop stream's draw-ahead helper thread
+# (chunk handoff, inline fill over the helper cap, destruction while the
+# helper waits or fills). TSan cannot be combined with ASan — separate
+# build. CANVAS_NO_TSAN=1 skips it.
 if [ -z "${CANVAS_SANITIZE:-}" ] && [ "${CANVAS_NO_TSAN:-0}" != "1" ]; then
   TSAN_BUILD="${TSAN_BUILD_DIR:-$ROOT/build-tsan}"
   cmake -B "$TSAN_BUILD" -S "$ROOT" -DCANVAS_SANITIZE=thread
@@ -69,7 +71,7 @@ if [ -z "${CANVAS_SANITIZE:-}" ] && [ "${CANVAS_NO_TSAN:-0}" != "1" ]; then
              fault_injection_test trace_test remote_test serving_test \
              workload_test tier_test churn_test object_test
   ctest --test-dir "$TSAN_BUILD" \
-    -L 'orchestrator|sim|determinism|serving|tier|churn|object' \
+    -L 'orchestrator|sim|determinism|serving|tier|churn|object|workload' \
     --output-on-failure -j"$JOBS"
 fi
 

@@ -1,6 +1,7 @@
 #include "rdma/nic.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <utility>
 
@@ -62,16 +63,16 @@ double Nic::mean_rate(Direction dir) const {
 }
 
 double Nic::cgroup_bytes(CgroupId cg, Direction dir) const {
-  auto it = cg_bytes_.find({cg, dir});
-  return it == cg_bytes_.end() ? 0.0 : it->second;
+  // Exact while the total stays below 2^53.
+  return cg < cg_bytes_.size() ? double(cg_bytes_[cg][std::size_t(dir)])
+                               : 0.0;
 }
 
 std::array<double, 2> Nic::ReleaseCgroup(CgroupId cg) {
   std::array<double, 2> totals = {
       cgroup_bytes(cg, Direction::kIngress),
       cgroup_bytes(cg, Direction::kEgress)};
-  for (Direction dir : {Direction::kIngress, Direction::kEgress})
-    cg_bytes_.erase({cg, dir});
+  if (cg < cg_bytes_.size()) cg_bytes_[cg] = {};
   return totals;
 }
 
@@ -168,7 +169,9 @@ void Nic::Pump(Direction dir) {
   // wire time — that is the cost the retry path pays).
   dir_bytes_[std::size_t(dir)] += req->bytes;
   dir_buckets_[std::size_t(dir)] = now / cfg_.series_bucket + 1;
-  cg_bytes_[{req->cgroup, dir}] += double(req->bytes);
+  assert(req->cgroup != kInvalidCgroup);
+  if (req->cgroup >= cg_bytes_.size()) cg_bytes_.resize(req->cgroup + 1);
+  cg_bytes_[req->cgroup][std::size_t(dir)] += req->bytes;
 
   sim_.ScheduleAt(event_at, [this, outcome, owned = std::move(req)]() mutable {
     // Balance the server's inflight depth at the attempt's terminal event

@@ -23,7 +23,6 @@
 
 #include <array>
 #include <deque>
-#include <map>
 #include <vector>
 
 #include "fault/injector.h"
@@ -193,7 +192,8 @@ class Nic {
   /// Buckets spanned by each direction's dispatches (0 = none yet).
   std::array<std::uint64_t, 2> dir_buckets_{};
   std::array<std::uint64_t, 3> completed_{};
-  std::map<std::pair<CgroupId, Direction>, double> cg_bytes_;
+  /// {ingress, egress} bytes per cgroup id, grown on demand.
+  std::vector<std::array<std::uint64_t, 2>> cg_bytes_;
   std::uint64_t retries_ = 0;
   std::uint64_t timeouts_ = 0;
   std::uint64_t cqe_errors_ = 0;

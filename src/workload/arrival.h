@@ -13,15 +13,31 @@
 // back-to-back and records the lag instead of silently stretching the
 // schedule.
 //
+// The stream's draws (arrival instant, page, write) depend only on its seed
+// and the tenant's admission gate, never on the clock. So one fill function
+// draws them ahead into fixed-size chunks: the first chunk inline at the
+// first NextAt, the rest on a per-stream idle-priority helper thread that
+// refills a small ring of chunks (or inline, by the simulation thread, when
+// the helper has not got to a chunk or the process-wide helper cap is
+// reached). NextAt keeps only what depends on the clock: pacing, lag,
+// deferral counts. Every chunk comes from the same function in the same
+// order, so the stream is the one an inline generator gives.
+//
 // LoadControl is a tenant's admission gate plus the offered/deferred/served
-// counters the serving report aggregates. The streams update it on the DES
-// clock, so every read and write is at a deterministic point in virtual
-// time.
+// counters the serving report aggregates. The streams update the counters on
+// the DES clock, so every read and write is at a deterministic point in
+// virtual time.
 #pragma once
 
+#include <array>
+#include <condition_variable>
+#include <cstddef>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/types.h"
@@ -79,7 +95,9 @@ class ArrivalProcess {
 };
 
 /// Control block shared by a tenant's open-loop streams and read by the
-/// serving report. Plain struct, no locking: one run is one thread.
+/// serving report. Plain struct, no locking: the counters are written only
+/// by NextAt on the run's simulation thread. A stream's helper thread reads
+/// admit_time once, so set it before the run starts and leave it.
 struct LoadControl {
   /// Requests arriving before this instant are deferred to it.
   SimTime admit_time = 0;
@@ -118,16 +136,95 @@ class OpenLoopZipfStream : public ThreadStream {
     std::shared_ptr<LoadControl> control;
   };
 
+  /// Draws per chunk, and chunks in a stream's ring. The helper is woken
+  /// when kRefillChunks of them are free and fills the ring up again.
+  static constexpr std::size_t kChunkDraws = 1024;
+  static constexpr std::size_t kRingChunks = 4;
+  static constexpr std::size_t kRefillChunks = 2;
+  /// Process-wide cap on live helper threads. A stream started over it
+  /// fills its chunks inline with the same function.
+  static constexpr unsigned kMaxHelpers = 64;
+
   explicit OpenLoopZipfStream(Params p);
+  /// Stops and joins the helper, wherever it is.
+  ~OpenLoopZipfStream() override;
+  OpenLoopZipfStream(const OpenLoopZipfStream&) = delete;
+  OpenLoopZipfStream& operator=(const OpenLoopZipfStream&) = delete;
+
   std::optional<Access> Next() override { return NextAt(last_now_); }
   std::optional<Access> NextAt(SimTime now) override;
 
+  /// True while this stream owns a helper thread (from its first NextAt
+  /// until destruction).
+  bool has_helper() const { return helper_.joinable(); }
+  /// Helper threads alive in the process.
+  static unsigned LiveHelpers();
+  /// Test seam: replace the helper cap (kMaxHelpers by default) and return
+  /// the previous one. Affects streams started afterwards.
+  static unsigned SetHelperCapForTest(unsigned cap);
+  /// Test seam: chunks published so far (the helper's progress).
+  std::uint64_t ChunksFilledForTest();
+
  private:
+  /// One pre-drawn arrival. `t` is after admission deferral; `page` is
+  /// unset for kDropped and kEnd.
+  struct Draw {
+    SimTime t = 0;
+    PageId page = 0;
+    std::uint8_t flags = 0;
+  };
+  enum : std::uint8_t {
+    kWrite = 1,     ///< the access is a write
+    kDeferred = 2,  ///< arrived before admit_time and was pushed to it
+    kDropped = 4,   ///< deferred to or past the horizon: no access
+    kEnd = 8,       ///< the first arrival at or past the horizon
+  };
+
+  /// The one generator: draws the next chunk into ring slot `slot` and
+  /// returns true if it wrote kEnd. Whoever claimed the chunk runs it, so it
+  /// never runs on two threads at once.
+  bool Fill(std::size_t slot);
+  /// First NextAt: read admit_time, fill chunk 0 inline, then start the
+  /// helper if the stream goes on and the cap allows.
+  void Start();
+  void HelperLoop();
+  /// Under mu_: the helper may claim the next chunk (no fill in progress,
+  /// the stream goes on, and at least `free` chunks are free).
+  bool CanClaim(std::size_t free) const {
+    return !ended_ && claimed_ == filled_ &&
+           claimed_ - released_ <= kRingChunks - free;
+  }
+  /// The next draw, moving to the next chunk when this one is used up.
+  const Draw& NextDraw();
+
   Params p_;
+
+  // Generator state: touched only by Fill.
   ArrivalProcess arrivals_;
   Rng rng_;
   ZipfianGenerator zipf_;
   std::vector<PageId> perm_;  // decorrelate rank from page position
+  SimTime admit_time_ = 0;
+
+  // Chunk ring (kRingChunks * kChunkDraws). Chunk n lives in slot
+  // n % kRingChunks; the counters below are guarded by mu_. The consumer
+  // fills a chunk itself when it needs one that nobody is filling.
+  std::vector<Draw> ring_;
+  std::mutex mu_;
+  std::condition_variable ready_;  // the consumer waits for a fill to land
+  std::condition_variable space_;  // the helper waits for free chunks
+  std::uint64_t claimed_ = 0;      // chunks a filler has started
+  std::uint64_t filled_ = 0;       // chunks published
+  std::uint64_t released_ = 0;     // chunks the consumer is done with
+  bool ended_ = false;             // a published chunk holds kEnd
+  bool stop_ = false;
+  std::thread helper_;
+
+  // Consumer state (the simulation thread).
+  bool started_ = false;
+  bool done_ = false;
+  std::uint64_t chunk_ = 0;  // chunk being read
+  std::size_t pos_ = 0;      // next draw within it
   SimTime last_now_ = 0;
 };
 

@@ -134,6 +134,14 @@ TEST(Nic, PerCgroupByteAccounting) {
   EXPECT_DOUBLE_EQ(nic.cgroup_bytes(8, Direction::kEgress), 2.0 * kPageSize);
   EXPECT_DOUBLE_EQ(nic.cgroup_bytes(7, Direction::kEgress), 0.0);
   EXPECT_DOUBLE_EQ(nic.cgroup_bytes(9, Direction::kIngress), 0.0);
+  // Retirement hands back the totals and zeroes the slot for the id's next
+  // tenant; ids the NIC never saw have nothing to release.
+  EXPECT_EQ(nic.ReleaseCgroup(8),
+            (std::array<double, 2>{0.0, 2.0 * kPageSize}));
+  EXPECT_DOUBLE_EQ(nic.cgroup_bytes(8, Direction::kEgress), 0.0);
+  EXPECT_DOUBLE_EQ(nic.cgroup_bytes(7, Direction::kIngress), 3.0 * kPageSize);
+  EXPECT_EQ(nic.ReleaseCgroup(1000), (std::array<double, 2>{0.0, 0.0}));
+  EXPECT_EQ(nic.bytes(Direction::kEgress), 2u * kPageSize);
 }
 
 TEST(Nic, LatencyHistogramPerOp) {

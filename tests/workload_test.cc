@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
+#include <limits>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "cgroup/cgroup.h"
@@ -629,6 +632,282 @@ TEST(OpenLoop, DeterministicAcrossInstancesAndNowValues) {
   };
   auto a = run(0), b = run(3 * kMicrosecond);
   EXPECT_EQ(a, b);
+}
+
+// ---------------------------------------------------------------------------
+// Draw-ahead stream vs the inline generator
+// ---------------------------------------------------------------------------
+
+/// The open-loop stream as an inline generator: every draw made in NextAt,
+/// in the order arrival, Zipf rank, write. OpenLoopZipfStream draws ahead in
+/// chunks (on a helper thread when it has one) and must emit exactly this.
+class ReferenceOpenLoop {
+ public:
+  explicit ReferenceOpenLoop(OpenLoopZipfStream::Params p)
+      : p_(p),
+        arrivals_(p.arrival, p.seed ^ 0x5E121C0DEull),
+        rng_(p.seed),
+        zipf_(std::max<std::uint64_t>(p.region.len, 1), p.theta) {
+    perm_.resize(p_.region.len);
+    for (PageId i = 0; i < p_.region.len; ++i) perm_[i] = p_.region.start + i;
+    Rng perm_rng(p.seed ^ 0xABCD1234u);
+    Shuffle(perm_, perm_rng);
+  }
+
+  std::optional<Access> NextAt(SimTime now) {
+    if (p_.region.len == 0) return std::nullopt;
+    LoadControl* ctl = p_.control.get();
+    for (;;) {
+      SimTime t = arrivals_.NextArrival();
+      if (t >= p_.horizon) return std::nullopt;
+      if (ctl) {
+        ++ctl->offered;
+        if (t < ctl->admit_time) {
+          ++ctl->deferred;
+          t = ctl->admit_time;
+          if (t >= p_.horizon) continue;
+        }
+      }
+      std::uint64_t wait_ns = 0;
+      if (t > now) {
+        wait_ns = t - now;
+      } else if (ctl) {
+        ctl->max_lag = std::max<SimDuration>(ctl->max_lag, now - t);
+      }
+      std::uint64_t compute =
+          std::min<std::uint64_t>(wait_ns + p_.service_ns,
+                                  std::numeric_limits<std::uint32_t>::max());
+      if (ctl) ++ctl->served;
+      std::uint64_t rank = zipf_.Next(rng_);
+      return Access{perm_[rank], rng_.NextBool(p_.write_fraction),
+                    std::uint32_t(compute)};
+    }
+  }
+
+ private:
+  OpenLoopZipfStream::Params p_;
+  ArrivalProcess arrivals_;
+  Rng rng_;
+  ZipfianGenerator zipf_;
+  std::vector<PageId> perm_;
+};
+
+/// One emitted access plus the clock it was asked at.
+struct Emitted {
+  SimTime now;
+  PageId page;
+  bool write;
+  std::uint32_t compute_ns;
+  bool operator==(const Emitted&) const = default;
+};
+
+/// Drive `next` to the end the way SwapSystem does (the clock advances by
+/// each access's compute time), stalling the consumer every 7th access so
+/// it falls behind its schedule too.
+template <typename Next>
+std::vector<Emitted> Drain(Next&& next) {
+  std::vector<Emitted> out;
+  SimTime now = 0;
+  while (auto a = next(now)) {
+    out.push_back({now, a->page, a->write, a->compute_ns});
+    now += a->compute_ns;
+    if (out.size() % 7 == 0) now += 20 * kMicrosecond;
+  }
+  EXPECT_FALSE(next(now)) << "a finished stream stays finished";
+  return out;
+}
+
+struct StreamCase {
+  const char* name;
+  OpenLoopZipfStream::Params params;
+  bool with_control = true;
+  SimTime admit_time = 0;
+};
+
+OpenLoopZipfStream::Params CaseParams(ArrivalKind kind, SimTime horizon) {
+  OpenLoopZipfStream::Params p;
+  p.region = {3, 4096};
+  p.arrival.kind = kind;
+  p.arrival.rate_rps = 1e6;
+  p.arrival.diurnal_period = 2 * kMillisecond;
+  p.arrival.flash_start = 2 * kMillisecond;
+  p.arrival.flash_duration = 1 * kMillisecond;
+  p.horizon = horizon;
+  p.service_ns = 400;
+  p.write_fraction = 0.3;
+  p.seed = 1234;
+  return p;
+}
+
+/// Checks `c` against the reference and returns the draws it consumed
+/// (arrivals inside the horizon, plus the one that ended the stream).
+std::uint64_t ExpectMatchesReference(const StreamCase& c) {
+  SCOPED_TRACE(c.name);
+  auto make_ctl = [&]() -> std::shared_ptr<LoadControl> {
+    if (!c.with_control) return nullptr;
+    auto ctl = std::make_shared<LoadControl>();
+    ctl->admit_time = c.admit_time;
+    return ctl;
+  };
+  OpenLoopZipfStream::Params sp = c.params, rp = c.params;
+  sp.control = make_ctl();
+  rp.control = make_ctl();
+  OpenLoopZipfStream stream(sp);
+  ReferenceOpenLoop ref(rp);
+  auto got = Drain([&](SimTime now) { return stream.NextAt(now); });
+  auto want = Drain([&](SimTime now) { return ref.NextAt(now); });
+  EXPECT_EQ(got.size(), want.size());
+  EXPECT_TRUE(got == want);
+  if (!c.with_control) return 0;
+  EXPECT_EQ(sp.control->offered, rp.control->offered);
+  EXPECT_EQ(sp.control->deferred, rp.control->deferred);
+  EXPECT_EQ(sp.control->served, rp.control->served);
+  EXPECT_EQ(sp.control->max_lag, rp.control->max_lag);
+  return rp.control->offered + 1;
+}
+
+TEST(OpenLoopDrawAhead, MatchesTheInlineGenerator) {
+  const SimTime h = 9'300 * kMicrosecond;
+  std::vector<StreamCase> cases = {
+      {"poisson", CaseParams(ArrivalKind::kPoisson, h)},
+      {"diurnal", CaseParams(ArrivalKind::kDiurnal, h)},
+      {"flash", CaseParams(ArrivalKind::kFlashCrowd, h)},
+      {"flash, gate mid-stream", CaseParams(ArrivalKind::kFlashCrowd, h),
+       true, 2'500 * kMicrosecond},
+      {"gate at the horizon", CaseParams(ArrivalKind::kPoisson, h), true, h},
+      {"gate past the horizon", CaseParams(ArrivalKind::kDiurnal, h), true,
+       2 * h},
+      {"no control block", CaseParams(ArrivalKind::kFlashCrowd, h), false},
+      {"short stream", CaseParams(ArrivalKind::kPoisson, 300 * kMicrosecond)},
+  };
+  std::uint64_t partial = 0;
+  for (const StreamCase& c : cases) {
+    std::uint64_t draws = ExpectMatchesReference(c);
+    if (draws % OpenLoopZipfStream::kChunkDraws != 0) ++partial;
+  }
+  // Most streams end partway through a chunk; the full-chunk edges are
+  // covered below.
+  EXPECT_GE(partial, 4u);
+}
+
+TEST(OpenLoopDrawAhead, GateAtOrPastTheHorizonServesNothing) {
+  for (SimTime gate : {9 * kMillisecond, 20 * kMillisecond}) {
+    auto ctl = std::make_shared<LoadControl>();
+    ctl->admit_time = gate;
+    auto p = CaseParams(ArrivalKind::kPoisson, 9 * kMillisecond);
+    p.control = ctl;
+    OpenLoopZipfStream s(p);
+    EXPECT_FALSE(s.NextAt(0));
+    EXPECT_GT(ctl->offered, 8'000u);
+    EXPECT_EQ(ctl->deferred, ctl->offered);
+    EXPECT_EQ(ctl->served, 0u);
+  }
+}
+
+TEST(OpenLoopDrawAhead, StreamsEndingOnAChunkEdgeMatch) {
+  // Choose horizons so the stream's draws (arrivals plus the one at the
+  // horizon) are exactly two chunks, and two chunks plus one.
+  const std::uint64_t chunk = OpenLoopZipfStream::kChunkDraws;
+  auto base = CaseParams(ArrivalKind::kFlashCrowd, kSecond);
+  ArrivalProcess arrivals(base.arrival, base.seed ^ 0x5E121C0DEull);
+  std::vector<SimTime> t(2 * chunk + 1);
+  for (SimTime& x : t) x = arrivals.NextArrival();
+  for (std::uint64_t draws : {2 * chunk, 2 * chunk + 1}) {
+    // Arrivals 0 .. draws-2 fall inside, arrival draws-1 ends the stream.
+    auto p = base;
+    p.horizon = t[draws - 2] + 1;
+    EXPECT_EQ(ExpectMatchesReference({"chunk edge", p}), draws);
+  }
+}
+
+TEST(OpenLoopDrawAhead, EmptyRegionFinishesWithoutAHelper) {
+  auto p = CaseParams(ArrivalKind::kPoisson, kMillisecond);
+  p.region = {0, 0};
+  OpenLoopZipfStream s(p);
+  EXPECT_FALSE(s.NextAt(0));
+  EXPECT_FALSE(s.has_helper());
+}
+
+// ---------------------------------------------------------------------------
+// Helper lifetime and the process-wide cap
+// ---------------------------------------------------------------------------
+
+OpenLoopZipfStream::Params LongParams() {
+  auto p = CaseParams(ArrivalKind::kPoisson, 100 * kMillisecond);
+  p.control = std::make_shared<LoadControl>();
+  return p;
+}
+
+TEST(OpenLoopHelper, DestroyedBeforeFirstNextAtStartsNoThread) {
+  unsigned live = OpenLoopZipfStream::LiveHelpers();
+  {
+    OpenLoopZipfStream s(LongParams());
+    EXPECT_FALSE(s.has_helper());
+    EXPECT_EQ(OpenLoopZipfStream::LiveHelpers(), live);
+  }
+  EXPECT_EQ(OpenLoopZipfStream::LiveHelpers(), live);
+}
+
+TEST(OpenLoopHelper, DestroyedWhileTheHelperWaitsOnAFullRing) {
+  unsigned live = OpenLoopZipfStream::LiveHelpers();
+  {
+    OpenLoopZipfStream s(LongParams());
+    ASSERT_TRUE(s.NextAt(0));
+    ASSERT_TRUE(s.has_helper());
+    EXPECT_EQ(OpenLoopZipfStream::LiveHelpers(), live + 1);
+    // The consumer still holds chunk 0, so the helper stops when the other
+    // chunks are full and waits for space.
+    while (s.ChunksFilledForTest() < OpenLoopZipfStream::kRingChunks)
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  EXPECT_EQ(OpenLoopZipfStream::LiveHelpers(), live);
+}
+
+TEST(OpenLoopHelper, DestroyedMidStream) {
+  unsigned live = OpenLoopZipfStream::LiveHelpers();
+  {
+    OpenLoopZipfStream s(LongParams());
+    SimTime now = 0;
+    for (int i = 0; i < 5'000; ++i) {
+      auto a = s.NextAt(now);
+      ASSERT_TRUE(a);
+      now += a->compute_ns;
+    }
+    EXPECT_TRUE(s.has_helper());
+  }
+  EXPECT_EQ(OpenLoopZipfStream::LiveHelpers(), live);
+}
+
+TEST(OpenLoopHelper, DestroyedAfterTheStreamEnds) {
+  unsigned live = OpenLoopZipfStream::LiveHelpers();
+  {
+    auto p = LongParams();
+    OpenLoopZipfStream s(p);
+    SimTime now = 0;
+    while (auto a = s.NextAt(now)) now += a->compute_ns;
+    EXPECT_GT(p.control->served, 90'000u);
+    EXPECT_TRUE(s.has_helper());
+  }
+  EXPECT_EQ(OpenLoopZipfStream::LiveHelpers(), live);
+}
+
+TEST(OpenLoopHelper, StreamOverTheCapFillsInlineAndMatches) {
+  unsigned live = OpenLoopZipfStream::LiveHelpers();
+  unsigned cap = OpenLoopZipfStream::SetHelperCapForTest(live + 1);
+  {
+    OpenLoopZipfStream first(LongParams());
+    ASSERT_TRUE(first.NextAt(0));
+    EXPECT_TRUE(first.has_helper());
+    // The cap is reached: the next streams fill their chunks inline.
+    OpenLoopZipfStream second(LongParams());
+    ASSERT_TRUE(second.NextAt(0));
+    EXPECT_FALSE(second.has_helper());
+    EXPECT_EQ(OpenLoopZipfStream::LiveHelpers(), live + 1);
+    ExpectMatchesReference({"over the cap", CaseParams(ArrivalKind::kFlashCrowd,
+                                                       9 * kMillisecond)});
+  }
+  EXPECT_EQ(OpenLoopZipfStream::SetHelperCapForTest(cap), live + 1);
+  EXPECT_EQ(OpenLoopZipfStream::LiveHelpers(), live);
 }
 
 }  // namespace
