@@ -140,8 +140,6 @@ struct TierResult {
   std::uint64_t tier_failovers = 0;  // remote -> tier transitions
   std::uint64_t tier_swapins = 0;
   std::uint64_t tier_swapouts = 0;
-  std::uint64_t promotions = 0;
-  std::uint64_t demotions = 0;
   std::uint64_t tier_rejects = 0;
   std::uint64_t disk_reads = 0;
   std::uint64_t disk_writes = 0;
@@ -192,8 +190,6 @@ TierResult RunTiered(const std::string& tier_name, double scale,
         out.tier_failovers += m.tier_failovers;
         out.tier_swapins += m.tier_swapins;
         out.tier_swapouts += m.tier_swapouts;
-        out.promotions += m.tier_promotions;
-        out.demotions += m.tier_demotions;
         out.tier_rejects += m.tier_rejects;
         out.stale_reads += m.stale_reads;
       }
@@ -260,14 +256,13 @@ int main(int argc, char** argv) {
     trows.push_back(RunTiered(tn, scale, seed));
 
   TablePrinter tt({"tier", "makespan", "failovers", "tier-fo", "tier-in",
-                   "tier-out", "promote", "demote", "disk-rd", "fo-p50",
-                   "fo-p99", "stale", "det"});
+                   "tier-out", "disk-rd", "fo-p50", "fo-p99", "stale",
+                   "det"});
   for (const TierResult& r : trows)
     tt.AddRow({r.tier, FormatTime(r.makespan), std::to_string(r.failovers),
                std::to_string(r.tier_failovers),
                std::to_string(r.tier_swapins),
-               std::to_string(r.tier_swapouts), std::to_string(r.promotions),
-               std::to_string(r.demotions), std::to_string(r.disk_reads),
+               std::to_string(r.tier_swapouts), std::to_string(r.disk_reads),
                FormatTime(r.failover_p50_ns), FormatTime(r.failover_p99_ns),
                std::to_string(r.stale_reads), r.deterministic ? "yes" : "NO"});
   tt.Print();
@@ -346,7 +341,6 @@ int main(int argc, char** argv) {
         "    {\"tier\": \"%s\", \"makespan_ns\": %llu, "
         "\"failovers\": %llu, \"tier_failovers\": %llu, "
         "\"tier_swapins\": %llu, \"tier_swapouts\": %llu, "
-        "\"promotions\": %llu, \"demotions\": %llu, "
         "\"tier_rejects\": %llu, \"disk_reads\": %llu, "
         "\"disk_writes\": %llu, \"failover_p50_ns\": %llu, "
         "\"failover_p99_ns\": %llu, "
@@ -356,7 +350,6 @@ int main(int argc, char** argv) {
         (unsigned long long)r.tier_failovers,
         (unsigned long long)r.tier_swapins,
         (unsigned long long)r.tier_swapouts,
-        (unsigned long long)r.promotions, (unsigned long long)r.demotions,
         (unsigned long long)r.tier_rejects,
         (unsigned long long)r.disk_reads, (unsigned long long)r.disk_writes,
         (unsigned long long)r.failover_p50_ns,

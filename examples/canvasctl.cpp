@@ -122,6 +122,17 @@ void Set(T& field, const std::string& flag, const std::string& text) {
   field = Parse<T>(flag, text);
 }
 
+/// A time flag given in units of `unit_ns` nanoseconds, as whole
+/// nanoseconds. A count of 2^63 ns or more exits 2: the simulated clock
+/// cannot hold it, and the double-to-integer cast would be undefined.
+SimDuration ParseDuration(const std::string& flag, const std::string& text,
+                          double unit_ns) {
+  double ns = Parse<double>(flag, text) * unit_ns;
+  if (!(ns < 0x1p63))
+    Fail(flag + ": '" + text + "' is too long (limit: 2^63 ns)");
+  return SimDuration(ns);
+}
+
 /// One repeatable axis flag: the first explicit occurrence replaces the
 /// built-in default, later occurrences append — so
 /// `--systems=canvas --systems=linux` equals `--systems=canvas,linux`.
@@ -179,7 +190,7 @@ struct Options {
   bool progress = false;
   std::string out;
   // serve, churn
-  double horizon_sec = 2.0;
+  SimDuration horizon = 2 * kSecond;
   // serve
   bool qos = true;
   serving::SloConfig slo;
@@ -301,11 +312,11 @@ bool ParseFlag(const Arg& a, Options& opt) {
   } else if (grid && option("--out")) {
     opt.out = a.value;
   } else if ((serve || churn) && option("--horizon")) {
-    Set(opt.horizon_sec, a.key, a.value);
+    opt.horizon = ParseDuration(a.key, a.value, double(kSecond));
   } else if (serve && option("--slo-p99-us")) {
-    opt.slo.p99_ns = SimTime(Parse<double>(a.key, a.value) * 1e3);
+    opt.slo.p99_ns = ParseDuration(a.key, a.value, double(kMicrosecond));
   } else if (serve && option("--slo-p999-us")) {
-    opt.slo.p999_ns = SimTime(Parse<double>(a.key, a.value) * 1e3);
+    opt.slo.p999_ns = ParseDuration(a.key, a.value, double(kMicrosecond));
   } else if (serve && flag("--no-qos")) {
     opt.qos = false;
   } else if (churn && option("--churn-kind")) {
@@ -315,12 +326,13 @@ bool ParseFlag(const Arg& a, Options& opt) {
     opt.churn.kind = *kind;
   } else if (churn && option("--rate")) {
     Set(opt.churn.arrival_rate_per_sec, a.key, a.value);
+    if (opt.churn.arrival_rate_per_sec <= 0) Fail("--rate must be > 0");
   } else if (churn && option("--mean-lifetime-ms")) {
     opt.churn.mean_lifetime =
-        SimDuration(Parse<double>(a.key, a.value) * double(kMillisecond));
+        ParseDuration(a.key, a.value, double(kMillisecond));
   } else if (churn && option("--min-lifetime-ms")) {
     opt.churn.min_lifetime =
-        SimDuration(Parse<double>(a.key, a.value) * double(kMillisecond));
+        ParseDuration(a.key, a.value, double(kMillisecond));
   } else if (churn && option("--max-tenants")) {
     Set(opt.churn.max_tenants, a.key, a.value);
   } else if (churn && option("--max-concurrent")) {
@@ -486,7 +498,7 @@ orchestrator::ServingScenarioSpec ServingScenario(const Options& opt) {
   }
   for (serving::TenantSpec& t : sc.tenants) {
     t.slo = opt.slo;
-    t.horizon = SimTime(opt.horizon_sec * 1e9);
+    t.horizon = opt.horizon;
     // Keep the flash burst inside the horizon at any --horizon (the
     // arrival defaults place it at 1-1.5 s, the window of a 2 s run).
     t.arrival.flash_start = t.horizon / 2;
@@ -500,7 +512,7 @@ orchestrator::ChurnScenarioSpec ChurnScenario(const Options& opt) {
   orchestrator::ChurnScenarioSpec sc;
   sc.harvests = opt.harvests.values;
   sc.churn = opt.churn;
-  sc.churn.horizon = SimDuration(opt.horizon_sec * 1e9);
+  sc.churn.horizon = opt.horizon;
   return sc;
 }
 

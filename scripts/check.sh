@@ -26,7 +26,7 @@ ctest --test-dir "$BUILD" --output-on-failure -j"$JOBS"
 # suite exercises the ring and exporters, the orchestrator suite runs
 # multi-threaded sweeps, the remote suite churns slab migration/eviction
 # under harvesting, the serving suite runs the open-loop SLO observer, the
-# tier suite promotes/demotes pages across the hybrid local tier, and the
+# tier suite admits and releases pages across the hybrid local tier, and the
 # churn suite retires and reaps tenants mid-run (where stale-slot
 # use-after-frees would hide), and the object suite churns the object
 # registry and pins/unpins behaviour read-sets through the cooperative

@@ -48,8 +48,6 @@ struct AppMetrics {
   // --- hybrid local tier (DESIGN.md §14; all zero with the tier off) ---
   std::uint64_t tier_swapins = 0;    ///< swap-ins served from the tier
   std::uint64_t tier_swapouts = 0;   ///< writebacks absorbed by the tier
-  std::uint64_t tier_promotions = 0; ///< hot pages copied into the tier
-  std::uint64_t tier_demotions = 0;  ///< cold pages written out to remote
   std::uint64_t tier_rejects = 0;    ///< admissions refused (capacity/quota)
   std::uint64_t tier_failovers = 0;  ///< remote -> local-tier transitions
 

@@ -25,8 +25,8 @@ const char* kCsvHeader =
 // Appended to the header only under schema v3 (tier enabled) — v2 output
 // must stay byte-identical to pre-tier builds.
 const char* kTierCsvColumns =
-    ",tier_swapins,tier_swapouts,tier_promotions,tier_demotions,"
-    "tier_rejects,tier_failovers,tier_p50_ns,tier_p99_ns";
+    ",tier_swapins,tier_swapouts,tier_rejects,tier_failovers,tier_p50_ns,"
+    "tier_p99_ns";
 
 // Appended only under schema v5 (object subsystem active) — see
 // kObjectReportSchemaVersion.
@@ -61,7 +61,6 @@ void CsvRow(std::ostream& os, const std::string& label, const AppMetrics& m,
        << m.fault_latency.Percentile(99.9);
     if (tiered)
       os << ',' << m.tier_swapins << ',' << m.tier_swapouts << ','
-         << m.tier_promotions << ',' << m.tier_demotions << ','
          << m.tier_rejects << ',' << m.tier_failovers << ','
          << m.tier_latency.Percentile(50) << ','
          << m.tier_latency.Percentile(99);
@@ -194,19 +193,15 @@ void WriteJson(std::ostream& os, const SwapSystem& system,
   // (tier-off) output stays byte-identical to pre-tier builds.
   if (const tier::TierBackend* t = system.tier()) {
     trace::LogHistogram tier_merged;
-    std::uint64_t promotions = 0, demotions = 0, tier_failovers = 0;
+    std::uint64_t tier_failovers = 0;
     for (std::size_t i = 0; i < system.app_count(); ++i) {
       if (!system.app_alive(i)) continue;
       const AppMetrics& m = system.metrics(i);
       tier_merged.Merge(m.tier_latency);
-      promotions += m.tier_promotions;
-      demotions += m.tier_demotions;
       tier_failovers += m.tier_failovers;
     }
     for (const RetiredAppRecord& r : system.retired()) {
       tier_merged.Merge(r.metrics.tier_latency);
-      promotions += r.metrics.tier_promotions;
-      demotions += r.metrics.tier_demotions;
       tier_failovers += r.metrics.tier_failovers;
     }
     const fault::LocalDevice& dev = t->device();
@@ -221,8 +216,6 @@ void WriteJson(std::ostream& os, const SwapSystem& system,
        << ",\n    \"admits\": " << t->admits()
        << ",\n    \"releases\": " << t->releases()
        << ",\n    \"rejects\": " << t->rejects()
-       << ",\n    \"promotions\": " << promotions
-       << ",\n    \"demotions\": " << demotions
        << ",\n    \"failovers\": " << tier_failovers
        << ",\n    \"fetch_p50_ns\": " << tier_merged.Percentile(50)
        << ",\n    \"fetch_p99_ns\": " << tier_merged.Percentile(99)

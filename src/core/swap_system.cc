@@ -219,15 +219,6 @@ std::size_t SwapSystem::AddApp(AppSpec spec) {
   for (PageId p = 0; p < app->shared_boundary; ++p)
     app->pages[p].shared = true;
   app->lru = std::make_unique<mem::LruLists>(app->pages);
-  if (tier_) {
-    // Page-group heat summaries for the TierPolicy (Memtrade-style cold
-    // detection over runtime::RuntimeInfo's page groups).
-    std::size_t groups =
-        (app->pages.size() + runtime::RuntimeInfo::kGroupPages - 1) /
-        runtime::RuntimeInfo::kGroupPages;
-    app->group_last_fault.assign(groups, 0);
-    app->group_faults.assign(groups, 0);
-  }
 
   if (cfg_.isolated_partitions) {
     app->owned_partition = std::make_unique<swapalloc::SwapPartition>(
@@ -333,7 +324,6 @@ void SwapSystem::Start() {
   pool_->Start([this] { return RunActive(); });
   for (auto& app : apps_)
     if (app) StartApp(*app);
-  if (tier_) sim_.Schedule(tier::kPolicyPeriod, [this] { TierPolicyTick(); });
   if (tracer_.enabled() && cfg_.trace.sampler) {
     sampler_last_bytes_.assign(apps_.size(), {{0.0, 0.0}});
     sim_.Schedule(trace::kSamplePeriod, [this] { SampleTick(); });
@@ -478,17 +468,7 @@ bool SwapSystem::AppQuiescentForReap(const AppState& app) const {
   waiters_.ForEach([&](std::uint64_t k, const auto&) {
     if ((k >> 48) == app.index) busy = true;
   });
-  if (busy) return false;
-  if (tier_) {
-    // An in-flight demotion's completion still dereferences the tenant's
-    // page table: wait it out.
-    tier_->ForEachResident(
-        [&](std::uint64_t k, const tier::TierBackend::Resident& r) {
-          if ((k >> 48) == app.index && r.demoting) busy = true;
-        });
-    if (busy) return false;
-  }
-  return true;
+  return !busy;
 }
 
 void SwapSystem::ReapApp(AppState& app) {
@@ -557,10 +537,6 @@ void SwapSystem::ReapApp(AppState& app) {
     app.objects->Clear();
     app.objects.reset();
   }
-  app.group_last_fault.clear();
-  app.group_last_fault.shrink_to_fit();
-  app.group_faults.clear();
-  app.group_faults.shrink_to_fit();
   app.frame_waiters.clear();
   app.reaped = true;
 
@@ -981,7 +957,7 @@ void SwapSystem::OnSlabEvicted(std::uint32_t pid, std::uint64_t lo,
 }
 
 // ---------------------------------------------------------------------------
-// Hybrid local tier: TierPolicy engine (DESIGN.md §14)
+// Hybrid local tier (DESIGN.md §14)
 // ---------------------------------------------------------------------------
 
 void SwapSystem::ReleaseTierResidency(AppState& app, mem::Page& p) {
@@ -989,142 +965,6 @@ void SwapSystem::ReleaseTierResidency(AppState& app, mem::Page& p) {
   PageId page = PageId(&p - app.pages.data());
   tier_->Release(WaiterKey(app, page));
   p.home = SwapBackend::kRemote;
-}
-
-void SwapSystem::NoteTierHeat(AppState& app, PageId page) {
-  if (!tier_) return;
-  std::uint32_t g = runtime::RuntimeInfo::GroupOf(page);
-  if (g >= app.group_last_fault.size()) return;
-  SimTime now = sim_.Now();
-  // Self-decaying group heat: a fault streak only accumulates while the
-  // gaps stay under cold_age, so "hot" always means *recently* hot.
-  app.group_faults[g] =
-      (app.group_last_fault[g] != 0 &&
-       now - app.group_last_fault[g] <= cfg_.tier.cold_age)
-          ? app.group_faults[g] + 1
-          : 1;
-  app.group_last_fault[g] = now;
-}
-
-void SwapSystem::MaybePromoteToTier(AppState& app, PageId page,
-                                    mem::Page& p) {
-  if (!tier_ || p.shared || p.entry == kInvalidEntry) return;
-  if (p.home != SwapBackend::kRemote) return;
-  std::uint32_t g = runtime::RuntimeInfo::GroupOf(page);
-  bool group_hot = g < app.group_faults.size() &&
-                   app.group_faults[g] >= tier::kPromoteGroupFaults;
-  bool scan_hot = app.lru->ScanHits(page) >= 2;
-  if (!group_hot && !scan_hot) return;
-  if (!tier_->Admit(WaiterKey(app, page), app.cg)) {
-    ++app.metrics.tier_rejects;
-    return;
-  }
-  // The fetched bytes are in hand (this runs at demand-read completion), so
-  // copying them into the tier is a pure data-state change: the tier
-  // becomes the copy of record at the *same* content version.
-  p.home = SwapBackend::kLocalTier;
-  PartitionFor(app, p).meta(p.entry).home = SwapBackend::kLocalTier;
-  ++app.metrics.tier_promotions;
-}
-
-void SwapSystem::TierPolicyTick() {
-  if (!RunActive()) return;  // stop ticking once the co-run drains
-  sim_.Schedule(tier::kPolicyPeriod, [this] { TierPolicyTick(); });
-  SimTime now = sim_.Now();
-  std::uint64_t watermark = std::uint64_t(double(cfg_.tier.capacity_pages) *
-                                          tier::kDemoteWatermark);
-  if (tier_->used_pages() <= watermark) return;
-  // Proactive cold-page demotion ahead of eviction (Memtrade-style): scan
-  // the resident index for pages whose page group went cold. FlatMap
-  // iteration is hash-ordered, so collect and sort the keys for a
-  // deterministic scan.
-  std::vector<std::uint64_t> cold;
-  tier_->ForEachResident([&](std::uint64_t key,
-                             const tier::TierBackend::Resident& res) {
-    if (res.demoting) return;
-    if (now - res.admitted < cfg_.tier.cold_age) return;  // admission grace
-    std::size_t ai = std::size_t(key >> 48);
-    if (ai >= apps_.size() || !apps_[ai]) return;
-    AppState& app = *apps_[ai];
-    PageId page = PageId(key & ((std::uint64_t(1) << 48) - 1));
-    std::uint32_t g = runtime::RuntimeInfo::GroupOf(page);
-    SimTime last = g < app.group_last_fault.size() ? app.group_last_fault[g]
-                                                   : 0;
-    if (last != 0 && now - last < cfg_.tier.cold_age) return;  // still warm
-    cold.push_back(key);
-  });
-  std::sort(cold.begin(), cold.end());
-  std::uint32_t issued = 0;
-  for (std::uint64_t key : cold) {
-    if (issued >= tier::kDemoteBatch) break;
-    AppState& app = *apps_[std::size_t(key >> 48)];
-    if (app.retiring) continue;  // reap releases residency wholesale
-    PageId page = PageId(key & ((std::uint64_t(1) << 48) - 1));
-    // Demotion needs the remote path: skip while the cgroup is failed over
-    // (during a blackout the tier *is* the backend — draining it into a
-    // dead fabric would defeat the failover).
-    if (cgroups_.Get(app.cg).backend() != SwapBackend::kRemote) continue;
-    mem::Page& p = app.pages[page];
-    if (p.home != SwapBackend::kLocalTier || p.entry == kInvalidEntry)
-      continue;
-    if (p.in_flight || p.under_writeback) continue;  // busy: next tick
-    // A dirty resident page will rewrite its tier copy at the next
-    // writeback anyway; demoting the stale version buys nothing.
-    if (p.state == mem::PageState::kResident && p.dirty) continue;
-    IssueTierDemotion(app, page);
-    ++issued;
-  }
-}
-
-void SwapSystem::IssueTierDemotion(AppState& app, PageId page) {
-  mem::Page& p = app.pages[page];
-  std::uint64_t key = WaiterKey(app, page);
-  tier::TierBackend::Resident* res = tier_->Find(key);
-  if (!res) return;
-  res->demoting = true;
-  SwapEntryId entry = p.entry;
-  std::uint32_t version = PartitionFor(app, p).meta(entry).content_version;
-  ++app.metrics.tier_demotions;
-  auto req = NewRequest(app, page, entry, rdma::Op::kSwapOut, app.cg,
-                        /*place=*/true);
-  req->on_complete = [this, a = &app, page, entry,
-                      version](const rdma::Request& r) {
-    std::uint64_t k = WaiterKey(*a, page);
-    tier::TierBackend::Resident* rr = tier_->Find(k);
-    if (rr) rr->demoting = false;
-    mem::Page& pg = a->pages[page];
-    // A blackout drain can bounce the demotion back into the tier itself:
-    // nothing moved. Otherwise re-validate against every race demotion can
-    // lose: the residency was dropped, the entry was freed or re-used, the
-    // page was re-dirtied (a newer version exists), or a fetch/writeback is
-    // in flight whose completion still expects the tier copy. In all cases
-    // the tier stays the copy of record and a later tick may retry.
-    auto* m = r.served_by != SwapBackend::kLocalTier && rr &&
-                      pg.entry == entry &&
-                      pg.home == SwapBackend::kLocalTier && !pg.in_flight &&
-                      !pg.under_writeback
-                  ? &PartitionFor(*a, pg).meta(entry)
-                  : nullptr;
-    if (!m || m->content_version != version ||
-        m->home != SwapBackend::kLocalTier) {
-      --a->metrics.tier_demotions;
-      return;
-    }
-    m->home = pg.home = WrittenHome(r);
-    tier_->Release(k);
-    if (r.served_by == SwapBackend::kRemote)
-      cgroups_.Get(a->cg).NoteRemoteSuccess();
-  };
-  req->on_error = [this, a = &app, page](rdma::RequestPtr) {
-    // The remote path gave up: the tier keeps the copy of record; clear
-    // the in-flight mark so a later tick can retry.
-    tier::TierBackend::Resident* rr = tier_->Find(WaiterKey(*a, page));
-    if (rr) rr->demoting = false;
-    --a->metrics.tier_demotions;
-    ++a->metrics.rdma_exhausted;
-    NoteExhausted(*a);
-  };
-  scheduler_->Enqueue(std::move(req));
 }
 
 void SwapSystem::BeginStall(ThreadCtx& th) { th.stall_started = sim_.Now(); }
@@ -1398,7 +1238,6 @@ void SwapSystem::MapCachedPage(AppState& app, PageId page) {
 void SwapSystem::DemandSwapIn(AppState& app, ThreadCtx& th,
                               workload::Access acc) {
   ++app.metrics.faults_major;
-  NoteTierHeat(app, acc.page);
   tracer_.Span(std::uint32_t(app.index), ThreadTrack(th),
                trace::Name::kSwapCacheLookup, sim_.Now(),
                sim_.Now() + kFaultEntryCost, acc.page);
@@ -1450,8 +1289,6 @@ void SwapSystem::DemandSwapIn(AppState& app, ThreadCtx& th,
           return;
         }
         LandRead(*a, page, r);
-        if (r.served_by == SwapBackend::kRemote)
-          MaybePromoteToTier(*a, page, pg2);
         sim_.Schedule(kMapCost, [this, a, t, acc, expected] {
           bool mapped =
               a->pages[acc.page].seq == expected && MapIfIdle(*a, *t, acc);
@@ -2040,10 +1877,10 @@ void SwapSystem::IssueSwapOut(AppState& app, PageId victim,
                        : SwapBackend::kRemote;
   // Hybrid local tier (DESIGN.md §14): evictions land in the nearest level
   // first. Under the capacity and per-cgroup quota the tier absorbs the
-  // writeback (proactive demotion keeps headroom); already-resident pages
-  // rewrite their tier copy in place. Disk-homed entries keep their copy of
-  // record on disk, and shared pages stay out (their frames alias across
-  // applications, which the per-app residency key cannot express).
+  // writeback; already-resident pages rewrite their tier copy in place, and
+  // a full tier spills to the remote path. Disk-homed entries keep their
+  // copy of record on disk, and shared pages stay out (their frames alias
+  // across applications, which the per-app residency key cannot express).
   if (tier_ && to == SwapBackend::kRemote && !p.shared) {
     if (tier_->Admit(WaiterKey(app, victim), app.cg)) {
       to = SwapBackend::kLocalTier;

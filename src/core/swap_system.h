@@ -116,8 +116,8 @@ class SwapSystem {
   /// RetireApp). Gates the v4 report schema; false for classic fixed-tenant
   /// runs so their reports stay byte-identical.
   bool lifecycle_active() const { return lifecycle_active_; }
-  /// Keeps periodic machinery (pool harvest/control loop, trace sampler,
-  /// tier policy) running across gaps where every *current* tenant has
+  /// Keeps periodic machinery (pool harvest/control loop, trace sampler)
+  /// running across gaps where every *current* tenant has
   /// drained but the churn driver still has arrivals scheduled. The hook
   /// returns true while more lifecycle events are coming.
   void SetLifecycleActiveHook(std::function<bool()> hook) {
@@ -261,12 +261,6 @@ class SwapSystem {
     /// the classic path never pays for them.
     std::shared_ptr<object::ObjectRegistry> objects;
     std::unique_ptr<object::BehaviourScheduler> behaviours;
-    /// Hybrid-tier policy state (sized only when the tier is enabled):
-    /// per-page-group demand-fault heat for Memtrade-style cold detection
-    /// (last fault instant) and hot-promotion (fault count since the group
-    /// last went cold).
-    std::vector<SimTime> group_last_fault;
-    std::vector<std::uint32_t> group_faults;
   };
 
   // --- tenant lifecycle internals (DESIGN.md §15) ---
@@ -275,7 +269,7 @@ class SwapSystem {
   void StartApp(AppState& app);
   /// True when nothing in flight references the tenant: all threads done,
   /// no in-flight/writeback page, no prefetch outstanding, no reclaim
-  /// chain, no blocked continuation, no in-flight tier demotion.
+  /// chain, no blocked continuation.
   bool AppQuiescentForReap(const AppState& app) const;
   /// Periodic poll (armed only while retirements are pending) that reaps
   /// every quiescent retiring tenant in ascending slot order.
@@ -408,23 +402,6 @@ class SwapSystem {
   void OnSlabEvicted(std::uint32_t pid, std::uint64_t lo, std::uint64_t hi);
 
   // --- hybrid local tier (DESIGN.md §14) ---
-  /// Record a demand fault on `page`'s group for the tier policy's
-  /// promotion/cold-detection heat (no-op with the tier off).
-  void NoteTierHeat(AppState& app, PageId page);
-  /// Hot-page promotion hook, run at remote-served demand completion while
-  /// the fetched data is in hand: if the page's group is fault-hot (or the
-  /// LRU scanner marked the page hot) and the tier admits it, the tier
-  /// becomes the copy of record. Pure data-state change — no new events —
-  /// so tier-disabled runs are untouched.
-  void MaybePromoteToTier(AppState& app, PageId page, mem::Page& p);
-  /// Proactive cold-page demotion scan (periodic tick): above the
-  /// occupancy watermark, write the coldest tier residents back to the
-  /// remote pool through the normal scheduler path.
-  void TierPolicyTick();
-  /// Demote one tier-resident entry: issue a kSwapOut carrying the tier
-  /// copy's content version; completion re-validates against races (an
-  /// in-flight fetch or a dirtying map aborts the demotion).
-  void IssueTierDemotion(AppState& app, PageId page);
   /// Drop `p`'s tier residency (entry free / dirtying / strip paths).
   void ReleaseTierResidency(AppState& app, mem::Page& p);
 

@@ -84,10 +84,7 @@ bool TierBackend::Admit(std::uint64_t key, CgroupId cg) {
     ++rejects_;
     return false;
   }
-  Resident& r = residents_[key];
-  r.cg = cg;
-  r.admitted = sim_.Now();
-  r.demoting = false;
+  residents_[key] = cg;
   if (cg >= cg_used_.size()) cg_used_.resize(cg + 1, 0);
   ++cg_used_[cg];
   ++admits_;
@@ -96,9 +93,9 @@ bool TierBackend::Admit(std::uint64_t key, CgroupId cg) {
 }
 
 void TierBackend::Release(std::uint64_t key) {
-  Resident* r = residents_.Find(key);
+  const CgroupId* r = residents_.Find(key);
   if (!r) return;
-  CgroupId cg = r->cg;
+  CgroupId cg = *r;
   residents_.Erase(key);
   if (cg < cg_used_.size() && cg_used_[cg] > 0) --cg_used_[cg];
   ++releases_;

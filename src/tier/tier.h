@@ -17,8 +17,9 @@
 // residency for a (app, page) key under capacity + quota; `Release` drops
 // it. The SwapSystem mirrors residency into `mem::Page::home` and
 // `swapalloc::EntryMeta::home` (SwapBackend::kLocalTier), and the
-// `content_version` oracle extends across promotion/demotion/failover
-// unchanged.
+// `content_version` oracle extends across tier writebacks and failover
+// unchanged. Pages enter the tier only by writeback (eviction or failover
+// redirect) and leave it when their residency is released.
 //
 // Tier-targeted fault windows (`tier-latency`, `tier-freeze` in the
 // FaultPlan grammar) are evaluated as pure functions of simulated time —
@@ -41,18 +42,6 @@
 
 namespace canvas::tier {
 
-// --- TierPolicy constants (promotion / demotion engine) ---
-/// Period of the demotion scan.
-inline constexpr SimDuration kPolicyPeriod = 1 * kMillisecond;
-/// Demotion starts only above this occupancy fraction (leave headroom for
-/// failover bursts below it).
-inline constexpr double kDemoteWatermark = 0.75;
-/// Max demotions issued per policy tick.
-inline constexpr std::uint32_t kDemoteBatch = 8;
-/// Promote a remote-served demand fault once its page group has taken this
-/// many demand faults (or the page is LRU-scan hot).
-inline constexpr std::uint32_t kPromoteGroupFaults = 2;
-
 struct TierConfig {
   /// Capacity in 4KB pages; 0 disables the subsystem entirely (the swap
   /// system never constructs a backend and output is byte-identical to
@@ -65,11 +54,6 @@ struct TierConfig {
   /// Per-cgroup share of the capacity (isolation quota): no cgroup may
   /// hold more than max(1, capacity_pages * quota_frac) tier pages.
   double quota_frac = 0.5;
-
-  /// TierPolicy: a tier-resident page whose group saw no fault for this
-  /// long is cold (Memtrade-style cold-page detection over page-group
-  /// summaries).
-  SimDuration cold_age = 10 * kMillisecond;
 
   /// Name of the tier preset this config came from ("none", "cxl", "nvm").
   std::string name = "none";
@@ -89,13 +73,6 @@ struct TierConfig {
 /// Slow-memory device + residency/quota bookkeeping + tier fault windows.
 class TierBackend {
  public:
-  /// Residency record for one (app, page) key.
-  struct Resident {
-    CgroupId cg = kInvalidCgroup;  ///< cgroup charged for the quota
-    SimTime admitted = 0;          ///< admission instant (demotion grace)
-    bool demoting = false;         ///< demotion writeback in flight
-  };
-
   TierBackend(sim::Simulator& sim, TierConfig cfg,
               std::shared_ptr<const fault::FaultPlan> plan);
 
@@ -107,13 +84,6 @@ class TierBackend {
   /// Drop residency for `key` (no-op when absent).
   void Release(std::uint64_t key);
   bool Contains(std::uint64_t key) const { return residents_.Contains(key); }
-  Resident* Find(std::uint64_t key) { return residents_.Find(key); }
-  /// Visit every resident (key, record) pair in hash order. Callers that
-  /// need a stable order (the demotion scan) must sort the keys.
-  template <typename Fn>
-  void ForEachResident(Fn&& fn) const {
-    residents_.ForEach(fn);
-  }
 
   /// Submit a page transfer to the tier's device, plus any tier-latency
   /// spike covering now. Always succeeds (residency was checked by the
@@ -146,7 +116,8 @@ class TierBackend {
   std::uint64_t quota_ = 0;
   fault::LocalDevice device_;
 
-  FlatMap64<Resident> residents_;
+  /// Resident (app, page) keys -> the cgroup charged for the quota.
+  FlatMap64<CgroupId> residents_;
   /// Per-cgroup residency counts, indexed by cgroup id (ids are small
   /// creation-order integers).
   std::vector<std::uint64_t> cg_used_;

@@ -5,9 +5,10 @@
 // and swapalloc::EntryMeta::home agree, and the tier's resident index holds
 // exactly the tier-homed pages; the disk half is also checked on runs
 // without a tier), per-cgroup quotas never exceeded, and the
-// content_version oracle holding across promotion / demotion / blackout
-// failover. Plus the local device's lane arithmetic and the --jobs
-// byte-identity differential on tiered pooled sweeps.
+// content_version oracle holding across tier writebacks and blackout
+// failover; a reap hands every retired tenant's tier residency back. Plus
+// the local device's lane arithmetic and the --jobs byte-identity
+// differential on tiered pooled sweeps.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -48,8 +49,8 @@ std::vector<AppSpec> Corun(double scale, std::uint64_t seed) {
   return apps;
 }
 
-/// Drain in-flight writebacks, failback probes and policy ticks after the
-/// last thread finishes (bounded; cf. fault_injection_test::Settle).
+/// Drain in-flight writebacks and failback probes after the last thread
+/// finishes (bounded; cf. fault_injection_test::Settle).
 void Settle(Experiment& e) {
   e.simulator().RunUntil(e.simulator().Now() + 200 * kMillisecond);
 }
@@ -210,13 +211,12 @@ std::array<std::uint64_t, 3> CheckResidencyMirrors(const SwapSystem& sys) {
 }
 
 TEST(TierProperty, SingleResidencyMirrorsAfterChurn) {
-  // A deliberately tiny tier forces constant admit/reject/demote churn;
+  // A deliberately tiny tier forces constant admit/reject/release churn;
   // at quiescence every mirror of residency must agree.
   SystemConfig cfg = SystemConfig::CanvasFull();
   tier::TierConfig tiny;
   tiny.capacity_pages = 256;
   tiny.name = "tiny";
-  tiny.cold_age = 2 * kMillisecond;  // demote aggressively
   cfg.tier = tiny;
   Experiment e(cfg, Corun(0.08, 7));
   ASSERT_TRUE(e.Run());
@@ -251,11 +251,11 @@ TEST(TierProperty, CgroupQuotaNeverExceeded) {
   EXPECT_LE(t->peak_used(), tiny.capacity_pages);
 }
 
-TEST(TierProperty, OracleHoldsAcrossPromotionDemotionFailover) {
+TEST(TierProperty, OracleHoldsAcrossTierWritebackAndFailover) {
   // Blackout long enough to exhaust retries: cgroups fail over to the
   // tier (not the disk), keep running at tier latency, fail back after
-  // the fabric heals — with zero stale reads across every promotion,
-  // demotion and failover transition, and residency mirrors intact.
+  // the fabric heals — with zero stale reads across every tier writeback,
+  // tier read and failover transition, and residency mirrors intact.
   SystemConfig cfg = SystemConfig::CanvasFull();
   cfg.tier = tier::TierConfig::FromName("cxl");
   auto plan = std::make_shared<fault::FaultPlan>();
@@ -305,6 +305,29 @@ TEST(TierProperty, OracleHoldsAcrossPromotionDemotionFailover) {
   for (std::size_t i = 0; i < e.system().app_count(); ++i)
     EXPECT_EQ(e.system().cgroup(i).backend(), SwapBackend::kRemote)
         << e.system().app_name(i);
+}
+
+TEST(TierProperty, ReapReleasesTierResidency) {
+  // Tenants that retire while holding tier pages must hand every one back:
+  // the reap drops each tier-homed page's residency, so the tier ends empty
+  // with every admit matched by a release and no quota charge left behind.
+  SystemConfig cfg = SystemConfig::CanvasFull();
+  cfg.remote = remote::PoolConfig::FromName("pool4");
+  cfg.tier = tier::TierConfig::FromName("cxl");
+  Experiment e(cfg, Corun(0.05, 7));
+  ASSERT_TRUE(e.Run());
+  SwapSystem& sys = e.system();
+  const tier::TierBackend* t = sys.tier();
+  ASSERT_NE(t, nullptr);
+  ASSERT_GT(t->used_pages(), 0u);  // the reap has residency to release
+  for (std::size_t i = 0; i < sys.app_count(); ++i) sys.RetireApp(i);
+  Settle(e);
+
+  EXPECT_EQ(sys.retired_count(), sys.app_count());
+  EXPECT_EQ(t->used_pages(), 0u);
+  EXPECT_EQ(t->admits(), t->releases());
+  for (const RetiredAppRecord& r : sys.retired())
+    EXPECT_EQ(t->cgroup_used(r.cg), 0u) << r.name;
 }
 
 TEST(HomeMirror, DiskHalfHoldsWithoutATier) {
